@@ -7,6 +7,14 @@ hierarchy queries those enhanced tokens through its own cross-attention
 per-hierarchy outputs are mean-pooled and averaged into the branch vector
 z, and small MLP heads regress the box and score the action classes. The
 two branch predictions are averaged.
+
+``forward`` takes one sample or a list of them and always runs a batch:
+every tensor carries a leading batch axis, and a single sample is a batch
+of one. Keyword and scene trajectories are zero-padded to the batch
+maximum and masked; each scan layer runs once per batch over time-major
+``(T, rows, d)`` input, and the attention and heads run once per branch
+and hierarchy. All products are stacked per slice, so each sample's
+outputs are bitwise those of the same sample run alone.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TrainConfig
-from .errors import ConfigError, DimensionError, PipelineError
+from .errors import ConfigError, DimensionError, InputError, PipelineError
 from .numerics import ParamStore, uniform_init
 from .numerics import tape
 from .numerics.tape import Var
@@ -69,19 +77,25 @@ class AttnParamVars:
     prompts: Var
 
 
-def cross_attention_var(queries: Var, context: Var, p: AttnParamVars) -> Var:
-    if context.value.shape[0] < 1:
+def cross_attention_var(
+    queries: Var, context: Var, p: AttnParamVars, rows: np.ndarray | None = None
+) -> Var:
+    """(..., Q + N_p, d_a) readout; the prompt rows follow the query rows.
+
+    Leading axes are the batch. ``rows`` counts the real (unpadded) query
+    rows of each batch entry; see ``tape.matmul``.
+    """
+    if context.value.shape[-2] < 1:
         raise DimensionError("cross_attention: empty context")
     d_a = p.w_q.value.shape[1]
-    q_proj = tape.matmul(queries, p.w_q)
-    if p.prompts.value.shape[0] > 0:
-        q_full = tape.concat_rows([q_proj, p.prompts])
-    else:
-        q_full = q_proj
+    n_p = p.prompts.value.shape[0]
+    q_proj = tape.matmul(queries, p.w_q, rows)
+    q_full = tape.concat_rows([q_proj, p.prompts]) if n_p > 0 else q_proj
+    full_rows = None if rows is None else np.asarray(rows) + n_p
     keys = tape.matmul(context, p.w_k)
     values = tape.matmul(context, p.w_v)
-    scores = tape.scale(tape.matmul(q_full, tape.transpose(keys)), 1.0 / np.sqrt(d_a))
-    return tape.matmul(tape.softmax_rows(scores), values)
+    scores = tape.scale(tape.matmul(q_full, tape.transpose(keys), full_rows), 1.0 / np.sqrt(d_a))
+    return tape.matmul(tape.softmax_rows(scores), values, full_rows)
 
 
 def cross_attention(
@@ -107,20 +121,6 @@ def mhs_ca_branch(
     return np.mean(pooled, axis=0)
 
 
-def _mhs_ca_branch_var(
-    enhanced: Var,
-    hierarchy_queries: list[tuple[str, Var]],
-    attn_vars: dict[str, AttnParamVars],
-) -> Var:
-    if not hierarchy_queries:
-        raise ConfigError("mhs_ca_branch: no hierarchy enabled")
-    pooled = [
-        tape.mean_rows(cross_attention_var(q, enhanced, attn_vars[tag]))
-        for tag, q in hierarchy_queries
-    ]
-    return tape.mean_of(pooled)
-
-
 # -- heads and losses ---------------------------------------------------------
 
 
@@ -132,9 +132,11 @@ class HeadParamVars:
     b2: Var
 
 
-def _head_var(z: Var, p: HeadParamVars) -> Var:
-    hidden = tape.relu(tape.add_rowvec(tape.matmul(z, p.w1), p.b1))
-    return tape.sigmoid(tape.add_rowvec(tape.matmul(hidden, p.w2), p.b2))
+def _head_var(z: Var, p: HeadParamVars) -> tuple[Var, np.ndarray]:
+    """MLP output and the hidden ReLU mask (where the output has kinks)."""
+    pre = tape.add_rowvec(tape.matmul(z, p.w1), p.b1)
+    out = tape.sigmoid(tape.add_rowvec(tape.matmul(tape.relu(pre), p.w2), p.b2))
+    return out, pre.value > 0.0
 
 
 def heads(
@@ -142,8 +144,8 @@ def heads(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply the two d_a -> d_a -> out MLPs (ReLU hidden, sigmoid output)."""
     zv = Var(np.asarray(z, dtype=np.float64).reshape(1, -1))
-    bbox = _head_var(zv, HeadParamVars(*[Var(a) for a in reg]))
-    probs = _head_var(zv, HeadParamVars(*[Var(a) for a in cls]))
+    bbox, _ = _head_var(zv, HeadParamVars(*[Var(a) for a in reg]))
+    probs, _ = _head_var(zv, HeadParamVars(*[Var(a) for a in cls]))
     return bbox.value[0], probs.value[0]
 
 
@@ -179,20 +181,27 @@ def mse_loss(b: np.ndarray, b_hat: np.ndarray) -> float:
 
 
 def _bce_var(y: np.ndarray, probs: Var) -> Var:
-    n_c = probs.value.shape[1]
-    yv = Var(np.asarray(y, dtype=np.float64).reshape(1, -1))
+    """Per-row BCE: ``y`` and ``probs`` are (..., C); the result drops C."""
+    n_c = probs.value.shape[-1]
+    yv = Var(np.asarray(y, dtype=np.float64).reshape(probs.value.shape))
     ones = Var(np.ones_like(yv.value))
     p = tape.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
     term = tape.add(
         tape.mul(yv, tape.log(p)),
         tape.mul(tape.add(ones, tape.scale(yv, -1.0)), tape.log(tape.add(ones, tape.scale(p, -1.0)))),
     )
-    return tape.scale(tape.sum_all(term), -1.0 / n_c)
+    return tape.scale(tape.sum_axis(term, -1), -1.0 / n_c)
 
 
 def _mse_var(b: np.ndarray, bbox: Var) -> Var:
-    diff = tape.add(bbox, Var(-np.asarray(b, dtype=np.float64).reshape(1, -1)))
-    return tape.sum_all(tape.mul(diff, diff))
+    """Per-row squared box error; ``b`` and ``bbox`` are (..., 4)."""
+    diff = tape.add(bbox, Var(-np.asarray(b, dtype=np.float64).reshape(bbox.value.shape)))
+    return tape.sum_axis(tape.mul(diff, diff), -1)
+
+
+def _clip_band(probs: Var) -> np.ndarray:
+    """Where the BCE clamp passes gradient; its edges are kinks of the loss."""
+    return (probs.value >= PROB_EPS) & (probs.value <= 1.0 - PROB_EPS)
 
 
 # -- parameter construction ----------------------------------------------------
@@ -291,19 +300,72 @@ class ModelOutput:
 
 @dataclass
 class ForwardResult:
-    output: ModelOutput
+    """One batch: per-sample outputs and signatures, and the batch-mean loss.
+
+    Each sample's selection signature records its retrieval picks and the
+    ReLU and BCE-clamp masks: a perturbation that changes it crosses a kink
+    of the loss, where a finite difference is not the gradient.
+    """
+
+    outputs: list[ModelOutput]
     loss: Var | None
     selection_signature: tuple
-    bbox_var: Var
-    probs_var: Var
+
+    @property
+    def output(self) -> ModelOutput:
+        """The output of a batch of one."""
+        if len(self.outputs) != 1:
+            raise InputError(f"batch of {len(self.outputs)} samples has no single output")
+        return self.outputs[0]
 
 
 def prepare_reference(text: str, encoder: ReferenceEncoder, stop_set=None) -> ReferenceBundle:
     return embed_reference(text, default_stopwords() if stop_set is None else stop_set, encoder)
 
 
+def _pad_rows(blocks: list[np.ndarray]) -> np.ndarray:
+    """Stack (n_b, ...) blocks into zeros of shape (B, max n_b, ...)."""
+    out = np.zeros((len(blocks), max(b.shape[0] for b in blocks), *blocks[0].shape[1:]))
+    for i, block in enumerate(blocks):
+        out[i, : block.shape[0]] = block
+    return out
+
+
+def _trajectory_input(sets, counts: np.ndarray, grid_shape) -> np.ndarray:
+    """Time-major scan input (T, B * max count, d); padded rows are zero."""
+    frames, _, dim = grid_shape
+    x = np.zeros((frames, len(sets), int(counts.max()), dim))
+    for b, traj_set in enumerate(sets):
+        for k, traj in enumerate(traj_set.trajectories):
+            x[:, b, k] = traj.tokens
+    return x.reshape(frames, -1, dim)
+
+
+def _row_mask(counts: np.ndarray, width: int, n_prompts: int) -> np.ndarray | None:
+    """(B, width + n_prompts) mask of real query rows and prompt rows."""
+    if np.all(counts == width):
+        return None
+    real = np.arange(width)[None, :] < counts[:, None]
+    return np.concatenate([real, np.ones((len(counts), n_prompts), dtype=bool)], axis=1)
+
+
+def _mean_hierarchies(parts: list[tuple[Var, np.ndarray]]) -> Var:
+    """Per-sample mean of the pooled hierarchy outputs that sample uses.
+
+    Unused parts are zeroed and skipped in the count, so each sample sums
+    its own parts in order and scales by 1/count, as ``tape.mean_of`` does.
+    """
+    total = None
+    count = np.zeros(len(parts[0][1]))
+    for pooled, used in parts:
+        term = pooled if used.all() else tape.scale(pooled, used[:, None, None])
+        total = term if total is None else tape.add(total, term)
+        count += used
+    return tape.scale(total, (1.0 / count)[:, None, None])
+
+
 def forward(
-    sample: PipelineSample,
+    samples: PipelineSample | list[PipelineSample],
     params: ParamStore,
     config: TrainConfig,
     encoder: ReferenceEncoder,
@@ -311,82 +373,108 @@ def forward(
 ) -> ForwardResult:
     """Run semantics, retrieval, scans, fusion, heads, and (optionally) the loss.
 
-    ``param_vars`` lets a caller share one set of leaf Vars across a batch so
-    a single backward pass accumulates all gradients.
+    ``samples`` is one sample or a batch; the grids of a batch must share
+    one shape. The loss, present when every sample has targets, is the
+    batch mean. ``param_vars`` lets the caller keep the leaf Vars whose
+    gradients one backward pass accumulates.
     """
+    batch = [samples] if isinstance(samples, PipelineSample) else list(samples)
+    if not batch:
+        raise InputError("forward: empty batch")
+    grid_shape = batch[0].grid.tokens.shape
+    for s in batch:
+        if s.grid.tokens.shape != grid_shape:
+            raise DimensionError(
+                f"sample {s.sample_id!r} grid {s.grid.tokens.shape} differs from the batch's {grid_shape}"
+            )
     pv = params.as_vars() if param_vars is None else param_vars
-    bundle = sample.reference
+    n_b = len(batch)
+    frames = grid_shape[0]
 
     try:
-        scene_tokens = build_scene_attribute_tokens(
-            sample.detections,
-            encoder,
-            params["scene_proj.w"],
-            params["scene_proj.b"],
-            conf_threshold=config.conf_threshold,
-            max_count=config.max_detections,
-        )
+        scene_tokens = [
+            build_scene_attribute_tokens(
+                s.detections,
+                encoder,
+                params["scene_proj.w"],
+                params["scene_proj.b"],
+                conf_threshold=config.conf_threshold,
+                max_count=config.max_detections,
+            )
+            for s in batch
+        ]
     except Exception as exc:
         raise PipelineError("semantics", exc) from exc
 
     try:
-        kw_set = build_trajectory_set(bundle.keyword_embeddings, sample.grid, "keyword")
-        scene_queries = (
-            np.stack([t.vector for t in scene_tokens])
-            if scene_tokens
-            else np.zeros((0, sample.grid.dim))
-        )
-        bs_set = build_trajectory_set(scene_queries, sample.grid, "scene-attribute")
+        kw_sets, bs_sets = [], []
+        for s, tokens in zip(batch, scene_tokens):
+            kw_sets.append(build_trajectory_set(s.reference.keyword_embeddings, s.grid, "keyword"))
+            scene_queries = (
+                np.stack([t.vector for t in tokens]) if tokens else np.zeros((0, s.grid.dim))
+            )
+            bs_sets.append(build_trajectory_set(scene_queries, s.grid, "scene-attribute"))
     except Exception as exc:
         raise PipelineError("retrieval", exc) from exc
-    signature = (kw_set.indices_signature(), bs_set.indices_signature())
 
-    use_kw = config.use_keyword and len(kw_set) > 0
-    use_bv = config.use_attribute and len(bs_set) > 0
+    kw_counts = np.array([len(t) for t in kw_sets])
+    bs_counts = np.array([len(t) for t in bs_sets])
+    use_kw = config.use_keyword & (kw_counts > 0)
+    use_bv = config.use_attribute & (bs_counts > 0)
     use_rv = config.use_holistic
-    if not (use_rv or use_kw or use_bv):
-        raise ConfigError(f"all hierarchies disabled for sample {sample.sample_id!r}")
+    for b, s in enumerate(batch):
+        if not (use_rv or use_kw[b] or use_bv[b]):
+            raise ConfigError(f"all hierarchies disabled for sample {s.sample_id!r}")
 
     try:
-        t_kw = None
-        if use_kw:
-            finals = [
-                tape.take_row(scan_var(Var(t.tokens), _ssm_vars(pv, "keyword")), t.length - 1)
-                for t in kw_set.trajectories
-            ]
-            t_kw = tape.concat_rows(finals)
-        h_bs = None
-        if use_bv:
-            scans = [scan_var(Var(t.tokens), _ssm_vars(pv, "scene")) for t in bs_set.trajectories]
-            h_bs = tape.mean_of(scans)
+        t_kw = h_bs = None
+        if use_kw.any():
+            x = _trajectory_input(kw_sets, kw_counts, grid_shape)
+            finals = tape.take_row(scan_var(Var(x), _ssm_vars(pv, "keyword")), frames - 1)
+            t_kw = tape.reshape(finals, (n_b, int(kw_counts.max()), -1))
+        if use_bv.any():
+            x = _trajectory_input(bs_sets, bs_counts, grid_shape)
+            scans = scan_var(Var(x), _ssm_vars(pv, "scene"))
+            total = tape.sum_axis(tape.reshape(scans, (frames, n_b, int(bs_counts.max()), -1)), 2)
+            mean = tape.scale(total, (1.0 / np.maximum(bs_counts, 1))[None, :, None])
+            h_bs = tape.transpose(mean, (1, 0, 2))
     except Exception as exc:
         raise PipelineError("ssm", exc) from exc
 
     branch_outputs: dict[str, tuple[Var, Var, Var]] = {}
+    kinks: list[np.ndarray] = []
     try:
-        for branch, pooled in (
-            ("temporal", pool_spatial(sample.grid)),
-            ("spatial", pool_temporal(sample.grid)),
-        ):
+        for branch, pool in (("temporal", pool_spatial), ("spatial", pool_temporal)):
             if branch == "temporal" and not config.use_temporal:
                 continue
             if branch == "spatial" and not config.use_spatial:
                 continue
-            enhanced = scan_var(Var(pooled), _ssm_vars(pv, f"holistic_{branch}"))
+            pooled = np.stack([pool(s.grid) for s in batch], axis=1)
+            enhanced = tape.transpose(
+                scan_var(Var(pooled), _ssm_vars(pv, f"holistic_{branch}")), (1, 0, 2)
+            )
             if config.use_mhs_ca:
-                queries: list[tuple[str, Var]] = []
+                n_p = config.n_prompts
+                queries: list[tuple[str, Var, np.ndarray | None, np.ndarray]] = []
                 if use_rv:
-                    queries.append(("rv", Var(bundle.holistic)))
-                if use_kw:
-                    queries.append(("kwv", t_kw))
-                if use_bv:
-                    queries.append(("bv", h_bs))
-                attn = {tag: _attn_vars(pv, tag, branch) for tag, _ in queries}
-                z = _mhs_ca_branch_var(enhanced, queries, attn)
+                    holistic = [s.reference.holistic for s in batch]
+                    counts = np.array([h.shape[0] for h in holistic])
+                    queries.append(("rv", Var(_pad_rows(holistic)), counts, np.ones(n_b, dtype=bool)))
+                if t_kw is not None:
+                    queries.append(("kwv", t_kw, kw_counts, use_kw))
+                if h_bs is not None:
+                    queries.append(("bv", h_bs, None, use_bv))
+                parts = []
+                for tag, q, counts, used in queries:
+                    out = cross_attention_var(q, enhanced, _attn_vars(pv, tag, branch), counts)
+                    mask = None if counts is None else _row_mask(counts, q.value.shape[1], n_p)
+                    parts.append((tape.mean_rows(out, mask), used))
+                z = _mean_hierarchies(parts)
             else:
                 z = tape.mean_rows(enhanced)
-            bbox = _head_var(z, _head_vars(pv, branch, "reg"))
-            probs = _head_var(z, _head_vars(pv, branch, "cls"))
+            bbox, reg_kinks = _head_var(z, _head_vars(pv, branch, "reg"))
+            probs, cls_kinks = _head_var(z, _head_vars(pv, branch, "cls"))
+            kinks += [reg_kinks, cls_kinks]
             branch_outputs[branch] = (z, bbox, probs)
     except Exception as exc:
         raise PipelineError("fusion", exc) from exc
@@ -395,41 +483,52 @@ def forward(
     probs_var = tape.mean_of([branch_outputs[b][2] for b in branch_outputs])
 
     loss = None
-    if sample.gt_bbox is not None and sample.labels is not None:
+    if all(s.gt_bbox is not None and s.labels is not None for s in batch):
         try:
-            loss = tape.add(
-                _bce_var(sample.labels, probs_var),
-                tape.scale(_mse_var(sample.gt_bbox, bbox_var), config.lambda_box),
+            gt = np.stack([np.asarray(s.gt_bbox, dtype=np.float64).reshape(1, -1) for s in batch])
+            labels = np.stack([np.asarray(s.labels, dtype=np.float64).reshape(1, -1) for s in batch])
+            per_sample = tape.add(
+                _bce_var(labels, probs_var),
+                tape.scale(_mse_var(gt, bbox_var), config.lambda_box),
             )
+            kinks.append(_clip_band(probs_var))
             if config.aux_branch_loss:
-                per_branch = [
-                    tape.add(
-                        _bce_var(sample.labels, probs),
-                        tape.scale(_mse_var(sample.gt_bbox, bbox), config.lambda_box),
+                per_branch = []
+                for _, bbox, probs in branch_outputs.values():
+                    per_branch.append(
+                        tape.add(
+                            _bce_var(labels, probs),
+                            tape.scale(_mse_var(gt, bbox), config.lambda_box),
+                        )
                     )
-                    for _, bbox, probs in branch_outputs.values()
-                ]
-                loss = tape.add(loss, tape.mean_of(per_branch))
+                    kinks.append(_clip_band(probs))
+                per_sample = tape.add(per_sample, tape.mean_of(per_branch))
+            loss = tape.scale(tape.sum_all(per_sample), 1.0 / n_b)
         except Exception as exc:
             raise PipelineError("loss", exc) from exc
 
-    def _branch(branch: str, slot: int):
-        return branch_outputs[branch][slot].value[0] if branch in branch_outputs else None
+    def _branch(branch: str, slot: int, b: int):
+        return branch_outputs[branch][slot].value[b, 0] if branch in branch_outputs else None
 
-    output = ModelOutput(
-        bbox=bbox_var.value[0].copy(),
-        class_probs=probs_var.value[0].copy(),
-        bbox_temporal=_branch("temporal", 1),
-        probs_temporal=_branch("temporal", 2),
-        bbox_spatial=_branch("spatial", 1),
-        probs_spatial=_branch("spatial", 2),
-        z_temporal=_branch("temporal", 0),
-        z_spatial=_branch("spatial", 0),
+    outputs = [
+        ModelOutput(
+            bbox=bbox_var.value[b, 0].copy(),
+            class_probs=probs_var.value[b, 0].copy(),
+            bbox_temporal=_branch("temporal", 1, b),
+            probs_temporal=_branch("temporal", 2, b),
+            bbox_spatial=_branch("spatial", 1, b),
+            probs_spatial=_branch("spatial", 2, b),
+            z_temporal=_branch("temporal", 0, b),
+            z_spatial=_branch("spatial", 0, b),
+        )
+        for b in range(n_b)
+    ]
+    signature = tuple(
+        (
+            kw_sets[b].indices_signature(),
+            bs_sets[b].indices_signature(),
+            tuple(mask[b].tobytes() for mask in kinks),
+        )
+        for b in range(n_b)
     )
-    return ForwardResult(
-        output=output,
-        loss=loss,
-        selection_signature=signature,
-        bbox_var=bbox_var,
-        probs_var=probs_var,
-    )
+    return ForwardResult(outputs=outputs, loss=loss, selection_signature=signature)

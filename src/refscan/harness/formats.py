@@ -41,11 +41,18 @@ def read_tensor(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != RTEN_MAGIC:
         raise ParseError(f"{path}: bad magic {blob[:4]!r}")
+    if len(blob) < 12:
+        raise ParseError(f"{path}: truncated header, {len(blob)} of 12 bytes", field="header")
     version, rank = struct.unpack_from("<II", blob, 4)
     if version != RTEN_VERSION:
         raise ParseError(f"{path}: unsupported tensor version {version}")
-    dims = struct.unpack_from(f"<{rank}I", blob, 12)
     offset = 12 + 4 * rank
+    if len(blob) < offset:
+        raise ParseError(
+            f"{path}: truncated dims block, rank {rank} needs {offset} bytes, file has {len(blob)}",
+            field="dims",
+        )
+    dims = struct.unpack_from(f"<{rank}I", blob, 12)
     count = int(np.prod(dims)) if rank else 1
     expected = offset + 8 * count
     if len(blob) != expected:
@@ -93,6 +100,13 @@ _REQUIRED_FIELDS = (
 )
 
 
+def _int_field(obj: dict, name: str, line_no: int) -> int:
+    try:
+        return int(obj[name])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{name} must be an integer, got {obj[name]!r}", line=line_no, field=name) from exc
+
+
 def _parse_record(obj: dict, line_no: int, root: Path, num_classes: int | None) -> SampleRecord:
     for name in _REQUIRED_FIELDS:
         if name not in obj:
@@ -111,8 +125,8 @@ def _parse_record(obj: dict, line_no: int, root: Path, num_classes: int | None) 
             line=line_no,
             field="gt_bbox",
         )
-    num_frames = int(obj["num_frames"])
-    keyframe = int(obj["keyframe_index"])
+    num_frames = _int_field(obj, "num_frames", line_no)
+    keyframe = _int_field(obj, "keyframe_index", line_no)
     if not (0 <= keyframe < num_frames):
         raise ParseError(
             f"keyframe_index {keyframe} outside [0, {num_frames})",

@@ -22,7 +22,6 @@ from ..metrics import (
     multilabel_map_oracle,
 )
 from ..numerics import GradCheckReport, grad_check
-from ..numerics.tape import mean_of
 from ..semantics import SyntheticEncoder
 from ..ssm import SsmLayerParams, ssm_scan, ssm_scan_oracle
 from .fixtures import GenConfig, synth_samples
@@ -122,13 +121,8 @@ def model_loss_fn(samples, params, config, encoder):
     """Batch-mean training loss with the retrieval-selection signature."""
 
     def fn(pv):
-        losses = []
-        sigs = []
-        for s in samples:
-            res = forward(s, params, config, encoder, param_vars=pv)
-            losses.append(res.loss)
-            sigs.append(res.selection_signature)
-        return mean_of(losses), tuple(sigs)
+        res = forward(samples, params, config, encoder, param_vars=pv)
+        return res.loss, res.selection_signature
 
     return fn
 

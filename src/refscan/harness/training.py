@@ -17,7 +17,6 @@ from ..config import TrainConfig
 from ..errors import ConfigError, InputError
 from ..fusion import PipelineSample, forward, init_model_params
 from ..numerics import ParamStore
-from ..numerics.tape import mean_of
 from ..semantics import ReferenceEncoder
 from .checkpoint import Checkpoint, rng_state_of
 
@@ -79,6 +78,11 @@ def train(
     if not samples:
         raise InputError("training requires a nonempty dataset")
     for s in samples:
+        if s.grid.num_cells != samples[0].grid.num_cells:
+            raise ConfigError(
+                f"sample {s.sample_id!r} has {s.grid.num_cells} grid cells, "
+                f"sample {samples[0].sample_id!r} has {samples[0].grid.num_cells}; a batch needs one grid shape"
+            )
         if s.grid.dim != config.d:
             raise ConfigError(f"sample {s.sample_id!r} dim {s.grid.dim} != config d {config.d}")
         if s.grid.num_frames != config.frames:
@@ -107,11 +111,7 @@ def train(
                 batch_idx.append(order.pop())
 
         pv = params.as_vars()
-        losses = []
-        for i in batch_idx:
-            res = forward(samples[i], params, config, encoder, param_vars=pv)
-            losses.append(res.loss)
-        total = mean_of(losses)
+        total = forward([samples[i] for i in batch_idx], params, config, encoder, param_vars=pv).loss
         loss_value = float(total.value)
         if not math.isfinite(loss_value):
             result.aborted = True

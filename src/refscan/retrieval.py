@@ -2,7 +2,9 @@
 
 For every query vector and every timestep the closest spatial token (by
 Euclidean distance, lowest index on ties) is selected; the per-timestep
-picks form that query's trajectory. Selection is a hard argmin, so no
+picks form that query's trajectory. All queries of one grid are resolved
+from one distance tensor; ``nearest_token`` is the one-frame reference the
+tests hold that tensor to. Selection is a hard argmin, so no
 gradient flows into the queries; downstream gradients only pass through the
 selected token values.
 """
@@ -82,7 +84,7 @@ class TrajectorySet:
 
     def indices_signature(self) -> tuple:
         """Hashable record of every selection; used to detect argmin flips."""
-        return tuple(tuple(int(i) for i in t.spatial_indices) for t in self.trajectories)
+        return tuple(tuple(t.spatial_indices.tolist()) for t in self.trajectories)
 
 
 def nearest_token(query: np.ndarray, frame_tokens: np.ndarray) -> tuple[int, np.ndarray]:
@@ -99,29 +101,47 @@ def nearest_token(query: np.ndarray, frame_tokens: np.ndarray) -> tuple[int, np.
     return idx, frame_tokens[idx].copy()
 
 
+def _project_queries(queries: np.ndarray, query_projection) -> np.ndarray:
+    """Apply a callable or matrix projection to each query row once."""
+    if query_projection is None:
+        return queries
+    if callable(query_projection):
+        return np.array([query_projection(q) for q in queries], dtype=np.float64).reshape(
+            queries.shape[0], -1
+        )
+    return (queries[:, None, :] @ np.asarray(query_projection, dtype=np.float64))[:, 0]
+
+
+def _retrieve(queries: np.ndarray, grid: VisualTokenGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest cell per (query, frame): indices (K, T) and tokens (K, T, d).
+
+    One squared-distance tensor over queries x frames x cells; ``argmin``
+    keeps the lowest cell index on ties, as ``nearest_token`` does.
+    """
+    if queries.shape[1] != grid.dim:
+        raise DimensionError(f"query dim {queries.shape[1:]} does not match grid dim {grid.dim}")
+    diffs = grid.tokens[None] - queries[:, None, None, :]
+    d2 = np.einsum("ktsd,ktsd->kts", diffs, diffs)
+    indices = d2.argmin(axis=2)
+    return indices, grid.tokens[np.arange(grid.num_frames), indices]
+
+
 def build_trajectory(
     query: np.ndarray,
     grid: VisualTokenGrid,
     query_id: tuple[str, int] = ("keyword", 0),
     query_projection=None,
 ) -> Trajectory:
-    """One nearest_token pick per timestep, in temporal order.
+    """The nearest cell of every frame, in temporal order, for one query.
 
     ``query_projection``, when given, is applied to the query once before any
     distance is computed (callable or matrix).
     """
     q = np.asarray(query, dtype=np.float64)
-    if query_projection is not None:
-        q = query_projection(q) if callable(query_projection) else q @ np.asarray(query_projection)
-    if q.shape != (grid.dim,):
-        raise DimensionError(f"query dim {q.shape} does not match grid dim {grid.dim}")
-    indices = np.empty(grid.num_frames, dtype=np.int64)
-    tokens = np.empty((grid.num_frames, grid.dim), dtype=np.float64)
-    for l in range(grid.num_frames):
-        idx, tok = nearest_token(q, grid.frame(l))
-        indices[l] = idx
-        tokens[l] = tok
-    return Trajectory(query_id=query_id, spatial_indices=indices, tokens=tokens)
+    if q.ndim != 1:
+        raise DimensionError(f"query must be a vector, got shape {q.shape}")
+    indices, tokens = _retrieve(_project_queries(q[None, :], query_projection), grid)
+    return Trajectory(query_id=query_id, spatial_indices=indices[0], tokens=tokens[0])
 
 
 def build_trajectory_set(
@@ -134,8 +154,11 @@ def build_trajectory_set(
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise DimensionError(f"queries must be 2-D, got shape {queries.shape}")
+    if queries.shape[0] == 0:
+        return TrajectorySet(hierarchy=hierarchy, trajectories=[])
+    indices, tokens = _retrieve(_project_queries(queries, query_projection), grid)
     trajectories = [
-        build_trajectory(queries[k], grid, query_id=(hierarchy, k), query_projection=query_projection)
+        Trajectory(query_id=(hierarchy, k), spatial_indices=indices[k], tokens=tokens[k])
         for k in range(queries.shape[0])
     ]
     return TrajectorySet(hierarchy=hierarchy, trajectories=trajectories)

@@ -82,14 +82,24 @@ class ReferenceEncoder(Protocol):
 
 
 class SyntheticEncoder:
-    """Default encoder: per-word hash vectors; sentence = renormalized mean."""
+    """Default encoder: per-word hash vectors; sentence = renormalized mean.
+
+    Word vectors are cached per instance and returned read-only, so a word
+    costs one sha256 and one generator per encoder, not one per call.
+    """
 
     def __init__(self, dim: int, seed: int):
         self.dim = int(dim)
         self.seed = int(seed)
+        self._words: dict[str, np.ndarray] = {}
 
     def encode_word(self, word: str) -> np.ndarray:
-        return synthetic_encode(word, self.dim, self.seed)
+        vec = self._words.get(word)
+        if vec is None:
+            vec = synthetic_encode(word, self.dim, self.seed)
+            vec.flags.writeable = False
+            self._words[word] = vec
+        return vec
 
     def encode_sentence(self, words: list[str]) -> np.ndarray:
         if not words:
@@ -98,7 +108,7 @@ class SyntheticEncoder:
         norm = np.linalg.norm(mean)
         if norm == 0.0:
             # opposite word vectors can cancel; fall back to the first word
-            return self.encode_word(words[0]).reshape(1, -1)
+            return self.encode_word(words[0]).reshape(1, -1).copy()
         return (mean / norm).reshape(1, -1)
 
 

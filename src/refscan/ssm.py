@@ -1,9 +1,10 @@
 """Linear state-space scans that aggregate trajectories at each hierarchy.
 
 The recurrence is h(l) = A h(l-1) + B x~(l) with x~ = in_proj(x), readout
-y(l) = C h(l), zero initial state, unit step size. ``ssm_scan`` is the
-production kernel (vectorized steps, and the tape variant carries a
-hand-derived backward recurrence instead of taping every step);
+y(l) = C h(l), zero initial state, unit step size. One kernel serves
+``ssm_scan`` (one sequence) and ``scan_var`` (the tape node, many
+sequences at once, with a hand-derived backward recurrence instead of
+taping every step): it runs all rows together and loops only over time.
 ``ssm_scan_oracle`` is the deliberately naive scalar-loop twin every
 optimization must keep matching.
 """
@@ -79,42 +80,45 @@ class ScanOutput:
 
 
 def _check_scan_inputs(x: np.ndarray, in_proj: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise DimensionError(f"scan input must be (T>=1, d), got {x.shape}")
-    if x.shape[1] != in_proj.shape[0]:
+    if x.ndim not in (2, 3) or x.shape[0] < 1:
+        raise DimensionError(f"scan input must be (T>=1, d) or (T>=1, rows, d), got {x.shape}")
+    if x.shape[-1] != in_proj.shape[0]:
         raise DimensionError(
-            f"scan input dim {x.shape[1]} does not match in_proj {in_proj.shape}"
+            f"scan input dim {x.shape[-1]} does not match in_proj {in_proj.shape}"
         )
 
 
 def _scan_forward(x, in_proj, a, b, c):
-    """Shared forward recurrence; returns (x_proj, states, outputs).
+    """Shared forward recurrence over time-major ``x`` (T, rows, d).
 
-    Every row is computed with per-step vector products (never one batched
-    matmul) so truncating the input is bitwise prefix-consistent: blocked
-    matrix kernels may round differently depending on the total row count.
+    Returns (x_proj, states, outputs), shaped (T, rows, d_s), (T, rows, n)
+    and (T, rows, d_s). Rows are independent sequences; only time is
+    looped. Every product is stacked over one-row slices, ``(.., 1, k) @ W``,
+    which numpy runs as one vector-matrix product per row: each row rounds
+    exactly as a lone sequence would, whatever the row count, and
+    truncating the input in time is bitwise prefix-consistent. One flat 2-D
+    matmul over all rows would round differently with the row count.
     """
-    steps, n = x.shape[0], a.shape[0]
-    d_s = in_proj.shape[1]
-    xt = np.empty((steps, d_s), dtype=np.float64)
-    states = np.empty((steps, n), dtype=np.float64)
-    outputs = np.empty((steps, d_s), dtype=np.float64)
-    h = np.zeros(n, dtype=np.float64)
-    at, bt, ct = a.T, b.T, c.T
+    steps, rows = x.shape[0], x.shape[1]
+    xt = x[:, :, None, :] @ in_proj
+    states = np.empty((steps, rows, 1, a.shape[0]), dtype=np.float64)
+    h = np.zeros((rows, 1, a.shape[0]), dtype=np.float64)
+    at, bt = a.T, b.T
     for l in range(steps):
-        xt[l] = x[l] @ in_proj
         h = h @ at + xt[l] @ bt
         states[l] = h
-        outputs[l] = h @ ct
-    return xt, states, outputs
+    outputs = states @ c.T
+    return xt[:, :, 0], states[:, :, 0], outputs[:, :, 0]
 
 
 def ssm_scan(inputs: np.ndarray, params: SsmLayerParams) -> ScanOutput:
     """Run the recurrence over one sequence with zero initial state."""
     x = np.asarray(inputs, dtype=np.float64)
+    if x.ndim != 2:
+        raise DimensionError(f"scan input must be (T>=1, d), got {x.shape}")
     _check_scan_inputs(x, params.in_proj)
-    _, states, outputs = _scan_forward(x, params.in_proj, params.A, params.B, params.C)
-    return ScanOutput(outputs=outputs, final_state=states[-1].copy())
+    _, states, outputs = _scan_forward(x[:, None, :], params.in_proj, params.A, params.B, params.C)
+    return ScanOutput(outputs=outputs[:, 0], final_state=states[-1, 0].copy())
 
 
 def ssm_scan_oracle(inputs: np.ndarray, params: SsmLayerParams) -> ScanOutput:
@@ -156,33 +160,40 @@ class SsmParamVars:
 
 
 def scan_var(x: Var, p: SsmParamVars) -> Var:
-    """Tape node for a full scan; backward is the reverse-time recurrence.
+    """Tape node for a batch of scans; backward is the reverse-time recurrence.
 
-    Equivalent to taping every step but one node instead of ~4T, with the
-    gradient recurrence dL/dh(l) = direct(l) + dL/dh(l+1) A run in reverse.
+    ``x`` is time-major, (T, rows, d), one independent sequence per row, or
+    a single (T, d) sequence. One node instead of ~4T per row, with the
+    gradient recurrence dL/dh(l) = direct(l) + dL/dh(l+1) A run in reverse
+    for all rows at once.
     """
     xv = x.value
     _check_scan_inputs(xv, p.in_proj.value)
     win, a, b, c = p.in_proj.value, p.A.value, p.B.value, p.C.value
-    xt, states, outputs = _scan_forward(xv, win, a, b, c)
-    steps, n = xv.shape[0], a.shape[0]
+    x3 = xv if xv.ndim == 3 else xv[:, None, :]
+    xt, states, outputs = _scan_forward(x3, win, a, b, c)
+    steps, n = x3.shape[0], a.shape[0]
+
+    def flat(arr: np.ndarray) -> np.ndarray:  # (T, rows, k) -> (T * rows, k)
+        return arr.reshape(-1, arr.shape[-1])
 
     def vjp(g: np.ndarray):
-        d_c = g.T @ states
+        g = g.reshape(outputs.shape)
+        d_c = flat(g).T @ flat(states)
         d_states = g @ c
         acc = np.empty_like(states)
         acc[steps - 1] = d_states[steps - 1]
         for l in range(steps - 2, -1, -1):
             acc[l] = d_states[l] + acc[l + 1] @ a
-        prev = np.vstack([np.zeros((1, n)), states[:-1]])
-        d_a = acc.T @ prev
-        d_b = acc.T @ xt
+        prev = np.concatenate([np.zeros((1, *states.shape[1:])), states[:-1]])
+        d_a = flat(acc).T @ flat(prev)
+        d_b = flat(acc).T @ flat(xt)
         d_xt = acc @ b
-        d_win = xv.T @ d_xt
-        d_x = d_xt @ win.T
+        d_win = flat(x3).T @ flat(d_xt)
+        d_x = (d_xt @ win.T).reshape(xv.shape)
         return (d_x, d_win, d_a, d_b, d_c)
 
-    return Var(outputs, (x, p.in_proj, p.A, p.B, p.C), vjp)
+    return Var(outputs if xv.ndim == 3 else outputs[:, 0], (x, p.in_proj, p.A, p.B, p.C), vjp)
 
 
 def aggregate_keyword(traj_set: TrajectorySet, params: SsmLayerParams) -> np.ndarray:

@@ -95,6 +95,19 @@ def test_eval_dim_mismatch_nonzero_exit(dataset, tmp_path, capsys):
                  "--report", str(tmp_path / "r.json")]) == 1
 
 
+def test_eval_truncated_tensor_nonzero_exit(dataset, tmp_path, capsys):
+    cfg = small_train_config(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(cfg),
+                 "--out-ckpt", str(ckpt)]) == 0
+    victim = sorted((dataset / "features").glob("*.rten"))[0]
+    victim.write_bytes(victim.read_bytes()[:6])
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset),
+                 "--report", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert victim.name in err and "truncated header" in err
+
+
 def test_gen_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"num_samples": 2, "frames": 4, "grid_rows": 2,

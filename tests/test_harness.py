@@ -50,6 +50,18 @@ class TestTensorFormat:
         with pytest.raises(ParseError):
             read_tensor(tmp_path / "t.rten")
 
+    def test_truncated_header(self, tmp_path):
+        (tmp_path / "t.rten").write_bytes(b"RTEN\x01\x00")  # 6 bytes: version cut short
+        with pytest.raises(ParseError, match=r"t\.rten.*truncated header.*field 'header'"):
+            read_tensor(tmp_path / "t.rten")
+
+    def test_truncated_dims_block(self, tmp_path):
+        write_tensor(tmp_path / "t.rten", np.zeros((2, 3, 4)))
+        blob = (tmp_path / "t.rten").read_bytes()
+        (tmp_path / "t.rten").write_bytes(blob[:16])  # rank 3, only the first dim
+        with pytest.raises(ParseError, match=r"t\.rten.*truncated dims.*field 'dims'"):
+            read_tensor(tmp_path / "t.rten")
+
 
 class TestAnnotations:
     def test_generate_then_load_round_trip(self, tmp_path):
@@ -88,6 +100,18 @@ class TestAnnotations:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="action_labels"):
             load_annotations(path, num_classes=SMALL_GEN.num_classes)
+
+    @pytest.mark.parametrize("field, value", [("num_frames", "four"), ("keyframe_index", None), ("num_frames", [4])])
+    def test_non_integer_count_names_field_and_line(self, tmp_path, field, value):
+        generate_fixtures(SMALL_GEN, tmp_path)
+        path = tmp_path / "annotations.jsonl"
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj[field] = value
+        lines[1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=rf"line 2.*field '{field}'"):
+            load_annotations(path)
 
     def test_keyframe_is_center_frame(self, tmp_path):
         generate_fixtures(SMALL_GEN, tmp_path)

@@ -76,6 +76,22 @@ class TestSyntheticEncode:
             synthetic_encode("man", 1, 0)
 
 
+class TestSyntheticEncoderCache:
+    def test_cached_vector_is_bitwise_the_hash_vector(self):
+        enc = SyntheticEncoder(16, 7)
+        first = enc.encode_word("man")
+        assert enc.encode_word("man") is first
+        np.testing.assert_array_equal(first, synthetic_encode("man", 16, 7))
+
+    def test_cached_vector_is_read_only(self):
+        vec = SyntheticEncoder(16, 7).encode_word("man")
+        with pytest.raises(ValueError):
+            vec[0] = 0.0
+
+    def test_cache_is_per_instance(self):
+        assert SyntheticEncoder(16, 7).encode_word("man") is not SyntheticEncoder(16, 7).encode_word("man")
+
+
 class TestEmbedReference:
     def test_single_word_holistic_equals_keyword(self):
         enc = SyntheticEncoder(16, 3)
