@@ -49,8 +49,3 @@ class PipelineError(RefScanError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage {stage!r}: {cause}")
-
-
-def require_dims(condition: bool, message: str) -> None:
-    if not condition:
-        raise DimensionError(message)

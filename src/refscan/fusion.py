@@ -15,6 +15,14 @@ maximum and masked; each scan layer runs once per batch over time-major
 ``(T, rows, d)`` input, and the attention and heads run once per branch
 and hierarchy. All products are stacked per slice, so each sample's
 outputs are bitwise those of the same sample run alone.
+
+``prepare_sample`` does the per-sample work that depends on no trainable
+value: keyword retrieval (kept as ``(K, T)`` cell indices), its selection
+signature and the pooled branch inputs. Scene tokens and their retrieval
+read ``scene_proj``, a parameter, so ``forward`` builds them on every call.
+``forward`` accepts raw or prepared samples and prepares raw ones on the
+spot, so a training loop can prepare each sample once while evaluation,
+which sees each sample once, passes raw samples.
 """
 
 from __future__ import annotations
@@ -323,6 +331,64 @@ def prepare_reference(text: str, encoder: ReferenceEncoder, stop_set=None) -> Re
     return embed_reference(text, default_stopwords() if stop_set is None else stop_set, encoder)
 
 
+@dataclass
+class PreparedSample:
+    """A sample plus the inputs ``forward`` derives from it that no parameter reaches.
+
+    Keyword retrieval is a hard argmin of fixed reference embeddings over a
+    fixed grid, and the pooled branch inputs read only the grid, so both
+    hold for as long as the config does. Picks are kept as indices, not
+    tokens; ``forward`` gathers the tokens from the grid.
+    """
+
+    sample: PipelineSample
+    kw_indices: np.ndarray  # (K_kw, T) intp, nearest cell per keyword and frame
+    kw_signature: tuple
+    pooled: dict[str, np.ndarray]  # per enabled branch: (T, d) frames or (S, d) cells
+
+
+def _pick_indices(traj_set, frames: int) -> np.ndarray:
+    if not len(traj_set):
+        return np.zeros((0, frames), dtype=np.intp)
+    return np.array([t.spatial_indices for t in traj_set.trajectories], dtype=np.intp)
+
+
+def prepare_sample(sample: PipelineSample, config: TrainConfig) -> PreparedSample:
+    """Keyword retrieval, its signature and the pooled branch inputs."""
+    grid = sample.grid
+    try:
+        kw_set = build_trajectory_set(sample.reference.keyword_embeddings, grid, "keyword")
+    except Exception as exc:
+        raise PipelineError("retrieval", exc) from exc
+
+    pooled = {}
+    if config.use_temporal:
+        pooled["temporal"] = pool_spatial(grid)
+    if config.use_spatial:
+        pooled["spatial"] = pool_temporal(grid)
+    return PreparedSample(
+        sample=sample,
+        kw_indices=_pick_indices(kw_set, grid.num_frames),
+        kw_signature=kw_set.indices_signature(),
+        pooled=pooled,
+    )
+
+
+def _scene_queries(
+    sample: PipelineSample, params: ParamStore, config: TrainConfig, encoder: ReferenceEncoder
+) -> np.ndarray:
+    """(K_bs, d) scene-attribute token vectors of one sample's detections."""
+    tokens = build_scene_attribute_tokens(
+        sample.detections,
+        encoder,
+        params["scene_proj.w"],
+        params["scene_proj.b"],
+        conf_threshold=config.conf_threshold,
+        max_count=config.max_detections,
+    )
+    return np.stack([t.vector for t in tokens]) if tokens else np.zeros((0, sample.grid.dim))
+
+
 def _pad_rows(blocks: list[np.ndarray]) -> np.ndarray:
     """Stack (n_b, ...) blocks into zeros of shape (B, max n_b, ...)."""
     out = np.zeros((len(blocks), max(b.shape[0] for b in blocks), *blocks[0].shape[1:]))
@@ -331,13 +397,14 @@ def _pad_rows(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _trajectory_input(sets, counts: np.ndarray, grid_shape) -> np.ndarray:
-    """Time-major scan input (T, B * max count, d); padded rows are zero."""
+def _trajectory_input(grids, indices, counts: np.ndarray, grid_shape) -> np.ndarray:
+    """Time-major scan input (T, B * max count, d) gathered from each grid's
+    picks; padded rows are zero."""
     frames, _, dim = grid_shape
-    x = np.zeros((frames, len(sets), int(counts.max()), dim))
-    for b, traj_set in enumerate(sets):
-        for k, traj in enumerate(traj_set.trajectories):
-            x[:, b, k] = traj.tokens
+    x = np.zeros((frames, len(grids), int(counts.max()), dim))
+    steps = np.arange(frames)
+    for b, (grid, idx) in enumerate(zip(grids, indices)):
+        x[:, b, : len(idx)] = grid.tokens[steps, idx].transpose(1, 0, 2)
     return x.reshape(frames, -1, dim)
 
 
@@ -365,7 +432,7 @@ def _mean_hierarchies(parts: list[tuple[Var, np.ndarray]]) -> Var:
 
 
 def forward(
-    samples: PipelineSample | list[PipelineSample],
+    samples: PipelineSample | PreparedSample | list[PipelineSample | PreparedSample],
     params: ParamStore,
     config: TrainConfig,
     encoder: ReferenceEncoder,
@@ -373,51 +440,39 @@ def forward(
 ) -> ForwardResult:
     """Run semantics, retrieval, scans, fusion, heads, and (optionally) the loss.
 
-    ``samples`` is one sample or a batch; the grids of a batch must share
-    one shape. The loss, present when every sample has targets, is the
-    batch mean. ``param_vars`` lets the caller keep the leaf Vars whose
-    gradients one backward pass accumulates.
+    ``samples`` is one sample or a batch, raw or prepared; a raw sample is
+    prepared on the spot, so the body reads only prepared samples, plus the
+    scene tokens and their retrieval it builds for every sample. The
+    grids of a batch must share one shape. The loss, present when every
+    sample has targets, is the batch mean. ``param_vars`` lets the caller
+    keep the leaf Vars whose gradients one backward pass accumulates.
     """
-    batch = [samples] if isinstance(samples, PipelineSample) else list(samples)
-    if not batch:
+    items = [samples] if isinstance(samples, (PipelineSample, PreparedSample)) else list(samples)
+    if not items:
         raise InputError("forward: empty batch")
+    batch = [s.sample if isinstance(s, PreparedSample) else s for s in items]
     grid_shape = batch[0].grid.tokens.shape
     for s in batch:
         if s.grid.tokens.shape != grid_shape:
             raise DimensionError(
                 f"sample {s.sample_id!r} grid {s.grid.tokens.shape} differs from the batch's {grid_shape}"
             )
+    try:
+        scene_queries = [_scene_queries(s, params, config, encoder) for s in batch]
+    except Exception as exc:
+        raise PipelineError("semantics", exc) from exc
+    prepared = [s if isinstance(s, PreparedSample) else prepare_sample(s, config) for s in items]
+    try:
+        bs_sets = [build_trajectory_set(q, s.grid, "scene-attribute") for q, s in zip(scene_queries, batch)]
+    except Exception as exc:
+        raise PipelineError("retrieval", exc) from exc
     pv = params.as_vars() if param_vars is None else param_vars
     n_b = len(batch)
     frames = grid_shape[0]
+    grids = [s.grid for s in batch]
+    bs_indices = [_pick_indices(t, frames) for t in bs_sets]
 
-    try:
-        scene_tokens = [
-            build_scene_attribute_tokens(
-                s.detections,
-                encoder,
-                params["scene_proj.w"],
-                params["scene_proj.b"],
-                conf_threshold=config.conf_threshold,
-                max_count=config.max_detections,
-            )
-            for s in batch
-        ]
-    except Exception as exc:
-        raise PipelineError("semantics", exc) from exc
-
-    try:
-        kw_sets, bs_sets = [], []
-        for s, tokens in zip(batch, scene_tokens):
-            kw_sets.append(build_trajectory_set(s.reference.keyword_embeddings, s.grid, "keyword"))
-            scene_queries = (
-                np.stack([t.vector for t in tokens]) if tokens else np.zeros((0, s.grid.dim))
-            )
-            bs_sets.append(build_trajectory_set(scene_queries, s.grid, "scene-attribute"))
-    except Exception as exc:
-        raise PipelineError("retrieval", exc) from exc
-
-    kw_counts = np.array([len(t) for t in kw_sets])
+    kw_counts = np.array([len(p.kw_indices) for p in prepared])
     bs_counts = np.array([len(t) for t in bs_sets])
     use_kw = config.use_keyword & (kw_counts > 0)
     use_bv = config.use_attribute & (bs_counts > 0)
@@ -429,11 +484,11 @@ def forward(
     try:
         t_kw = h_bs = None
         if use_kw.any():
-            x = _trajectory_input(kw_sets, kw_counts, grid_shape)
+            x = _trajectory_input(grids, [p.kw_indices for p in prepared], kw_counts, grid_shape)
             finals = tape.take_row(scan_var(Var(x), _ssm_vars(pv, "keyword")), frames - 1)
             t_kw = tape.reshape(finals, (n_b, int(kw_counts.max()), -1))
         if use_bv.any():
-            x = _trajectory_input(bs_sets, bs_counts, grid_shape)
+            x = _trajectory_input(grids, bs_indices, bs_counts, grid_shape)
             scans = scan_var(Var(x), _ssm_vars(pv, "scene"))
             total = tape.sum_axis(tape.reshape(scans, (frames, n_b, int(bs_counts.max()), -1)), 2)
             mean = tape.scale(total, (1.0 / np.maximum(bs_counts, 1))[None, :, None])
@@ -444,12 +499,12 @@ def forward(
     branch_outputs: dict[str, tuple[Var, Var, Var]] = {}
     kinks: list[np.ndarray] = []
     try:
-        for branch, pool in (("temporal", pool_spatial), ("spatial", pool_temporal)):
+        for branch in BRANCHES:
             if branch == "temporal" and not config.use_temporal:
                 continue
             if branch == "spatial" and not config.use_spatial:
                 continue
-            pooled = np.stack([pool(s.grid) for s in batch], axis=1)
+            pooled = np.stack([p.pooled[branch] for p in prepared], axis=1)
             enhanced = tape.transpose(
                 scan_var(Var(pooled), _ssm_vars(pv, f"holistic_{branch}")), (1, 0, 2)
             )
@@ -525,7 +580,7 @@ def forward(
     ]
     signature = tuple(
         (
-            kw_sets[b].indices_signature(),
+            prepared[b].kw_signature,
             bs_sets[b].indices_signature(),
             tuple(mask[b].tobytes() for mask in kinks),
         )

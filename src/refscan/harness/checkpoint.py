@@ -63,15 +63,31 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: invalid checkpoint header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+    for key in ("config", "step", "rng_state", "params"):
+        if key not in header:
+            raise ParseError(f"{path}: checkpoint header has no {key!r}", field=key)
     config = TrainConfig.from_dict(header["config"])
     params = ParamStore(seed=int(header.get("seed", 0)))
     for entry in header["params"]:
-        shape = tuple(int(v) for v in entry["shape"])
+        try:
+            name = str(entry["name"])
+            shape = tuple(int(v) for v in entry["shape"])
+            offset = int(entry["offset"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: malformed parameter entry {entry!r}", field="params") from exc
         count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=int(entry["offset"]))
-        params.add(entry["name"], arr.reshape(shape))
+        if offset < 0 or offset + 8 * count > len(payload):
+            raise ParseError(
+                f"{path}: parameter {name!r} needs payload bytes [{offset}, {offset + 8 * count}), "
+                f"payload has {len(payload)}",
+                field="params",
+            )
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        params.add(name, arr.reshape(shape))
     return Checkpoint(config=config, params=params, step=int(header["step"]), rng_state=header["rng_state"])
 
 

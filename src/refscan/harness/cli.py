@@ -73,7 +73,7 @@ def _cmd_train(args) -> int:
         write_loss_curve(args.log, result)
     if result.aborted:
         print(
-            f"aborted: non-finite loss at step {result.steps_done}; "
+            f"aborted: non-finite loss or gradient at step {result.steps_done}; "
             f"last-good checkpoint written to {args.out_ckpt}",
             file=sys.stderr,
         )

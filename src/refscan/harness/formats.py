@@ -236,7 +236,19 @@ class FixtureDataset:
         return SyntheticEncoder(self.dim, self.encoder_seed)
 
     def load_grid(self, record: SampleRecord) -> VisualTokenGrid:
-        return VisualTokenGrid(read_tensor(self.root / record.features_ref))
+        """Read a sample's tensor; its frames and dim must match the annotation and meta."""
+        grid = VisualTokenGrid(read_tensor(self.root / record.features_ref))
+        for name, found, expected in (
+            ("num_frames", grid.num_frames, record.num_frames),
+            ("dim", grid.dim, self.dim),
+        ):
+            if found != expected:
+                raise ParseError(
+                    f"{self.root / ANNOTATIONS_NAME}: video {record.video_id!r} tensor "
+                    f"{record.features_ref} has {name} {found}, expected {expected}",
+                    field=name,
+                )
+        return grid
 
     def load_samples(self, encoder: ReferenceEncoder | None = None):
         """Materialize PipelineSamples (grids read, references embedded once)."""

@@ -1,9 +1,14 @@
 """Single-threaded training loop: Adam-style updates with warmup and decay.
 
 The optimizer is adaptive moment estimation (beta1 0.9, beta2 0.999, eps
-1e-8). The learning rate warms up linearly over the first warmup_ratio of
-steps, then multiplies by lr_decay after every completed pass over the
-dataset. Everything is deterministic for a fixed config seed.
+1e-8), applied once to the parameter store's flat value vector. The
+learning rate warms up linearly over the first warmup_ratio of steps, then
+multiplies by lr_decay after every completed pass over the dataset. Each
+sample is prepared (keyword retrieval, pooling) the first time a step
+draws it and reused after that: both read only the sample, which no step
+changes. Scene tokens read ``scene_proj`` and are built, with their
+retrieval, in every forward. Everything is deterministic for a fixed
+config seed.
 """
 
 from __future__ import annotations
@@ -15,35 +20,34 @@ import numpy as np
 
 from ..config import TrainConfig
 from ..errors import ConfigError, InputError
-from ..fusion import PipelineSample, forward, init_model_params
+from ..fusion import PipelineSample, PreparedSample, forward, init_model_params, prepare_sample
 from ..numerics import ParamStore
 from ..semantics import ReferenceEncoder
 from .checkpoint import Checkpoint, rng_state_of
 
 
 class Adam:
+    """One update over the store's flat value vector; build it once the store is complete."""
+
     def __init__(self, params: ParamStore, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(arr) for name, arr in params.items()}
-        self.v = {name: np.zeros_like(arr) for name, arr in params.items()}
+        self.m = np.zeros_like(params.flat_values)
+        self.v = np.zeros_like(params.flat_values)
 
     def step(self, lr: float) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        for name, arr in self.params.items():
-            g = self.params.grad(name)
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            arr -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        g, m, v = self.params.flat_grads, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        self.params.flat_values -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
 def lr_at_step(step: int, config: TrainConfig, steps_per_epoch: int) -> float:
@@ -71,8 +75,8 @@ def train(
 ) -> TrainResult:
     """Minibatch training over in-memory samples; see TrainResult for the curve.
 
-    A non-finite loss aborts immediately and returns the parameters from
-    before the failed step as the last-good checkpoint.
+    A non-finite loss or gradient aborts immediately and returns the
+    parameters from before the failed step as the last-good checkpoint.
     """
     config.validate()
     if not samples:
@@ -99,6 +103,7 @@ def train(
 
     result = TrainResult(checkpoint=Checkpoint(config, params, 0, rng_state_of(rng)))
     order: list[int] = []
+    prepared: dict[int, PreparedSample] = {}
 
     for step in range(config.steps):
         if not order:
@@ -110,8 +115,11 @@ def train(
             while len(batch_idx) < config.batch:
                 batch_idx.append(order.pop())
 
+        for i in batch_idx:
+            if i not in prepared:
+                prepared[i] = prepare_sample(samples[i], config)
         pv = params.as_vars()
-        total = forward([samples[i] for i in batch_idx], params, config, encoder, param_vars=pv).loss
+        total = forward([prepared[i] for i in batch_idx], params, config, encoder, param_vars=pv).loss
         loss_value = float(total.value)
         if not math.isfinite(loss_value):
             result.aborted = True
@@ -120,6 +128,9 @@ def train(
         params.zero_grads()
         total.backward()
         params.accumulate_grads(pv)
+        if not np.isfinite(params.flat_grads).all():
+            result.aborted = True
+            break
 
         lr = lr_at_step(step, config, steps_per_epoch)
         optimizer.step(lr)

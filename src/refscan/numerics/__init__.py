@@ -1,5 +1,5 @@
 from .gradcheck import GradCheckReport, ParamCheckRow, grad_check
-from .linalg import check_finite, dense, linear, softmax, uniform_init
+from .linalg import dense, linear, softmax, uniform_init
 from .params import ParamStore
 from .tape import Var
 
@@ -8,7 +8,6 @@ __all__ = [
     "ParamCheckRow",
     "ParamStore",
     "Var",
-    "check_finite",
     "dense",
     "grad_check",
     "linear",

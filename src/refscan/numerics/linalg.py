@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DimensionError, InputError
+from ..errors import DimensionError
 
 
 def dense(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -21,12 +21,6 @@ def dense(data, rows: int | None = None, cols: int | None = None) -> np.ndarray:
         raise DimensionError(f"expected {rows} rows, got {a.shape[0]}")
     if cols is not None and a.shape[1] != cols:
         raise DimensionError(f"expected {cols} cols, got {a.shape[1]}")
-    return a
-
-
-def check_finite(a: np.ndarray, label: str = "array") -> np.ndarray:
-    if not np.all(np.isfinite(a)):
-        raise InputError(f"{label} contains non-finite entries")
     return a
 
 

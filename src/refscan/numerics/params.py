@@ -1,4 +1,4 @@
-"""Named parameter storage with matching gradient buffers."""
+"""Named parameter storage over one flat value vector and one flat gradient vector."""
 
 from __future__ import annotations
 
@@ -11,25 +11,55 @@ from .tape import Var
 
 
 class ParamStore:
-    """Flat name -> float64 array map plus same-shaped gradients.
+    """Name -> float64 array map plus same-shaped gradients.
 
-    Names are unique; gradient shape always matches the parameter shape.
-    The store remembers the seed it was initialized from so checkpoints can
-    reproduce it.
+    All values live in one contiguous vector (``flat_values``) and all
+    gradients in a second (``flat_grads``); each name maps to a contiguous,
+    writable view of its slice, so whole-store work (the optimizer, zeroing,
+    finiteness checks) is one numpy call. Names are unique; gradient shape
+    always matches the parameter shape. ``add`` grows the backing buffers
+    geometrically and, when it does, moves every view; arrays fetched before
+    that no longer alias the store, so fetch views once the store is
+    complete. The store remembers the seed it was initialized from so
+    checkpoints can reproduce it.
     """
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
+        self._value_buf = np.zeros(0)
+        self._grad_buf = np.zeros(0)
+        self.flat_values = self._value_buf
+        self.flat_grads = self._grad_buf
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
 
     def add(self, name: str, value: np.ndarray) -> np.ndarray:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        arr = np.array(value, dtype=np.float64, copy=True)
-        self._params[name] = arr
-        self._grads[name] = np.zeros_like(arr)
-        return arr
+        arr = np.asarray(value, dtype=np.float64)
+        start = self.flat_values.size
+        end = start + arr.size
+        if end > self._value_buf.size:
+            self._grow(max(end, 2 * self._value_buf.size))
+        self.flat_values = self._value_buf[:end]
+        self.flat_grads = self._grad_buf[:end]
+        self.flat_values[start:end] = arr.reshape(-1)
+        self._params[name] = self.flat_values[start:end].reshape(arr.shape)
+        self._grads[name] = self.flat_grads[start:end].reshape(arr.shape)
+        return self._params[name]
+
+    def _grow(self, capacity: int) -> None:
+        """Move values and gradients into larger buffers and re-point every view."""
+        size = self.flat_values.size
+        self._value_buf, self._grad_buf = np.zeros(capacity), np.zeros(capacity)
+        self._value_buf[:size] = self.flat_values
+        self._grad_buf[:size] = self.flat_grads
+        offset = 0
+        for key, arr in self._params.items():
+            end = offset + arr.size
+            self._params[key] = self._value_buf[offset:end].reshape(arr.shape)
+            self._grads[key] = self._grad_buf[offset:end].reshape(arr.shape)
+            offset = end
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -57,8 +87,7 @@ class ParamStore:
         return iter(self._params.items())
 
     def zero_grads(self) -> None:
-        for g in self._grads.values():
-            g[...] = 0.0
+        self.flat_grads[...] = 0.0
 
     def as_vars(self) -> dict[str, Var]:
         """Fresh leaf Vars viewing the current parameter values."""
@@ -71,4 +100,4 @@ class ParamStore:
                 self._grads[name] += var.grad
 
     def num_scalars(self) -> int:
-        return sum(int(a.size) for a in self._params.values())
+        return int(self.flat_values.size)

@@ -89,10 +89,6 @@ class Var:
         return mul(self, other)
 
 
-def constant(x) -> Var:
-    return Var(x)
-
-
 def _same_shape(a: Var, b: Var, op: str) -> None:
     if a.value.shape != b.value.shape:
         raise DimensionError(f"{op}: shapes {a.value.shape} and {b.value.shape} differ")
@@ -227,15 +223,6 @@ def mean_rows(a: Var, mask: Array | None = None) -> Var:
     count = np.maximum(w.sum(axis=-2, keepdims=True), 1.0)
     out = (a.value * w).sum(axis=-2, keepdims=True) / count
     return Var(out, (a,), lambda g: (g * w / count,))
-
-
-def mean_all(a: Var) -> Var:
-    n = a.value.size
-    return Var(
-        np.asarray(a.value.mean()),
-        (a,),
-        lambda g: (np.full_like(a.value, float(g) / n),),
-    )
 
 
 def sum_all(a: Var) -> Var:

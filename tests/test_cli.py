@@ -143,3 +143,15 @@ def test_unknown_config_key_is_reported(dataset, tmp_path, capsys):
     assert main(["train", "--data", str(dataset), "--config", str(bad),
                  "--out-ckpt", str(tmp_path / "x.ckpt")]) == 1
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_1_naming_the_parameter(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(ckpt)]) == 0
+    ckpt.write_bytes(ckpt.read_bytes()[:-100])
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset),
+                 "--report", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "model.ckpt" in err and "parameter 'ssm." in err
+    assert "Traceback" not in err

@@ -188,6 +188,26 @@ class TestFixtures:
         assert hits / len(ds.records) >= 0.95
 
 
+class TestGridShape:
+    def _dataset(self, tmp_path, **meta_overrides):
+        generate_fixtures(SMALL_GEN, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        (tmp_path / "meta.json").write_text(json.dumps({**meta, **meta_overrides}))
+        return FixtureDataset(tmp_path)
+
+    def test_frame_count_must_match_the_annotation(self, tmp_path):
+        ds = self._dataset(tmp_path)
+        rec = ds.records[1]
+        write_tensor(tmp_path / rec.features_ref, np.zeros((SMALL_GEN.frames + 1, 4, SMALL_GEN.dim)))
+        with pytest.raises(ParseError, match=rf"annotations\.jsonl: video '{rec.video_id}'.*field 'num_frames'"):
+            ds.load_grid(rec)
+
+    def test_dim_must_match_meta(self, tmp_path):
+        ds = self._dataset(tmp_path, dim=SMALL_GEN.dim * 2)
+        with pytest.raises(ParseError, match=rf"annotations\.jsonl: video '{ds.records[0].video_id}'.*field 'dim'"):
+            ds.load_samples()
+
+
 class TestCheckpoint:
     def _checkpoint(self):
         cfg = TrainConfig(d=16, frames=4, num_classes=5, **SMALL_CFG).validate()
@@ -219,6 +239,39 @@ class TestCheckpoint:
         (tmp_path / "bad.ckpt").write_bytes(b"not json\n\x00\x01")
         with pytest.raises(ParseError):
             load_checkpoint(tmp_path / "bad.ckpt")
+
+    def test_truncated_payload_names_file_and_parameter(self, tmp_path):
+        save_checkpoint(tmp_path / "a.ckpt", self._checkpoint())
+        blob = (tmp_path / "a.ckpt").read_bytes()
+        (tmp_path / "a.ckpt").write_bytes(blob[:-100])
+        last = sorted(self._checkpoint().params.names())[-1]
+        with pytest.raises(ParseError, match=rf"a\.ckpt: parameter '{last}' needs payload bytes.*field 'params'"):
+            load_checkpoint(tmp_path / "a.ckpt")
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda meta: meta["params"][0].pop("offset"), r"malformed parameter entry.*field 'params'"),
+            (lambda meta: meta.pop("step"), r"checkpoint header has no 'step'.*field 'step'"),
+        ],
+    )
+    def test_malformed_header_is_a_parse_error(self, tmp_path, corrupt, message):
+        save_checkpoint(tmp_path / "a.ckpt", self._checkpoint())
+        header, payload = (tmp_path / "a.ckpt").read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        corrupt(meta)
+        (tmp_path / "a.ckpt").write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+        with pytest.raises(ParseError, match=r"a\.ckpt: " + message):
+            load_checkpoint(tmp_path / "a.ckpt")
+
+    def test_writes_to_a_loaded_store_are_saved(self, tmp_path):
+        save_checkpoint(tmp_path / "a.ckpt", self._checkpoint())
+        loaded = load_checkpoint(tmp_path / "a.ckpt")
+        assert loaded.params.names() == sorted(loaded.params.names())
+        name = loaded.params.names()[0]
+        loaded.params[name] = loaded.params[name] + 1.0
+        save_checkpoint(tmp_path / "c.ckpt", loaded)
+        assert np.array_equal(load_checkpoint(tmp_path / "c.ckpt").params[name], loaded.params[name])
 
 
 class TestTraining:

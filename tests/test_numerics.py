@@ -196,3 +196,23 @@ def test_param_store_shape_guard():
         params["w"] = np.zeros(3)
     with pytest.raises(ConfigError):
         params.add("w", np.zeros(1))
+
+
+def test_param_store_views_share_the_flat_vectors():
+    params = ParamStore()
+    params.add("a", np.arange(6.0).reshape(2, 3))
+    params.add("b", np.array([7.0, 8.0]))
+    a, b = params["a"], params["b"]
+    assert a.flags.c_contiguous and a.flags.writeable and np.shares_memory(a, params.flat_values)
+    np.testing.assert_array_equal(params.flat_values, [0, 1, 2, 3, 4, 5, 7, 8])
+    a.reshape(-1)[4] = -1.0  # how grad_check perturbs an entry
+    params["b"] = np.array([9.0, 10.0])
+    np.testing.assert_array_equal(params.flat_values, [0, 1, 2, 3, -1, 5, 9, 10])
+    assert b[1] == 10.0
+    vb = Var(b)
+    vb.grad = np.array([1.0, 2.0])
+    params.accumulate_grads({"a": Var(a), "b": vb})  # "a" has no gradient
+    np.testing.assert_array_equal(params.flat_grads, [0, 0, 0, 0, 0, 0, 1, 2])
+    np.testing.assert_array_equal(params.grad("b"), [1.0, 2.0])
+    params.zero_grads()
+    assert not params.flat_grads.any() and params.num_scalars() == 8

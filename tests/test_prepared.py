@@ -1,0 +1,195 @@
+"""Prepared samples and the training step built on them.
+
+Training prepares each sample once (keyword retrieval, pooling) and runs
+Adam over one flat parameter vector; both must be bitwise the plain
+per-step forward and the per-tensor optimizer.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from refscan import fusion
+from refscan.fusion import PreparedSample, forward, init_model_params, prepare_sample
+from refscan.harness import training
+from refscan.harness.fixtures import GenConfig, default_train_config, synth_samples
+from refscan.harness.training import Adam, lr_at_step, train
+from refscan.numerics.tape import Var
+from refscan.retrieval import build_trajectory_set
+from refscan.semantics import SyntheticEncoder, build_scene_attribute_tokens
+
+from test_batch import GEN, OUTPUT_FIELDS, config_for, mixed_batch
+
+TRAIN_GEN = GenConfig(num_samples=6, frames=4, grid_rows=2, grid_cols=2, dim=16, num_classes=5, seed=9)
+TRAIN_CFG = dict(d_s=8, d_a=8, n=4, n_prompts=2, batch=4, steps=6, learning_rate=5e-3, aux_branch_loss=True)
+
+
+def train_setup():
+    config = default_train_config(TRAIN_GEN, **TRAIN_CFG)
+    return config, synth_samples(TRAIN_GEN), SyntheticEncoder(TRAIN_GEN.dim, TRAIN_GEN.seed)
+
+
+def reference_train(config, samples, encoder):
+    """Uncached forward every step and a per-tensor Adam; returns (losses, params)."""
+    params = init_model_params(config)
+    rng = np.random.default_rng(config.seed)
+    m = {name: np.zeros_like(arr) for name, arr in params.items()}
+    v = {name: np.zeros_like(arr) for name, arr in params.items()}
+    steps_per_epoch = max(1, math.ceil(len(samples) / config.batch))
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    losses, order = [], []
+    for step in range(config.steps):
+        if not order:
+            order = list(rng.permutation(len(samples)))
+        batch_idx = [order.pop() for _ in range(min(config.batch, len(order)))]
+        if len(batch_idx) < config.batch and len(samples) >= config.batch:
+            order = list(rng.permutation(len(samples)))
+            while len(batch_idx) < config.batch:
+                batch_idx.append(order.pop())
+        pv = {name: Var(arr.copy()) for name, arr in params.items()}
+        loss = forward([samples[i] for i in batch_idx], params, config, encoder, param_vars=pv).loss
+        loss.backward()
+        lr = lr_at_step(step, config, steps_per_epoch)
+        t = step + 1
+        for name, arr in params.items():
+            g = pv[name].grad if pv[name].grad is not None else np.zeros_like(arr)
+            m[name] *= beta1
+            m[name] += (1.0 - beta1) * g
+            v[name] *= beta2
+            v[name] += (1.0 - beta2) * g * g
+            arr -= lr * (m[name] / (1.0 - beta1**t)) / (np.sqrt(v[name] / (1.0 - beta2**t)) + eps)
+        losses.append(float(loss.value))
+    return losses, params
+
+
+def test_train_is_bitwise_an_uncached_per_tensor_loop():
+    config, samples, encoder = train_setup()
+    result = train(config, samples, encoder)
+    losses, params = reference_train(config, samples, encoder)
+    assert result.losses == losses
+    assert result.checkpoint.params.names() == params.names()
+    for name, arr in params.items():
+        assert np.array_equal(result.checkpoint.params[name], arr), name
+
+
+def test_training_never_moves_scene_proj():
+    """``scene_proj`` enters no tape, so training leaves it where it started."""
+    config, samples, encoder = train_setup()
+    init = init_model_params(config)
+    trained = train(config, samples, encoder).checkpoint.params
+    moved = [name for name, arr in init.items() if not np.array_equal(trained[name], arr)]
+    assert "scene_proj.w" not in moved and "scene_proj.b" not in moved
+    assert len(moved) > len(init.names()) // 2
+
+
+def test_train_prepares_each_sample_once(monkeypatch):
+    config, samples, encoder = train_setup()
+    calls = []
+
+    def counting_prepare(sample, *args):
+        calls.append(sample.sample_id)
+        return prepare_sample(sample, *args)
+
+    monkeypatch.setattr(training, "prepare_sample", counting_prepare)
+    train(config, samples, encoder)
+    assert sorted(calls) == sorted(s.sample_id for s in samples)
+
+
+@pytest.mark.parametrize("name", ["desk", "one prompt, aux loss", "no holistic"])
+def test_prepared_forward_is_bitwise_the_raw_forward(name):
+    config = config_for(name)
+    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
+    samples = mixed_batch(encoder)
+    if not config.use_holistic:
+        samples = [s for s in samples if s.reference.num_keywords or s.detections]
+    assert any(s.reference.num_keywords == 0 for s in samples)
+    assert any(not s.detections for s in samples)
+    params = init_model_params(config, seed=0)
+    prepared = [prepare_sample(s, config) for s in samples]
+    assert all(isinstance(p, PreparedSample) and p.kw_indices.dtype == np.intp for p in prepared)
+    raw = forward(samples, params, config, encoder)
+    mixed = forward([p if i % 2 else s for i, (s, p) in enumerate(zip(samples, prepared))], params, config, encoder)
+    for res in (forward(prepared, params, config, encoder), mixed):
+        assert float(res.loss.value) == float(raw.loss.value)
+        assert res.selection_signature == raw.selection_signature
+        for a, b in zip(res.outputs, raw.outputs):
+            for field in OUTPUT_FIELDS:
+                x, y = getattr(a, field), getattr(b, field)
+                assert (x is None and y is None) or np.array_equal(x, y), field
+
+
+def test_prepared_sample_holds_when_scene_proj_moves():
+    """A prepared sample reads no parameter: scene tokens follow ``scene_proj``."""
+    config = config_for("desk")
+    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
+    samples = mixed_batch(encoder)
+    params = init_model_params(config, seed=0)
+    prepared = [prepare_sample(s, config) for s in samples]
+    before = forward(prepared, params, config, encoder).selection_signature
+    params["scene_proj.w"] = np.random.default_rng(3).normal(size=params["scene_proj.w"].shape)
+    raw = forward(samples, params, config, encoder)
+    res = forward(prepared, params, config, encoder)
+    assert [sig[1] for sig in raw.selection_signature] != [sig[1] for sig in before]
+    assert res.selection_signature == raw.selection_signature
+    assert float(res.loss.value) == float(raw.loss.value)
+    for a, b in zip(res.outputs, raw.outputs):
+        assert np.array_equal(a.class_probs, b.class_probs) and np.array_equal(a.bbox, b.bbox)
+
+
+def test_scan_inputs_are_the_retrieved_trajectory_tokens(monkeypatch):
+    """The gathered, padded scan input holds each trajectory's retrieved tokens."""
+    config = config_for("desk")
+    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
+    samples = mixed_batch(encoder)
+    params = init_model_params(config, seed=0)
+    inputs = []
+    real_scan = fusion.scan_var
+    monkeypatch.setattr(fusion, "scan_var", lambda x, p: inputs.append(x.value) or real_scan(x, p))
+    forward([prepare_sample(s, config) for s in samples], params, config, encoder)
+    frames, _, dim = samples[0].grid.tokens.shape
+    for x, hierarchy in zip(inputs, ("keyword", "scene-attribute")):
+        x = x.reshape(frames, len(samples), -1, dim)
+        for b, s in enumerate(samples):
+            if hierarchy == "keyword":
+                queries = s.reference.keyword_embeddings
+            else:
+                tokens = build_scene_attribute_tokens(
+                    s.detections, encoder, params["scene_proj.w"], params["scene_proj.b"],
+                    conf_threshold=config.conf_threshold, max_count=config.max_detections,
+                )
+                queries = np.array([t.vector for t in tokens]).reshape(-1, dim)
+            trajectories = build_trajectory_set(queries, s.grid, hierarchy).trajectories
+            for k, traj in enumerate(trajectories):
+                assert np.array_equal(x[:, b, k], traj.tokens), (hierarchy, b, k)
+            assert not x[:, b, len(trajectories):].any()
+
+
+def test_nonfinite_gradient_aborts_before_the_optimizer(monkeypatch):
+    """A finite loss whose backward yields NaN aborts like a non-finite loss."""
+    config, samples, encoder = train_setup()
+    bad_step = 2
+    forwards, after_step = [], []
+    real_forward, real_step = training.forward, Adam.step
+
+    def forward_with_nan_grad(*args, **kwargs):
+        res = real_forward(*args, **kwargs)
+        forwards.append(float(res.loss.value))
+        if len(forwards) == bad_step + 1:
+            vjp = res.loss._vjp
+            res.loss._vjp = lambda g: tuple(np.full_like(p, np.nan) for p in vjp(g))
+        return res
+
+    def recording_step(self, lr):
+        real_step(self, lr)
+        after_step.append(self.params.flat_values.copy())
+
+    monkeypatch.setattr(training, "forward", forward_with_nan_grad)
+    monkeypatch.setattr(Adam, "step", recording_step)
+    result = train(config, samples, encoder)
+    assert math.isfinite(forwards[bad_step])
+    assert result.aborted and result.steps_done == bad_step and len(after_step) == bad_step
+    assert result.losses == forwards[:bad_step]
+    assert np.array_equal(result.checkpoint.params.flat_values, after_step[-1])
