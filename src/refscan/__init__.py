@@ -13,12 +13,10 @@ from .config import TrainConfig
 from .fusion import (
     ModelOutput,
     PipelineSample,
-    bce_loss,
     cross_attention,
     forward,
     fuse_predictions,
     init_model_params,
-    mse_loss,
     pool_spatial,
     pool_temporal,
 )
@@ -34,7 +32,7 @@ from .semantics import (
     synthetic_encode,
     tokenize_and_filter,
 )
-from .ssm import ScanOutput, SsmLayerParams, aggregate_holistic, aggregate_keyword, aggregate_scene, init_ssm_params, ssm_scan, ssm_scan_oracle
+from .ssm import ScanOutput, SsmLayerParams, ssm_scan, ssm_scan_oracle
 
 __version__ = "0.1.0"
 
@@ -51,11 +49,7 @@ __all__ = [
     "TrajectorySet",
     "TrainConfig",
     "VisualTokenGrid",
-    "aggregate_holistic",
-    "aggregate_keyword",
-    "aggregate_scene",
     "auroc",
-    "bce_loss",
     "build_scene_attribute_tokens",
     "build_trajectory",
     "build_trajectory_set",
@@ -65,10 +59,8 @@ __all__ = [
     "forward",
     "fuse_predictions",
     "init_model_params",
-    "init_ssm_params",
     "iou",
     "mean_iou",
-    "mse_loss",
     "multilabel_map",
     "nearest_token",
     "pool_spatial",

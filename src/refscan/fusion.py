@@ -8,6 +8,16 @@ per-hierarchy outputs are mean-pooled and averaged into the branch vector
 z, and small MLP heads regress the box and score the action classes. The
 two branch predictions are averaged.
 
+Each layer is one tape node with a hand-derived vjp, as ``ssm.scan_var``
+is: ``keyword_tokens_var`` and ``scene_tokens_var`` aggregate the
+trajectory scans, ``cross_attention_var`` is one hierarchy's attention
+with its prompt rows, ``pool_hierarchies_var`` pools the hierarchy
+outputs into z, ``head_var`` is one two-layer head, and ``loss_var``
+averages the branches and takes the batch-mean loss, aux term included. A
+training step at batch 8 builds about 20 such nodes over about 60 leaves.
+Their forward values are bitwise those of the composed elementwise ops
+they replaced, which ``tests/composed.py`` keeps as their reference.
+
 ``forward`` takes one sample or a list of them and always runs a batch:
 every tensor carries a leading batch axis, and a single sample is a batch
 of one. Keyword and scene trajectories are zero-padded to the batch
@@ -35,7 +45,7 @@ from .config import TrainConfig
 from .errors import ConfigError, DimensionError, InputError, PipelineError
 from .numerics import ParamStore, uniform_init
 from .numerics import tape
-from .numerics.tape import Var
+from .numerics.tape import Var, stacked_matmul, weight_grad
 from .retrieval import VisualTokenGrid, build_trajectory_set
 from .semantics import (
     Detection,
@@ -90,20 +100,59 @@ def cross_attention_var(
 ) -> Var:
     """(..., Q + N_p, d_a) readout; the prompt rows follow the query rows.
 
-    Leading axes are the batch. ``rows`` counts the real (unpadded) query
-    rows of each batch entry; see ``tape.matmul``.
+    One tape node. Leading axes are the batch; ``rows`` counts the real
+    (unpadded) query rows of each batch entry, and the query projection,
+    the scores and the readout keep each entry's bits through
+    ``tape.stacked_matmul``. The backward is the chain through the
+    readout, the row softmax, the scaled scores and the three
+    projections; the prompt rows' gradient is summed over the batch.
+    ``context`` is a parent twice, once through the keys and once through
+    the values, so its gradient sums the two terms one at a time, as the
+    composed ops did, and training stays bitwise.
     """
-    if context.value.shape[-2] < 1:
+    xq, ctx = queries.value, context.value
+    w_q, w_k, w_v, prompts = p.w_q.value, p.w_k.value, p.w_v.value, p.prompts.value
+    if ctx.shape[-2] < 1:
         raise DimensionError("cross_attention: empty context")
-    d_a = p.w_q.value.shape[1]
-    n_p = p.prompts.value.shape[0]
-    q_proj = tape.matmul(queries, p.w_q, rows)
-    q_full = tape.concat_rows([q_proj, p.prompts]) if n_p > 0 else q_proj
+    if xq.shape[-1] != w_q.shape[0] or ctx.shape[-1] != w_k.shape[0] or xq.shape[:-2] != ctx.shape[:-2]:
+        raise DimensionError(
+            f"cross_attention: queries {xq.shape}, context {ctx.shape} and w_q {w_q.shape}, "
+            f"w_k {w_k.shape} do not conform"
+        )
+    n_q, (n_p, d_a) = xq.shape[-2], prompts.shape
+    q_full = stacked_matmul(xq, w_q, rows)
+    if n_p > 0:
+        lead = q_full.shape[:-2]
+        q_full = np.concatenate([q_full, np.broadcast_to(prompts, (*lead, n_p, d_a))], axis=-2)
     full_rows = None if rows is None else np.asarray(rows) + n_p
-    keys = tape.matmul(context, p.w_k)
-    values = tape.matmul(context, p.w_v)
-    scores = tape.scale(tape.matmul(q_full, tape.transpose(keys), full_rows), 1.0 / np.sqrt(d_a))
-    return tape.matmul(tape.softmax_rows(scores), values, full_rows)
+    keys = ctx @ w_k
+    values = ctx @ w_v
+    c = float(1.0 / np.sqrt(d_a))
+    scores = stacked_matmul(q_full, np.swapaxes(keys, -1, -2), full_rows) * c
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+
+    def vjp(g: np.ndarray):
+        d_attn = g @ np.swapaxes(values, -1, -2)
+        d_values = np.swapaxes(attn, -1, -2) @ g
+        d_scores = (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True)) * attn * c
+        d_q = d_scores @ keys
+        d_keys = np.swapaxes(d_scores, -1, -2) @ q_full
+        d_proj = d_q[..., :n_q, :]
+        grads = [
+            d_proj @ w_q.T,
+            d_keys @ w_k.T,
+            d_values @ w_v.T,
+            weight_grad(xq, d_proj),
+            weight_grad(ctx, d_keys),
+            weight_grad(ctx, d_values),
+        ]
+        if n_p > 0:  # the prompt rows are shared across the batch
+            grads.append(d_q[..., n_q:, :].reshape(-1, n_p, d_a).sum(axis=0))
+        return grads
+
+    parents = (queries, context, context, p.w_q, p.w_k, p.w_v) + ((p.prompts,) if n_p > 0 else ())
+    return Var(stacked_matmul(attn, values, full_rows), parents, vjp)
 
 
 def cross_attention(
@@ -114,19 +163,48 @@ def cross_attention(
     return cross_attention_var(Var(np.asarray(queries)), Var(np.asarray(context)), pv).value
 
 
-def mhs_ca_branch(
-    enhanced: np.ndarray,
-    hierarchy_queries: list[tuple[str, np.ndarray]],
-    params_per_hierarchy: dict[str, HierarchyAttnParams],
-) -> np.ndarray:
-    """Mean over hierarchies of the row-pooled per-hierarchy attention output."""
-    if not hierarchy_queries:
-        raise ConfigError("mhs_ca_branch: no hierarchy enabled")
-    pooled = []
-    for tag, queries in hierarchy_queries:
-        out = cross_attention(queries, enhanced, params_per_hierarchy[tag])
-        pooled.append(out.mean(axis=0))
-    return np.mean(pooled, axis=0)
+def pool_hierarchies_var(parts: list[tuple[Var, np.ndarray | None, np.ndarray]]) -> Var:
+    """(B, 1, d_a) branch vector z: per sample, the mean over the hierarchies
+    it uses of each hierarchy output's mean over its real rows. One tape node.
+
+    Each part is ``(out, mask, used)``: ``out`` is (B, rows, d_a); ``mask``
+    (B, rows) leaves padded rows out of the row mean (None: every row
+    counts, and a slice with no row left averages to zero); ``used`` (B,)
+    leaves the hierarchy out of a sample's mean. Both means sum then
+    divide, in the order the parts come, so a lone part keeps the bits of
+    a plain row mean.
+    """
+    if not parts:
+        raise ConfigError("no hierarchy enabled")
+    total = None
+    count = np.zeros(len(parts[0][2]))
+    backs = []
+    for out, mask, used in parts:
+        a = out.value
+        if a.ndim < 2 or a.shape[-2] == 0:
+            raise DimensionError(f"pool_hierarchies: no rows in {a.shape}")
+        if mask is None:
+            pooled, w, rows = a.mean(axis=-2, keepdims=True), None, a.shape[-2]
+        else:
+            w = np.asarray(mask, dtype=np.float64)[..., None]
+            rows = np.maximum(w.sum(axis=-2, keepdims=True), 1.0)
+            pooled = (a * w).sum(axis=-2, keepdims=True) / rows
+        keep = None if used.all() else np.asarray(used, dtype=np.float64)[:, None, None]
+        term = pooled if keep is None else pooled * keep
+        total = term if total is None else total + term
+        count += used
+        backs.append((a.shape, w, rows, keep))
+    inv = (1.0 / count)[:, None, None]
+
+    def vjp(g: np.ndarray):
+        g = g * inv
+        grads = []
+        for shape, w, rows, keep in backs:
+            gt = g if keep is None else g * keep
+            grads.append(np.broadcast_to(gt / rows, shape) if w is None else gt * w / rows)
+        return tuple(grads)
+
+    return Var(total * inv, [out for out, _, _ in parts], vjp)
 
 
 # -- heads and losses ---------------------------------------------------------
@@ -140,76 +218,117 @@ class HeadParamVars:
     b2: Var
 
 
-def _head_var(z: Var, p: HeadParamVars) -> tuple[Var, np.ndarray]:
-    """MLP output and the hidden ReLU mask (where the output has kinks)."""
-    pre = tape.add_rowvec(tape.matmul(z, p.w1), p.b1)
-    out = tape.sigmoid(tape.add_rowvec(tape.matmul(tape.relu(pre), p.w2), p.b2))
-    return out, pre.value > 0.0
+def head_var(z: Var, p: HeadParamVars) -> tuple[Var, np.ndarray]:
+    """sigmoid(relu(z W1 + b1) W2 + b2) as one tape node, and the hidden
+    ReLU mask, where the output has kinks."""
+    zv, w1, b1, w2, b2 = z.value, p.w1.value, p.b1.value, p.w2.value, p.b2.value
+    if zv.shape[-1] != w1.shape[0] or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
+        raise DimensionError(f"head: input {zv.shape} does not conform to {w1.shape}, {w2.shape}")
+    pre = zv @ w1 + b1
+    mask = pre > 0.0
+    hidden = pre * mask
+    with np.errstate(over="ignore"):  # exp overflow saturates cleanly to 0
+        y = 1.0 / (1.0 + np.exp(-(hidden @ w2 + b2)))
+
+    def vjp(g: np.ndarray):
+        d_out = g * y * (1.0 - y)
+        d_pre = (d_out @ w2.T) * mask
+        return (
+            d_pre @ w1.T,
+            weight_grad(zv, d_pre),
+            d_pre.reshape(-1, w1.shape[1]).sum(axis=0),
+            weight_grad(hidden, d_out),
+            d_out.reshape(-1, w2.shape[1]).sum(axis=0),
+        )
+
+    return Var(y, (z, p.w1, p.b1, p.w2, p.b2), vjp), mask
 
 
-def heads(
-    z: np.ndarray, reg: tuple[np.ndarray, ...], cls: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the two d_a -> d_a -> out MLPs (ReLU hidden, sigmoid output)."""
-    zv = Var(np.asarray(z, dtype=np.float64).reshape(1, -1))
-    bbox, _ = _head_var(zv, HeadParamVars(*[Var(a) for a in reg]))
-    probs, _ = _head_var(zv, HeadParamVars(*[Var(a) for a in cls]))
-    return bbox.value[0], probs.value[0]
+def _mean_of(values: list[np.ndarray]) -> np.ndarray:
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    return total * (1.0 / len(values))
 
 
-def fuse_predictions(
-    temporal: tuple[np.ndarray, np.ndarray], spatial: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Average the branch box and class predictions."""
-    bbox = (np.asarray(temporal[0]) + np.asarray(spatial[0])) / 2.0
-    probs = (np.asarray(temporal[1]) + np.asarray(spatial[1])) / 2.0
-    return bbox, probs
+def fuse_predictions(*branches: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Average (box, class) predictions over the branches: sum in branch
+    order, then scale."""
+    return _mean_of([np.asarray(b[0]) for b in branches]), _mean_of([np.asarray(b[1]) for b in branches])
 
 
 PROB_EPS = 1e-7
 
 
-def bce_loss(y: np.ndarray, y_hat: np.ndarray) -> float:
-    """Mean binary cross entropy over classes, predictions clamped away from {0,1}."""
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = np.asarray(y_hat, dtype=np.float64)
-    if y.shape != y_hat.shape:
-        raise DimensionError(f"bce_loss: {y.shape} vs {y_hat.shape}")
-    p = np.clip(y_hat, PROB_EPS, 1.0 - PROB_EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+def _row_loss(y: np.ndarray, probs: np.ndarray, b: np.ndarray, bbox: np.ndarray, lambda_box: float):
+    """Per-row BCE plus ``lambda_box`` times the squared box error, (..., 1),
+    with a vjp to (bbox, probs) and the clamp band, whose edges are kinks.
+
+    Probabilities are clamped away from {0, 1}; the BCE is the mean over
+    classes, summed then multiplied by -1/n_c."""
+    n_c = probs.shape[-1]
+    band = (probs >= PROB_EPS) & (probs <= 1.0 - PROB_EPS)
+    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+    q = 1.0 + (-p)
+    not_y = 1.0 + (-y)
+    diff = bbox + (-b)
+    bce = (y * np.log(p) + not_y * np.log(q)).sum(axis=-1) * (-1.0 / n_c)
+    value = bce + (diff * diff).sum(axis=-1) * lambda_box
+
+    def vjp(g: np.ndarray):
+        d_term = (g * (-1.0 / n_c))[..., None]
+        d_box = (g * lambda_box)[..., None] * diff
+        return d_box + d_box, (d_term * y / p - d_term * not_y / q) * band
+
+    return value, vjp, band
 
 
-def mse_loss(b: np.ndarray, b_hat: np.ndarray) -> float:
-    """Sum of squared errors over the four box coordinates."""
-    b = np.asarray(b, dtype=np.float64)
-    b_hat = np.asarray(b_hat, dtype=np.float64)
-    if b.shape != (4,) or b_hat.shape != (4,):
-        raise DimensionError(f"mse_loss: need length-4 boxes, got {b.shape} and {b_hat.shape}")
-    return float(np.sum((b - b_hat) ** 2))
+def loss_var(
+    bbox: list[Var],
+    probs: list[Var],
+    gt: np.ndarray,
+    labels: np.ndarray,
+    lambda_box: float,
+    aux: bool,
+) -> tuple[Var, list[np.ndarray]]:
+    """Batch-mean training loss over the branch predictions, one tape node.
 
+    ``bbox`` and ``probs`` hold each branch's (B, 1, 4) and (B, 1, C)
+    predictions; ``gt`` and ``labels`` have the same shapes. Each sample's
+    loss is the row loss of the branch-averaged prediction plus, with
+    ``aux``, the mean over branches of each branch's own row loss. Also
+    returns the clamp bands: the averaged prediction's first, then each
+    branch's with ``aux``.
+    """
+    shapes = {b.shape for b in bbox}, {p.shape for p in probs}
+    if shapes != ({gt.shape}, {labels.shape}):
+        raise DimensionError(
+            f"loss: predictions {shapes[0]}, {shapes[1]} vs targets {gt.shape}, {labels.shape}"
+        )
+    n_br = len(bbox)
+    mean_bbox, mean_probs = fuse_predictions(*[(b.value, p.value) for b, p in zip(bbox, probs)])
+    rows = [_row_loss(labels, mean_probs, gt, mean_bbox, lambda_box)]
+    if aux:
+        rows += [_row_loss(labels, p.value, gt, b.value, lambda_box) for b, p in zip(bbox, probs)]
+    per_sample = rows[0][0]
+    if aux:
+        per_sample = per_sample + _mean_of([r[0] for r in rows[1:]])
+    c = 1.0 / per_sample.shape[0]
 
-def _bce_var(y: np.ndarray, probs: Var) -> Var:
-    """Per-row BCE: ``y`` and ``probs`` are (..., C); the result drops C."""
-    n_c = probs.value.shape[-1]
-    yv = Var(np.asarray(y, dtype=np.float64).reshape(probs.value.shape))
-    ones = Var(np.ones_like(yv.value))
-    p = tape.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-    term = tape.add(
-        tape.mul(yv, tape.log(p)),
-        tape.mul(tape.add(ones, tape.scale(yv, -1.0)), tape.log(tape.add(ones, tape.scale(p, -1.0)))),
-    )
-    return tape.scale(tape.sum_axis(term, -1), -1.0 / n_c)
+    def vjp(g: np.ndarray):
+        d_rows = np.full_like(per_sample, float(g * c))
+        d_bbox, d_probs = rows[0][1](d_rows)
+        d_bbox, d_probs = d_bbox * (1.0 / n_br), d_probs * (1.0 / n_br)
+        grads_bbox, grads_probs = [d_bbox] * n_br, [d_probs] * n_br
+        if aux:
+            for k, (_, row_vjp, _) in enumerate(rows[1:]):
+                db, dp = row_vjp(d_rows * (1.0 / n_br))
+                grads_bbox[k] = grads_bbox[k] + db
+                grads_probs[k] = grads_probs[k] + dp
+        return (*grads_bbox, *grads_probs)
 
-
-def _mse_var(b: np.ndarray, bbox: Var) -> Var:
-    """Per-row squared box error; ``b`` and ``bbox`` are (..., 4)."""
-    diff = tape.add(bbox, Var(-np.asarray(b, dtype=np.float64).reshape(bbox.value.shape)))
-    return tape.sum_axis(tape.mul(diff, diff), -1)
-
-
-def _clip_band(probs: Var) -> np.ndarray:
-    """Where the BCE clamp passes gradient; its edges are kinks of the loss."""
-    return (probs.value >= PROB_EPS) & (probs.value <= 1.0 - PROB_EPS)
+    loss = Var(np.asarray(per_sample.sum()) * c, (*bbox, *probs), vjp)
+    return loss, [r[2] for r in rows]
 
 
 # -- parameter construction ----------------------------------------------------
@@ -416,19 +535,40 @@ def _row_mask(counts: np.ndarray, width: int, n_prompts: int) -> np.ndarray | No
     return np.concatenate([real, np.ones((len(counts), n_prompts), dtype=bool)], axis=1)
 
 
-def _mean_hierarchies(parts: list[tuple[Var, np.ndarray]]) -> Var:
-    """Per-sample mean of the pooled hierarchy outputs that sample uses.
+def keyword_tokens_var(x: Var, p: SsmParamVars, n_b: int) -> Var:
+    """(B, K, d_s) keyword tokens: the final-step readout of each trajectory's
+    scan. ``x`` is the time-major scan input (T, B * K, d); the scan is one
+    node and the final-step pick another."""
+    scans = scan_var(x, p)
+    shape = scans.value.shape
 
-    Unused parts are zeroed and skipped in the count, so each sample sums
-    its own parts in order and scales by 1/count, as ``tape.mean_of`` does.
+    def vjp(g: np.ndarray):
+        d_scans = np.zeros(shape)
+        d_scans[-1] = g.reshape(shape[1:])
+        return (d_scans,)
+
+    return Var(scans.value[-1].reshape(n_b, -1, shape[-1]), (scans,), vjp)
+
+
+def scene_tokens_var(x: Var, p: SsmParamVars, counts: np.ndarray) -> Var:
+    """(B, T, d_s) scene-attribute sequence: per sample, the mean of its
+    trajectories' per-step scan outputs, zero for a sample with none.
+
+    ``x`` is the time-major scan input (T, B * max count, d) with padded
+    rows zero, so their outputs are zero too and the mean sums every row
+    and scales by 1/count. The scan is one node and the mean another.
     """
-    total = None
-    count = np.zeros(len(parts[0][1]))
-    for pooled, used in parts:
-        term = pooled if used.all() else tape.scale(pooled, used[:, None, None])
-        total = term if total is None else tape.add(total, term)
-        count += used
-    return tape.scale(total, (1.0 / count)[:, None, None])
+    scans = scan_var(x, p)
+    steps, _, d_s = scans.value.shape
+    blocks = (steps, len(counts), int(counts.max()), d_s)
+    inv = (1.0 / np.maximum(counts, 1))[None, :, None]
+
+    def vjp(g: np.ndarray):
+        d_total = g.transpose(1, 0, 2) * inv
+        return (np.broadcast_to(d_total[:, :, None], blocks).reshape(steps, -1, d_s),)
+
+    mean = scans.value.reshape(blocks).sum(axis=2) * inv
+    return Var(mean.transpose(1, 0, 2), (scans,), vjp)
 
 
 def forward(
@@ -485,20 +625,25 @@ def forward(
         t_kw = h_bs = None
         if use_kw.any():
             x = _trajectory_input(grids, [p.kw_indices for p in prepared], kw_counts, grid_shape)
-            finals = tape.take_row(scan_var(Var(x), _ssm_vars(pv, "keyword")), frames - 1)
-            t_kw = tape.reshape(finals, (n_b, int(kw_counts.max()), -1))
+            t_kw = keyword_tokens_var(Var(x), _ssm_vars(pv, "keyword"), n_b)
         if use_bv.any():
             x = _trajectory_input(grids, bs_indices, bs_counts, grid_shape)
-            scans = scan_var(Var(x), _ssm_vars(pv, "scene"))
-            total = tape.sum_axis(tape.reshape(scans, (frames, n_b, int(bs_counts.max()), -1)), 2)
-            mean = tape.scale(total, (1.0 / np.maximum(bs_counts, 1))[None, :, None])
-            h_bs = tape.transpose(mean, (1, 0, 2))
+            h_bs = scene_tokens_var(Var(x), _ssm_vars(pv, "scene"), bs_counts)
     except Exception as exc:
         raise PipelineError("ssm", exc) from exc
 
     branch_outputs: dict[str, tuple[Var, Var, Var]] = {}
     kinks: list[np.ndarray] = []
     try:
+        queries: list[tuple[str, Var, np.ndarray | None, np.ndarray]] = []
+        if use_rv:
+            holistic = [s.reference.holistic for s in batch]
+            counts = np.array([h.shape[0] for h in holistic])
+            queries.append(("rv", Var(_pad_rows(holistic)), counts, np.ones(n_b, dtype=bool)))
+        if t_kw is not None:
+            queries.append(("kwv", t_kw, kw_counts, use_kw))
+        if h_bs is not None:
+            queries.append(("bv", h_bs, None, use_bv))
         for branch in BRANCHES:
             if branch == "temporal" and not config.use_temporal:
                 continue
@@ -509,56 +654,38 @@ def forward(
                 scan_var(Var(pooled), _ssm_vars(pv, f"holistic_{branch}")), (1, 0, 2)
             )
             if config.use_mhs_ca:
-                n_p = config.n_prompts
-                queries: list[tuple[str, Var, np.ndarray | None, np.ndarray]] = []
-                if use_rv:
-                    holistic = [s.reference.holistic for s in batch]
-                    counts = np.array([h.shape[0] for h in holistic])
-                    queries.append(("rv", Var(_pad_rows(holistic)), counts, np.ones(n_b, dtype=bool)))
-                if t_kw is not None:
-                    queries.append(("kwv", t_kw, kw_counts, use_kw))
-                if h_bs is not None:
-                    queries.append(("bv", h_bs, None, use_bv))
                 parts = []
                 for tag, q, counts, used in queries:
                     out = cross_attention_var(q, enhanced, _attn_vars(pv, tag, branch), counts)
-                    mask = None if counts is None else _row_mask(counts, q.value.shape[1], n_p)
-                    parts.append((tape.mean_rows(out, mask), used))
-                z = _mean_hierarchies(parts)
+                    mask = None if counts is None else _row_mask(counts, q.value.shape[1], config.n_prompts)
+                    parts.append((out, mask, used))
             else:
-                z = tape.mean_rows(enhanced)
-            bbox, reg_kinks = _head_var(z, _head_vars(pv, branch, "reg"))
-            probs, cls_kinks = _head_var(z, _head_vars(pv, branch, "cls"))
+                parts = [(enhanced, None, np.ones(n_b, dtype=bool))]
+            z = pool_hierarchies_var(parts)
+            bbox, reg_kinks = head_var(z, _head_vars(pv, branch, "reg"))
+            probs, cls_kinks = head_var(z, _head_vars(pv, branch, "cls"))
             kinks += [reg_kinks, cls_kinks]
             branch_outputs[branch] = (z, bbox, probs)
     except Exception as exc:
         raise PipelineError("fusion", exc) from exc
 
-    bbox_var = tape.mean_of([branch_outputs[b][1] for b in branch_outputs])
-    probs_var = tape.mean_of([branch_outputs[b][2] for b in branch_outputs])
+    branches = list(branch_outputs.values())
+    bbox, probs = fuse_predictions(*[(o[1].value, o[2].value) for o in branches])
 
     loss = None
     if all(s.gt_bbox is not None and s.labels is not None for s in batch):
         try:
             gt = np.stack([np.asarray(s.gt_bbox, dtype=np.float64).reshape(1, -1) for s in batch])
             labels = np.stack([np.asarray(s.labels, dtype=np.float64).reshape(1, -1) for s in batch])
-            per_sample = tape.add(
-                _bce_var(labels, probs_var),
-                tape.scale(_mse_var(gt, bbox_var), config.lambda_box),
+            loss, bands = loss_var(
+                [o[1] for o in branches],
+                [o[2] for o in branches],
+                gt,
+                labels,
+                config.lambda_box,
+                config.aux_branch_loss,
             )
-            kinks.append(_clip_band(probs_var))
-            if config.aux_branch_loss:
-                per_branch = []
-                for _, bbox, probs in branch_outputs.values():
-                    per_branch.append(
-                        tape.add(
-                            _bce_var(labels, probs),
-                            tape.scale(_mse_var(gt, bbox), config.lambda_box),
-                        )
-                    )
-                    kinks.append(_clip_band(probs))
-                per_sample = tape.add(per_sample, tape.mean_of(per_branch))
-            loss = tape.scale(tape.sum_all(per_sample), 1.0 / n_b)
+            kinks += bands
         except Exception as exc:
             raise PipelineError("loss", exc) from exc
 
@@ -567,8 +694,8 @@ def forward(
 
     outputs = [
         ModelOutput(
-            bbox=bbox_var.value[b, 0].copy(),
-            class_probs=probs_var.value[b, 0].copy(),
+            bbox=bbox[b, 0].copy(),
+            class_probs=probs[b, 0].copy(),
             bbox_temporal=_branch("temporal", 1, b),
             probs_temporal=_branch("temporal", 2, b),
             bbox_spatial=_branch("spatial", 1, b),

@@ -107,7 +107,7 @@ def _int_field(obj: dict, name: str, line_no: int) -> int:
         raise ParseError(f"{name} must be an integer, got {obj[name]!r}", line=line_no, field=name) from exc
 
 
-def _parse_record(obj: dict, line_no: int, root: Path, num_classes: int | None) -> SampleRecord:
+def _parse_record(obj: dict, line_no: int, path: Path, num_classes: int | None) -> SampleRecord:
     for name in _REQUIRED_FIELDS:
         if name not in obj:
             raise ParseError("missing field", line=line_no, field=name)
@@ -155,6 +155,13 @@ def _parse_record(obj: dict, line_no: int, root: Path, num_classes: int | None) 
         except Exception as exc:
             raise ParseError(f"detection {k}: {exc}", line=line_no, field="detections") from exc
     features_ref = str(obj["features_ref"])
+    root, ref = path.parent, Path(features_ref)
+    if ref.is_absolute() or ".." in ref.parts:
+        raise ParseError(
+            f"{path}: features file {features_ref!r} lies outside the dataset root {root}",
+            line=line_no,
+            field="features_ref",
+        )
     if not (root / features_ref).exists():
         raise ParseError(
             f"features file {features_ref!r} not found under {root}",
@@ -188,7 +195,7 @@ def load_annotations(path, num_classes: int | None = None) -> list[SampleRecord]
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            records.append(_parse_record(obj, line_no, path.parent, num_classes))
+            records.append(_parse_record(obj, line_no, path, num_classes))
     return records
 
 

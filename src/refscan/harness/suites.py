@@ -13,7 +13,7 @@ import numpy as np
 
 from ..config import TrainConfig
 from ..errors import MetricError
-from ..fusion import forward
+from ..fusion import forward, prepare_sample
 from ..metrics import (
     EvalRecord,
     auroc,
@@ -118,10 +118,16 @@ GRADCHECK_GEN = GenConfig(
 
 
 def model_loss_fn(samples, params, config, encoder):
-    """Batch-mean training loss with the retrieval-selection signature."""
+    """Batch-mean training loss with the retrieval-selection signature.
+
+    Each sample is prepared once: keyword retrieval and pooling read no
+    parameter, so no perturbation changes them. Scene tokens and their
+    retrieval read ``scene_proj`` and still run in every evaluation.
+    """
+    prepared = [prepare_sample(s, config) for s in samples]
 
     def fn(pv):
-        res = forward(samples, params, config, encoder, param_vars=pv)
+        res = forward(prepared, params, config, encoder, param_vars=pv)
         return res.loss, res.selection_signature
 
     return fn

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .numerics import uniform_init
 from .numerics.tape import Var
-from .retrieval import TrajectorySet
 
 
 @dataclass
@@ -58,19 +56,6 @@ class SsmLayerParams:
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.A))))
-
-
-def init_ssm_params(rng: np.random.Generator, d: int, d_s: int, n: int) -> SsmLayerParams:
-    """Stable-at-init layer: A diagonal in (0.5, 0.95), projections 1/sqrt(fan_in)."""
-    a = np.diag(rng.uniform(0.5, 0.95, size=n))
-    params = SsmLayerParams(
-        in_proj=uniform_init(rng, d, (d, d_s)),
-        A=a,
-        B=uniform_init(rng, d_s, (n, d_s)),
-        C=uniform_init(rng, n, (d_s, n)),
-    )
-    assert params.spectral_radius() < 1.0
-    return params
 
 
 @dataclass
@@ -194,23 +179,3 @@ def scan_var(x: Var, p: SsmParamVars) -> Var:
         return (d_x, d_win, d_a, d_b, d_c)
 
     return Var(outputs if xv.ndim == 3 else outputs[:, 0], (x, p.in_proj, p.A, p.B, p.C), vjp)
-
-
-def aggregate_keyword(traj_set: TrajectorySet, params: SsmLayerParams) -> np.ndarray:
-    """Final-step readout per trajectory: one aggregated token per keyword."""
-    if len(traj_set) == 0:
-        return np.zeros((0, params.out_dim))
-    return np.stack([ssm_scan(t.tokens, params).outputs[-1] for t in traj_set.trajectories])
-
-
-def aggregate_scene(traj_set: TrajectorySet, params: SsmLayerParams) -> np.ndarray:
-    """Per-timestep outputs averaged across the attribute trajectories."""
-    if len(traj_set) == 0:
-        return np.zeros((0, params.out_dim))
-    scans = [ssm_scan(t.tokens, params).outputs for t in traj_set.trajectories]
-    return np.mean(scans, axis=0)
-
-
-def aggregate_holistic(branch_tokens: np.ndarray, params: SsmLayerParams) -> np.ndarray:
-    """Single scan over a pooled branch sequence; all per-step outputs."""
-    return ssm_scan(branch_tokens, params).outputs

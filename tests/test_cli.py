@@ -108,6 +108,25 @@ def test_eval_truncated_tensor_nonzero_exit(dataset, tmp_path, capsys):
     assert victim.name in err and "truncated header" in err
 
 
+def test_eval_features_ref_escaping_root_exits_1(dataset, tmp_path, capsys):
+    cfg = small_train_config(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(cfg),
+                 "--out-ckpt", str(ckpt)]) == 0
+    path = dataset / "annotations.jsonl"
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[0])
+    outside = tmp_path / "outside.rten"
+    outside.write_bytes((dataset / obj["features_ref"]).read_bytes())
+    obj["features_ref"] = "../outside.rten"
+    lines[0] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset),
+                 "--report", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert "annotations.jsonl" in err and "features_ref" in err and "Traceback" not in err
+
+
 def test_gen_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"num_samples": 2, "frames": 4, "grid_rows": 2,

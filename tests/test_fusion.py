@@ -6,21 +6,22 @@ import pytest
 from refscan.config import TrainConfig
 from refscan.errors import ConfigError, DimensionError
 from refscan.fusion import (
+    AttnParamVars,
+    HeadParamVars,
     HierarchyAttnParams,
-    PipelineSample,
-    bce_loss,
     cross_attention,
+    cross_attention_var,
     forward,
     fuse_predictions,
-    heads,
+    head_var,
     init_model_params,
-    mhs_ca_branch,
-    mse_loss,
+    loss_var,
+    pool_hierarchies_var,
     pool_spatial,
     pool_temporal,
 )
 from refscan.harness.fixtures import GenConfig, synth_samples
-from refscan.numerics import softmax
+from refscan.numerics import Var, softmax
 from refscan.retrieval import VisualTokenGrid
 from refscan.semantics import SyntheticEncoder
 
@@ -37,6 +38,42 @@ def attn_params(rng, d_q=4, d_s=4, d_a=4, n_p=0):
         w_v=rng.normal(size=(d_s, d_a)),
         prompts=rng.normal(size=(n_p, d_a)),
     )
+
+
+def mhs_ca_branch(enhanced, hierarchy_queries, params_per_hierarchy):
+    """Branch vector z of one sample: its hierarchies' attention outputs, pooled."""
+    context = Var(np.asarray(enhanced)[None])
+    parts = []
+    for tag, queries in hierarchy_queries:
+        p = params_per_hierarchy[tag]
+        pv = AttnParamVars(Var(p.w_q), Var(p.w_k), Var(p.w_v), Var(p.prompts))
+        parts.append((cross_attention_var(Var(queries[None]), context, pv), None, np.ones(1, dtype=bool)))
+    return pool_hierarchies_var(parts).value[0, 0]
+
+
+def heads(z, reg, cls):
+    """(bbox, probs) of one branch vector through the two fused heads."""
+    zv = Var(np.asarray(z, dtype=np.float64).reshape(1, -1))
+    return tuple(head_var(zv, HeadParamVars(*[Var(a) for a in p]))[0].value[0] for p in (reg, cls))
+
+
+def sample_loss(y, y_hat, b=(0.0,) * 4, b_hat=(0.0,) * 4, lambda_box=1.0):
+    """One sample's loss through ``loss_var``: one branch, no aux term."""
+    loss, _ = loss_var([Var(_row(b_hat))], [Var(_row(y_hat))], _row(b), _row(y), lambda_box, False)
+    return float(loss.value)
+
+
+def _row(a):
+    return np.asarray(a, dtype=np.float64).reshape(1, 1, -1)
+
+
+def bce_loss(y, y_hat):
+    return sample_loss(y, y_hat)  # the box term is exactly zero
+
+
+def mse_loss(b, b_hat):
+    half = np.full(2, 0.5)
+    return sample_loss([1.0, 0.0], half, b, b_hat) - sample_loss([1.0, 0.0], half, b, b_hat, lambda_box=0.0)
 
 
 class TestPooling:

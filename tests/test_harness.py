@@ -90,6 +90,21 @@ class TestAnnotations:
         with pytest.raises(ParseError, match="features_ref"):
             load_annotations(tmp_path / "annotations.jsonl")
 
+    @pytest.mark.parametrize("escape", ["../outside.rten", "features/../../outside.rten", "absolute"])
+    def test_features_ref_outside_root(self, tmp_path, escape):
+        root = tmp_path / "data"
+        generate_fixtures(SMALL_GEN, root)
+        outside = tmp_path / "outside.rten"  # exists, so only the confinement check can reject it
+        outside.write_bytes(next((root / "features").iterdir()).read_bytes())
+        path = root / "annotations.jsonl"
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj["features_ref"] = str(outside) if escape == "absolute" else escape
+        lines[1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"annotations\.jsonl: .*outside the dataset root.*line 2.*field 'features_ref'"):
+            load_annotations(path)
+
     def test_label_out_of_range(self, tmp_path):
         generate_fixtures(SMALL_GEN, tmp_path)
         path = tmp_path / "annotations.jsonl"

@@ -3,21 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from refscan.config import TrainConfig
 from refscan.errors import DimensionError
+from refscan.fusion import init_model_params, keyword_tokens_var, scene_tokens_var
 from refscan.harness.suites import random_scan_case
-from refscan.retrieval import Trajectory, TrajectorySet
-from refscan.ssm import (
-    SsmLayerParams,
-    SsmParamVars,
-    aggregate_holistic,
-    aggregate_keyword,
-    aggregate_scene,
-    init_ssm_params,
-    scan_var,
-    ssm_scan,
-    ssm_scan_oracle,
-)
+from refscan.numerics import uniform_init
 from refscan.numerics.tape import Var
+from refscan.ssm import SsmLayerParams, SsmParamVars, scan_var, ssm_scan, ssm_scan_oracle
+
+import composed
 
 
 def identity_params(d):
@@ -28,13 +22,40 @@ def integrator_params(d):
     return SsmLayerParams(in_proj=np.eye(d), A=np.eye(d), B=np.eye(d), C=np.eye(d))
 
 
-def traj(tokens, hierarchy="keyword", idx=0):
-    tokens = np.asarray(tokens, dtype=np.float64)
-    return Trajectory(
-        query_id=(hierarchy, idx),
-        spatial_indices=np.zeros(tokens.shape[0], dtype=np.int64),
-        tokens=tokens,
+def init_ssm_params(rng, d, d_s, n):
+    """A stable layer: A diagonal in (0.5, 0.95), projections within 1/sqrt(fan_in)."""
+    a = np.diag(rng.uniform(0.5, 0.95, size=n))
+    return SsmLayerParams(
+        in_proj=uniform_init(rng, d, (d, d_s)),
+        A=a,
+        B=uniform_init(rng, d_s, (n, d_s)),
+        C=uniform_init(rng, n, (d_s, n)),
     )
+
+
+def layer_vars(params):
+    return SsmParamVars(Var(params.in_proj), Var(params.A), Var(params.B), Var(params.C))
+
+
+def time_major(trajectories):
+    """(T, K, d) scan input of one sample's (T, d) trajectories."""
+    return Var(np.stack([np.asarray(t, dtype=np.float64) for t in trajectories], axis=1))
+
+
+def keyword_tokens(trajectories, params):
+    """(K, d_s) keyword tokens of one sample, through the forward's node."""
+    return keyword_tokens_var(time_major(trajectories), layer_vars(params), 1).value[0]
+
+
+def scene_tokens(trajectories, params):
+    """(T, d_s) scene-attribute sequence of one sample, through the forward's node."""
+    counts = np.array([len(trajectories)])
+    return scene_tokens_var(time_major(trajectories), layer_vars(params), counts).value[0]
+
+
+def holistic_tokens(sequence, params):
+    """(T, d_s) enhanced branch sequence of one sample, as the forward scans it."""
+    return scan_var(Var(np.asarray(sequence)[:, None, :]), layer_vars(params)).value[:, 0]
 
 
 class TestScan:
@@ -105,7 +126,6 @@ class TestScanVar:
 
     def test_backward_matches_finite_differences(self):
         from refscan.numerics import ParamStore, grad_check
-        from refscan.numerics import tape
 
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 3))
@@ -118,80 +138,95 @@ class TestScanVar:
 
         def loss_fn(pv):
             out = scan_var(pv["x"], SsmParamVars(pv["in_proj"], pv["A"], pv["B"], pv["C"]))
-            return tape.sum_all(tape.mul(out, Var(weights)))
+            return composed.sum_all(composed.mul(out, Var(weights)))
 
         report = grad_check(loss_fn, params, eps=1e-6)
         assert report.max_rel_err <= 1e-7, report.format_table()
 
 
 class TestAggregates:
+    """The forward's per-hierarchy aggregation: keyword finals, scene means, holistic scans."""
+
     def test_keyword_memoryless_last_token(self):
         params = identity_params(3)
         tokens = np.arange(9.0).reshape(3, 3)
-        out = aggregate_keyword(TrajectorySet("keyword", [traj(tokens)]), params)
+        out = keyword_tokens([tokens], params)
         np.testing.assert_allclose(out, tokens[-1:].copy())
 
     def test_keyword_duplicate_trajectories(self):
         rng = np.random.default_rng(7)
         params = init_ssm_params(rng, 3, 2, 4)
         tokens = rng.normal(size=(4, 3))
-        out = aggregate_keyword(TrajectorySet("keyword", [traj(tokens), traj(tokens, idx=1)]), params)
+        out = keyword_tokens([tokens, tokens], params)
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_keyword_matches_oracle_finals(self):
         rng = np.random.default_rng(8)
         params = init_ssm_params(rng, 3, 2, 4)
-        trajs = [traj(rng.normal(size=(5, 3)), idx=i) for i in range(3)]
-        out = aggregate_keyword(TrajectorySet("keyword", trajs), params)
+        trajs = [rng.normal(size=(5, 3)) for _ in range(3)]
+        out = keyword_tokens(trajs, params)
         for i, t in enumerate(trajs):
-            np.testing.assert_allclose(out[i], ssm_scan_oracle(t.tokens, params).outputs[-1], atol=1e-12)
+            np.testing.assert_allclose(out[i], ssm_scan_oracle(t, params).outputs[-1], atol=1e-12)
 
     def test_keyword_empty(self):
-        params = identity_params(3)
-        out = aggregate_keyword(TrajectorySet("keyword", []), params)
-        assert out.shape == (0, 3)
+        # a sample with no keyword is zero-padded in its batch: its rows read zero
+        rng = np.random.default_rng(16)
+        params = init_ssm_params(rng, 3, 2, 4)
+        x = np.zeros((5, 2, 3))
+        x[:, 0] = rng.normal(size=(5, 3))
+        out = keyword_tokens_var(Var(x), layer_vars(params), 2).value
+        assert out.shape == (2, 1, 2)
+        np.testing.assert_array_equal(out[1], np.zeros((1, 2)))
+        np.testing.assert_array_equal(out[0, 0], ssm_scan(x[:, 0], params).outputs[-1])
 
     def test_keyword_permutation_no_state_leakage(self):
         rng = np.random.default_rng(9)
         params = init_ssm_params(rng, 3, 2, 4)
-        trajs = [traj(rng.normal(size=(5, 3)), idx=i) for i in range(4)]
-        out = aggregate_keyword(TrajectorySet("keyword", trajs), params)
+        trajs = [rng.normal(size=(5, 3)) for _ in range(4)]
+        out = keyword_tokens(trajs, params)
         perm = [2, 0, 3, 1]
-        out_perm = aggregate_keyword(TrajectorySet("keyword", [trajs[i] for i in perm]), params)
+        out_perm = keyword_tokens([trajs[i] for i in perm], params)
         np.testing.assert_array_equal(out_perm, out[perm])
 
     def test_scene_single_trajectory(self):
         rng = np.random.default_rng(10)
         params = init_ssm_params(rng, 3, 2, 4)
         tokens = rng.normal(size=(6, 3))
-        out = aggregate_scene(TrajectorySet("scene-attribute", [traj(tokens)]), params)
+        out = scene_tokens([tokens], params)
         np.testing.assert_allclose(out, ssm_scan(tokens, params).outputs)
 
     def test_scene_identical_inputs_mean_idempotent(self):
         rng = np.random.default_rng(11)
         params = init_ssm_params(rng, 3, 2, 4)
         tokens = rng.normal(size=(6, 3))
-        one = aggregate_scene(TrajectorySet("scene-attribute", [traj(tokens)]), params)
-        two = aggregate_scene(TrajectorySet("scene-attribute", [traj(tokens), traj(tokens, idx=1)]), params)
+        one = scene_tokens([tokens], params)
+        two = scene_tokens([tokens, tokens], params)
         np.testing.assert_allclose(one, two, atol=1e-12)
 
     def test_scene_mean_of_oracle_scans(self):
         rng = np.random.default_rng(12)
         params = init_ssm_params(rng, 3, 2, 4)
         t1, t2 = rng.normal(size=(2, 6, 3))
-        out = aggregate_scene(TrajectorySet("scene-attribute", [traj(t1), traj(t2, idx=1)]), params)
+        out = scene_tokens([t1, t2], params)
         expected = (ssm_scan_oracle(t1, params).outputs + ssm_scan_oracle(t2, params).outputs) / 2.0
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_scene_empty(self):
-        out = aggregate_scene(TrajectorySet("scene-attribute", []), identity_params(3))
-        assert out.shape == (0, 3)
+        # a sample with no detection is all padding: its sequence is zero
+        rng = np.random.default_rng(17)
+        params = init_ssm_params(rng, 3, 2, 4)
+        x = np.zeros((6, 2, 3))
+        x[:, 0] = rng.normal(size=(6, 3))
+        out = scene_tokens_var(Var(x), layer_vars(params), np.array([1, 0])).value
+        assert out.shape == (2, 6, 2)
+        np.testing.assert_array_equal(out[1], np.zeros((6, 2)))
+        np.testing.assert_array_equal(out[0], ssm_scan(x[:, 0], params).outputs)
 
     def test_holistic_integrator_grows_linearly(self):
         d = 3
         params = integrator_params(d)
         const = np.tile(np.array([1.0, -2.0, 0.5]), (6, 1))
-        out = aggregate_holistic(const, params)
+        out = holistic_tokens(const, params)
         for l in range(6):
             np.testing.assert_allclose(out[l], (l + 1) * const[0], atol=1e-12)
 
@@ -199,17 +234,18 @@ class TestAggregates:
         rng = np.random.default_rng(13)
         params = init_ssm_params(rng, 4, 3, 2)
         x = rng.normal(size=(1, 4))
-        out = aggregate_holistic(x, params)
+        out = holistic_tokens(x, params)
         np.testing.assert_allclose(out, (x @ params.in_proj) @ params.B.T @ params.C.T, atol=1e-12)
 
     def test_holistic_zero_sequence(self):
         rng = np.random.default_rng(14)
         params = init_ssm_params(rng, 4, 3, 2)
-        np.testing.assert_array_equal(aggregate_holistic(np.zeros((5, 4)), params), np.zeros((5, 3)))
+        np.testing.assert_array_equal(holistic_tokens(np.zeros((5, 4)), params), np.zeros((5, 3)))
 
 
 def test_init_spectral_radius_below_one():
-    rng = np.random.default_rng(15)
-    for _ in range(10):
-        params = init_ssm_params(rng, 8, 4, 6)
-        assert params.spectral_radius() < 1.0
+    for seed in range(10):
+        params = init_model_params(TrainConfig(d=8, d_s=4, n=6), seed=seed)
+        for name in ("keyword", "scene", "holistic_temporal", "holistic_spatial"):
+            layer = SsmLayerParams(*(params[f"ssm.{name}.{k}"] for k in ("in_proj", "A", "B", "C")))
+            assert layer.spectral_radius() < 1.0
