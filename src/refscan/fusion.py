@@ -33,11 +33,27 @@ read ``scene_proj``, a parameter, so ``forward`` builds them on every call.
 ``forward`` accepts raw or prepared samples and prepares raw ones on the
 spot, so a training loop can prepare each sample once while evaluation,
 which sees each sample once, passes raw samples.
+
+``forward`` is an ordered list of named stages, ``STAGES``, each with the
+parameter-name prefixes it reads: ``semantics`` (scene tokens,
+``scene_proj.``), ``retrieval`` (scene-attribute picks), ``ssm`` (the four
+scans, ``ssm.``), ``fusion`` (cross-attention and hierarchy pooling,
+``attn.``), ``heads`` (``head.``) and ``loss``. One driver runs them: it
+tags a stage's error as ``PipelineError(stage)`` and keeps each stage's
+outputs with its part of the selection signature and the bytes of the
+parameter values it read. Given such a prior run of the same batch,
+``forward`` starts at the first stage whose read values differ bitwise, and
+reuses the outputs of the stages before it. The gradient check perturbs
+one scalar at a time and so reruns only the heads and loss for a
+``head.*`` scalar; training and evaluation pass no prior and run every
+stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -427,7 +443,8 @@ class ModelOutput:
 
 @dataclass
 class ForwardResult:
-    """One batch: per-sample outputs and signatures, and the batch-mean loss.
+    """One batch: per-sample outputs and signatures, the batch-mean loss, and
+    the inputs and stage runs that a later call can take as its ``prior``.
 
     Each sample's selection signature records its retrieval picks and the
     ReLU and BCE-clamp masks: a perturbation that changes it crosses a kink
@@ -437,6 +454,8 @@ class ForwardResult:
     outputs: list[ModelOutput]
     loss: Var | None
     selection_signature: tuple
+    inputs: BatchInputs = field(repr=False)
+    stages: list[StageRun] = field(repr=False)
 
     @property
     def output(self) -> ModelOutput:
@@ -491,21 +510,6 @@ def prepare_sample(sample: PipelineSample, config: TrainConfig) -> PreparedSampl
         kw_signature=kw_set.indices_signature(),
         pooled=pooled,
     )
-
-
-def _scene_queries(
-    sample: PipelineSample, params: ParamStore, config: TrainConfig, encoder: ReferenceEncoder
-) -> np.ndarray:
-    """(K_bs, d) scene-attribute token vectors of one sample's detections."""
-    tokens = build_scene_attribute_tokens(
-        sample.detections,
-        encoder,
-        params["scene_proj.w"],
-        params["scene_proj.b"],
-        conf_threshold=config.conf_threshold,
-        max_count=config.max_detections,
-    )
-    return np.stack([t.vector for t in tokens]) if tokens else np.zeros((0, sample.grid.dim))
 
 
 def _pad_rows(blocks: list[np.ndarray]) -> np.ndarray:
@@ -571,146 +575,339 @@ def scene_tokens_var(x: Var, p: SsmParamVars, counts: np.ndarray) -> Var:
     return Var(mean.transpose(1, 0, 2), (scans,), vjp)
 
 
+# -- the stages of the forward --------------------------------------------------
+
+
+@dataclass
+class BatchInputs:
+    """What the stages of ``forward`` read besides the parameters.
+
+    Built once per call from the batch as passed (``items``), or taken from
+    the prior run: everything here depends on the samples and the config
+    alone, so no parameter change invalidates it.
+    """
+
+    items: list  # the samples as passed, raw or prepared
+    samples: list[PipelineSample]
+    prepared: list[PreparedSample]
+    config: TrainConfig
+    encoder: ReferenceEncoder
+    grid_shape: tuple
+    branches: list[str]  # the enabled branches, in BRANCHES order
+    kw_counts: np.ndarray  # (B,) keyword trajectories per sample
+    use_kw: np.ndarray  # (B,) bool
+    kw_input: np.ndarray | None  # keyword scan input, (T, B * max K, d)
+    kw_mask: np.ndarray | None  # real keyword and prompt query rows (None: all)
+    holistic: np.ndarray  # (B, max words, d) padded holistic query rows
+    holistic_counts: np.ndarray  # (B,) real holistic rows
+    holistic_mask: np.ndarray | None
+    pooled: dict[str, np.ndarray]  # per branch: time-major (steps, B, d) scan input
+
+
+def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -> BatchInputs:
+    if not items:
+        raise InputError("forward: empty batch")
+    samples = [s.sample if isinstance(s, PreparedSample) else s for s in items]
+    grid_shape = samples[0].grid.tokens.shape
+    for s in samples:
+        if s.grid.tokens.shape != grid_shape:
+            raise DimensionError(
+                f"sample {s.sample_id!r} grid {s.grid.tokens.shape} differs from the batch's {grid_shape}"
+            )
+    prepared = [s if isinstance(s, PreparedSample) else prepare_sample(s, config) for s in items]
+    branches = [b for b, on in zip(BRANCHES, (config.use_temporal, config.use_spatial)) if on]
+    kw_counts = np.array([len(p.kw_indices) for p in prepared])
+    use_kw = config.use_keyword & (kw_counts > 0)
+    kw_input = kw_mask = None
+    if use_kw.any():
+        kw_input = _trajectory_input(
+            [s.grid for s in samples], [p.kw_indices for p in prepared], kw_counts, grid_shape
+        )
+        kw_mask = _row_mask(kw_counts, int(kw_counts.max()), config.n_prompts)
+    holistic = _pad_rows([s.reference.holistic for s in samples])
+    holistic_counts = np.array([s.reference.holistic.shape[0] for s in samples])
+    return BatchInputs(
+        items=items,
+        samples=samples,
+        prepared=prepared,
+        config=config,
+        encoder=encoder,
+        grid_shape=grid_shape,
+        branches=branches,
+        kw_counts=kw_counts,
+        use_kw=use_kw,
+        kw_input=kw_input,
+        kw_mask=kw_mask,
+        holistic=holistic,
+        holistic_counts=holistic_counts,
+        holistic_mask=_row_mask(holistic_counts, holistic.shape[1], config.n_prompts),
+        pooled={b: np.stack([p.pooled[b] for p in prepared], axis=1) for b in branches},
+    )
+
+
+def _mask_signature(masks: list[np.ndarray], n_b: int) -> list[tuple]:
+    return [tuple(mask[b].tobytes() for mask in masks) for b in range(n_b)]
+
+
+def _semantics(x: BatchInputs, pv: dict[str, Var], state: dict):
+    """Scene-attribute token vectors, (K_bs, d), of each sample's detections."""
+    w, b = pv["scene_proj.w"].value, pv["scene_proj.b"].value
+    queries = []
+    for s in x.samples:
+        tokens = build_scene_attribute_tokens(
+            s.detections,
+            x.encoder,
+            w,
+            b,
+            conf_threshold=x.config.conf_threshold,
+            max_count=x.config.max_detections,
+        )
+        queries.append(np.stack([t.vector for t in tokens]) if tokens else np.zeros((0, s.grid.dim)))
+    return {"scene_queries": queries}, None
+
+
+def _retrieval(x: BatchInputs, pv: dict[str, Var], state: dict):
+    """Scene-attribute retrieval (keyword picks come prepared); the signature
+    part is both hierarchies' picks."""
+    sets = [
+        build_trajectory_set(q, s.grid, "scene-attribute")
+        for q, s in zip(state["scene_queries"], x.samples)
+    ]
+    bs_counts = np.array([len(t) for t in sets])
+    use_bv = x.config.use_attribute & (bs_counts > 0)
+    for b, s in enumerate(x.samples):
+        if not (x.config.use_holistic or x.use_kw[b] or use_bv[b]):
+            raise ConfigError(f"all hierarchies disabled for sample {s.sample_id!r}")
+    outputs = {
+        "bs_indices": [_pick_indices(t, x.grid_shape[0]) for t in sets],
+        "bs_counts": bs_counts,
+        "use_bv": use_bv,
+    }
+    return outputs, [(p.kw_signature, t.indices_signature()) for p, t in zip(x.prepared, sets)]
+
+
+def _ssm(x: BatchInputs, pv: dict[str, Var], state: dict):
+    """The keyword and scene-attribute trajectory scans, then each branch's
+    holistic scan, whose (B, steps, d_s) output the fusion attends over."""
+    t_kw = h_bs = None
+    if x.kw_input is not None:
+        t_kw = keyword_tokens_var(Var(x.kw_input), _ssm_vars(pv, "keyword"), len(x.samples))
+    if state["use_bv"].any():
+        grids = [s.grid for s in x.samples]
+        bs_input = _trajectory_input(grids, state["bs_indices"], state["bs_counts"], x.grid_shape)
+        h_bs = scene_tokens_var(Var(bs_input), _ssm_vars(pv, "scene"), state["bs_counts"])
+    enhanced = {}
+    for branch in x.branches:
+        scans = scan_var(Var(x.pooled[branch]), _ssm_vars(pv, f"holistic_{branch}"))
+        enhanced[branch] = tape.transpose(scans, (1, 0, 2))
+    return {"t_kw": t_kw, "h_bs": h_bs, "enhanced": enhanced}, None
+
+
+def _fusion(x: BatchInputs, pv: dict[str, Var], state: dict):
+    """Each branch's (B, 1, d_a) vector z: every used hierarchy's
+    cross-attention over the enhanced tokens, pooled (with cross-attention
+    off, the enhanced tokens pooled)."""
+    every = np.ones(len(x.samples), dtype=bool)
+    queries: list[tuple[str, Var, np.ndarray | None, np.ndarray | None, np.ndarray]] = []
+    if x.config.use_holistic:
+        queries.append(("rv", Var(x.holistic), x.holistic_counts, x.holistic_mask, every))
+    if state["t_kw"] is not None:
+        queries.append(("kwv", state["t_kw"], x.kw_counts, x.kw_mask, x.use_kw))
+    if state["h_bs"] is not None:
+        queries.append(("bv", state["h_bs"], None, None, state["use_bv"]))
+    z = {}
+    for branch, enhanced in state["enhanced"].items():
+        if x.config.use_mhs_ca:
+            parts = []
+            for tag, q, counts, mask, used in queries:
+                out = cross_attention_var(q, enhanced, _attn_vars(pv, tag, branch), counts)
+                parts.append((out, mask, used))
+        else:
+            parts = [(enhanced, None, every)]
+        z[branch] = pool_hierarchies_var(parts)
+    return {"z": z}, None
+
+
+def _heads(x: BatchInputs, pv: dict[str, Var], state: dict):
+    """Each branch's box and class heads; the signature part is their ReLU masks."""
+    bbox, probs, kinks = {}, {}, []
+    for branch, z in state["z"].items():
+        bbox[branch], reg_kinks = head_var(z, _head_vars(pv, branch, "reg"))
+        probs[branch], cls_kinks = head_var(z, _head_vars(pv, branch, "cls"))
+        kinks += [reg_kinks, cls_kinks]
+    return {"bbox": bbox, "probs": probs}, _mask_signature(kinks, len(x.samples))
+
+
+def _loss(x: BatchInputs, pv: dict[str, Var], state: dict):
+    """The batch-mean loss when every sample has targets; the signature part
+    is its clamp bands."""
+    if not all(s.gt_bbox is not None and s.labels is not None for s in x.samples):
+        return {"loss": None}, None
+    gt = np.stack([np.asarray(s.gt_bbox, dtype=np.float64).reshape(1, -1) for s in x.samples])
+    labels = np.stack([np.asarray(s.labels, dtype=np.float64).reshape(1, -1) for s in x.samples])
+    loss, bands = loss_var(
+        list(state["bbox"].values()),
+        list(state["probs"].values()),
+        gt,
+        labels,
+        x.config.lambda_box,
+        x.config.aux_branch_loss,
+    )
+    return {"loss": loss}, _mask_signature(bands, len(x.samples))
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One named step of ``forward`` and the parameter-name prefixes it reads.
+
+    ``run(inputs, param_vars, state)`` returns the stage's outputs, which the
+    stages after it find in ``state``, and its per-sample part of the
+    selection signature (None for no part). A stage reads parameters only
+    through the declared prefixes; the outputs of the stages before it
+    carry everything else it depends on.
+    """
+
+    name: str  # a PipelineError stage name
+    reads: tuple[str, ...]
+    run: Callable[[BatchInputs, dict[str, Var], dict], tuple[dict, list[tuple] | None]]
+
+
+STAGES = (
+    Stage("semantics", ("scene_proj.",), _semantics),
+    Stage("retrieval", (), _retrieval),
+    Stage("ssm", ("ssm.",), _ssm),
+    Stage("fusion", ("attn.",), _fusion),
+    Stage("heads", ("head.",), _heads),
+    Stage("loss", (), _loss),
+)
+
+
+@dataclass
+class StageRun:
+    """One stage's outputs and signature part, with the bytes of the
+    parameter values it read: a later call whose values match reuses them."""
+
+    stage: str
+    read_bytes: bytes
+    outputs: dict
+    signature: list[tuple] | None
+
+
+@functools.lru_cache(maxsize=16)
+def _names_read(
+    reads: tuple[tuple[str, ...], ...], names: tuple[str, ...]
+) -> tuple[tuple[str, ...], ...]:
+    """Per stage's prefixes in ``reads``, the parameter names among ``names`` it reads."""
+    return tuple(tuple(n for n in names if n.startswith(prefixes)) for prefixes in reads)
+
+
+def _reused(value, stage: str):
+    """``value`` with each Var swapped for a leaf of the same value whose
+    backward raises: its graph, and its parameter leaves, belong to the run
+    that made it."""
+    if isinstance(value, Var):
+
+        def refuse(g: np.ndarray):
+            raise InputError(
+                f"backward reached a {stage!r} output reused from a prior forward; "
+                "differentiate a forward run without prior"
+            )
+
+        return Var(value.value, (), refuse)
+    if isinstance(value, dict):
+        return {k: _reused(v, stage) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_reused(v, stage) for v in value)
+    return value
+
+
+def _run_stages(
+    inputs: BatchInputs, pv: dict[str, Var], prior: list[StageRun] | None
+) -> tuple[dict, list[StageRun]]:
+    """Run the stages in order; a stage's error becomes ``PipelineError(stage)``.
+
+    With ``prior``, the stage runs of an earlier call on the same inputs,
+    each stage before the first whose read parameter values differ bitwise
+    from that run's reuses its prior outputs instead of running.
+    """
+    state: dict = {}
+    runs: list[StageRun] = []
+    reuse = prior is not None
+    stages = STAGES
+    groups = _names_read(tuple(s.reads for s in stages), tuple(pv))
+    for k, (stage, names) in enumerate(zip(stages, groups)):
+        read = b"".join([pv[name].value.tobytes() for name in names])
+        reuse = reuse and prior[k].read_bytes == read
+        if reuse:
+            state.update(_reused(prior[k].outputs, stage.name))
+            runs.append(prior[k])
+            continue
+        try:
+            outputs, signature = stage.run(inputs, pv, state)
+        except Exception as exc:
+            raise PipelineError(stage.name, exc) from exc
+        state.update(outputs)
+        runs.append(StageRun(stage.name, read, outputs, signature))
+    return state, runs
+
+
+# -- full forward ---------------------------------------------------------------
+
+
 def forward(
     samples: PipelineSample | PreparedSample | list[PipelineSample | PreparedSample],
     params: ParamStore,
     config: TrainConfig,
     encoder: ReferenceEncoder,
     param_vars: dict[str, Var] | None = None,
+    prior: ForwardResult | None = None,
 ) -> ForwardResult:
-    """Run semantics, retrieval, scans, fusion, heads, and (optionally) the loss.
+    """Run the stages (``STAGES``) over one sample or a batch.
 
-    ``samples`` is one sample or a batch, raw or prepared; a raw sample is
-    prepared on the spot, so the body reads only prepared samples, plus the
-    scene tokens and their retrieval it builds for every sample. The
-    grids of a batch must share one shape. The loss, present when every
+    ``samples`` is raw or prepared; a raw sample is prepared on the spot.
+    The grids of a batch must share one shape. The loss, present when every
     sample has targets, is the batch mean. ``param_vars`` lets the caller
     keep the leaf Vars whose gradients one backward pass accumulates.
+
+    ``prior`` is the result of an earlier call on the same batch objects,
+    config and encoder. The stages before the first one that reads a
+    parameter whose value changed since then are not run again: their
+    outputs are reused, so outputs, loss and signatures come out bitwise as
+    a full run's. Backward through a reused output raises; differentiate a
+    run made without prior.
     """
     items = [samples] if isinstance(samples, (PipelineSample, PreparedSample)) else list(samples)
-    if not items:
-        raise InputError("forward: empty batch")
-    batch = [s.sample if isinstance(s, PreparedSample) else s for s in items]
-    grid_shape = batch[0].grid.tokens.shape
-    for s in batch:
-        if s.grid.tokens.shape != grid_shape:
-            raise DimensionError(
-                f"sample {s.sample_id!r} grid {s.grid.tokens.shape} differs from the batch's {grid_shape}"
-            )
-    try:
-        scene_queries = [_scene_queries(s, params, config, encoder) for s in batch]
-    except Exception as exc:
-        raise PipelineError("semantics", exc) from exc
-    prepared = [s if isinstance(s, PreparedSample) else prepare_sample(s, config) for s in items]
-    try:
-        bs_sets = [build_trajectory_set(q, s.grid, "scene-attribute") for q, s in zip(scene_queries, batch)]
-    except Exception as exc:
-        raise PipelineError("retrieval", exc) from exc
+    if prior is None:
+        inputs = _batch_inputs(items, config, encoder)
+    else:
+        inputs = prior.inputs
+        same = len(items) == len(inputs.items) and all(a is b for a, b in zip(items, inputs.items))
+        if not same or encoder is not inputs.encoder or config != inputs.config:
+            raise InputError("forward: prior comes from another batch, config or encoder")
     pv = params.as_vars() if param_vars is None else param_vars
-    n_b = len(batch)
-    frames = grid_shape[0]
-    grids = [s.grid for s in batch]
-    bs_indices = [_pick_indices(t, frames) for t in bs_sets]
+    state, runs = _run_stages(inputs, pv, None if prior is None else prior.stages)
 
-    kw_counts = np.array([len(p.kw_indices) for p in prepared])
-    bs_counts = np.array([len(t) for t in bs_sets])
-    use_kw = config.use_keyword & (kw_counts > 0)
-    use_bv = config.use_attribute & (bs_counts > 0)
-    use_rv = config.use_holistic
-    for b, s in enumerate(batch):
-        if not (use_rv or use_kw[b] or use_bv[b]):
-            raise ConfigError(f"all hierarchies disabled for sample {s.sample_id!r}")
+    heads = [(state["bbox"][b].value, state["probs"][b].value) for b in inputs.branches]
+    bbox, probs = fuse_predictions(*heads)
 
-    try:
-        t_kw = h_bs = None
-        if use_kw.any():
-            x = _trajectory_input(grids, [p.kw_indices for p in prepared], kw_counts, grid_shape)
-            t_kw = keyword_tokens_var(Var(x), _ssm_vars(pv, "keyword"), n_b)
-        if use_bv.any():
-            x = _trajectory_input(grids, bs_indices, bs_counts, grid_shape)
-            h_bs = scene_tokens_var(Var(x), _ssm_vars(pv, "scene"), bs_counts)
-    except Exception as exc:
-        raise PipelineError("ssm", exc) from exc
-
-    branch_outputs: dict[str, tuple[Var, Var, Var]] = {}
-    kinks: list[np.ndarray] = []
-    try:
-        queries: list[tuple[str, Var, np.ndarray | None, np.ndarray]] = []
-        if use_rv:
-            holistic = [s.reference.holistic for s in batch]
-            counts = np.array([h.shape[0] for h in holistic])
-            queries.append(("rv", Var(_pad_rows(holistic)), counts, np.ones(n_b, dtype=bool)))
-        if t_kw is not None:
-            queries.append(("kwv", t_kw, kw_counts, use_kw))
-        if h_bs is not None:
-            queries.append(("bv", h_bs, None, use_bv))
-        for branch in BRANCHES:
-            if branch == "temporal" and not config.use_temporal:
-                continue
-            if branch == "spatial" and not config.use_spatial:
-                continue
-            pooled = np.stack([p.pooled[branch] for p in prepared], axis=1)
-            enhanced = tape.transpose(
-                scan_var(Var(pooled), _ssm_vars(pv, f"holistic_{branch}")), (1, 0, 2)
-            )
-            if config.use_mhs_ca:
-                parts = []
-                for tag, q, counts, used in queries:
-                    out = cross_attention_var(q, enhanced, _attn_vars(pv, tag, branch), counts)
-                    mask = None if counts is None else _row_mask(counts, q.value.shape[1], config.n_prompts)
-                    parts.append((out, mask, used))
-            else:
-                parts = [(enhanced, None, np.ones(n_b, dtype=bool))]
-            z = pool_hierarchies_var(parts)
-            bbox, reg_kinks = head_var(z, _head_vars(pv, branch, "reg"))
-            probs, cls_kinks = head_var(z, _head_vars(pv, branch, "cls"))
-            kinks += [reg_kinks, cls_kinks]
-            branch_outputs[branch] = (z, bbox, probs)
-    except Exception as exc:
-        raise PipelineError("fusion", exc) from exc
-
-    branches = list(branch_outputs.values())
-    bbox, probs = fuse_predictions(*[(o[1].value, o[2].value) for o in branches])
-
-    loss = None
-    if all(s.gt_bbox is not None and s.labels is not None for s in batch):
-        try:
-            gt = np.stack([np.asarray(s.gt_bbox, dtype=np.float64).reshape(1, -1) for s in batch])
-            labels = np.stack([np.asarray(s.labels, dtype=np.float64).reshape(1, -1) for s in batch])
-            loss, bands = loss_var(
-                [o[1] for o in branches],
-                [o[2] for o in branches],
-                gt,
-                labels,
-                config.lambda_box,
-                config.aux_branch_loss,
-            )
-            kinks += bands
-        except Exception as exc:
-            raise PipelineError("loss", exc) from exc
-
-    def _branch(branch: str, slot: int, b: int):
-        return branch_outputs[branch][slot].value[b, 0] if branch in branch_outputs else None
+    def _value(parts: dict[str, Var], branch: str, b: int):
+        return parts[branch].value[b, 0] if branch in parts else None
 
     outputs = [
         ModelOutput(
             bbox=bbox[b, 0].copy(),
             class_probs=probs[b, 0].copy(),
-            bbox_temporal=_branch("temporal", 1, b),
-            probs_temporal=_branch("temporal", 2, b),
-            bbox_spatial=_branch("spatial", 1, b),
-            probs_spatial=_branch("spatial", 2, b),
-            z_temporal=_branch("temporal", 0, b),
-            z_spatial=_branch("spatial", 0, b),
+            bbox_temporal=_value(state["bbox"], "temporal", b),
+            probs_temporal=_value(state["probs"], "temporal", b),
+            bbox_spatial=_value(state["bbox"], "spatial", b),
+            probs_spatial=_value(state["probs"], "spatial", b),
+            z_temporal=_value(state["z"], "temporal", b),
+            z_spatial=_value(state["z"], "spatial", b),
         )
-        for b in range(n_b)
+        for b in range(len(items))
     ]
     signature = tuple(
-        (
-            prepared[b].kw_signature,
-            bs_sets[b].indices_signature(),
-            tuple(mask[b].tobytes() for mask in kinks),
-        )
-        for b in range(n_b)
+        sum((run.signature[b] for run in runs if run.signature is not None), ())
+        for b in range(len(items))
     )
-    return ForwardResult(outputs=outputs, loss=loss, selection_signature=signature)
+    return ForwardResult(outputs, state["loss"], signature, inputs, runs)

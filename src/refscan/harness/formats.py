@@ -9,6 +9,7 @@ the first violation with its line number.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -107,7 +108,10 @@ def _int_field(obj: dict, name: str, line_no: int) -> int:
         raise ParseError(f"{name} must be an integer, got {obj[name]!r}", line=line_no, field=name) from exc
 
 
-def _parse_record(obj: dict, line_no: int, path: Path, num_classes: int | None) -> SampleRecord:
+def _parse_record(
+    obj: dict, line_no: int, path: Path, root: str, num_classes: int | None
+) -> SampleRecord:
+    """One annotation line; ``root`` is the annotation file's resolved directory."""
     for name in _REQUIRED_FIELDS:
         if name not in obj:
             raise ParseError("missing field", line=line_no, field=name)
@@ -155,14 +159,15 @@ def _parse_record(obj: dict, line_no: int, path: Path, num_classes: int | None) 
         except Exception as exc:
             raise ParseError(f"detection {k}: {exc}", line=line_no, field="detections") from exc
     features_ref = str(obj["features_ref"])
-    root, ref = path.parent, Path(features_ref)
-    if ref.is_absolute() or ".." in ref.parts:
+    # resolved, so that no absolute path, ".." or symlink leads out of the root
+    target = os.path.realpath(os.path.join(root, features_ref))
+    if not target.startswith(os.path.join(root, "")):
         raise ParseError(
             f"{path}: features file {features_ref!r} lies outside the dataset root {root}",
             line=line_no,
             field="features_ref",
         )
-    if not (root / features_ref).exists():
+    if not os.path.exists(target):
         raise ParseError(
             f"features file {features_ref!r} not found under {root}",
             line=line_no,
@@ -185,6 +190,7 @@ def load_annotations(path, num_classes: int | None = None) -> list[SampleRecord]
     path = Path(path)
     if not path.exists():
         raise ParseError(f"annotation file {path} does not exist")
+    root = os.path.realpath(path.parent)
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -195,7 +201,7 @@ def load_annotations(path, num_classes: int | None = None) -> list[SampleRecord]
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            records.append(_parse_record(obj, line_no, path, num_classes))
+            records.append(_parse_record(obj, line_no, path, root, num_classes))
     return records
 
 

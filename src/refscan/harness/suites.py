@@ -121,13 +121,23 @@ def model_loss_fn(samples, params, config, encoder):
     """Batch-mean training loss with the retrieval-selection signature.
 
     Each sample is prepared once: keyword retrieval and pooling read no
-    parameter, so no perturbation changes them. Scene tokens and their
-    retrieval read ``scene_proj`` and still run in every evaluation.
+    parameter, so no perturbation changes them. The first evaluation, the
+    unperturbed one ``grad_check`` differentiates, runs every stage of
+    ``forward`` and is kept; each later one passes it as ``prior``, so it
+    reruns only from the first stage that reads a parameter whose value
+    differs from that evaluation's: heads and loss for a ``head.*`` scalar,
+    from the cross-attention for ``attn.*``, from the scans for ``ssm.*``,
+    and everything for ``scene_proj``. Losses and signatures are bitwise a
+    full forward's.
     """
     prepared = [prepare_sample(s, config) for s in samples]
+    baseline = None
 
     def fn(pv):
-        res = forward(prepared, params, config, encoder, param_vars=pv)
+        nonlocal baseline
+        res = forward(prepared, params, config, encoder, param_vars=pv, prior=baseline)
+        if baseline is None:
+            baseline = res
         return res.loss, res.selection_signature
 
     return fn

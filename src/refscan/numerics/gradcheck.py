@@ -51,8 +51,8 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _eval(loss_fn: LossFn, params: ParamStore) -> tuple[Var, object]:
-    out = loss_fn(params.as_vars())
+def _eval(loss_fn: LossFn, param_vars: Mapping[str, Var]) -> tuple[Var, object]:
+    out = loss_fn(param_vars)
     if isinstance(out, tuple):
         loss, sig = out
     else:
@@ -66,6 +66,8 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
     Relative error per entry is |a - n| / max(1, |a|, |n|). Entries whose
     perturbation changes the selection signature are skipped rather than
     compared; a non-finite loss flags the parameter and aborts the check.
+    The perturbed evaluations are never differentiated, so they reuse the
+    baseline's leaf Vars, which view the parameter values being perturbed.
     """
     if eps <= 0:
         raise ConfigError(f"grad_check: eps must be positive, got {eps}")
@@ -73,8 +75,7 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
     report = GradCheckReport(eps=eps)
 
     pv = params.as_vars()
-    out = loss_fn(pv)
-    loss_var, base_sig = (out if isinstance(out, tuple) else (out, None))
+    loss_var, base_sig = _eval(loss_fn, pv)
     base_loss = float(loss_var.value)
     if not math.isfinite(base_loss):
         report.aborted = True
@@ -93,9 +94,9 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            loss_p, sig_p = _eval(loss_fn, params)
+            loss_p, sig_p = _eval(loss_fn, pv)
             flat[i] = orig - eps
-            loss_m, sig_m = _eval(loss_fn, params)
+            loss_m, sig_m = _eval(loss_fn, pv)
             flat[i] = orig
 
             lp, lm = float(loss_p.value), float(loss_m.value)

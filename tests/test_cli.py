@@ -108,7 +108,10 @@ def test_eval_truncated_tensor_nonzero_exit(dataset, tmp_path, capsys):
     assert victim.name in err and "truncated header" in err
 
 
-def test_eval_features_ref_escaping_root_exits_1(dataset, tmp_path, capsys):
+def eval_with_features_ref_outside(dataset, tmp_path, capsys, point_at) -> str:
+    """Train, then point the first record's ``features_ref`` (through
+    ``point_at(outside file) -> ref``) at a copy of its tensor outside the
+    dataset root; eval must exit 1. Returns stderr."""
     cfg = small_train_config(tmp_path)
     ckpt = tmp_path / "model.ckpt"
     assert main(["train", "--data", str(dataset), "--config", str(cfg),
@@ -118,13 +121,26 @@ def test_eval_features_ref_escaping_root_exits_1(dataset, tmp_path, capsys):
     obj = json.loads(lines[0])
     outside = tmp_path / "outside.rten"
     outside.write_bytes((dataset / obj["features_ref"]).read_bytes())
-    obj["features_ref"] = "../outside.rten"
+    obj["features_ref"] = point_at(outside)
     lines[0] = json.dumps(obj)
     path.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset),
                  "--report", str(tmp_path / "r.json")]) == 1
-    err = capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+def test_eval_features_ref_escaping_root_exits_1(dataset, tmp_path, capsys):
+    err = eval_with_features_ref_outside(dataset, tmp_path, capsys, lambda outside: "../outside.rten")
     assert "annotations.jsonl" in err and "features_ref" in err and "Traceback" not in err
+
+
+def test_eval_features_ref_symlink_out_of_root_exits_1(dataset, tmp_path, capsys):
+    def link(outside):
+        (dataset / "features" / "link.rten").symlink_to(outside)
+        return "features/link.rten"
+
+    err = eval_with_features_ref_outside(dataset, tmp_path, capsys, link)
+    assert "annotations.jsonl" in err and "line 1" in err and "features_ref" in err and "Traceback" not in err
 
 
 def test_gen_config_file_with_flag_override(tmp_path):

@@ -90,12 +90,15 @@ class TestAnnotations:
         with pytest.raises(ParseError, match="features_ref"):
             load_annotations(tmp_path / "annotations.jsonl")
 
-    @pytest.mark.parametrize("escape", ["../outside.rten", "features/../../outside.rten", "absolute"])
+    @pytest.mark.parametrize("escape", ["../outside.rten", "features/../../outside.rten", "absolute", "symlink"])
     def test_features_ref_outside_root(self, tmp_path, escape):
         root = tmp_path / "data"
         generate_fixtures(SMALL_GEN, root)
         outside = tmp_path / "outside.rten"  # exists, so only the confinement check can reject it
         outside.write_bytes(next((root / "features").iterdir()).read_bytes())
+        if escape == "symlink":  # a link inside the root that points out of it
+            (root / "features" / "link.rten").symlink_to(outside)
+            escape = "features/link.rten"
         path = root / "annotations.jsonl"
         lines = path.read_text().splitlines()
         obj = json.loads(lines[1])
