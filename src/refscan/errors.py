@@ -43,8 +43,8 @@ class MetricError(RefScanError):
 
 
 class PipelineError(RefScanError):
-    """Forward-pass failure, tagged with the stage that raised it: one of
-    ``fusion.STAGES`` (semantics, retrieval, ssm, fusion, heads, loss)."""
+    """Forward-pass failure, tagged with the stage of the unit that raised
+    it: semantics, retrieval, ssm, fusion, heads or loss."""
 
     def __init__(self, stage: str, cause: Exception):
         self.stage = stage

@@ -34,19 +34,22 @@ read ``scene_proj``, a parameter, so ``forward`` builds them on every call.
 spot, so a training loop can prepare each sample once while evaluation,
 which sees each sample once, passes raw samples.
 
-``forward`` is an ordered list of named stages, ``STAGES``, each with the
-parameter-name prefixes it reads: ``semantics`` (scene tokens,
-``scene_proj.``), ``retrieval`` (scene-attribute picks), ``ssm`` (the four
-scans, ``ssm.``), ``fusion`` (cross-attention and hierarchy pooling,
-``attn.``), ``heads`` (``head.``) and ``loss``. One driver runs them: it
-tags a stage's error as ``PipelineError(stage)`` and keeps each stage's
-outputs with its part of the selection signature and the bytes of the
-parameter values it read. Given such a prior run of the same batch,
-``forward`` starts at the first stage whose read values differ bitwise, and
-reuses the outputs of the stages before it. The gradient check perturbs
-one scalar at a time and so reruns only the heads and loss for a
-``head.*`` scalar; training and evaluation pass no prior and run every
-stage.
+``forward`` runs one ``Unit`` per layer instance: scene tokens
+(``scene_proj.``), scene-attribute retrieval, each scan (``ssm.keyword.``,
+``ssm.scene.``, ``ssm.holistic_<branch>.``), each (hierarchy, branch)
+cross-attention (``attn.<hierarchy>.<branch>.``), each branch's hierarchy
+pooling, each head (``head.<branch>.<head>.``) and the loss. Each declares
+the parameter prefix it reads and the units it consumes; a unit no output
+consumes is not built. One driver runs them in order, tags a unit's error
+as ``PipelineError(stage)`` with the stage names ``semantics``,
+``retrieval``, ``ssm``, ``fusion``, ``heads`` and ``loss``, and keeps each
+unit's output with its part of the selection signature and the bytes of
+the parameter values it read. Given such a prior run of the same batch,
+``forward`` reruns a unit only if its read values differ bitwise or a unit
+it consumes changed its output; scene-attribute picks equal to the prior's
+stop a ``scene_proj`` rerun at retrieval. The gradient check perturbs one
+scalar at a time, so a ``head.*`` scalar reruns one head and the loss;
+training and evaluation pass no prior and run every unit.
 """
 
 from __future__ import annotations
@@ -444,7 +447,7 @@ class ModelOutput:
 @dataclass
 class ForwardResult:
     """One batch: per-sample outputs and signatures, the batch-mean loss, and
-    the inputs and stage runs that a later call can take as its ``prior``.
+    the inputs and unit runs that a later call can take as its ``prior``.
 
     Each sample's selection signature records its retrieval picks and the
     ReLU and BCE-clamp masks: a perturbation that changes it crosses a kink
@@ -455,7 +458,8 @@ class ForwardResult:
     loss: Var | None
     selection_signature: tuple
     inputs: BatchInputs = field(repr=False)
-    stages: list[StageRun] = field(repr=False)
+    runs: list[UnitRun] = field(repr=False)
+    values: dict[str, bytes] = field(repr=False)  # the bytes of each parameter value
 
     @property
     def output(self) -> ModelOutput:
@@ -575,12 +579,34 @@ def scene_tokens_var(x: Var, p: SsmParamVars, counts: np.ndarray) -> Var:
     return Var(mean.transpose(1, 0, 2), (scans,), vjp)
 
 
-# -- the stages of the forward --------------------------------------------------
+# -- the layer instances of the forward -----------------------------------------
+
+
+@dataclass(frozen=True)
+class Unit:
+    """One layer instance of ``forward``, the unit a prior run lets it reuse.
+
+    ``run(inputs, param_vars, *consumed)`` takes the outputs of the earlier
+    units at the indices in ``consumes``, in that order, and returns the
+    unit's output and its per-sample part of the selection signature (None
+    for no part). A unit reads parameters only under the prefixes in
+    ``reads``, and nothing else but the batch inputs and what it consumes.
+    ``stage`` is its ``PipelineError`` tag. A ``settles`` unit's output is
+    fixed by its signature part, so a rerun whose part equals the prior's
+    changes nothing downstream.
+    """
+
+    key: str
+    stage: str
+    reads: tuple[str, ...]
+    consumes: tuple[int, ...]
+    run: Callable[..., tuple[object, list[tuple] | None]]
+    settles: bool = False
 
 
 @dataclass
 class BatchInputs:
-    """What the stages of ``forward`` read besides the parameters.
+    """What the units of ``forward`` read besides the parameters, and the units.
 
     Built once per call from the batch as passed (``items``), or taken from
     the prior run: everything here depends on the samples and the config
@@ -596,12 +622,12 @@ class BatchInputs:
     branches: list[str]  # the enabled branches, in BRANCHES order
     kw_counts: np.ndarray  # (B,) keyword trajectories per sample
     use_kw: np.ndarray  # (B,) bool
-    kw_input: np.ndarray | None  # keyword scan input, (T, B * max K, d)
+    kw_input: np.ndarray | None  # keyword scan input, (T, B * max K, d); None: no keyword scan
     kw_mask: np.ndarray | None  # real keyword and prompt query rows (None: all)
-    holistic: np.ndarray  # (B, max words, d) padded holistic query rows
-    holistic_counts: np.ndarray  # (B,) real holistic rows
-    holistic_mask: np.ndarray | None
+    kw_signature: list[tuple]  # per sample: its keyword picks, when they feed an output
+    holistic: tuple  # the holistic query: (B, max words, d) leaf, row counts, row mask, used
     pooled: dict[str, np.ndarray]  # per branch: time-major (steps, B, d) scan input
+    units: tuple[Unit, ...]
 
 
 def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -> BatchInputs:
@@ -619,11 +645,12 @@ def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -
     kw_counts = np.array([len(p.kw_indices) for p in prepared])
     use_kw = config.use_keyword & (kw_counts > 0)
     kw_input = kw_mask = None
-    if use_kw.any():
+    if config.use_mhs_ca and use_kw.any():
         kw_input = _trajectory_input(
             [s.grid for s in samples], [p.kw_indices for p in prepared], kw_counts, grid_shape
         )
         kw_mask = _row_mask(kw_counts, int(kw_counts.max()), config.n_prompts)
+    picks_used = config.use_mhs_ca and config.use_keyword
     holistic = _pad_rows([s.reference.holistic for s in samples])
     holistic_counts = np.array([s.reference.holistic.shape[0] for s in samples])
     return BatchInputs(
@@ -638,18 +665,31 @@ def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -
         use_kw=use_kw,
         kw_input=kw_input,
         kw_mask=kw_mask,
-        holistic=holistic,
-        holistic_counts=holistic_counts,
-        holistic_mask=_row_mask(holistic_counts, holistic.shape[1], config.n_prompts),
+        kw_signature=[(p.kw_signature,) if picks_used else () for p in prepared],
+        holistic=(
+            Var(holistic),
+            holistic_counts,
+            _row_mask(holistic_counts, holistic.shape[1], config.n_prompts),
+            np.ones(len(samples), dtype=bool),
+        ),
         pooled={b: np.stack([p.pooled[b] for p in prepared], axis=1) for b in branches},
+        units=_units(
+            tuple(branches),
+            attend=config.use_mhs_ca,
+            holistic=config.use_holistic,
+            keyword=kw_input is not None,
+            scene=config.use_attribute and config.use_mhs_ca,
+            check=not (config.use_holistic or use_kw.all()),
+        ),
     )
 
 
-def _mask_signature(masks: list[np.ndarray], n_b: int) -> list[tuple]:
-    return [tuple(mask[b].tobytes() for mask in masks) for b in range(n_b)]
+def _mask_signature(masks: list[np.ndarray]) -> list[tuple]:
+    """Per sample, the bytes of its slice of each (B, ...) mask."""
+    return list(zip(*[[m.tobytes() for m in mask] for mask in masks]))
 
 
-def _semantics(x: BatchInputs, pv: dict[str, Var], state: dict):
+def _scene_tokens(x: BatchInputs, pv: dict[str, Var]):
     """Scene-attribute token vectors, (K_bs, d), of each sample's detections."""
     w, b = pv["scene_proj.w"].value, pv["scene_proj.b"].value
     queries = []
@@ -663,145 +703,161 @@ def _semantics(x: BatchInputs, pv: dict[str, Var], state: dict):
             max_count=x.config.max_detections,
         )
         queries.append(np.stack([t.vector for t in tokens]) if tokens else np.zeros((0, s.grid.dim)))
-    return {"scene_queries": queries}, None
+    return queries, None
 
 
-def _retrieval(x: BatchInputs, pv: dict[str, Var], state: dict):
-    """Scene-attribute retrieval (keyword picks come prepared); the signature
-    part is both hierarchies' picks."""
-    sets = [
-        build_trajectory_set(q, s.grid, "scene-attribute")
-        for q, s in zip(state["scene_queries"], x.samples)
-    ]
+def _scene_retrieval(signed: bool, x: BatchInputs, pv: dict[str, Var], queries: list[np.ndarray]):
+    """Scene-attribute picks, and with ``signed`` (they feed the scene scan)
+    the picks as the signature part. Also rejects a sample no hierarchy serves."""
+    sets = [build_trajectory_set(q, s.grid, "scene-attribute") for q, s in zip(queries, x.samples)]
     bs_counts = np.array([len(t) for t in sets])
     use_bv = x.config.use_attribute & (bs_counts > 0)
     for b, s in enumerate(x.samples):
         if not (x.config.use_holistic or x.use_kw[b] or use_bv[b]):
             raise ConfigError(f"all hierarchies disabled for sample {s.sample_id!r}")
-    outputs = {
+    picks = {
         "bs_indices": [_pick_indices(t, x.grid_shape[0]) for t in sets],
         "bs_counts": bs_counts,
         "use_bv": use_bv,
     }
-    return outputs, [(p.kw_signature, t.indices_signature()) for p, t in zip(x.prepared, sets)]
+    return picks, [(t.indices_signature(),) for t in sets] if signed else None
 
 
-def _ssm(x: BatchInputs, pv: dict[str, Var], state: dict):
-    """The keyword and scene-attribute trajectory scans, then each branch's
-    holistic scan, whose (B, steps, d_s) output the fusion attends over."""
-    t_kw = h_bs = None
-    if x.kw_input is not None:
-        t_kw = keyword_tokens_var(Var(x.kw_input), _ssm_vars(pv, "keyword"), len(x.samples))
-    if state["use_bv"].any():
-        grids = [s.grid for s in x.samples]
-        bs_input = _trajectory_input(grids, state["bs_indices"], state["bs_counts"], x.grid_shape)
-        h_bs = scene_tokens_var(Var(bs_input), _ssm_vars(pv, "scene"), state["bs_counts"])
-    enhanced = {}
-    for branch in x.branches:
-        scans = scan_var(Var(x.pooled[branch]), _ssm_vars(pv, f"holistic_{branch}"))
-        enhanced[branch] = tape.transpose(scans, (1, 0, 2))
-    return {"t_kw": t_kw, "h_bs": h_bs, "enhanced": enhanced}, None
+def _keyword_scan(x: BatchInputs, pv: dict[str, Var]):
+    """The keyword query: (B, K, d_s) tokens, row counts, row mask, used."""
+    t_kw = keyword_tokens_var(Var(x.kw_input), _ssm_vars(pv, "keyword"), len(x.samples))
+    return (t_kw, x.kw_counts, x.kw_mask, x.use_kw), None
 
 
-def _fusion(x: BatchInputs, pv: dict[str, Var], state: dict):
-    """Each branch's (B, 1, d_a) vector z: every used hierarchy's
-    cross-attention over the enhanced tokens, pooled (with cross-attention
-    off, the enhanced tokens pooled)."""
-    every = np.ones(len(x.samples), dtype=bool)
-    queries: list[tuple[str, Var, np.ndarray | None, np.ndarray | None, np.ndarray]] = []
-    if x.config.use_holistic:
-        queries.append(("rv", Var(x.holistic), x.holistic_counts, x.holistic_mask, every))
-    if state["t_kw"] is not None:
-        queries.append(("kwv", state["t_kw"], x.kw_counts, x.kw_mask, x.use_kw))
-    if state["h_bs"] is not None:
-        queries.append(("bv", state["h_bs"], None, None, state["use_bv"]))
-    z = {}
-    for branch, enhanced in state["enhanced"].items():
-        if x.config.use_mhs_ca:
-            parts = []
-            for tag, q, counts, mask, used in queries:
-                out = cross_attention_var(q, enhanced, _attn_vars(pv, tag, branch), counts)
-                parts.append((out, mask, used))
-        else:
-            parts = [(enhanced, None, every)]
-        z[branch] = pool_hierarchies_var(parts)
-    return {"z": z}, None
+def _scene_scan(x: BatchInputs, pv: dict[str, Var], picks: dict):
+    """The scene-attribute query, (B, T, d_s) tokens with every row real;
+    None when no sample has one."""
+    if not picks["use_bv"].any():
+        return None, None
+    grids = [s.grid for s in x.samples]
+    bs_input = _trajectory_input(grids, picks["bs_indices"], picks["bs_counts"], x.grid_shape)
+    h_bs = scene_tokens_var(Var(bs_input), _ssm_vars(pv, "scene"), picks["bs_counts"])
+    return (h_bs, None, None, picks["use_bv"]), None
 
 
-def _heads(x: BatchInputs, pv: dict[str, Var], state: dict):
-    """Each branch's box and class heads; the signature part is their ReLU masks."""
-    bbox, probs, kinks = {}, {}, []
-    for branch, z in state["z"].items():
-        bbox[branch], reg_kinks = head_var(z, _head_vars(pv, branch, "reg"))
-        probs[branch], cls_kinks = head_var(z, _head_vars(pv, branch, "cls"))
-        kinks += [reg_kinks, cls_kinks]
-    return {"bbox": bbox, "probs": probs}, _mask_signature(kinks, len(x.samples))
+def _holistic_scan(branch: str, x: BatchInputs, pv: dict[str, Var]):
+    """The branch's (B, steps, d_s) enhanced tokens, which the attentions attend over."""
+    scans = scan_var(Var(x.pooled[branch]), _ssm_vars(pv, f"holistic_{branch}"))
+    return tape.transpose(scans, (1, 0, 2)), None
 
 
-def _loss(x: BatchInputs, pv: dict[str, Var], state: dict):
-    """The batch-mean loss when every sample has targets; the signature part
-    is its clamp bands."""
+def _attention(tag: str, branch: str, x: BatchInputs, pv: dict[str, Var], enhanced: Var, query=None):
+    """One hierarchy's cross-attention over the enhanced tokens, as a pooling
+    part ``(out, mask, used)``; None when no sample has the hierarchy."""
+    q = x.holistic if tag == "rv" else query
+    if q is None:
+        return None, None
+    queries, counts, mask, used = q
+    return (cross_attention_var(queries, enhanced, _attn_vars(pv, tag, branch), counts), mask, used), None
+
+
+def _pool(x: BatchInputs, pv: dict[str, Var], *parts):
+    """The branch's (B, 1, d_a) vector z: the used hierarchies' attention
+    outputs pooled (with cross-attention off, the enhanced tokens pooled)."""
+    if not x.config.use_mhs_ca:
+        parts = ((parts[0], None, np.ones(len(x.samples), dtype=bool)),)
+    return pool_hierarchies_var([p for p in parts if p is not None]), None
+
+
+def _head(branch: str, head: str, x: BatchInputs, pv: dict[str, Var], z: Var):
+    """One head's prediction; the signature part is its ReLU mask."""
+    y, kinks = head_var(z, _head_vars(pv, branch, head))
+    return y, _mask_signature([kinks])
+
+
+def _loss(x: BatchInputs, pv: dict[str, Var], *predictions: Var):
+    """The batch-mean loss over each branch's (box, class) predictions when
+    every sample has targets; the signature part is its clamp bands."""
     if not all(s.gt_bbox is not None and s.labels is not None for s in x.samples):
-        return {"loss": None}, None
+        return None, None
     gt = np.stack([np.asarray(s.gt_bbox, dtype=np.float64).reshape(1, -1) for s in x.samples])
     labels = np.stack([np.asarray(s.labels, dtype=np.float64).reshape(1, -1) for s in x.samples])
     loss, bands = loss_var(
-        list(state["bbox"].values()),
-        list(state["probs"].values()),
+        list(predictions[0::2]),
+        list(predictions[1::2]),
         gt,
         labels,
         x.config.lambda_box,
         x.config.aux_branch_loss,
     )
-    return {"loss": loss}, _mask_signature(bands, len(x.samples))
+    return loss, _mask_signature(bands)
 
 
-@dataclass(frozen=True)
-class Stage:
-    """One named step of ``forward`` and the parameter-name prefixes it reads.
+@functools.lru_cache(maxsize=32)
+def _units(
+    branches: tuple[str, ...], attend: bool, holistic: bool, keyword: bool, scene: bool, check: bool
+) -> tuple[Unit, ...]:
+    """The units a batch runs, in order, each wired to the units it consumes;
+    built once per batch structure and shared by every batch of it.
 
-    ``run(inputs, param_vars, state)`` returns the stage's outputs, which the
-    stages after it find in ``state``, and its per-sample part of the
-    selection signature (None for no part). A stage reads parameters only
-    through the declared prefixes; the outputs of the stages before it
-    carry everything else it depends on.
+    ``attend``: cross-attention is on. ``holistic``: the holistic queries
+    are. ``keyword``: keyword queries feed the attentions. ``scene``:
+    scene-attribute queries do. ``check``: a sample has neither holistic nor
+    keyword queries, so the hierarchy check needs its scene-attribute picks.
+    A unit no output consumes is left out: without cross-attention the
+    keyword and scene-attribute scans and every attention; the scene tokens
+    and their retrieval too, unless ``check`` needs them. Whether a
+    scene-attribute attention has queries depends on the picks, so it is
+    kept and returns None when no sample has any.
     """
+    units: list[Unit] = []
+    index: dict[str, int] = {}
 
-    name: str  # a PipelineError stage name
-    reads: tuple[str, ...]
-    run: Callable[[BatchInputs, dict[str, Var], dict], tuple[dict, list[tuple] | None]]
+    def add(key, stage, run, reads=(), consumes=(), settles=False):
+        index[key] = len(units)
+        units.append(Unit(key, stage, reads, tuple(index[k] for k in consumes), run, settles))
+
+    if scene or check:
+        add("semantics", "semantics", _scene_tokens, reads=("scene_proj.",))
+        run = functools.partial(_scene_retrieval, scene)
+        add("retrieval", "retrieval", run, consumes=("semantics",), settles=True)
+    queries = [("rv", ())] if holistic else []
+    if keyword:
+        add("ssm.keyword", "ssm", _keyword_scan, reads=("ssm.keyword.",))
+        queries.append(("kwv", ("ssm.keyword",)))
+    if scene:
+        add("ssm.scene", "ssm", _scene_scan, reads=("ssm.scene.",), consumes=("retrieval",))
+        queries.append(("bv", ("ssm.scene",)))
+    for branch in branches:
+        key = f"ssm.holistic_{branch}"
+        add(key, "ssm", functools.partial(_holistic_scan, branch), reads=(f"{key}.",))
+    heads = []
+    for branch in branches:
+        enhanced = f"ssm.holistic_{branch}"
+        if attend:
+            parts = [f"attn.{tag}.{branch}" for tag, _ in queries]
+            for (tag, query), key in zip(queries, parts):
+                run = functools.partial(_attention, tag, branch)
+                add(key, "fusion", run, reads=(f"{key}.",), consumes=(enhanced, *query))
+        else:
+            parts = [enhanced]
+        add(f"pool.{branch}", "fusion", _pool, consumes=parts)
+    for branch in branches:
+        for head in ("reg", "cls"):
+            key = f"head.{branch}.{head}"
+            run = functools.partial(_head, branch, head)
+            add(key, "heads", run, reads=(f"{key}.",), consumes=(f"pool.{branch}",))
+            heads.append(key)
+    add("loss", "loss", _loss, consumes=heads)
+    return tuple(units)
 
 
-STAGES = (
-    Stage("semantics", ("scene_proj.",), _semantics),
-    Stage("retrieval", (), _retrieval),
-    Stage("ssm", ("ssm.",), _ssm),
-    Stage("fusion", ("attn.",), _fusion),
-    Stage("heads", ("head.",), _heads),
-    Stage("loss", (), _loss),
-)
+@dataclass(slots=True)
+class UnitRun:
+    """One unit's output and signature part, which a later call reuses while
+    the unit's read values and consumed outputs stay as they were."""
 
-
-@dataclass
-class StageRun:
-    """One stage's outputs and signature part, with the bytes of the
-    parameter values it read: a later call whose values match reuses them."""
-
-    stage: str
-    read_bytes: bytes
-    outputs: dict
+    output: object
     signature: list[tuple] | None
+    refusing: object = None  # the output as refusing leaves, made on first reuse
 
 
-@functools.lru_cache(maxsize=16)
-def _names_read(
-    reads: tuple[tuple[str, ...], ...], names: tuple[str, ...]
-) -> tuple[tuple[str, ...], ...]:
-    """Per stage's prefixes in ``reads``, the parameter names among ``names`` it reads."""
-    return tuple(tuple(n for n in names if n.startswith(prefixes)) for prefixes in reads)
-
-
-def _reused(value, stage: str):
+def _refusing(value, key: str):
     """``value`` with each Var swapped for a leaf of the same value whose
     backward raises: its graph, and its parameter leaves, belong to the run
     that made it."""
@@ -809,46 +865,63 @@ def _reused(value, stage: str):
 
         def refuse(g: np.ndarray):
             raise InputError(
-                f"backward reached a {stage!r} output reused from a prior forward; "
+                f"backward reached the {key!r} output reused from a prior forward; "
                 "differentiate a forward run without prior"
             )
 
         return Var(value.value, (), refuse)
     if isinstance(value, dict):
-        return {k: _reused(v, stage) for k, v in value.items()}
+        return {k: _refusing(v, key) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return type(value)(_reused(v, stage) for v in value)
+        return type(value)(_refusing(v, key) for v in value)
     return value
 
 
-def _run_stages(
-    inputs: BatchInputs, pv: dict[str, Var], prior: list[StageRun] | None
-) -> tuple[dict, list[StageRun]]:
-    """Run the stages in order; a stage's error becomes ``PipelineError(stage)``.
+@functools.lru_cache(maxsize=16)
+def _names_read(
+    reads: tuple[tuple[str, ...], ...], names: tuple[str, ...]
+) -> tuple[tuple[str, ...], ...]:
+    """Per unit's prefixes in ``reads``, the parameter names among ``names`` it reads."""
+    return tuple(tuple(n for n in names if n.startswith(prefixes)) for prefixes in reads)
 
-    With ``prior``, the stage runs of an earlier call on the same inputs,
-    each stage before the first whose read parameter values differ bitwise
-    from that run's reuses its prior outputs instead of running.
+
+def _run_units(
+    x: BatchInputs, pv: dict[str, Var], prior: ForwardResult | None
+) -> tuple[list, list[UnitRun], dict[str, bytes]]:
+    """Run the units in order; a unit's error becomes ``PipelineError(stage)``.
+
+    Also returns the bytes of every parameter value. With ``prior``, an
+    earlier call on the same inputs, a unit none of whose read values
+    differ bitwise from that call's, and none of whose consumed units
+    changed, reuses its prior output instead of running. A unit that runs
+    changes, unless it settles back to its prior signature part.
     """
-    state: dict = {}
-    runs: list[StageRun] = []
-    reuse = prior is not None
-    stages = STAGES
-    groups = _names_read(tuple(s.reads for s in stages), tuple(pv))
-    for k, (stage, names) in enumerate(zip(stages, groups)):
-        read = b"".join([pv[name].value.tobytes() for name in names])
-        reuse = reuse and prior[k].read_bytes == read
-        if reuse:
-            state.update(_reused(prior[k].outputs, stage.name))
-            runs.append(prior[k])
+    units = x.units
+    values = {name: var.value.tobytes() for name, var in pv.items()}
+    if prior is None:
+        changed = [True] * len(units)
+    else:
+        moved = {name for name, b in values.items() if b != prior.values.get(name)}
+        groups = _names_read(tuple(u.reads for u in units), tuple(pv))
+        changed = [not moved.isdisjoint(names) for names in groups]
+    outputs: list = []
+    runs: list[UnitRun] = []
+    for k, unit in enumerate(units):
+        if not changed[k] and not any(changed[i] for i in unit.consumes):
+            before = prior.runs[k]
+            if before.refusing is None:
+                before.refusing = _refusing(before.output, unit.key)
+            outputs.append(before.refusing)
+            runs.append(before)
             continue
         try:
-            outputs, signature = stage.run(inputs, pv, state)
+            output, signature = unit.run(x, pv, *[outputs[i] for i in unit.consumes])
         except Exception as exc:
-            raise PipelineError(stage.name, exc) from exc
-        state.update(outputs)
-        runs.append(StageRun(stage.name, read, outputs, signature))
-    return state, runs
+            raise PipelineError(unit.stage, exc) from exc
+        changed[k] = not (unit.settles and prior is not None and signature == prior.runs[k].signature)
+        outputs.append(output)
+        runs.append(UnitRun(output, signature))
+    return outputs, runs, values
 
 
 # -- full forward ---------------------------------------------------------------
@@ -862,7 +935,7 @@ def forward(
     param_vars: dict[str, Var] | None = None,
     prior: ForwardResult | None = None,
 ) -> ForwardResult:
-    """Run the stages (``STAGES``) over one sample or a batch.
+    """Run the units (one per layer instance) over one sample or a batch.
 
     ``samples`` is raw or prepared; a raw sample is prepared on the spot.
     The grids of a batch must share one shape. The loss, present when every
@@ -870,11 +943,11 @@ def forward(
     keep the leaf Vars whose gradients one backward pass accumulates.
 
     ``prior`` is the result of an earlier call on the same batch objects,
-    config and encoder. The stages before the first one that reads a
-    parameter whose value changed since then are not run again: their
-    outputs are reused, so outputs, loss and signatures come out bitwise as
-    a full run's. Backward through a reused output raises; differentiate a
-    run made without prior.
+    config and encoder. A unit is run again only if a parameter it reads
+    changed value since then or a unit it consumes changed its output;
+    every other unit's output is reused, so outputs, loss and signatures
+    come out bitwise as a full run's. Backward through a reused output
+    raises; differentiate a run made without prior.
     """
     items = [samples] if isinstance(samples, (PipelineSample, PreparedSample)) else list(samples)
     if prior is None:
@@ -885,29 +958,30 @@ def forward(
         if not same or encoder is not inputs.encoder or config != inputs.config:
             raise InputError("forward: prior comes from another batch, config or encoder")
     pv = params.as_vars() if param_vars is None else param_vars
-    state, runs = _run_stages(inputs, pv, None if prior is None else prior.stages)
+    results, runs, values = _run_units(inputs, pv, prior)
+    out = {unit.key: result for unit, result in zip(inputs.units, results)}
 
-    heads = [(state["bbox"][b].value, state["probs"][b].value) for b in inputs.branches]
+    heads = [(out[f"head.{b}.reg"].value, out[f"head.{b}.cls"].value) for b in inputs.branches]
     bbox, probs = fuse_predictions(*heads)
 
-    def _value(parts: dict[str, Var], branch: str, b: int):
-        return parts[branch].value[b, 0] if branch in parts else None
+    def _value(key: str, b: int):
+        return out[key].value[b, 0] if key in out else None
 
     outputs = [
         ModelOutput(
             bbox=bbox[b, 0].copy(),
             class_probs=probs[b, 0].copy(),
-            bbox_temporal=_value(state["bbox"], "temporal", b),
-            probs_temporal=_value(state["probs"], "temporal", b),
-            bbox_spatial=_value(state["bbox"], "spatial", b),
-            probs_spatial=_value(state["probs"], "spatial", b),
-            z_temporal=_value(state["z"], "temporal", b),
-            z_spatial=_value(state["z"], "spatial", b),
+            bbox_temporal=_value("head.temporal.reg", b),
+            probs_temporal=_value("head.temporal.cls", b),
+            bbox_spatial=_value("head.spatial.reg", b),
+            probs_spatial=_value("head.spatial.cls", b),
+            z_temporal=_value("pool.temporal", b),
+            z_spatial=_value("pool.spatial", b),
         )
         for b in range(len(items))
     ]
+    parts = [run.signature for run in runs if run.signature is not None]
     signature = tuple(
-        sum((run.signature[b] for run in runs if run.signature is not None), ())
-        for b in range(len(items))
+        sum((part[b] for part in parts), inputs.kw_signature[b]) for b in range(len(items))
     )
-    return ForwardResult(outputs, state["loss"], signature, inputs, runs)
+    return ForwardResult(outputs, out["loss"], signature, inputs, runs, values)

@@ -122,13 +122,14 @@ def model_loss_fn(samples, params, config, encoder):
 
     Each sample is prepared once: keyword retrieval and pooling read no
     parameter, so no perturbation changes them. The first evaluation, the
-    unperturbed one ``grad_check`` differentiates, runs every stage of
-    ``forward`` and is kept; each later one passes it as ``prior``, so it
-    reruns only from the first stage that reads a parameter whose value
-    differs from that evaluation's: heads and loss for a ``head.*`` scalar,
-    from the cross-attention for ``attn.*``, from the scans for ``ssm.*``,
-    and everything for ``scene_proj``. Losses and signatures are bitwise a
-    full forward's.
+    unperturbed one ``grad_check`` differentiates, runs the whole forward
+    and is kept; each later one passes it as ``prior``, so it reruns only
+    the layer instances whose read parameters differ from that evaluation's
+    and what consumes them: one head and the loss for a ``head.*`` scalar,
+    one attention, its branch's pooling, heads and loss for ``attn.*``, one
+    scan and the attentions it feeds for ``ssm.*``, and the scene tokens and
+    retrieval for ``scene_proj`` (past them only when a pick flips). Losses
+    and signatures are bitwise a full forward's.
     """
     prepared = [prepare_sample(s, config) for s in samples]
     baseline = None

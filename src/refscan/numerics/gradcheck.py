@@ -65,12 +65,14 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
 
     Relative error per entry is |a - n| / max(1, |a|, |n|). Entries whose
     perturbation changes the selection signature are skipped rather than
-    compared; a non-finite loss flags the parameter and aborts the check.
-    The perturbed evaluations are never differentiated, so they reuse the
-    baseline's leaf Vars, which view the parameter values being perturbed.
+    compared; a non-finite loss flags the parameter and aborts the check,
+    and a non-finite analytic or numeric gradient entry fails it with an
+    infinite error. The perturbed evaluations are never differentiated, so
+    they reuse the baseline's leaf Vars, which view the parameter values
+    being perturbed.
     """
-    if eps <= 0:
-        raise ConfigError(f"grad_check: eps must be positive, got {eps}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ConfigError(f"grad_check: eps must be positive and finite, got {eps}")
 
     report = GradCheckReport(eps=eps)
 
@@ -112,6 +114,8 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
             numeric = (lp - lm) / (2.0 * eps)
             a = float(a_flat[i])
             rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
+            if not (math.isfinite(a) and math.isfinite(numeric)):
+                rel = math.inf
             row.checked += 1
             if rel > row.max_rel_err:
                 row.max_rel_err = rel

@@ -172,6 +172,13 @@ def test_gradcheck_subcommand(capsys, tmp_path):
     assert "overall max rel err" in out
 
 
+@pytest.mark.parametrize("eps", ["nan", "inf", "0"])
+def test_gradcheck_bad_eps_exits_1(capsys, eps):
+    assert main(["gradcheck", "--eps", eps]) == 1
+    err = capsys.readouterr().err
+    assert "eps must be positive and finite" in err and "Traceback" not in err
+
+
 def test_unknown_config_key_is_reported(dataset, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_field": 1}))

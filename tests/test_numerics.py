@@ -132,6 +132,26 @@ class TestGradCheck:
         with pytest.raises(ConfigError):
             grad_check(lambda pv: composed.sum_all(pv["w"]), params, eps=0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_rejects_nonfinite_eps(self, eps):
+        params = ParamStore()
+        params.add("w", np.array([1.0]))
+        with pytest.raises(ConfigError):
+            grad_check(lambda pv: composed.sum_all(pv["w"]), params, eps=eps)
+
+    def test_nonfinite_analytic_gradient_fails(self):
+        params = ParamStore()
+        params.add("w", np.array([1.0, 2.0]))
+
+        def loss_fn(pv):
+            w = pv["w"]
+            return Var(np.asarray(w.value.sum()), (w,), lambda g: (np.array([np.nan, 1.0]) * g,))
+
+        report = grad_check(loss_fn, params, eps=1e-5)
+        assert report.rows[0].checked == 2
+        assert report.max_rel_err == np.inf and np.isnan(report.rows[0].worst_analytic)
+        assert not report.passed(1e-4)
+
 
 class TestTapeOps:
     """FD spot checks for each composed reference op against random inputs."""
