@@ -40,21 +40,28 @@ which sees each sample once, passes raw samples.
 cross-attention (``attn.<hierarchy>.<branch>.``), each branch's hierarchy
 pooling, each head (``head.<branch>.<head>.``) and the loss. Each declares
 the parameter prefix it reads and the units it consumes; a unit no output
-consumes is not built. One driver runs them in order, tags a unit's error
-as ``PipelineError(stage)`` with the stage names ``semantics``,
-``retrieval``, ``ssm``, ``fusion``, ``heads`` and ``loss``, and keeps each
-unit's output with its part of the selection signature and the bytes of
-the parameter values it read. Given such a prior run of the same batch,
-``forward`` reruns a unit only if its read values differ bitwise or a unit
-it consumes changed its output; scene-attribute picks equal to the prior's
-stop a ``scene_proj`` rerun at retrieval. The gradient check perturbs one
-scalar at a time, so a ``head.*`` scalar reruns one head and the loss;
-training and evaluation pass no prior and run every unit.
+consumes is not built. What the units read besides the parameters (query
+row counts and their one-row slices, pooling weights, loss targets) is
+computed once per batch in ``BatchInputs``. One driver runs the units,
+tags a unit's error as ``PipelineError(stage)`` with the stage names
+``semantics``, ``retrieval``, ``ssm``, ``fusion``, ``heads`` and ``loss``,
+and keeps each unit's output with its part of the selection signature,
+plus one copy of the store's flat value vector. Given such a prior run of
+the same batch and store, ``forward`` compares the flat vector bitwise
+with the prior's copy, maps the moved scalars to the units reading them
+through a read mask (units x scalars), and visits only those units and
+the units consuming them, a plan cached per batch for each set of
+directly changed units; scene-attribute picks equal to the prior's stop a
+``scene_proj`` rerun at retrieval. The gradient check perturbs one scalar
+at a time, so a ``head.*`` scalar reruns one head and the loss. Training
+and evaluation pass no prior, and the same loop runs every unit; the
+per-sample ``ModelOutput``s are built only when read.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -64,7 +71,7 @@ from .config import TrainConfig
 from .errors import ConfigError, DimensionError, InputError, PipelineError
 from .numerics import ParamStore, uniform_init
 from .numerics import tape
-from .numerics.tape import Var, stacked_matmul, weight_grad
+from .numerics.tape import Var, one_row_slices, stacked_matmul, weight_grad
 from .retrieval import VisualTokenGrid, build_trajectory_set
 from .semantics import (
     Detection,
@@ -114,15 +121,28 @@ class AttnParamVars:
     prompts: Var
 
 
-def cross_attention_var(
-    queries: Var, context: Var, p: AttnParamVars, rows: np.ndarray | None = None
-) -> Var:
+class QueryRows:
+    """The real (unpadded) query rows of each batch entry, fixed per batch,
+    and the one-row slices ``tape.stacked_matmul`` recomputes: of the
+    queries alone, and of the queries with the ``n_prompts`` prompt rows
+    after them."""
+
+    __slots__ = ("counts", "n_prompts", "single", "single_full")
+
+    def __init__(self, counts: np.ndarray, n_prompts: int):
+        self.counts = np.asarray(counts)  # (B,)
+        self.n_prompts = n_prompts
+        self.single = one_row_slices(self.counts)
+        self.single_full = one_row_slices(self.counts + n_prompts)
+
+
+def cross_attention_var(queries: Var, context: Var, p: AttnParamVars, rows: QueryRows | None = None) -> Var:
     """(..., Q + N_p, d_a) readout; the prompt rows follow the query rows.
 
-    One tape node. Leading axes are the batch; ``rows`` counts the real
-    (unpadded) query rows of each batch entry, and the query projection,
-    the scores and the readout keep each entry's bits through
-    ``tape.stacked_matmul``. The backward is the chain through the
+    One tape node. Leading axes are the batch; ``rows`` holds the real
+    query rows of each batch entry (None: every row is real), and the
+    query projection, the scores and the readout keep each entry's bits
+    through ``tape.stacked_matmul``. The backward is the chain through the
     readout, the row softmax, the scaled scores and the three
     projections; the prompt rows' gradient is summed over the batch.
     ``context`` is a parent twice, once through the keys and once through
@@ -139,15 +159,18 @@ def cross_attention_var(
             f"w_k {w_k.shape} do not conform"
         )
     n_q, (n_p, d_a) = xq.shape[-2], prompts.shape
-    q_full = stacked_matmul(xq, w_q, rows)
+    if rows is not None and rows.n_prompts != n_p:
+        raise DimensionError(f"cross_attention: rows counted for {rows.n_prompts} prompt rows, not {n_p}")
+    single, single_full = (None, None) if rows is None else (rows.single, rows.single_full)
+    q_full = stacked_matmul(xq, w_q, single)
     if n_p > 0:
-        lead = q_full.shape[:-2]
-        q_full = np.concatenate([q_full, np.broadcast_to(prompts, (*lead, n_p, d_a))], axis=-2)
-    full_rows = None if rows is None else np.asarray(rows) + n_p
+        proj, q_full = q_full, np.empty((*q_full.shape[:-2], n_q + n_p, d_a))
+        q_full[..., :n_q, :] = proj
+        q_full[..., n_q:, :] = prompts
     keys = ctx @ w_k
     values = ctx @ w_v
-    c = float(1.0 / np.sqrt(d_a))
-    scores = stacked_matmul(q_full, np.swapaxes(keys, -1, -2), full_rows) * c
+    c = 1.0 / math.sqrt(d_a)
+    scores = stacked_matmul(q_full, np.swapaxes(keys, -1, -2), single_full) * c
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     attn = e / e.sum(axis=-1, keepdims=True)
 
@@ -171,7 +194,7 @@ def cross_attention_var(
         return grads
 
     parents = (queries, context, context, p.w_q, p.w_k, p.w_v) + ((p.prompts,) if n_p > 0 else ())
-    return Var(stacked_matmul(attn, values, full_rows), parents, vjp)
+    return Var(stacked_matmul(attn, values, single_full), parents, vjp)
 
 
 def cross_attention(
@@ -182,36 +205,53 @@ def cross_attention(
     return cross_attention_var(Var(np.asarray(queries)), Var(np.asarray(context)), pv).value
 
 
-def pool_hierarchies_var(parts: list[tuple[Var, np.ndarray | None, np.ndarray]]) -> Var:
+class PoolPart:
+    """How one hierarchy's (B, rows, d_a) output enters the branch vector z,
+    fixed per batch: ``mask`` (B, rows) leaves padded rows out of the row
+    mean (None: every row counts), and ``used`` (B,) leaves the hierarchy
+    out of a sample's mean. The row weights, row counts and keep vector
+    that ``pool_hierarchies_var`` applies are derived once here; a slice
+    with no row left averages to zero."""
+
+    __slots__ = ("mask", "used", "w", "rows", "keep")
+
+    def __init__(self, mask: np.ndarray | None, used: np.ndarray):
+        self.mask, self.used = mask, used
+        self.w = self.rows = None
+        if mask is not None:
+            self.w = np.asarray(mask, dtype=np.float64)[..., None]
+            self.rows = np.maximum(self.w.sum(axis=-2, keepdims=True), 1.0)
+        self.keep = None if used.all() else np.asarray(used, dtype=np.float64)[:, None, None]
+
+
+def pool_hierarchies_var(parts: list[tuple[Var, PoolPart]]) -> Var:
     """(B, 1, d_a) branch vector z: per sample, the mean over the hierarchies
     it uses of each hierarchy output's mean over its real rows. One tape node.
 
-    Each part is ``(out, mask, used)``: ``out`` is (B, rows, d_a); ``mask``
-    (B, rows) leaves padded rows out of the row mean (None: every row
-    counts, and a slice with no row left averages to zero); ``used`` (B,)
-    leaves the hierarchy out of a sample's mean. Both means sum then
-    divide, in the order the parts come, so a lone part keeps the bits of
-    a plain row mean.
+    Each part is ``(out, part)``: ``out`` is (B, rows, d_a) and ``part``
+    says which of its rows and samples count. Both means sum then divide,
+    in the order the parts come, so a lone part keeps the bits of a plain
+    row mean.
     """
     if not parts:
         raise ConfigError("no hierarchy enabled")
     total = None
-    count = np.zeros(len(parts[0][2]))
+    count = np.zeros(len(parts[0][1].used))
     backs = []
-    for out, mask, used in parts:
+    for out, part in parts:
         a = out.value
         if a.ndim < 2 or a.shape[-2] == 0:
             raise DimensionError(f"pool_hierarchies: no rows in {a.shape}")
-        if mask is None:
-            pooled, w, rows = a.mean(axis=-2, keepdims=True), None, a.shape[-2]
+        w, keep = part.w, part.keep
+        if w is None:  # the bits of a.mean, without its Python-level overhead
+            rows = a.shape[-2]
+            pooled = a.sum(axis=-2, keepdims=True) / rows
         else:
-            w = np.asarray(mask, dtype=np.float64)[..., None]
-            rows = np.maximum(w.sum(axis=-2, keepdims=True), 1.0)
+            rows = part.rows
             pooled = (a * w).sum(axis=-2, keepdims=True) / rows
-        keep = None if used.all() else np.asarray(used, dtype=np.float64)[:, None, None]
         term = pooled if keep is None else pooled * keep
         total = term if total is None else total + term
-        count += used
+        count += part.used
         backs.append((a.shape, w, rows, keep))
     inv = (1.0 / count)[:, None, None]
 
@@ -223,7 +263,7 @@ def pool_hierarchies_var(parts: list[tuple[Var, np.ndarray | None, np.ndarray]])
             grads.append(np.broadcast_to(gt / rows, shape) if w is None else gt * w / rows)
         return tuple(grads)
 
-    return Var(total * inv, [out for out, _, _ in parts], vjp)
+    return Var(total * inv, [out for out, _ in parts], vjp)
 
 
 # -- heads and losses ---------------------------------------------------------
@@ -446,20 +486,58 @@ class ModelOutput:
 
 @dataclass
 class ForwardResult:
-    """One batch: per-sample outputs and signatures, the batch-mean loss, and
+    """One batch: the batch-mean loss, per-sample signatures and outputs, and
     the inputs and unit runs that a later call can take as its ``prior``.
 
     Each sample's selection signature records its retrieval picks and the
     ReLU and BCE-clamp masks: a perturbation that changes it crosses a kink
-    of the loss, where a finite difference is not the gradient.
+    of the loss, where a finite difference is not the gradient. ``values``
+    is one copy of the store's flat value vector as the run read it, or
+    None when the leaves did not view the store's arrays; such a run cannot
+    be a prior. The per-sample ``outputs`` are built on first access.
     """
 
-    outputs: list[ModelOutput]
     loss: Var | None
     selection_signature: tuple
     inputs: BatchInputs = field(repr=False)
     runs: list[UnitRun] = field(repr=False)
-    values: dict[str, bytes] = field(repr=False)  # the bytes of each parameter value
+    store: ParamStore = field(repr=False)
+    names: list[str] = field(repr=False)  # the store's names at the run
+    values: np.ndarray | None = field(repr=False)
+
+    @functools.cached_property
+    def outputs(self) -> list[ModelOutput]:
+        out = {unit.key: run.output for unit, run in zip(self.inputs.units, self.runs)}
+        heads = [(out[f"head.{b}.reg"].value, out[f"head.{b}.cls"].value) for b in self.inputs.branches]
+        bbox, probs = fuse_predictions(*heads)
+
+        def _value(key: str, b: int):
+            return out[key].value[b, 0] if key in out else None
+
+        return [
+            ModelOutput(
+                bbox=bbox[b, 0].copy(),
+                class_probs=probs[b, 0].copy(),
+                bbox_temporal=_value("head.temporal.reg", b),
+                probs_temporal=_value("head.temporal.cls", b),
+                bbox_spatial=_value("head.spatial.reg", b),
+                probs_spatial=_value("head.spatial.cls", b),
+                z_temporal=_value("pool.temporal", b),
+                z_spatial=_value("pool.spatial", b),
+            )
+            for b in range(len(self.inputs.samples))
+        ]
+
+    @functools.cached_property
+    def reused(self) -> list:
+        """Each unit's output as leaves whose backward raises, for the calls
+        that take this run as their prior: its graph, and its parameter
+        leaves, belong to this run."""
+        return [_refusing(run.output, unit.key) for unit, run in zip(self.inputs.units, self.runs)]
+
+    def first_nonfinite(self) -> Unit | None:
+        """The first unit, in run order, whose output holds a non-finite value."""
+        return next((u for u, run in zip(self.inputs.units, self.runs) if not _finite(run.output)), None)
 
     @property
     def output(self) -> ModelOutput:
@@ -610,7 +688,8 @@ class BatchInputs:
 
     Built once per call from the batch as passed (``items``), or taken from
     the prior run: everything here depends on the samples and the config
-    alone, so no parameter change invalidates it.
+    alone, so no parameter change invalidates it. The read mask and the
+    rerun plans are filled in by the calls that take a prior.
     """
 
     items: list  # the samples as passed, raw or prepared
@@ -620,14 +699,28 @@ class BatchInputs:
     encoder: ReferenceEncoder
     grid_shape: tuple
     branches: list[str]  # the enabled branches, in BRANCHES order
-    kw_counts: np.ndarray  # (B,) keyword trajectories per sample
     use_kw: np.ndarray  # (B,) bool
     kw_input: np.ndarray | None  # keyword scan input, (T, B * max K, d); None: no keyword scan
-    kw_mask: np.ndarray | None  # real keyword and prompt query rows (None: all)
+    kw_query: tuple | None  # the keyword query's QueryRows and PoolPart
     kw_signature: list[tuple]  # per sample: its keyword picks, when they feed an output
-    holistic: tuple  # the holistic query: (B, max words, d) leaf, row counts, row mask, used
+    holistic: tuple  # the holistic query: (B, max words, d) leaf, QueryRows, PoolPart
+    whole: PoolPart  # every row of every sample counts
     pooled: dict[str, np.ndarray]  # per branch: time-major (steps, B, d) scan input
+    targets: tuple | None  # (B, 1, 4) boxes and (B, 1, C) labels; None: a sample has no targets
     units: tuple[Unit, ...]
+    reads: np.ndarray | None = None  # (units, scalars) bool: the store scalars each unit reads
+    plans: dict = field(default_factory=dict)  # directly changed units -> rerun plan
+
+
+def _targets(samples: list[PipelineSample]) -> tuple | None:
+    if not all(s.gt_bbox is not None and s.labels is not None for s in samples):
+        return None
+    try:
+        gt = np.stack([np.asarray(s.gt_bbox, dtype=np.float64).reshape(1, -1) for s in samples])
+        labels = np.stack([np.asarray(s.labels, dtype=np.float64).reshape(1, -1) for s in samples])
+    except ValueError as exc:  # the loss is where mismatched targets meet
+        raise PipelineError("loss", exc) from exc
+    return gt, labels
 
 
 def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -> BatchInputs:
@@ -642,17 +735,20 @@ def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -
             )
     prepared = [s if isinstance(s, PreparedSample) else prepare_sample(s, config) for s in items]
     branches = [b for b, on in zip(BRANCHES, (config.use_temporal, config.use_spatial)) if on]
+    n_p = config.n_prompts
     kw_counts = np.array([len(p.kw_indices) for p in prepared])
     use_kw = config.use_keyword & (kw_counts > 0)
-    kw_input = kw_mask = None
+    kw_input = kw_query = None
     if config.use_mhs_ca and use_kw.any():
         kw_input = _trajectory_input(
             [s.grid for s in samples], [p.kw_indices for p in prepared], kw_counts, grid_shape
         )
-        kw_mask = _row_mask(kw_counts, int(kw_counts.max()), config.n_prompts)
+        kw_mask = _row_mask(kw_counts, int(kw_counts.max()), n_p)
+        kw_query = (QueryRows(kw_counts, n_p), PoolPart(kw_mask, use_kw))
     picks_used = config.use_mhs_ca and config.use_keyword
     holistic = _pad_rows([s.reference.holistic for s in samples])
     holistic_counts = np.array([s.reference.holistic.shape[0] for s in samples])
+    every = np.ones(len(samples), dtype=bool)
     return BatchInputs(
         items=items,
         samples=samples,
@@ -661,18 +757,18 @@ def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -
         encoder=encoder,
         grid_shape=grid_shape,
         branches=branches,
-        kw_counts=kw_counts,
         use_kw=use_kw,
         kw_input=kw_input,
-        kw_mask=kw_mask,
+        kw_query=kw_query,
         kw_signature=[(p.kw_signature,) if picks_used else () for p in prepared],
         holistic=(
             Var(holistic),
-            holistic_counts,
-            _row_mask(holistic_counts, holistic.shape[1], config.n_prompts),
-            np.ones(len(samples), dtype=bool),
+            QueryRows(holistic_counts, n_p),
+            PoolPart(_row_mask(holistic_counts, holistic.shape[1], n_p), every),
         ),
+        whole=PoolPart(None, every),
         pooled={b: np.stack([p.pooled[b] for p in prepared], axis=1) for b in branches},
+        targets=_targets(samples),
         units=_units(
             tuple(branches),
             attend=config.use_mhs_ca,
@@ -718,26 +814,27 @@ def _scene_retrieval(signed: bool, x: BatchInputs, pv: dict[str, Var], queries: 
     picks = {
         "bs_indices": [_pick_indices(t, x.grid_shape[0]) for t in sets],
         "bs_counts": bs_counts,
-        "use_bv": use_bv,
+        "part": PoolPart(None, use_bv),
     }
     return picks, [(t.indices_signature(),) for t in sets] if signed else None
 
 
 def _keyword_scan(x: BatchInputs, pv: dict[str, Var]):
-    """The keyword query: (B, K, d_s) tokens, row counts, row mask, used."""
+    """The keyword query: (B, K, d_s) tokens, QueryRows, PoolPart."""
     t_kw = keyword_tokens_var(Var(x.kw_input), _ssm_vars(pv, "keyword"), len(x.samples))
-    return (t_kw, x.kw_counts, x.kw_mask, x.use_kw), None
+    return (t_kw, *x.kw_query), None
 
 
 def _scene_scan(x: BatchInputs, pv: dict[str, Var], picks: dict):
     """The scene-attribute query, (B, T, d_s) tokens with every row real;
     None when no sample has one."""
-    if not picks["use_bv"].any():
+    part = picks["part"]
+    if not part.used.any():
         return None, None
     grids = [s.grid for s in x.samples]
     bs_input = _trajectory_input(grids, picks["bs_indices"], picks["bs_counts"], x.grid_shape)
     h_bs = scene_tokens_var(Var(bs_input), _ssm_vars(pv, "scene"), picks["bs_counts"])
-    return (h_bs, None, None, picks["use_bv"]), None
+    return (h_bs, None, part), None
 
 
 def _holistic_scan(branch: str, x: BatchInputs, pv: dict[str, Var]):
@@ -752,15 +849,15 @@ def _attention(tag: str, branch: str, x: BatchInputs, pv: dict[str, Var], enhanc
     q = x.holistic if tag == "rv" else query
     if q is None:
         return None, None
-    queries, counts, mask, used = q
-    return (cross_attention_var(queries, enhanced, _attn_vars(pv, tag, branch), counts), mask, used), None
+    queries, rows, part = q
+    return (cross_attention_var(queries, enhanced, _attn_vars(pv, tag, branch), rows), part), None
 
 
 def _pool(x: BatchInputs, pv: dict[str, Var], *parts):
     """The branch's (B, 1, d_a) vector z: the used hierarchies' attention
     outputs pooled (with cross-attention off, the enhanced tokens pooled)."""
     if not x.config.use_mhs_ca:
-        parts = ((parts[0], None, np.ones(len(x.samples), dtype=bool)),)
+        parts = ((parts[0], x.whole),)
     return pool_hierarchies_var([p for p in parts if p is not None]), None
 
 
@@ -773,15 +870,12 @@ def _head(branch: str, head: str, x: BatchInputs, pv: dict[str, Var], z: Var):
 def _loss(x: BatchInputs, pv: dict[str, Var], *predictions: Var):
     """The batch-mean loss over each branch's (box, class) predictions when
     every sample has targets; the signature part is its clamp bands."""
-    if not all(s.gt_bbox is not None and s.labels is not None for s in x.samples):
+    if x.targets is None:
         return None, None
-    gt = np.stack([np.asarray(s.gt_bbox, dtype=np.float64).reshape(1, -1) for s in x.samples])
-    labels = np.stack([np.asarray(s.labels, dtype=np.float64).reshape(1, -1) for s in x.samples])
     loss, bands = loss_var(
         list(predictions[0::2]),
         list(predictions[1::2]),
-        gt,
-        labels,
+        *x.targets,
         x.config.lambda_box,
         x.config.aux_branch_loss,
     )
@@ -854,13 +948,11 @@ class UnitRun:
 
     output: object
     signature: list[tuple] | None
-    refusing: object = None  # the output as refusing leaves, made on first reuse
 
 
 def _refusing(value, key: str):
     """``value`` with each Var swapped for a leaf of the same value whose
-    backward raises: its graph, and its parameter leaves, belong to the run
-    that made it."""
+    backward raises."""
     if isinstance(value, Var):
 
         def refuse(g: np.ndarray):
@@ -877,51 +969,86 @@ def _refusing(value, key: str):
     return value
 
 
-@functools.lru_cache(maxsize=16)
-def _names_read(
-    reads: tuple[tuple[str, ...], ...], names: tuple[str, ...]
-) -> tuple[tuple[str, ...], ...]:
-    """Per unit's prefixes in ``reads``, the parameter names among ``names`` it reads."""
-    return tuple(tuple(n for n in names if n.startswith(prefixes)) for prefixes in reads)
+def _finite(value) -> bool:
+    """Whether every float array in a unit output is finite."""
+    if isinstance(value, Var):
+        value = value.value
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind != "f" or bool(np.isfinite(value).all())
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return True
+
+
+def _views_store(pv: dict[str, Var], params: ParamStore) -> bool:
+    """Whether each leaf's value is the store's own array of its name, so the
+    store's flat vector holds every value the units read."""
+    try:
+        return all([pv[name].value is arr for name, arr in params.items()])
+    except KeyError:
+        return False
+
+
+def _rerun_plan(x: BatchInputs, params: ParamStore, moved: np.ndarray) -> tuple[tuple[int, ...], list[bool]]:
+    """The units to visit when the scalars at ``moved`` changed, in run order,
+    and which of the units read a moved scalar.
+
+    The plan is those units plus every unit that consumes one of them; it
+    is cached per set of directly changed units. The read mask is built
+    from the store on the first call for a batch.
+    """
+    if x.reads is None:
+        x.reads = np.zeros((len(x.units), params.num_scalars()), dtype=bool)
+        for name, span in params.flat_slices():
+            for k, unit in enumerate(x.units):
+                if unit.reads and name.startswith(unit.reads):
+                    x.reads[k, span] = True
+    direct = x.reads[:, moved].any(axis=1)
+    key = direct.tobytes()
+    if key not in x.plans:
+        hit = direct.tolist()
+        for k, unit in enumerate(x.units):
+            hit[k] = hit[k] or any(hit[i] for i in unit.consumes)
+        x.plans[key] = (tuple(k for k, h in enumerate(hit) if h), direct.tolist())
+    return x.plans[key]
 
 
 def _run_units(
-    x: BatchInputs, pv: dict[str, Var], prior: ForwardResult | None
-) -> tuple[list, list[UnitRun], dict[str, bytes]]:
+    x: BatchInputs, pv: dict[str, Var], params: ParamStore, prior: ForwardResult | None
+) -> tuple[list, list[UnitRun]]:
     """Run the units in order; a unit's error becomes ``PipelineError(stage)``.
 
-    Also returns the bytes of every parameter value. With ``prior``, an
-    earlier call on the same inputs, a unit none of whose read values
-    differ bitwise from that call's, and none of whose consumed units
-    changed, reuses its prior output instead of running. A unit that runs
-    changes, unless it settles back to its prior signature part.
+    Without ``prior`` every unit runs. With ``prior``, an earlier call on
+    the same inputs and store, the scalars whose bits differ from that
+    call's copy of the flat value vector select the units that read them,
+    and only those and the units consuming them are visited. A visited
+    unit runs if it reads a moved scalar or a unit it consumes changed; a
+    unit that runs changes, unless it settles back to its prior signature
+    part. Every other output is the prior's, as refusing leaves.
     """
     units = x.units
-    values = {name: var.value.tobytes() for name, var in pv.items()}
     if prior is None:
-        changed = [True] * len(units)
+        plan, changed = range(len(units)), [True] * len(units)
+        outputs, runs = [None] * len(units), [None] * len(units)
     else:
-        moved = {name for name, b in values.items() if b != prior.values.get(name)}
-        groups = _names_read(tuple(u.reads for u in units), tuple(pv))
-        changed = [not moved.isdisjoint(names) for names in groups]
-    outputs: list = []
-    runs: list[UnitRun] = []
-    for k, unit in enumerate(units):
-        if not changed[k] and not any(changed[i] for i in unit.consumes):
-            before = prior.runs[k]
-            if before.refusing is None:
-                before.refusing = _refusing(before.output, unit.key)
-            outputs.append(before.refusing)
-            runs.append(before)
+        moved = np.flatnonzero(params.flat_values.view(np.int64) != prior.values.view(np.int64))
+        plan, direct = _rerun_plan(x, params, moved)
+        changed = list(direct)
+        outputs, runs = list(prior.reused), list(prior.runs)
+    for k in plan:
+        unit = units[k]
+        if not (changed[k] or any(map(changed.__getitem__, unit.consumes))):
             continue
         try:
             output, signature = unit.run(x, pv, *[outputs[i] for i in unit.consumes])
         except Exception as exc:
             raise PipelineError(unit.stage, exc) from exc
         changed[k] = not (unit.settles and prior is not None and signature == prior.runs[k].signature)
-        outputs.append(output)
-        runs.append(UnitRun(output, signature))
-    return outputs, runs, values
+        outputs[k] = output
+        runs[k] = UnitRun(output, signature)
+    return outputs, runs
 
 
 # -- full forward ---------------------------------------------------------------
@@ -943,13 +1070,17 @@ def forward(
     keep the leaf Vars whose gradients one backward pass accumulates.
 
     ``prior`` is the result of an earlier call on the same batch objects,
-    config and encoder. A unit is run again only if a parameter it reads
+    config, encoder and store, in which, as in this call, each leaf viewed
+    the store's own array. A unit is run again only if a parameter it reads
     changed value since then or a unit it consumes changed its output;
     every other unit's output is reused, so outputs, loss and signatures
     come out bitwise as a full run's. Backward through a reused output
     raises; differentiate a run made without prior.
     """
     items = [samples] if isinstance(samples, (PipelineSample, PreparedSample)) else list(samples)
+    pv = params.as_vars() if param_vars is None else param_vars
+    views = _views_store(pv, params)
+    names = params.names()
     if prior is None:
         inputs = _batch_inputs(items, config, encoder)
     else:
@@ -957,31 +1088,14 @@ def forward(
         same = len(items) == len(inputs.items) and all(a is b for a, b in zip(items, inputs.items))
         if not same or encoder is not inputs.encoder or config != inputs.config:
             raise InputError("forward: prior comes from another batch, config or encoder")
-    pv = params.as_vars() if param_vars is None else param_vars
-    results, runs, values = _run_units(inputs, pv, prior)
-    out = {unit.key: result for unit, result in zip(inputs.units, results)}
-
-    heads = [(out[f"head.{b}.reg"].value, out[f"head.{b}.cls"].value) for b in inputs.branches]
-    bbox, probs = fuse_predictions(*heads)
-
-    def _value(key: str, b: int):
-        return out[key].value[b, 0] if key in out else None
-
-    outputs = [
-        ModelOutput(
-            bbox=bbox[b, 0].copy(),
-            class_probs=probs[b, 0].copy(),
-            bbox_temporal=_value("head.temporal.reg", b),
-            probs_temporal=_value("head.temporal.cls", b),
-            bbox_spatial=_value("head.spatial.reg", b),
-            probs_spatial=_value("head.spatial.cls", b),
-            z_temporal=_value("pool.temporal", b),
-            z_spatial=_value("pool.spatial", b),
-        )
-        for b in range(len(items))
-    ]
+        if not (views and prior.values is not None and prior.store is params and prior.names == names):
+            raise InputError(
+                "forward: a prior needs the same parameter store, and leaves that view its arrays in both runs"
+            )
+    outputs, runs = _run_units(inputs, pv, params, prior)
     parts = [run.signature for run in runs if run.signature is not None]
     signature = tuple(
         sum((part[b] for part in parts), inputs.kw_signature[b]) for b in range(len(items))
     )
-    return ForwardResult(outputs, out["loss"], signature, inputs, runs, values)
+    values = params.flat_values.copy() if views else None
+    return ForwardResult(outputs[-1], signature, inputs, runs, params, names, values)

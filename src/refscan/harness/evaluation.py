@@ -7,7 +7,7 @@ import json
 import numpy as np
 
 from ..config import TrainConfig
-from ..errors import ConfigError, MetricError
+from ..errors import ConfigError, InputError, MetricError, PipelineError
 from ..fusion import PipelineSample, forward
 from ..metrics import EvalRecord, auroc, iou, mean_iou, multilabel_map
 from ..numerics import ParamStore
@@ -20,6 +20,14 @@ def predict_records(
     samples: list[PipelineSample],
     encoder: ReferenceEncoder,
 ) -> list[EvalRecord]:
+    """One forward per sample; every forward shares one set of parameter
+    leaves, which is safe because evaluation never runs backward.
+
+    A sample whose predicted box or class scores are not finite raises
+    ``PipelineError`` with the stage of the first unit of its forward whose
+    output is not finite.
+    """
+    pv = params.as_vars()
     records = []
     for s in samples:
         if s.grid.dim != config.d or s.grid.num_frames != config.frames:
@@ -29,14 +37,21 @@ def predict_records(
             )
         if s.labels is None or s.labels.shape != (config.num_classes,):
             raise ConfigError(f"sample {s.sample_id!r} labels do not match checkpoint num_classes")
-        res = forward(s, params, config, encoder)
+        res = forward(s, params, config, encoder, param_vars=pv)
+        out = res.output
+        # box and scores are means of sigmoids: their sum is finite exactly when every
+        # entry is, and a non-finite entry comes from a non-finite head output or earlier
+        if not np.isfinite(out.bbox.sum() + out.class_probs.sum()):
+            unit = res.first_nonfinite()
+            error = InputError(f"sample {s.sample_id!r}: non-finite {unit.key!r} output")
+            raise PipelineError(unit.stage, error)
         records.append(
             EvalRecord(
                 sample_id=s.sample_id,
                 gt_bbox=np.asarray(s.gt_bbox),
-                pred_bbox=res.output.bbox,
+                pred_bbox=out.bbox,
                 gt_labels=np.asarray(s.labels),
-                pred_scores=res.output.class_probs,
+                pred_scores=out.class_probs,
             )
         )
     return records
@@ -74,6 +89,8 @@ def evaluate(
 
 
 def write_report(path, report: dict) -> None:
+    """Write the report as strict JSON; a non-finite value raises before the file is opened."""
+    text = json.dumps(report, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(report, sort_keys=True))
+        fh.write(text)
         fh.write("\n")

@@ -54,12 +54,10 @@ class ParamStore:
         self._value_buf, self._grad_buf = np.zeros(capacity), np.zeros(capacity)
         self._value_buf[:size] = self.flat_values
         self._grad_buf[:size] = self.flat_grads
-        offset = 0
-        for key, arr in self._params.items():
-            end = offset + arr.size
-            self._params[key] = self._value_buf[offset:end].reshape(arr.shape)
-            self._grads[key] = self._grad_buf[offset:end].reshape(arr.shape)
-            offset = end
+        for name, span in self.flat_slices():
+            shape = self._params[name].shape
+            self._params[name] = self._value_buf[span].reshape(shape)
+            self._grads[name] = self._grad_buf[span].reshape(shape)
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -85,6 +83,13 @@ class ParamStore:
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(self._params.items())
+
+    def flat_slices(self) -> Iterator[tuple[str, slice]]:
+        """Each name with the slice of ``flat_values`` its view covers."""
+        start = 0
+        for name, arr in self._params.items():
+            yield name, slice(start, start + arr.size)
+            start += arr.size
 
     def zero_grads(self) -> None:
         self.flat_grads[...] = 0.0

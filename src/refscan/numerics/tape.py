@@ -12,7 +12,8 @@ aux aggregation and the batch mean). A training step therefore builds a
 few dozen nodes, and the time goes into the layers rather than the walk.
 This module keeps the walk, ``transpose`` (the one layout op left between
 layers) and the two products the layers share: ``stacked_matmul`` (a
-forward product that keeps each padded slice's bits) and ``weight_grad``
+forward product that keeps each padded slice's bits, given the slices
+``one_row_slices`` finds) and ``weight_grad``
 (the gradient of a weight shared across the batch). The composed ops the
 fused nodes replaced live on in ``tests/composed.py`` as their reference.
 """
@@ -84,19 +85,28 @@ class Var:
                     parent.grad += g
 
 
-def stacked_matmul(a: Array, b: Array, rows: Array | None = None) -> Array:
+def one_row_slices(rows: Array | None) -> Array | None:
+    """The leading indices of a padded stack, with ``rows`` real rows per
+    index, whose only real row is row 0: the slices ``stacked_matmul``
+    recomputes. None when there are none."""
+    if rows is None:
+        return None
+    single = np.flatnonzero(np.asarray(rows) == 1)
+    return single if single.size else None
+
+
+def stacked_matmul(a: Array, b: Array, single: Array | None = None) -> Array:
     """``a @ b`` over the last two axes, each padded slice rounded as if alone.
 
-    ``rows`` gives, for a padded stacked ``a``, the number of real rows per
-    leading index. numpy hands a one-row product to gemv and a taller one to
-    gemm, and the two round differently, so a slice whose only real row is
-    row 0 is recomputed as the one-row product its unpadded slice would get.
+    numpy hands a one-row product to gemv and a taller one to gemm, and the
+    two round differently. So for a padded stacked ``a`` the slices at
+    ``single`` (``one_row_slices`` of the real row counts), whose only real
+    row is row 0, are recomputed as the one-row product their unpadded
+    slice would get.
     """
     out = a @ b
-    if rows is not None and a.ndim == 3 and a.shape[1] > 1:
-        single = np.flatnonzero(np.asarray(rows) == 1)
-        if single.size:
-            out[single, :1] = a[single, :1] @ (b if b.ndim == 2 else b[single])
+    if single is not None and a.ndim == 3 and a.shape[1] > 1:
+        out[single, :1] = a[single, :1] @ (b if b.ndim == 2 else b[single])
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from refscan.errors import ConfigError, DimensionError
 from refscan.fusion import PROB_EPS
-from refscan.numerics.tape import Array, Var, stacked_matmul, transpose, weight_grad
+from refscan.numerics.tape import Array, Var, one_row_slices, stacked_matmul, transpose, weight_grad
 from refscan.ssm import scan_var
 
 # -- elementwise ops ------------------------------------------------------------
@@ -91,7 +91,7 @@ def matmul(a: Var, b: Var, rows: Array | None = None) -> Var:
             gb = np.swapaxes(av, -1, -2) @ g
         return _unbroadcast(ga, av.shape), _unbroadcast(gb, bv.shape)
 
-    return Var(stacked_matmul(av, bv, rows), (a, b), vjp)
+    return Var(stacked_matmul(av, bv, one_row_slices(rows)), (a, b), vjp)
 
 
 def _unbroadcast(g: Array, shape: tuple) -> Array:
@@ -203,14 +203,15 @@ def scene_tokens_var(x: Var, p, counts: Array) -> Var:
     return transpose(mean, (1, 0, 2))
 
 
-def cross_attention_var(queries: Var, context: Var, p, rows: Array | None = None) -> Var:
+def cross_attention_var(queries: Var, context: Var, p, rows=None) -> Var:
     if context.value.shape[-2] < 1:
         raise DimensionError("cross_attention: empty context")
     d_a = p.w_q.value.shape[1]
     n_p = p.prompts.value.shape[0]
-    q_proj = matmul(queries, p.w_q, rows)
+    counts = None if rows is None else rows.counts
+    q_proj = matmul(queries, p.w_q, counts)
     q_full = concat_rows([q_proj, p.prompts]) if n_p > 0 else q_proj
-    full_rows = None if rows is None else np.asarray(rows) + n_p
+    full_rows = None if counts is None else counts + n_p
     keys = matmul(context, p.w_k)
     values = matmul(context, p.w_v)
     scores = scale(matmul(q_full, transpose(keys), full_rows), 1.0 / np.sqrt(d_a))
@@ -221,9 +222,10 @@ def pool_hierarchies_var(parts) -> Var:
     if not parts:
         raise ConfigError("no hierarchy enabled")
     total = None
-    count = np.zeros(len(parts[0][2]))
-    for out, mask, used in parts:
-        pooled = mean_rows(out, mask)
+    count = np.zeros(len(parts[0][1].used))
+    for out, part in parts:
+        used = part.used
+        pooled = mean_rows(out, part.mask)
         term = pooled if used.all() else scale(pooled, used[:, None, None])
         total = term if total is None else add(total, term)
         count += used

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from refscan.harness.cli import main
+from refscan.harness.formats import read_tensor, write_tensor
 
 
 @pytest.fixture()
@@ -141,6 +142,20 @@ def test_eval_features_ref_symlink_out_of_root_exits_1(dataset, tmp_path, capsys
 
     err = eval_with_features_ref_outside(dataset, tmp_path, capsys, link)
     assert "annotations.jsonl" in err and "line 1" in err and "features_ref" in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_nonfinite_prediction_exits_1_without_a_report(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(ckpt)]) == 0
+    for path in (dataset / "features").glob("*.rten"):
+        write_tensor(path, read_tensor(path) * 1e200)
+    report = tmp_path / "r.json"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 'fusion'") and "non-finite" in err and "Traceback" not in err
+    assert not report.exists()
 
 
 def test_gen_config_file_with_flag_override(tmp_path):

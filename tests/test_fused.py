@@ -17,6 +17,8 @@ from refscan.fusion import (
     PROB_EPS,
     AttnParamVars,
     HeadParamVars,
+    PoolPart,
+    QueryRows,
     forward,
     init_model_params,
     prepare_sample,
@@ -80,10 +82,10 @@ def test_cross_attention_vjp(n_p, rows):
     queries = padded(rng, rows or [3] * 4, 3, 5)
     arrays = [queries, rng.normal(size=(4, 6, 4))]
     arrays += [rng.normal(size=s) for s in ((5, 3), (4, 3), (4, 3), (n_p, 3))]
-    counts = None if rows is None else np.array(rows)
+    query_rows = None if rows is None else QueryRows(np.array(rows), n_p)
 
     def build(layer, v):
-        return layer(v[0], v[1], AttnParamVars(*v[2:]), counts)
+        return layer(v[0], v[1], AttnParamVars(*v[2:]), query_rows)
 
     assert_matches_composed("cross_attention_var", arrays, build)
 
@@ -107,8 +109,8 @@ def test_pool_hierarchies_vjp(used):
     arrays = [rng.normal(size=(4, 4, 3)), rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 5, 3))]
 
     def build(layer, v):
-        parts = [(v[0], mask, np.ones(4, dtype=bool)), (v[1], empty, used)]
-        return layer(parts + [(v[2], None, np.array([False, True, True, True]))])
+        parts = [(v[0], PoolPart(mask, np.ones(4, dtype=bool))), (v[1], PoolPart(empty, used))]
+        return layer(parts + [(v[2], PoolPart(None, np.array([False, True, True, True])))])
 
     assert_matches_composed("pool_hierarchies_var", arrays, build)
 

@@ -9,6 +9,7 @@ from refscan.fusion import (
     AttnParamVars,
     HeadParamVars,
     HierarchyAttnParams,
+    PoolPart,
     cross_attention,
     cross_attention_var,
     forward,
@@ -47,7 +48,8 @@ def mhs_ca_branch(enhanced, hierarchy_queries, params_per_hierarchy):
     for tag, queries in hierarchy_queries:
         p = params_per_hierarchy[tag]
         pv = AttnParamVars(Var(p.w_q), Var(p.w_k), Var(p.w_v), Var(p.prompts))
-        parts.append((cross_attention_var(Var(queries[None]), context, pv), None, np.ones(1, dtype=bool)))
+        out = cross_attention_var(Var(queries[None]), context, pv)
+        parts.append((out, PoolPart(None, np.ones(1, dtype=bool))))
     return pool_hierarchies_var(parts).value[0, 0]
 
 

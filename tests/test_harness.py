@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -7,10 +8,10 @@ import numpy as np
 import pytest
 
 from refscan.config import TrainConfig
-from refscan.errors import ConfigError, InputError, MetricError, ParseError
-from refscan.fusion import init_model_params
+from refscan.errors import ConfigError, InputError, MetricError, ParseError, PipelineError
+from refscan.fusion import forward, init_model_params
 from refscan.harness.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from refscan.harness.evaluation import aggregate_report, evaluate, write_report
+from refscan.harness.evaluation import aggregate_report, evaluate, predict_records, write_report
 from refscan.harness.fixtures import GenConfig, default_train_config, generate_fixtures, synth_samples
 from refscan.harness.formats import (
     FixtureDataset,
@@ -22,6 +23,7 @@ from refscan.harness.formats import (
 )
 from refscan.harness.training import lr_at_step, train
 from refscan.metrics import EvalRecord
+from refscan.retrieval import VisualTokenGrid
 
 SMALL_GEN = GenConfig(num_samples=4, frames=4, grid_rows=2, grid_cols=2, dim=16, num_classes=5, seed=11)
 SMALL_CFG = dict(d_s=8, d_a=8, n=4, n_prompts=2, batch=2)
@@ -403,6 +405,27 @@ class TestEvaluation:
         loaded = json.loads((tmp_path / "r.json").read_text())
         assert loaded == json.loads(json.dumps(report))
         assert len(loaded["samples"]) == len(samples)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_prediction_is_tagged_with_the_first_nonfinite_stage(self):
+        cfg, samples, enc = TestTraining()._setup(steps=0)
+        params = init_model_params(cfg)
+        scaled = [dataclasses.replace(s, grid=VisualTokenGrid(s.grid.tokens * 1e200)) for s in samples]
+        with pytest.raises(PipelineError) as info:
+            predict_records(params, cfg, scaled, enc)
+        res = forward(scaled[0], params, cfg, enc)
+        assert not np.isfinite(res.output.class_probs).all()
+        first = res.first_nonfinite()
+        assert info.value.stage == first.stage == "fusion"
+        assert repr(first.key) in str(info.value) and repr(scaled[0].sample_id) in str(info.value)
+
+    def test_report_with_a_nonfinite_value_is_not_written(self, tmp_path):
+        cfg, samples, enc = TestTraining()._setup(steps=0)
+        report = evaluate(init_model_params(cfg), cfg, samples, enc)
+        report["samples"][0]["pred_scores"][0] = float("nan")
+        with pytest.raises(ValueError):
+            write_report(tmp_path / "r.json", report)
+        assert not (tmp_path / "r.json").exists()
 
     def test_evaluate_twice_identical_reports(self, tmp_path):
         cfg, samples, enc = TestTraining()._setup(steps=0)

@@ -73,6 +73,8 @@ def evaluation(loss: Var, signature: tuple) -> tuple[bytes, tuple]:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_cached_evaluation_is_bitwise_the_uncached_one(name):
+    """Per parameter, the scalar with the largest gradient, and the first and
+    last scalar, where a read mask shifted by one would miss a change."""
     config, samples, encoder, params = setup(CONFIGS[name])
     fn = suites.model_loss_fn(samples, params, config, encoder)
     pv = params.as_vars()
@@ -85,17 +87,18 @@ def test_cached_evaluation_is_bitwise_the_uncached_one(name):
         if not flat.size:
             continue
         grad = pv[pname].grad
-        i = 0 if grad is None else int(np.argmax(np.abs(grad.reshape(-1))))
-        orig = flat[i]
-        flat[i] = orig + DELTA
-        try:
-            cached = evaluation(*fn(params.as_vars()))
-            full = forward(samples, params, config, encoder)
-        finally:
-            flat[i] = orig
-        assert cached == evaluation(full.loss, full.selection_signature), pname
-        if cached != base:
-            moved.add(pname)
+        top = 0 if grad is None else int(np.argmax(np.abs(grad.reshape(-1))))
+        for i in (top, 0, flat.size - 1):
+            orig = flat[i]
+            flat[i] = orig + DELTA
+            try:
+                cached = evaluation(*fn(params.as_vars()))
+                full = forward(samples, params, config, encoder)
+            finally:
+                flat[i] = orig
+            assert cached == evaluation(full.loss, full.selection_signature), (pname, i)
+            if i == top and cached != base:
+                moved.add(pname)
     names = [n for n, a in params.items() if a.size]
     # every perturbation a reused stale output would hide did move the evaluation
     assert moved == set(names) - unread(config, names)
@@ -169,8 +172,9 @@ def test_a_flipped_scene_pick_reruns_what_the_picks_feed(monkeypatch):
 def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
     """One attention per perturbed attn.* scalar, the attentions of the
     changed scan's query or context per ssm.* scalar, none for scene_proj
-    when no pick flips (none does at seed 3)."""
-    calls = {"cross_attention_var": 0, "scan_var": 0}
+    when no pick flips (none does at seed 3); a plan that reruns more than
+    the changed units and their consumers moves these counts."""
+    calls = {"cross_attention_var": 0, "scan_var": 0, "head_var": 0, "pool_hierarchies_var": 0, "loss_var": 0}
     for name in calls:
         real = getattr(fusion, name)
 
@@ -182,8 +186,16 @@ def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
     report = suites.run_model_gradcheck(seed=3)
     assert sum(r.checked for r in report.rows) == 2994
     # baseline 6 attentions + 832 ssm.keyword/ssm.scene evaluations x 2 + 832
-    # holistic evaluations x 3 + 2,752 attn.* evaluations x 1
-    assert calls == {"cross_attention_var": 6918, "scan_var": 1668}
+    # holistic evaluations x 3 + 2,752 attn.* evaluations x 1; heads: 4 + 832 x 4
+    # + 832 x 2 + 2,752 x 2 + 900 head.* evaluations x 1; pooling: 2 + 832 x 2
+    # + 832 + 2,752; loss: 1 + 832 + 832 + 2,752 + 900 (no scene_proj one)
+    assert calls == {
+        "cross_attention_var": 6918,
+        "scan_var": 1668,
+        "head_var": 11400,
+        "pool_hierarchies_var": 5250,
+        "loss_var": 5317,
+    }
 
 
 def test_backward_through_a_reused_output_raises():
@@ -210,6 +222,24 @@ def test_prior_of_another_batch_is_rejected():
     other = TrainConfig(**{**config.to_dict(), "lambda_box": 2.0}).validate()
     with pytest.raises(InputError, match="prior"):
         forward(samples, params, other, encoder, prior=prior)
+
+
+def test_prior_needs_leaves_viewing_its_own_store():
+    """Change detection compares the store's flat vector, so it sees only
+    the values of leaves that view the store's arrays, in both runs."""
+    config, samples, encoder, params = setup({})
+    copies = {name: Var(arr.copy()) for name, arr in params.items()}
+    detached = forward(samples, params, config, encoder, param_vars=copies)
+    with pytest.raises(InputError, match="same parameter store"):
+        forward(samples, params, config, encoder, prior=detached)
+    prior = forward(samples, params, config, encoder)
+    with pytest.raises(InputError, match="same parameter store"):
+        forward(samples, params, config, encoder, param_vars=copies, prior=prior)
+    other = init_model_params(config, seed=SEED)
+    with pytest.raises(InputError, match="same parameter store"):
+        forward(samples, other, config, encoder, prior=prior)
+    again = forward(samples, params, config, encoder, prior=prior)
+    assert evaluation(again.loss, again.selection_signature) == evaluation(prior.loss, prior.selection_signature)
 
 
 @pytest.mark.parametrize(
