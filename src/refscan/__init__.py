@@ -21,7 +21,7 @@ from .fusion import (
     pool_temporal,
 )
 from .metrics import EvalRecord, auroc, iou, mean_iou, multilabel_map
-from .retrieval import Trajectory, TrajectorySet, VisualTokenGrid, build_trajectory, build_trajectory_set, nearest_token
+from .retrieval import TrajectorySet, VisualTokenGrid, build_trajectory_set, nearest_token
 from .semantics import (
     Detection,
     ReferenceBundle,
@@ -45,13 +45,11 @@ __all__ = [
     "ScanOutput",
     "SsmLayerParams",
     "SyntheticEncoder",
-    "Trajectory",
     "TrajectorySet",
     "TrainConfig",
     "VisualTokenGrid",
     "auroc",
     "build_scene_attribute_tokens",
-    "build_trajectory",
     "build_trajectory_set",
     "cross_attention",
     "default_stopwords",

@@ -81,7 +81,7 @@ from .semantics import (
     default_stopwords,
     embed_reference,
 )
-from .ssm import SsmParamVars, scan_var
+from .ssm import scan_var
 
 HIERARCHIES = ("rv", "kwv", "bv")  # holistic / keyword / scene-attribute
 BRANCHES = ("temporal", "spatial")
@@ -113,14 +113,6 @@ class HierarchyAttnParams:
     prompts: np.ndarray  # (N_p, d_a)
 
 
-@dataclass
-class AttnParamVars:
-    w_q: Var
-    w_k: Var
-    w_v: Var
-    prompts: Var
-
-
 class QueryRows:
     """The real (unpadded) query rows of each batch entry, fixed per batch,
     and the one-row slices ``tape.stacked_matmul`` recomputes: of the
@@ -136,21 +128,25 @@ class QueryRows:
         self.single_full = one_row_slices(self.counts + n_prompts)
 
 
-def cross_attention_var(queries: Var, context: Var, p: AttnParamVars, rows: QueryRows | None = None) -> Var:
+def cross_attention_var(
+    queries: Var, context: Var, pv: dict[str, Var], prefix: str, rows: QueryRows | None = None
+) -> Var:
     """(..., Q + N_p, d_a) readout; the prompt rows follow the query rows.
 
-    One tape node. Leading axes are the batch; ``rows`` holds the real
-    query rows of each batch entry (None: every row is real), and the
-    query projection, the scores and the readout keep each entry's bits
-    through ``tape.stacked_matmul``. The backward is the chain through the
-    readout, the row softmax, the scaled scores and the three
+    One tape node over the leaves ``pv[prefix + name]`` for ``w_q``,
+    ``w_k``, ``w_v`` and ``prompts``. Leading axes are the batch; ``rows``
+    holds the real query rows of each batch entry (None: every row is
+    real), and the query projection, the scores and the readout keep each
+    entry's bits through ``tape.stacked_matmul``. The backward is the chain
+    through the readout, the row softmax, the scaled scores and the three
     projections; the prompt rows' gradient is summed over the batch.
     ``context`` is a parent twice, once through the keys and once through
     the values, so its gradient sums the two terms one at a time, as the
     composed ops did, and training stays bitwise.
     """
+    leaves = tuple(pv[prefix + name] for name in ("w_q", "w_k", "w_v", "prompts"))
     xq, ctx = queries.value, context.value
-    w_q, w_k, w_v, prompts = p.w_q.value, p.w_k.value, p.w_v.value, p.prompts.value
+    w_q, w_k, w_v, prompts = (leaf.value for leaf in leaves)
     if ctx.shape[-2] < 1:
         raise DimensionError("cross_attention: empty context")
     if xq.shape[-1] != w_q.shape[0] or ctx.shape[-1] != w_k.shape[0] or xq.shape[:-2] != ctx.shape[:-2]:
@@ -193,7 +189,7 @@ def cross_attention_var(queries: Var, context: Var, p: AttnParamVars, rows: Quer
             grads.append(d_q[..., n_q:, :].reshape(-1, n_p, d_a).sum(axis=0))
         return grads
 
-    parents = (queries, context, context, p.w_q, p.w_k, p.w_v) + ((p.prompts,) if n_p > 0 else ())
+    parents = (queries, context, context, *leaves[: 4 if n_p > 0 else 3])  # prompts only when present
     return Var(stacked_matmul(attn, values, single_full), parents, vjp)
 
 
@@ -201,8 +197,8 @@ def cross_attention(
     queries: np.ndarray, context: np.ndarray, params: HierarchyAttnParams
 ) -> np.ndarray:
     """(Q + N_p) x d_a attention readout over the enhanced context tokens."""
-    pv = AttnParamVars(Var(params.w_q), Var(params.w_k), Var(params.w_v), Var(params.prompts))
-    return cross_attention_var(Var(np.asarray(queries)), Var(np.asarray(context)), pv).value
+    pv = {name: Var(v) for name, v in vars(params).items()}
+    return cross_attention_var(Var(np.asarray(queries)), Var(np.asarray(context)), pv, "").value
 
 
 class PoolPart:
@@ -269,18 +265,13 @@ def pool_hierarchies_var(parts: list[tuple[Var, PoolPart]]) -> Var:
 # -- heads and losses ---------------------------------------------------------
 
 
-@dataclass
-class HeadParamVars:
-    w1: Var
-    b1: Var
-    w2: Var
-    b2: Var
-
-
-def head_var(z: Var, p: HeadParamVars) -> tuple[Var, np.ndarray]:
-    """sigmoid(relu(z W1 + b1) W2 + b2) as one tape node, and the hidden
-    ReLU mask, where the output has kinks."""
-    zv, w1, b1, w2, b2 = z.value, p.w1.value, p.b1.value, p.w2.value, p.b2.value
+def head_var(z: Var, pv: dict[str, Var], prefix: str) -> tuple[Var, np.ndarray]:
+    """sigmoid(relu(z W1 + b1) W2 + b2) as one tape node over the leaves
+    ``pv[prefix + name]`` for ``w1``, ``b1``, ``w2`` and ``b2``, and the
+    hidden ReLU mask, where the output has kinks."""
+    leaves = tuple(pv[prefix + name] for name in ("w1", "b1", "w2", "b2"))
+    zv = z.value
+    w1, b1, w2, b2 = (leaf.value for leaf in leaves)
     if zv.shape[-1] != w1.shape[0] or b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
         raise DimensionError(f"head: input {zv.shape} does not conform to {w1.shape}, {w2.shape}")
     pre = zv @ w1 + b1
@@ -300,7 +291,7 @@ def head_var(z: Var, p: HeadParamVars) -> tuple[Var, np.ndarray]:
             d_out.reshape(-1, w2.shape[1]).sum(axis=0),
         )
 
-    return Var(y, (z, p.w1, p.b1, p.w2, p.b2), vjp), mask
+    return Var(y, (z, *leaves), vjp), mask
 
 
 def _mean_of(values: list[np.ndarray]) -> np.ndarray:
@@ -438,25 +429,6 @@ def init_model_params(config: TrainConfig, seed: int | None = None) -> ParamStor
     return params
 
 
-def _ssm_vars(pv: dict[str, Var], name: str) -> SsmParamVars:
-    return SsmParamVars(
-        in_proj=pv[f"ssm.{name}.in_proj"],
-        A=pv[f"ssm.{name}.A"],
-        B=pv[f"ssm.{name}.B"],
-        C=pv[f"ssm.{name}.C"],
-    )
-
-
-def _attn_vars(pv: dict[str, Var], tag: str, branch: str) -> AttnParamVars:
-    base = f"attn.{tag}.{branch}"
-    return AttnParamVars(pv[f"{base}.w_q"], pv[f"{base}.w_k"], pv[f"{base}.w_v"], pv[f"{base}.prompts"])
-
-
-def _head_vars(pv: dict[str, Var], branch: str, head: str) -> HeadParamVars:
-    base = f"head.{branch}.{head}"
-    return HeadParamVars(pv[f"{base}.w1"], pv[f"{base}.b1"], pv[f"{base}.w2"], pv[f"{base}.b2"])
-
-
 # -- full forward ---------------------------------------------------------------
 
 
@@ -477,11 +449,8 @@ class ModelOutput:
     bbox: np.ndarray  # (4,) fused, in (0,1)
     class_probs: np.ndarray  # (num_classes,) fused
     bbox_temporal: np.ndarray | None
-    probs_temporal: np.ndarray | None
     bbox_spatial: np.ndarray | None
-    probs_spatial: np.ndarray | None
     z_temporal: np.ndarray | None
-    z_spatial: np.ndarray | None
 
 
 @dataclass
@@ -519,11 +488,8 @@ class ForwardResult:
                 bbox=bbox[b, 0].copy(),
                 class_probs=probs[b, 0].copy(),
                 bbox_temporal=_value("head.temporal.reg", b),
-                probs_temporal=_value("head.temporal.cls", b),
                 bbox_spatial=_value("head.spatial.reg", b),
-                probs_spatial=_value("head.spatial.cls", b),
                 z_temporal=_value("pool.temporal", b),
-                z_spatial=_value("pool.spatial", b),
             )
             for b in range(len(self.inputs.samples))
         ]
@@ -567,12 +533,6 @@ class PreparedSample:
     pooled: dict[str, np.ndarray]  # per enabled branch: (T, d) frames or (S, d) cells
 
 
-def _pick_indices(traj_set, frames: int) -> np.ndarray:
-    if not len(traj_set):
-        return np.zeros((0, frames), dtype=np.intp)
-    return np.array([t.spatial_indices for t in traj_set.trajectories], dtype=np.intp)
-
-
 def prepare_sample(sample: PipelineSample, config: TrainConfig) -> PreparedSample:
     """Keyword retrieval, its signature and the pooled branch inputs."""
     grid = sample.grid
@@ -588,7 +548,7 @@ def prepare_sample(sample: PipelineSample, config: TrainConfig) -> PreparedSampl
         pooled["spatial"] = pool_temporal(grid)
     return PreparedSample(
         sample=sample,
-        kw_indices=_pick_indices(kw_set, grid.num_frames),
+        kw_indices=kw_set.indices,
         kw_signature=kw_set.indices_signature(),
         pooled=pooled,
     )
@@ -621,11 +581,11 @@ def _row_mask(counts: np.ndarray, width: int, n_prompts: int) -> np.ndarray | No
     return np.concatenate([real, np.ones((len(counts), n_prompts), dtype=bool)], axis=1)
 
 
-def keyword_tokens_var(x: Var, p: SsmParamVars, n_b: int) -> Var:
+def keyword_tokens_var(x: Var, pv: dict[str, Var], prefix: str, n_b: int) -> Var:
     """(B, K, d_s) keyword tokens: the final-step readout of each trajectory's
-    scan. ``x`` is the time-major scan input (T, B * K, d); the scan is one
-    node and the final-step pick another."""
-    scans = scan_var(x, p)
+    scan through the layer at ``prefix``. ``x`` is the time-major scan input
+    (T, B * K, d); the scan is one node and the final-step pick another."""
+    scans = scan_var(x, pv, prefix)
     shape = scans.value.shape
 
     def vjp(g: np.ndarray):
@@ -636,15 +596,16 @@ def keyword_tokens_var(x: Var, p: SsmParamVars, n_b: int) -> Var:
     return Var(scans.value[-1].reshape(n_b, -1, shape[-1]), (scans,), vjp)
 
 
-def scene_tokens_var(x: Var, p: SsmParamVars, counts: np.ndarray) -> Var:
+def scene_tokens_var(x: Var, pv: dict[str, Var], prefix: str, counts: np.ndarray) -> Var:
     """(B, T, d_s) scene-attribute sequence: per sample, the mean of its
-    trajectories' per-step scan outputs, zero for a sample with none.
+    trajectories' per-step scan outputs through the layer at ``prefix``,
+    zero for a sample with none.
 
     ``x`` is the time-major scan input (T, B * max count, d) with padded
     rows zero, so their outputs are zero too and the mean sums every row
     and scales by 1/count. The scan is one node and the mean another.
     """
-    scans = scan_var(x, p)
+    scans = scan_var(x, pv, prefix)
     steps, _, d_s = scans.value.shape
     blocks = (steps, len(counts), int(counts.max()), d_s)
     inv = (1.0 / np.maximum(counts, 1))[None, :, None]
@@ -785,12 +746,11 @@ def _mask_signature(masks: list[np.ndarray]) -> list[tuple]:
     return list(zip(*[[m.tobytes() for m in mask] for mask in masks]))
 
 
-def _scene_tokens(x: BatchInputs, pv: dict[str, Var]):
+def _scene_tokens(prefix: str, x: BatchInputs, pv: dict[str, Var]):
     """Scene-attribute token vectors, (K_bs, d), of each sample's detections."""
-    w, b = pv["scene_proj.w"].value, pv["scene_proj.b"].value
-    queries = []
-    for s in x.samples:
-        tokens = build_scene_attribute_tokens(
+    w, b = pv[prefix + "w"].value, pv[prefix + "b"].value
+    queries = [
+        build_scene_attribute_tokens(
             s.detections,
             x.encoder,
             w,
@@ -798,7 +758,8 @@ def _scene_tokens(x: BatchInputs, pv: dict[str, Var]):
             conf_threshold=x.config.conf_threshold,
             max_count=x.config.max_detections,
         )
-        queries.append(np.stack([t.vector for t in tokens]) if tokens else np.zeros((0, s.grid.dim)))
+        for s in x.samples
+    ]
     return queries, None
 
 
@@ -812,20 +773,20 @@ def _scene_retrieval(signed: bool, x: BatchInputs, pv: dict[str, Var], queries: 
         if not (x.config.use_holistic or x.use_kw[b] or use_bv[b]):
             raise ConfigError(f"all hierarchies disabled for sample {s.sample_id!r}")
     picks = {
-        "bs_indices": [_pick_indices(t, x.grid_shape[0]) for t in sets],
+        "bs_indices": [t.indices for t in sets],
         "bs_counts": bs_counts,
         "part": PoolPart(None, use_bv),
     }
     return picks, [(t.indices_signature(),) for t in sets] if signed else None
 
 
-def _keyword_scan(x: BatchInputs, pv: dict[str, Var]):
+def _keyword_scan(prefix: str, x: BatchInputs, pv: dict[str, Var]):
     """The keyword query: (B, K, d_s) tokens, QueryRows, PoolPart."""
-    t_kw = keyword_tokens_var(Var(x.kw_input), _ssm_vars(pv, "keyword"), len(x.samples))
+    t_kw = keyword_tokens_var(Var(x.kw_input), pv, prefix, len(x.samples))
     return (t_kw, *x.kw_query), None
 
 
-def _scene_scan(x: BatchInputs, pv: dict[str, Var], picks: dict):
+def _scene_scan(prefix: str, x: BatchInputs, pv: dict[str, Var], picks: dict):
     """The scene-attribute query, (B, T, d_s) tokens with every row real;
     None when no sample has one."""
     part = picks["part"]
@@ -833,24 +794,24 @@ def _scene_scan(x: BatchInputs, pv: dict[str, Var], picks: dict):
         return None, None
     grids = [s.grid for s in x.samples]
     bs_input = _trajectory_input(grids, picks["bs_indices"], picks["bs_counts"], x.grid_shape)
-    h_bs = scene_tokens_var(Var(bs_input), _ssm_vars(pv, "scene"), picks["bs_counts"])
+    h_bs = scene_tokens_var(Var(bs_input), pv, prefix, picks["bs_counts"])
     return (h_bs, None, part), None
 
 
-def _holistic_scan(branch: str, x: BatchInputs, pv: dict[str, Var]):
+def _holistic_scan(branch: str, prefix: str, x: BatchInputs, pv: dict[str, Var]):
     """The branch's (B, steps, d_s) enhanced tokens, which the attentions attend over."""
-    scans = scan_var(Var(x.pooled[branch]), _ssm_vars(pv, f"holistic_{branch}"))
+    scans = scan_var(Var(x.pooled[branch]), pv, prefix)
     return tape.transpose(scans, (1, 0, 2)), None
 
 
-def _attention(tag: str, branch: str, x: BatchInputs, pv: dict[str, Var], enhanced: Var, query=None):
+def _attention(tag: str, prefix: str, x: BatchInputs, pv: dict[str, Var], enhanced: Var, query=None):
     """One hierarchy's cross-attention over the enhanced tokens, as a pooling
-    part ``(out, mask, used)``; None when no sample has the hierarchy."""
+    part ``(out, part)``; None when no sample has the hierarchy."""
     q = x.holistic if tag == "rv" else query
     if q is None:
         return None, None
     queries, rows, part = q
-    return (cross_attention_var(queries, enhanced, _attn_vars(pv, tag, branch), rows), part), None
+    return (cross_attention_var(queries, enhanced, pv, prefix, rows), part), None
 
 
 def _pool(x: BatchInputs, pv: dict[str, Var], *parts):
@@ -861,9 +822,9 @@ def _pool(x: BatchInputs, pv: dict[str, Var], *parts):
     return pool_hierarchies_var([p for p in parts if p is not None]), None
 
 
-def _head(branch: str, head: str, x: BatchInputs, pv: dict[str, Var], z: Var):
+def _head(prefix: str, x: BatchInputs, pv: dict[str, Var], z: Var):
     """One head's prediction; the signature part is its ReLU mask."""
-    y, kinks = head_var(z, _head_vars(pv, branch, head))
+    y, kinks = head_var(z, pv, prefix)
     return y, _mask_signature([kinks])
 
 
@@ -902,40 +863,44 @@ def _units(
     units: list[Unit] = []
     index: dict[str, int] = {}
 
-    def add(key, stage, run, reads=(), consumes=(), settles=False):
+    def add(key, stage, run, prefix=None, consumes=(), settles=False):
+        """Register a unit; one that reads parameters gets its ``prefix`` as
+        its first argument, the one prefix it declares in ``reads``."""
+        reads = ()
+        if prefix is not None:
+            run, reads = functools.partial(run, prefix), (prefix,)
         index[key] = len(units)
         units.append(Unit(key, stage, reads, tuple(index[k] for k in consumes), run, settles))
 
     if scene or check:
-        add("semantics", "semantics", _scene_tokens, reads=("scene_proj.",))
+        add("semantics", "semantics", _scene_tokens, prefix="scene_proj.")
         run = functools.partial(_scene_retrieval, scene)
         add("retrieval", "retrieval", run, consumes=("semantics",), settles=True)
     queries = [("rv", ())] if holistic else []
     if keyword:
-        add("ssm.keyword", "ssm", _keyword_scan, reads=("ssm.keyword.",))
+        add("ssm.keyword", "ssm", _keyword_scan, prefix="ssm.keyword.")
         queries.append(("kwv", ("ssm.keyword",)))
     if scene:
-        add("ssm.scene", "ssm", _scene_scan, reads=("ssm.scene.",), consumes=("retrieval",))
+        add("ssm.scene", "ssm", _scene_scan, prefix="ssm.scene.", consumes=("retrieval",))
         queries.append(("bv", ("ssm.scene",)))
     for branch in branches:
         key = f"ssm.holistic_{branch}"
-        add(key, "ssm", functools.partial(_holistic_scan, branch), reads=(f"{key}.",))
+        add(key, "ssm", functools.partial(_holistic_scan, branch), prefix=f"{key}.")
     heads = []
     for branch in branches:
         enhanced = f"ssm.holistic_{branch}"
         if attend:
             parts = [f"attn.{tag}.{branch}" for tag, _ in queries]
             for (tag, query), key in zip(queries, parts):
-                run = functools.partial(_attention, tag, branch)
-                add(key, "fusion", run, reads=(f"{key}.",), consumes=(enhanced, *query))
+                run = functools.partial(_attention, tag)
+                add(key, "fusion", run, prefix=f"{key}.", consumes=(enhanced, *query))
         else:
             parts = [enhanced]
         add(f"pool.{branch}", "fusion", _pool, consumes=parts)
     for branch in branches:
         for head in ("reg", "cls"):
             key = f"head.{branch}.{head}"
-            run = functools.partial(_head, branch, head)
-            add(key, "heads", run, reads=(f"{key}.",), consumes=(f"pool.{branch}",))
+            add(key, "heads", _head, prefix=f"{key}.", consumes=(f"pool.{branch}",))
             heads.append(key)
     add("loss", "loss", _loss, consumes=heads)
     return tuple(units)

@@ -192,16 +192,17 @@ def load_annotations(path, num_classes: int | None = None) -> list[SampleRecord]
         raise ParseError(f"annotation file {path} does not exist")
     root = os.path.realpath(path.parent)
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
             if not line:
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line=line_no) from exc
-            records.append(_parse_record(obj, line_no, path, root, num_classes))
+            obj = json.loads(line)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8: {exc.reason}", line=line_no) from exc
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=line_no) from exc
+        records.append(_parse_record(obj, line_no, path, root, num_classes))
     return records
 
 
@@ -220,10 +221,18 @@ class FixtureDataset:
         meta_path = self.root / META_NAME
         if not meta_path.exists():
             raise ParseError(f"dataset meta file {meta_path} does not exist")
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            self.meta = json.load(fh)
+        try:
+            self.meta = json.loads(meta_path.read_bytes().decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(f"{meta_path}: not a UTF-8 JSON document ({exc})") from exc
+        if not isinstance(self.meta, dict):
+            raise ParseError(f"{meta_path}: must hold a JSON object")
+        for name in ("dim", "frames", "num_classes", "encoder_seed"):
+            value = self.meta.get(name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ParseError(f"{meta_path}: missing or not an integer: {value!r}", field=name)
         self.records = load_annotations(
-            self.root / ANNOTATIONS_NAME, num_classes=self.meta.get("num_classes")
+            self.root / ANNOTATIONS_NAME, num_classes=self.meta["num_classes"]
         )
 
     @property

@@ -1,5 +1,5 @@
 from .gradcheck import GradCheckReport, ParamCheckRow, grad_check
-from .linalg import dense, linear, softmax, uniform_init
+from .linalg import softmax, uniform_init
 from .params import ParamStore
 from .tape import Var
 
@@ -8,9 +8,7 @@ __all__ = [
     "ParamCheckRow",
     "ParamStore",
     "Var",
-    "dense",
     "grad_check",
-    "linear",
     "softmax",
     "uniform_init",
 ]

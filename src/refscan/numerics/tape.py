@@ -27,11 +27,6 @@ import numpy as np
 Array = np.ndarray
 
 
-def as_f64(x) -> Array:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Var:
     """Node in the computation graph; ``value`` is a float64 ndarray."""
 
@@ -43,7 +38,7 @@ class Var:
         parents: Sequence["Var"] = (),
         vjp: Callable[[Array], tuple[Array | None, ...]] | None = None,
     ):
-        self.value = as_f64(value)
+        self.value = np.asarray(value, dtype=np.float64)
         self.grad: Array | None = None
         self._parents = tuple(parents)
         self._vjp = vjp

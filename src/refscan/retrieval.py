@@ -2,16 +2,16 @@
 
 For every query vector and every timestep the closest spatial token (by
 Euclidean distance, lowest index on ties) is selected; the per-timestep
-picks form that query's trajectory. All queries of one grid are resolved
-from one distance tensor; ``nearest_token`` is the one-frame reference the
-tests hold that tensor to. Selection is a hard argmin, so no
-gradient flows into the queries; downstream gradients only pass through the
-selected token values.
+picks form that query's trajectory, kept as a row of cell indices. All
+queries of one grid are resolved from one distance tensor;
+``nearest_token`` is the one-frame reference the tests hold that tensor
+to. Selection is a hard argmin, so no gradient flows into the queries;
+downstream gradients only pass through the tokens gathered at the picks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,9 @@ from .errors import DimensionError, InputError
 
 @dataclass
 class VisualTokenGrid:
-    """T x S x d token array plus the source frame numbers."""
+    """T x S x d token array: frames x spatial cells x feature dim."""
 
     tokens: np.ndarray
-    frame_indices: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         self.tokens = np.asarray(self.tokens, dtype=np.float64)
@@ -33,8 +32,6 @@ class VisualTokenGrid:
             raise DimensionError(f"grid needs at least one frame and one cell, got {self.tokens.shape}")
         if not np.all(np.isfinite(self.tokens)):
             raise InputError("grid contains non-finite token entries")
-        if not self.frame_indices:
-            self.frame_indices = list(range(self.num_frames))
 
     @property
     def num_frames(self) -> int:
@@ -48,43 +45,21 @@ class VisualTokenGrid:
     def dim(self) -> int:
         return self.tokens.shape[2]
 
-    @property
-    def num_tokens(self) -> int:
-        return self.num_frames * self.num_cells
-
-    def frame(self, l: int) -> np.ndarray:
-        return self.tokens[l]
-
-
-@dataclass
-class Trajectory:
-    """Per-timestep retrieved tokens for one semantic query."""
-
-    query_id: tuple[str, int]
-    spatial_indices: np.ndarray  # (T,) int
-    tokens: np.ndarray  # (T, d)
-
-    @property
-    def length(self) -> int:
-        return int(self.spatial_indices.shape[0])
-
-    def steps(self):
-        """(timestep, spatial index, token) triples, timesteps 1-based."""
-        for l in range(self.length):
-            yield l + 1, int(self.spatial_indices[l]), self.tokens[l]
-
 
 @dataclass
 class TrajectorySet:
+    """The picks of one hierarchy's queries: ``indices[k, l]`` is query k's
+    nearest cell in frame l."""
+
     hierarchy: str  # "keyword" | "scene-attribute"
-    trajectories: list[Trajectory]
+    indices: np.ndarray  # (K, T) intp
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return self.indices.shape[0]
 
     def indices_signature(self) -> tuple:
         """Hashable record of every selection; used to detect argmin flips."""
-        return tuple(tuple(t.spatial_indices.tolist()) for t in self.trajectories)
+        return tuple(map(tuple, self.indices.tolist()))
 
 
 def nearest_token(query: np.ndarray, frame_tokens: np.ndarray) -> tuple[int, np.ndarray]:
@@ -101,19 +76,8 @@ def nearest_token(query: np.ndarray, frame_tokens: np.ndarray) -> tuple[int, np.
     return idx, frame_tokens[idx].copy()
 
 
-def _project_queries(queries: np.ndarray, query_projection) -> np.ndarray:
-    """Apply a callable or matrix projection to each query row once."""
-    if query_projection is None:
-        return queries
-    if callable(query_projection):
-        return np.array([query_projection(q) for q in queries], dtype=np.float64).reshape(
-            queries.shape[0], -1
-        )
-    return (queries[:, None, :] @ np.asarray(query_projection, dtype=np.float64))[:, 0]
-
-
-def _retrieve(queries: np.ndarray, grid: VisualTokenGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest cell per (query, frame): indices (K, T) and tokens (K, T, d).
+def _retrieve(queries: np.ndarray, grid: VisualTokenGrid) -> np.ndarray:
+    """Nearest cell per (query, frame), (K, T).
 
     One squared-distance tensor over queries x frames x cells; ``argmin``
     keeps the lowest cell index on ties, as ``nearest_token`` does.
@@ -122,43 +86,14 @@ def _retrieve(queries: np.ndarray, grid: VisualTokenGrid) -> tuple[np.ndarray, n
         raise DimensionError(f"query dim {queries.shape[1:]} does not match grid dim {grid.dim}")
     diffs = grid.tokens[None] - queries[:, None, None, :]
     d2 = np.einsum("ktsd,ktsd->kts", diffs, diffs)
-    indices = d2.argmin(axis=2)
-    return indices, grid.tokens[np.arange(grid.num_frames), indices]
+    return d2.argmin(axis=2)
 
 
-def build_trajectory(
-    query: np.ndarray,
-    grid: VisualTokenGrid,
-    query_id: tuple[str, int] = ("keyword", 0),
-    query_projection=None,
-) -> Trajectory:
-    """The nearest cell of every frame, in temporal order, for one query.
-
-    ``query_projection``, when given, is applied to the query once before any
-    distance is computed (callable or matrix).
-    """
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1:
-        raise DimensionError(f"query must be a vector, got shape {q.shape}")
-    indices, tokens = _retrieve(_project_queries(q[None, :], query_projection), grid)
-    return Trajectory(query_id=query_id, spatial_indices=indices[0], tokens=tokens[0])
-
-
-def build_trajectory_set(
-    queries: np.ndarray,
-    grid: VisualTokenGrid,
-    hierarchy: str,
-    query_projection=None,
-) -> TrajectorySet:
+def build_trajectory_set(queries: np.ndarray, grid: VisualTokenGrid, hierarchy: str) -> TrajectorySet:
     """One trajectory per query row, order preserved; zero rows -> empty set."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise DimensionError(f"queries must be 2-D, got shape {queries.shape}")
     if queries.shape[0] == 0:
-        return TrajectorySet(hierarchy=hierarchy, trajectories=[])
-    indices, tokens = _retrieve(_project_queries(queries, query_projection), grid)
-    trajectories = [
-        Trajectory(query_id=(hierarchy, k), spatial_indices=indices[k], tokens=tokens[k])
-        for k in range(queries.shape[0])
-    ]
-    return TrajectorySet(hierarchy=hierarchy, trajectories=trajectories)
+        return TrajectorySet(hierarchy, np.zeros((0, grid.num_frames), dtype=np.intp))
+    return TrajectorySet(hierarchy, _retrieve(queries, grid))

@@ -1,7 +1,8 @@
 """Semantic token construction for the three query hierarchies.
 
 Produces the holistic sentence embedding, the stop-word-filtered keyword
-embeddings, and the detection-derived scene-attribute tokens. Text encoding
+embeddings, and the detection-derived scene-attribute tokens, one
+``(K, d)`` array of projected detection features per sample. Text encoding
 is pluggable; the default is a deterministic hash-seeded synthetic encoder
 so the whole pipeline runs without any pretrained backbone.
 """
@@ -18,7 +19,6 @@ from typing import Protocol
 import numpy as np
 
 from .errors import AdapterError, ConfigError, InputError
-from .numerics import linear
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
 
@@ -37,11 +37,6 @@ def parse_stopwords(text: str) -> frozenset[str]:
         if line:
             words.add(line.lower())
     return frozenset(words)
-
-
-def load_stopwords(path) -> frozenset[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_stopwords(fh.read())
 
 
 def tokenize_and_filter(text: str, stop_set: frozenset[str] | set[str]) -> tuple[list[str], list[str]]:
@@ -209,12 +204,6 @@ class Detection:
         return self
 
 
-@dataclass
-class SceneAttributeToken:
-    vector: np.ndarray
-    source_detection_index: int
-
-
 def build_scene_attribute_tokens(
     detections: list[Detection],
     encoder: ReferenceEncoder,
@@ -222,23 +211,27 @@ def build_scene_attribute_tokens(
     proj_b: np.ndarray,
     conf_threshold: float = 0.7,
     max_count: int = 10,
-) -> list[SceneAttributeToken]:
-    """Project concat(category embedding, bbox) for confident detections.
+) -> np.ndarray:
+    """(K, d_out) projections of concat(category embedding, bbox), one row
+    per confident detection.
 
     Detections are filtered at the confidence threshold, sorted by descending
     confidence (stable in original order on ties), and truncated to
-    ``max_count``. The projection input dim must equal encoder dim + 4.
+    ``max_count``. The projection input dim must equal encoder dim + 4. Each
+    row is its own one-row product, so it keeps the bits of the detection
+    projected alone; one flat (K, d + 4) product would round differently.
     """
     proj_w = np.asarray(proj_w, dtype=np.float64)
-    if proj_w.shape[0] != encoder.dim + 4:
+    if proj_w.ndim != 2 or proj_w.shape[0] != encoder.dim + 4 or np.shape(proj_b) != proj_w.shape[1:]:
         raise ConfigError(
-            f"scene projection expects input dim {encoder.dim + 4}, got {proj_w.shape[0]}"
+            f"scene projection expects input dim {encoder.dim + 4} and a matching bias, "
+            f"got weights {proj_w.shape} and bias {np.shape(proj_b)}"
         )
-    indexed = [(i, det) for i, det in enumerate(detections) if det.confidence >= conf_threshold]
-    indexed.sort(key=lambda pair: -pair[1].confidence)
-    tokens = []
-    for i, det in indexed[: int(max_count)]:
-        feat = np.concatenate([encoder.encode_word(det.category), np.asarray(det.bbox, dtype=np.float64)])
-        vec = linear(feat.reshape(1, -1), proj_w, proj_b)[0]
-        tokens.append(SceneAttributeToken(vector=vec, source_detection_index=i))
-    return tokens
+    kept = [det for det in detections if det.confidence >= conf_threshold]
+    kept.sort(key=lambda det: -det.confidence)
+    feats = [
+        np.concatenate([encoder.encode_word(det.category), np.asarray(det.bbox, dtype=np.float64)])
+        for det in kept[: int(max_count)]
+    ]
+    feats = np.array(feats, dtype=np.float64).reshape(len(feats), proj_w.shape[0])
+    return (feats[:, None, :] @ proj_w)[:, 0] + proj_b

@@ -134,30 +134,22 @@ def ssm_scan_oracle(inputs: np.ndarray, params: SsmLayerParams) -> ScanOutput:
     return ScanOutput(outputs=outputs, final_state=np.asarray(h, dtype=np.float64))
 
 
-@dataclass
-class SsmParamVars:
-    """Tape leaves for one scan layer, as registered in a ParamStore."""
-
-    in_proj: Var
-    A: Var
-    B: Var
-    C: Var
-
-
-def scan_var(x: Var, p: SsmParamVars) -> Var:
+def scan_var(x: Var, pv: dict[str, Var], prefix: str) -> Var:
     """Tape node for a batch of scans; backward is the reverse-time recurrence.
 
     ``x`` is time-major, (T, rows, d), one independent sequence per row, or
-    a single (T, d) sequence. One node instead of ~4T per row, with the
-    gradient recurrence dL/dh(l) = direct(l) + dL/dh(l+1) A run in reverse
-    for all rows at once.
+    a single (T, d) sequence. The layer's leaves are ``pv[prefix + name]``
+    for ``in_proj``, ``A``, ``B`` and ``C``. One node instead of ~4T per
+    row, with the gradient recurrence dL/dh(l) = direct(l) + dL/dh(l+1) A
+    run in reverse for all rows at once.
     """
+    leaves = tuple(pv[prefix + name] for name in ("in_proj", "A", "B", "C"))
+    win, a, b, c = (leaf.value for leaf in leaves)
     xv = x.value
-    _check_scan_inputs(xv, p.in_proj.value)
-    win, a, b, c = p.in_proj.value, p.A.value, p.B.value, p.C.value
+    _check_scan_inputs(xv, win)
     x3 = xv if xv.ndim == 3 else xv[:, None, :]
     xt, states, outputs = _scan_forward(x3, win, a, b, c)
-    steps, n = x3.shape[0], a.shape[0]
+    steps = x3.shape[0]
 
     def flat(arr: np.ndarray) -> np.ndarray:  # (T, rows, k) -> (T * rows, k)
         return arr.reshape(-1, arr.shape[-1])
@@ -178,4 +170,4 @@ def scan_var(x: Var, p: SsmParamVars) -> Var:
         d_x = (d_xt @ win.T).reshape(xv.shape)
         return (d_x, d_win, d_a, d_b, d_c)
 
-    return Var(outputs if xv.ndim == 3 else outputs[:, 0], (x, p.in_proj, p.A, p.B, p.C), vjp)
+    return Var(outputs if xv.ndim == 3 else outputs[:, 0], (x, *leaves), vjp)

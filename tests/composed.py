@@ -190,30 +190,31 @@ def mean_of(parts: Sequence[Var]) -> Var:
 # -- composed layers ---------------------------------------------------------------
 
 
-def keyword_tokens_var(x: Var, p, n_b: int) -> Var:
-    finals = take_row(scan_var(x, p), x.value.shape[0] - 1)
+def keyword_tokens_var(x: Var, pv, prefix: str, n_b: int) -> Var:
+    finals = take_row(scan_var(x, pv, prefix), x.value.shape[0] - 1)
     return reshape(finals, (n_b, -1, finals.value.shape[-1]))
 
 
-def scene_tokens_var(x: Var, p, counts: Array) -> Var:
+def scene_tokens_var(x: Var, pv, prefix: str, counts: Array) -> Var:
     frames = x.value.shape[0]
-    scans = scan_var(x, p)
+    scans = scan_var(x, pv, prefix)
     total = sum_axis(reshape(scans, (frames, len(counts), int(counts.max()), -1)), 2)
     mean = scale(total, (1.0 / np.maximum(counts, 1))[None, :, None])
     return transpose(mean, (1, 0, 2))
 
 
-def cross_attention_var(queries: Var, context: Var, p, rows=None) -> Var:
+def cross_attention_var(queries: Var, context: Var, pv, prefix: str, rows=None) -> Var:
     if context.value.shape[-2] < 1:
         raise DimensionError("cross_attention: empty context")
-    d_a = p.w_q.value.shape[1]
-    n_p = p.prompts.value.shape[0]
+    w_q, w_k, w_v, prompts = (pv[prefix + name] for name in ("w_q", "w_k", "w_v", "prompts"))
+    d_a = w_q.value.shape[1]
+    n_p = prompts.value.shape[0]
     counts = None if rows is None else rows.counts
-    q_proj = matmul(queries, p.w_q, counts)
-    q_full = concat_rows([q_proj, p.prompts]) if n_p > 0 else q_proj
+    q_proj = matmul(queries, w_q, counts)
+    q_full = concat_rows([q_proj, prompts]) if n_p > 0 else q_proj
     full_rows = None if counts is None else counts + n_p
-    keys = matmul(context, p.w_k)
-    values = matmul(context, p.w_v)
+    keys = matmul(context, w_k)
+    values = matmul(context, w_v)
     scores = scale(matmul(q_full, transpose(keys), full_rows), 1.0 / np.sqrt(d_a))
     return matmul(softmax_rows(scores), values, full_rows)
 
@@ -232,9 +233,10 @@ def pool_hierarchies_var(parts) -> Var:
     return scale(total, (1.0 / count)[:, None, None])
 
 
-def head_var(z: Var, p) -> tuple[Var, Array]:
-    pre = add_rowvec(matmul(z, p.w1), p.b1)
-    out = sigmoid(add_rowvec(matmul(relu(pre), p.w2), p.b2))
+def head_var(z: Var, pv, prefix: str) -> tuple[Var, Array]:
+    w1, b1, w2, b2 = (pv[prefix + name] for name in ("w1", "b1", "w2", "b2"))
+    pre = add_rowvec(matmul(z, w1), b1)
+    out = sigmoid(add_rowvec(matmul(relu(pre), w2), b2))
     return out, pre.value > 0.0
 
 

@@ -18,7 +18,7 @@ from refscan.numerics import ParamStore, grad_check
 from refscan.numerics.tape import Var
 from refscan.retrieval import VisualTokenGrid, build_trajectory_set, nearest_token
 from refscan.semantics import Detection, SyntheticEncoder
-from refscan.ssm import SsmParamVars, scan_var, ssm_scan, ssm_scan_oracle
+from refscan.ssm import scan_var, ssm_scan, ssm_scan_oracle
 
 GEN = GenConfig(num_samples=6, frames=4, grid_rows=2, grid_cols=2, dim=16, num_classes=5, seed=3)
 OUTPUT_FIELDS = [f.name for f in dataclasses.fields(ModelOutput)]
@@ -59,6 +59,12 @@ def config_for(name):
     return TrainConfig(**{**GRADCHECK_CONFIG.to_dict(), **CONFIGS[name]}).validate()
 
 
+def head_and_pool_values(res, b: int) -> dict:
+    """Each head's and each branch pooling's output for batch entry ``b``."""
+    units = zip(res.inputs.units, res.runs)
+    return {u.key: run.output.value[b] for u, run in units if u.key.startswith(("head.", "pool."))}
+
+
 def usable(samples, config):
     """Drop samples with no enabled hierarchy (forward rejects them)."""
     if config.use_holistic:
@@ -74,11 +80,15 @@ def test_mixed_batch_is_bitwise_the_samples_alone(name):
     assert {s.reference.num_keywords for s in samples} >= {0, 1, 4} or not config.use_holistic
     params = init_model_params(config, seed=0)
     batch = forward(samples, params, config, encoder)
-    for s, out, sig in zip(samples, batch.outputs, batch.selection_signature):
+    for i, (s, out, sig) in enumerate(zip(samples, batch.outputs, batch.selection_signature)):
         alone = forward(s, params, config, encoder)
         for field in OUTPUT_FIELDS:
             a, b = getattr(out, field), getattr(alone.output, field)
             assert (a is None and b is None) or np.array_equal(a, b), (s.sample_id, field)
+        ours, theirs = head_and_pool_values(batch, i), head_and_pool_values(alone, 0)
+        assert ours.keys() == theirs.keys()
+        for key in ours:
+            np.testing.assert_array_equal(ours[key], theirs[key], err_msg=f"{s.sample_id} {key}")
         assert (sig,) == alone.selection_signature
 
 
@@ -129,8 +139,8 @@ def test_batched_scan_rows_match_oracle_and_lone_scans():
         x, params = random_scan_case(rng, max_len=10, max_d=5, max_n=4)
         rows = int(rng.integers(1, 7))
         xs = rng.standard_normal((x.shape[0], rows, x.shape[1]))
-        pv = SsmParamVars(Var(params.in_proj), Var(params.A), Var(params.B), Var(params.C))
-        out = scan_var(Var(xs), pv).value
+        pv = {name: Var(v) for name, v in vars(params).items()}
+        out = scan_var(Var(xs), pv, "").value
         assert out.shape == (x.shape[0], rows, params.out_dim)
         for r in range(rows):
             oracle = ssm_scan_oracle(xs[:, r], params).outputs
@@ -143,9 +153,9 @@ def test_batched_scan_prefix_consistent():
     for _ in range(40):
         x, params = random_scan_case(rng, max_len=12, max_d=4, max_n=4)
         xs = rng.standard_normal((x.shape[0], int(rng.integers(1, 6)), x.shape[1]))
-        pv = SsmParamVars(Var(params.in_proj), Var(params.A), Var(params.B), Var(params.C))
+        pv = {name: Var(v) for name, v in vars(params).items()}
         m = int(rng.integers(1, x.shape[0] + 1))
-        np.testing.assert_array_equal(scan_var(Var(xs), pv).value[:m], scan_var(Var(xs[:m]), pv).value)
+        np.testing.assert_array_equal(scan_var(Var(xs), pv, "").value[:m], scan_var(Var(xs[:m]), pv, "").value)
 
 
 # -- retrieval -------------------------------------------------------------------
@@ -160,12 +170,15 @@ def test_vectorized_retrieval_matches_nearest_token(seed):
     if cells > 1:
         tokens[:, -1] = tokens[:, 0]  # exact duplicate cells: the lower index must win
     queries = rng.integers(-2, 3, size=(int(rng.integers(1, 5)), dim)) / 2.0
-    ts = build_trajectory_set(queries, VisualTokenGrid(tokens), "keyword")
-    for k, traj in enumerate(ts.trajectories):
+    grid = VisualTokenGrid(tokens)
+    ts = build_trajectory_set(queries, grid, "keyword")
+    assert ts.indices.shape == (len(queries), frames)
+    for k in range(len(queries)):
+        picked = grid.tokens[np.arange(frames), ts.indices[k]]
         for l in range(frames):
             idx, tok = nearest_token(queries[k], tokens[l])
-            assert traj.spatial_indices[l] == idx
-            np.testing.assert_array_equal(traj.tokens[l], tok)
+            assert ts.indices[k, l] == idx
+            np.testing.assert_array_equal(picked[l], tok)
 
 
 # -- kinks in gradient checks ------------------------------------------------------

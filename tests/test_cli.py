@@ -212,3 +212,32 @@ def test_truncated_checkpoint_exits_1_naming_the_parameter(dataset, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "model.ckpt" in err and "parameter 'ssm." in err
     assert "Traceback" not in err
+
+
+def _train_exit(dataset, tmp_path) -> int:
+    return main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(tmp_path / "model.ckpt")])
+
+
+@pytest.mark.parametrize("damage, field", [
+    (lambda text: text[: len(text) // 2], None),  # truncated JSON
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "num_classes"}), "num_classes"),
+])
+def test_malformed_meta_exits_1_naming_the_file(dataset, tmp_path, capsys, damage, field):
+    meta = dataset / "meta.json"
+    meta.write_text(damage(meta.read_text()))
+    assert _train_exit(dataset, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "meta.json" in err and "Traceback" not in err
+    if field is not None:
+        assert f"field {field!r}" in err
+
+
+def test_non_utf8_annotations_exit_1_naming_the_file_and_line(dataset, tmp_path, capsys):
+    path = dataset / "annotations.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(lines[0] + b"\xff\xfe" + lines[1])
+    assert _train_exit(dataset, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "annotations.jsonl" in err and "line 2" in err
+    assert "Traceback" not in err

@@ -1,0 +1,15 @@
+"""Every exported name resolves, so a half-finished removal fails here and
+not only on ``from refscan import *``."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+
+@pytest.mark.parametrize("module", ["refscan", "refscan.numerics", "refscan.harness"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing attributes: {missing}"

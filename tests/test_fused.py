@@ -15,8 +15,6 @@ from refscan import fusion
 from refscan.config import TrainConfig
 from refscan.fusion import (
     PROB_EPS,
-    AttnParamVars,
-    HeadParamVars,
     PoolPart,
     QueryRows,
     forward,
@@ -27,10 +25,9 @@ from refscan.harness import suites
 from refscan.harness.fixtures import GenConfig, default_train_config, synth_samples
 from refscan.numerics.tape import Var
 from refscan.semantics import SyntheticEncoder
-from refscan.ssm import SsmParamVars
 
 import composed
-from test_batch import GEN, OUTPUT_FIELDS, mixed_batch, usable
+from test_batch import GEN, OUTPUT_FIELDS, head_and_pool_values, mixed_batch, usable
 
 GRAD_RTOL = 1e-12
 FUSED = (
@@ -41,6 +38,14 @@ FUSED = (
     "keyword_tokens_var",
     "scene_tokens_var",
 )
+
+
+def named(prefix: str, names: tuple[str, ...], leaves: list[Var]) -> dict[str, Var]:
+    """The leaf dict a layer reads its parameters from: ``prefix + name``."""
+    return {prefix + name: leaf for name, leaf in zip(names, leaves)}
+
+
+ATTN, HEAD, SCAN = ("w_q", "w_k", "w_v", "prompts"), ("w1", "b1", "w2", "b2"), ("in_proj", "A", "B", "C")
 
 
 def run(layer, arrays, build, upstream_seed=0):
@@ -85,7 +90,7 @@ def test_cross_attention_vjp(n_p, rows):
     query_rows = None if rows is None else QueryRows(np.array(rows), n_p)
 
     def build(layer, v):
-        return layer(v[0], v[1], AttnParamVars(*v[2:]), query_rows)
+        return layer(v[0], v[1], named("attn.kwv.spatial.", ATTN, v[2:]), "attn.kwv.spatial.", query_rows)
 
     assert_matches_composed("cross_attention_var", arrays, build)
 
@@ -95,7 +100,7 @@ def test_cross_attention_vjp_single_sample():
     arrays = [rng.normal(size=s) for s in ((2, 4), (5, 4), (4, 3), (4, 3), (4, 3), (1, 3))]
 
     def build(layer, v):
-        return layer(v[0], v[1], AttnParamVars(*v[2:]))
+        return layer(v[0], v[1], named("", ATTN, v[2:]), "")
 
     assert_matches_composed("cross_attention_var", arrays, build)
 
@@ -122,7 +127,7 @@ def test_head_vjp(batched):
     arrays = [z, rng.normal(size=(6, 6)), rng.normal(size=6), rng.normal(size=(6, 3)), rng.normal(size=3)]
 
     def build(layer, v):
-        out, mask = layer(v[0], HeadParamVars(*v[1:]))
+        out, mask = layer(v[0], named("head.spatial.cls.", HEAD, v[1:]), "head.spatial.cls.")
         assert 0 < mask.sum() < mask.size  # both sides of the ReLU kink are exercised
         return out
 
@@ -180,10 +185,10 @@ def test_trajectory_aggregation_vjp(counts):
     arrays = [x.reshape(5, -1, 4), *scan, rng.normal(size=(3, 2))]
 
     def keyword(layer, v):
-        return layer(v[0], SsmParamVars(*v[1:]), len(counts))
+        return layer(v[0], named("ssm.keyword.", SCAN, v[1:]), "ssm.keyword.", len(counts))
 
     def scene(layer, v):
-        return layer(v[0], SsmParamVars(*v[1:]), counts)
+        return layer(v[0], named("ssm.scene.", SCAN, v[1:]), "ssm.scene.", counts)
 
     assert_matches_composed("keyword_tokens_var", arrays, keyword)
     assert_matches_composed("scene_tokens_var", arrays, scene)
@@ -225,12 +230,16 @@ def test_forward_is_bitwise_the_composed_model(name, monkeypatch):
             ref, ref_grads = forward_and_grads(batch, params, config, encoder)
         assert float(fused.loss.value) == float(ref.loss.value)
         assert fused.selection_signature == ref.selection_signature
-        for out, ref_out in zip(fused.outputs, ref.outputs):
+        for i, (out, ref_out) in enumerate(zip(fused.outputs, ref.outputs)):
             for field in OUTPUT_FIELDS:
                 a, b = getattr(out, field), getattr(ref_out, field)
                 assert (a is None) == (b is None)
                 if a is not None:
                     np.testing.assert_array_equal(a, b, err_msg=field)
+            ours, theirs = head_and_pool_values(fused, i), head_and_pool_values(ref, i)
+            assert ours.keys() == theirs.keys()
+            for key in ours:
+                np.testing.assert_array_equal(ours[key], theirs[key], err_msg=key)
         # the fused vjps also sum in the composed order, so training stays bitwise
         for param, g in ref_grads.items():
             f = fused_grads[param]

@@ -6,8 +6,6 @@ import pytest
 from refscan.config import TrainConfig
 from refscan.errors import ConfigError, DimensionError
 from refscan.fusion import (
-    AttnParamVars,
-    HeadParamVars,
     HierarchyAttnParams,
     PoolPart,
     cross_attention,
@@ -46,9 +44,8 @@ def mhs_ca_branch(enhanced, hierarchy_queries, params_per_hierarchy):
     context = Var(np.asarray(enhanced)[None])
     parts = []
     for tag, queries in hierarchy_queries:
-        p = params_per_hierarchy[tag]
-        pv = AttnParamVars(Var(p.w_q), Var(p.w_k), Var(p.w_v), Var(p.prompts))
-        out = cross_attention_var(Var(queries[None]), context, pv)
+        pv = {name: Var(v) for name, v in vars(params_per_hierarchy[tag]).items()}
+        out = cross_attention_var(Var(queries[None]), context, pv, "")
         parts.append((out, PoolPart(None, np.ones(1, dtype=bool))))
     return pool_hierarchies_var(parts).value[0, 0]
 
@@ -56,7 +53,10 @@ def mhs_ca_branch(enhanced, hierarchy_queries, params_per_hierarchy):
 def heads(z, reg, cls):
     """(bbox, probs) of one branch vector through the two fused heads."""
     zv = Var(np.asarray(z, dtype=np.float64).reshape(1, -1))
-    return tuple(head_var(zv, HeadParamVars(*[Var(a) for a in p]))[0].value[0] for p in (reg, cls))
+    names = ("w1", "b1", "w2", "b2")
+    return tuple(
+        head_var(zv, {n: Var(a) for n, a in zip(names, p)}, "")[0].value[0] for p in (reg, cls)
+    )
 
 
 def sample_loss(y, y_hat, b=(0.0,) * 4, b_hat=(0.0,) * 4, lambda_box=1.0):

@@ -199,7 +199,7 @@ class TestFixtures:
                 (
                     (np.linalg.norm(phrase - tok), idx)
                     for l in range(grid.num_frames)
-                    for idx, tok in [nearest_token(phrase, grid.frame(l))]
+                    for idx, tok in [nearest_token(phrase, grid.tokens[l])]
                 ),
             )
             x1, y1, _, _ = rec.gt_bbox

@@ -6,39 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refscan.errors import ConfigError, DimensionError
-from refscan.numerics import ParamStore, Var, grad_check, linear, softmax, uniform_init
+from refscan.numerics import ParamStore, Var, grad_check, softmax, uniform_init
 
 import composed
-
-
-def test_linear_identity():
-    out = linear([[1.0, 0.0]], np.eye(2), np.zeros(2))
-    np.testing.assert_array_equal(out, [[1.0, 0.0]])
-
-
-def test_linear_hand_case():
-    out = linear([[1.0, 2.0]], [[1.0], [1.0]], [0.0])
-    np.testing.assert_allclose(out, [[3.0]])
-
-
-def test_linear_zero_input():
-    out = linear(np.zeros((3, 4)), np.ones((4, 2)), np.zeros(2))
-    np.testing.assert_array_equal(out, np.zeros((3, 2)))
-
-
-def test_linear_shape_mismatch_names_both_shapes():
-    with pytest.raises(DimensionError, match=r"\(1, 2\).*\(3, 1\)"):
-        linear([[1.0, 2.0]], np.zeros((3, 1)), [0.0])
-
-
-def test_linear_additivity():
-    rng = np.random.default_rng(0)
-    x1, x2 = rng.normal(size=(2, 5, 3))
-    w = rng.normal(size=(3, 4))
-    b = np.zeros(4)
-    np.testing.assert_allclose(
-        linear(x1 + x2, w, b), linear(x1, w, b) + linear(x2, w, b), atol=1e-12
-    )
 
 
 def test_softmax_symmetry():

@@ -147,7 +147,7 @@ def test_scan_inputs_are_the_retrieved_trajectory_tokens(monkeypatch):
     params = init_model_params(config, seed=0)
     inputs = []
     real_scan = fusion.scan_var
-    monkeypatch.setattr(fusion, "scan_var", lambda x, p: inputs.append(x.value) or real_scan(x, p))
+    monkeypatch.setattr(fusion, "scan_var", lambda x, *rest: inputs.append(x.value) or real_scan(x, *rest))
     forward([prepare_sample(s, config) for s in samples], params, config, encoder)
     frames, _, dim = samples[0].grid.tokens.shape
     for x, hierarchy in zip(inputs, ("keyword", "scene-attribute")):
@@ -156,15 +156,15 @@ def test_scan_inputs_are_the_retrieved_trajectory_tokens(monkeypatch):
             if hierarchy == "keyword":
                 queries = s.reference.keyword_embeddings
             else:
-                tokens = build_scene_attribute_tokens(
+                queries = build_scene_attribute_tokens(
                     s.detections, encoder, params["scene_proj.w"], params["scene_proj.b"],
                     conf_threshold=config.conf_threshold, max_count=config.max_detections,
                 )
-                queries = np.array([t.vector for t in tokens]).reshape(-1, dim)
-            trajectories = build_trajectory_set(queries, s.grid, hierarchy).trajectories
-            for k, traj in enumerate(trajectories):
-                assert np.array_equal(x[:, b, k], traj.tokens), (hierarchy, b, k)
-            assert not x[:, b, len(trajectories):].any()
+            picks = build_trajectory_set(queries, s.grid, hierarchy).indices
+            for k, cells in enumerate(picks):
+                tokens = s.grid.tokens[np.arange(frames), cells]
+                assert np.array_equal(x[:, b, k], tokens), (hierarchy, b, k)
+            assert not x[:, b, len(picks):].any()
 
 
 def test_nonfinite_gradient_aborts_before_the_optimizer(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refscan.errors import DimensionError, InputError
-from refscan.retrieval import VisualTokenGrid, build_trajectory, build_trajectory_set, nearest_token
+from refscan.retrieval import VisualTokenGrid, build_trajectory_set, nearest_token
 
 
 def brute_force_nearest(query, frame_tokens):
@@ -60,13 +60,17 @@ class TestNearestToken:
         assert idx_base == idx_scaled
 
 
+def picks(query, grid):
+    """(T,) cell indices of one query's trajectory."""
+    return build_trajectory_set(np.asarray(query)[None, :], grid, "keyword").indices[0]
+
+
 class TestBuildTrajectory:
     def test_single_frame(self):
         grid = VisualTokenGrid(np.arange(8.0).reshape(1, 4, 2))
-        traj = build_trajectory(np.array([6.1, 7.1]), grid)
-        assert traj.length == 1
-        assert traj.spatial_indices.tolist() == [3]
-        np.testing.assert_array_equal(traj.tokens[0], [6.0, 7.0])
+        cells = picks([6.1, 7.1], grid)
+        assert cells.tolist() == [3]
+        np.testing.assert_array_equal(grid.tokens[np.arange(1), cells][0], [6.0, 7.0])
 
     def test_planted_exact_matches(self):
         frames, cells, dim = 5, 3, 4
@@ -75,27 +79,15 @@ class TestBuildTrajectory:
         grid_arr = rng.normal(size=(frames, cells, dim)) * 10.0
         for l in range(frames):
             grid_arr[l, l % cells] = query
-        traj = build_trajectory(query, VisualTokenGrid(grid_arr))
-        assert traj.spatial_indices.tolist() == [l % cells for l in range(frames)]
+        assert picks(query, VisualTokenGrid(grid_arr)).tolist() == [l % cells for l in range(frames)]
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(2)
         grid_arr = rng.normal(size=(3, 4, 5))
         query = rng.normal(size=5)
-        traj = build_trajectory(query, VisualTokenGrid(grid_arr))
+        cells = picks(query, VisualTokenGrid(grid_arr))
         for l in range(3):
-            assert traj.spatial_indices[l] == brute_force_nearest(query, grid_arr[l])
-
-    def test_query_projection_applied(self):
-        grid = VisualTokenGrid(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
-        proj = np.array([[0.0, 1.0], [1.0, 0.0]])  # swaps coordinates
-        traj = build_trajectory(np.array([1.0, 0.0]), grid, query_projection=proj)
-        assert traj.spatial_indices.tolist() == [1]
-
-    def test_steps_are_one_based_and_ordered(self):
-        grid = VisualTokenGrid(np.zeros((4, 2, 3)))
-        traj = build_trajectory(np.zeros(3), grid)
-        assert [l for l, _, _ in traj.steps()] == [1, 2, 3, 4]
+            assert cells[l] == brute_force_nearest(query, grid_arr[l])
 
 
 class TestBuildTrajectorySet:
@@ -103,14 +95,17 @@ class TestBuildTrajectorySet:
         grid = VisualTokenGrid(np.zeros((2, 2, 3)))
         ts = build_trajectory_set(np.zeros((0, 3)), grid, "keyword")
         assert len(ts) == 0
+        assert ts.indices.shape == (0, 2) and ts.indices.dtype == np.intp
+        assert ts.indices_signature() == ()
 
     def test_duplicate_queries_duplicate_trajectories(self):
         rng = np.random.default_rng(3)
         grid = VisualTokenGrid(rng.normal(size=(3, 4, 5)))
         q = rng.normal(size=5)
         ts = build_trajectory_set(np.stack([q, q]), grid, "keyword")
-        np.testing.assert_array_equal(ts.trajectories[0].spatial_indices, ts.trajectories[1].spatial_indices)
-        np.testing.assert_array_equal(ts.trajectories[0].tokens, ts.trajectories[1].tokens)
+        np.testing.assert_array_equal(ts.indices[0], ts.indices[1])
+        frames = np.arange(grid.num_frames)
+        np.testing.assert_array_equal(grid.tokens[frames, ts.indices[0]], grid.tokens[frames, ts.indices[1]])
 
     def test_composes_from_single_builds(self):
         rng = np.random.default_rng(4)
@@ -118,9 +113,9 @@ class TestBuildTrajectorySet:
         queries = rng.normal(size=(3, 5))
         ts = build_trajectory_set(queries, grid, "scene-attribute")
         for k in range(3):
-            solo = build_trajectory(queries[k], grid)
-            np.testing.assert_array_equal(ts.trajectories[k].spatial_indices, solo.spatial_indices)
-        assert ts.trajectories[1].query_id == ("scene-attribute", 1)
+            np.testing.assert_array_equal(ts.indices[k], picks(queries[k], grid))
+        assert ts.hierarchy == "scene-attribute"
+        assert ts.indices_signature() == tuple(tuple(row) for row in ts.indices.tolist())
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
@@ -131,10 +126,9 @@ class TestBuildTrajectorySet:
         dim = int(rng.integers(2, 5))
         grid = VisualTokenGrid(rng.normal(size=(frames, cells, dim)))
         ts = build_trajectory_set(rng.normal(size=(2, dim)), grid, "keyword")
-        for traj in ts.trajectories:
-            assert traj.length == frames
-            assert np.all(traj.spatial_indices >= 0)
-            assert np.all(traj.spatial_indices < cells)
+        assert ts.indices.shape == (2, frames)
+        assert np.all(ts.indices >= 0)
+        assert np.all(ts.indices < cells)
 
 
 def test_grid_validation():

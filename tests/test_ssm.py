@@ -9,7 +9,7 @@ from refscan.fusion import init_model_params, keyword_tokens_var, scene_tokens_v
 from refscan.harness.suites import random_scan_case
 from refscan.numerics import uniform_init
 from refscan.numerics.tape import Var
-from refscan.ssm import SsmLayerParams, SsmParamVars, scan_var, ssm_scan, ssm_scan_oracle
+from refscan.ssm import SsmLayerParams, scan_var, ssm_scan, ssm_scan_oracle
 
 import composed
 
@@ -34,7 +34,8 @@ def init_ssm_params(rng, d, d_s, n):
 
 
 def layer_vars(params):
-    return SsmParamVars(Var(params.in_proj), Var(params.A), Var(params.B), Var(params.C))
+    """Leaves of one scan layer, named as the layer reads them under the prefix ''."""
+    return {name: Var(v) for name, v in vars(params).items()}
 
 
 def time_major(trajectories):
@@ -44,18 +45,18 @@ def time_major(trajectories):
 
 def keyword_tokens(trajectories, params):
     """(K, d_s) keyword tokens of one sample, through the forward's node."""
-    return keyword_tokens_var(time_major(trajectories), layer_vars(params), 1).value[0]
+    return keyword_tokens_var(time_major(trajectories), layer_vars(params), "", 1).value[0]
 
 
 def scene_tokens(trajectories, params):
     """(T, d_s) scene-attribute sequence of one sample, through the forward's node."""
     counts = np.array([len(trajectories)])
-    return scene_tokens_var(time_major(trajectories), layer_vars(params), counts).value[0]
+    return scene_tokens_var(time_major(trajectories), layer_vars(params), "", counts).value[0]
 
 
 def holistic_tokens(sequence, params):
     """(T, d_s) enhanced branch sequence of one sample, as the forward scans it."""
-    return scan_var(Var(np.asarray(sequence)[:, None, :]), layer_vars(params)).value[:, 0]
+    return scan_var(Var(np.asarray(sequence)[:, None, :]), layer_vars(params), "").value[:, 0]
 
 
 class TestScan:
@@ -121,8 +122,8 @@ class TestScanVar:
     def test_forward_matches_contract_op(self):
         rng = np.random.default_rng(5)
         x, params = random_scan_case(rng, max_len=6, max_d=4, max_n=3)
-        pv = SsmParamVars(Var(params.in_proj), Var(params.A), Var(params.B), Var(params.C))
-        np.testing.assert_array_equal(scan_var(Var(x), pv).value, ssm_scan(x, params).outputs)
+        out = scan_var(Var(x), layer_vars(params), "").value
+        np.testing.assert_array_equal(out, ssm_scan(x, params).outputs)
 
     def test_backward_matches_finite_differences(self):
         from refscan.numerics import ParamStore, grad_check
@@ -132,12 +133,12 @@ class TestScanVar:
         base = init_ssm_params(rng, 3, 2, 4)
         params = ParamStore()
         for name in ("in_proj", "A", "B", "C"):
-            params.add(name, getattr(base, name))
+            params.add(f"ssm.layer.{name}", getattr(base, name))
         params.add("x", x)
         weights = rng.normal(size=(5, 2))
 
         def loss_fn(pv):
-            out = scan_var(pv["x"], SsmParamVars(pv["in_proj"], pv["A"], pv["B"], pv["C"]))
+            out = scan_var(pv["x"], pv, "ssm.layer.")
             return composed.sum_all(composed.mul(out, Var(weights)))
 
         report = grad_check(loss_fn, params, eps=1e-6)
@@ -174,7 +175,7 @@ class TestAggregates:
         params = init_ssm_params(rng, 3, 2, 4)
         x = np.zeros((5, 2, 3))
         x[:, 0] = rng.normal(size=(5, 3))
-        out = keyword_tokens_var(Var(x), layer_vars(params), 2).value
+        out = keyword_tokens_var(Var(x), layer_vars(params), "", 2).value
         assert out.shape == (2, 1, 2)
         np.testing.assert_array_equal(out[1], np.zeros((1, 2)))
         np.testing.assert_array_equal(out[0, 0], ssm_scan(x[:, 0], params).outputs[-1])
@@ -217,7 +218,7 @@ class TestAggregates:
         params = init_ssm_params(rng, 3, 2, 4)
         x = np.zeros((6, 2, 3))
         x[:, 0] = rng.normal(size=(6, 3))
-        out = scene_tokens_var(Var(x), layer_vars(params), np.array([1, 0])).value
+        out = scene_tokens_var(Var(x), layer_vars(params), "", np.array([1, 0])).value
         assert out.shape == (2, 6, 2)
         np.testing.assert_array_equal(out[1], np.zeros((6, 2)))
         np.testing.assert_array_equal(out[0], ssm_scan(x[:, 0], params).outputs)
