@@ -2,9 +2,24 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 from .errors import ConfigError
+
+
+def _kind_error(kind: str, value) -> str | None:
+    """Why ``value`` is not of the field kind ``kind`` ("int", "float" or
+    "bool"), or None when it is. Ints are integers and not bools, floats
+    finite reals, toggles bools."""
+    if kind == "bool":
+        return None if isinstance(value, bool) else "must be true or false"
+    if isinstance(value, bool) or not isinstance(value, Integral if kind == "int" else Real):
+        return "must be an integer" if kind == "int" else "must be a number"
+    if kind == "float" and not math.isfinite(value):
+        return "must be finite"
+    return None
 
 
 @dataclass
@@ -40,13 +55,20 @@ class TrainConfig:
     seed: int = 0
 
     def validate(self) -> "TrainConfig":
+        """Check each field's type, then its range; a bad field raises
+        ``ConfigError`` naming it."""
+        for f in fields(self):
+            problem = _kind_error(f.type, getattr(self, f.name))
+            if problem is not None:
+                raise ConfigError(f"{f.name} {problem}, got {getattr(self, f.name)!r}")
         for name in ("d", "d_s", "d_a", "n", "frames", "num_classes", "batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.n_prompts < 0:
             raise ConfigError(f"n_prompts must be >= 0, got {self.n_prompts}")
-        if self.steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        for name in ("max_detections", "steps", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (self.use_holistic or self.use_keyword or self.use_attribute):
             raise ConfigError("at least one hierarchy must stay enabled")
         if not (self.use_temporal or self.use_spatial):
@@ -68,6 +90,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

@@ -38,11 +38,13 @@ which sees each sample once, passes raw samples.
 (``scene_proj.``), scene-attribute retrieval, each scan (``ssm.keyword.``,
 ``ssm.scene.``, ``ssm.holistic_<branch>.``), each (hierarchy, branch)
 cross-attention (``attn.<hierarchy>.<branch>.``), each branch's hierarchy
-pooling, each head (``head.<branch>.<head>.``) and the loss. Each declares
-the parameter prefix it reads and the units it consumes; a unit no output
-consumes is not built. What the units read besides the parameters (query
-row counts and their one-row slices, pooling weights, loss targets) is
-computed once per batch in ``BatchInputs``. One driver runs the units,
+pooling, each head (``head.<branch>.<head>.``) and, when every sample
+has targets, the loss; evaluation passes samples without targets and so
+builds no loss unit. Each declares the parameter prefix it reads and the
+units it consumes; a unit no output consumes is not built. What the units
+read besides the parameters (query row counts and their one-row slices,
+pooling weights, loss targets) is computed once per batch in
+``BatchInputs``. One driver runs the units,
 tags a unit's error as ``PipelineError(stage)`` with the stage names
 ``semantics``, ``retrieval``, ``ssm``, ``fusion``, ``heads`` and ``loss``,
 and keeps each unit's output with its part of the selection signature,
@@ -710,6 +712,7 @@ def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -
     holistic = _pad_rows([s.reference.holistic for s in samples])
     holistic_counts = np.array([s.reference.holistic.shape[0] for s in samples])
     every = np.ones(len(samples), dtype=bool)
+    targets = _targets(samples)
     return BatchInputs(
         items=items,
         samples=samples,
@@ -729,7 +732,7 @@ def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -
         ),
         whole=PoolPart(None, every),
         pooled={b: np.stack([p.pooled[b] for p in prepared], axis=1) for b in branches},
-        targets=_targets(samples),
+        targets=targets,
         units=_units(
             tuple(branches),
             attend=config.use_mhs_ca,
@@ -737,6 +740,7 @@ def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -
             keyword=kw_input is not None,
             scene=config.use_attribute and config.use_mhs_ca,
             check=not (config.use_holistic or use_kw.all()),
+            loss=targets is not None,
         ),
     )
 
@@ -829,10 +833,8 @@ def _head(prefix: str, x: BatchInputs, pv: dict[str, Var], z: Var):
 
 
 def _loss(x: BatchInputs, pv: dict[str, Var], *predictions: Var):
-    """The batch-mean loss over each branch's (box, class) predictions when
-    every sample has targets; the signature part is its clamp bands."""
-    if x.targets is None:
-        return None, None
+    """The batch-mean loss over each branch's (box, class) predictions; the
+    signature part is its clamp bands."""
     loss, bands = loss_var(
         list(predictions[0::2]),
         list(predictions[1::2]),
@@ -845,7 +847,7 @@ def _loss(x: BatchInputs, pv: dict[str, Var], *predictions: Var):
 
 @functools.lru_cache(maxsize=32)
 def _units(
-    branches: tuple[str, ...], attend: bool, holistic: bool, keyword: bool, scene: bool, check: bool
+    branches: tuple[str, ...], attend: bool, holistic: bool, keyword: bool, scene: bool, check: bool, loss: bool
 ) -> tuple[Unit, ...]:
     """The units a batch runs, in order, each wired to the units it consumes;
     built once per batch structure and shared by every batch of it.
@@ -854,7 +856,8 @@ def _units(
     are. ``keyword``: keyword queries feed the attentions. ``scene``:
     scene-attribute queries do. ``check``: a sample has neither holistic nor
     keyword queries, so the hierarchy check needs its scene-attribute picks.
-    A unit no output consumes is left out: without cross-attention the
+    ``loss``: every sample has targets, so the loss unit runs last. A unit
+    no output consumes is left out: without cross-attention the
     keyword and scene-attribute scans and every attention; the scene tokens
     and their retrieval too, unless ``check`` needs them. Whether a
     scene-attribute attention has queries depends on the picks, so it is
@@ -902,7 +905,8 @@ def _units(
             key = f"head.{branch}.{head}"
             add(key, "heads", _head, prefix=f"{key}.", consumes=(f"pool.{branch}",))
             heads.append(key)
-    add("loss", "loss", _loss, consumes=heads)
+    if loss:
+        add("loss", "loss", _loss, consumes=heads)
     return tuple(units)
 
 
@@ -1030,8 +1034,10 @@ def forward(
     """Run the units (one per layer instance) over one sample or a batch.
 
     ``samples`` is raw or prepared; a raw sample is prepared on the spot.
-    The grids of a batch must share one shape. The loss, present when every
-    sample has targets, is the batch mean. ``param_vars`` lets the caller
+    The grids of a batch must share one shape. When every sample has
+    targets the last unit is the loss, the batch mean; otherwise no loss
+    unit is built and the result's ``loss`` is None, with every other
+    output as it would be with targets. ``param_vars`` lets the caller
     keep the leaf Vars whose gradients one backward pass accumulates.
 
     ``prior`` is the result of an earlier call on the same batch objects,
@@ -1063,4 +1069,5 @@ def forward(
         sum((part[b] for part in parts), inputs.kw_signature[b]) for b in range(len(items))
     )
     values = params.flat_values.copy() if views else None
-    return ForwardResult(outputs[-1], signature, inputs, runs, params, names, values)
+    loss = outputs[-1] if inputs.targets is not None else None
+    return ForwardResult(loss, signature, inputs, runs, params, names, values)

@@ -9,13 +9,15 @@ Saving, loading, and saving again yields identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..config import TrainConfig
-from ..errors import ParseError
+from ..errors import ConfigError, ParseError
+from ..fusion import init_model_params
 from ..numerics import ParamStore
 
 CHECKPOINT_VERSION = 1
@@ -54,7 +56,17 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             fh.write(block)
 
 
+def _count(path, value, field: str, what: str | None = None) -> int:
+    """A header integer that counts something (``what``, by default the
+    field): an int, not a bool, >= 0."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ParseError(f"{path}: {what or field} must be an integer >= 0, got {value!r}", field=field)
+    return value
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a malformed header value is a ``ParseError`` naming
+    the file and the field."""
     path = Path(path)
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -66,29 +78,53 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(header, dict):
         raise ParseError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+        raise ParseError(f"{path}: unsupported checkpoint version {header.get('format_version')!r}")
     for key in ("config", "step", "rng_state", "params"):
         if key not in header:
             raise ParseError(f"{path}: checkpoint header has no {key!r}", field=key)
-    config = TrainConfig.from_dict(header["config"])
-    params = ParamStore(seed=int(header.get("seed", 0)))
+    try:
+        config = TrainConfig.from_dict(header["config"])
+    except ConfigError as exc:
+        raise ParseError(f"{path}: invalid config: {exc}", field="config") from exc
+    step = _count(path, header["step"], "step")
+    if not isinstance(header["rng_state"], dict):
+        raise ParseError(f"{path}: rng_state must be a JSON object", field="rng_state")
+    if not isinstance(header["params"], list):
+        raise ParseError(f"{path}: params must be a list of parameter entries", field="params")
+    params = ParamStore(seed=_count(path, header.get("seed", 0), "seed"))
     for entry in header["params"]:
         try:
             name = str(entry["name"])
-            shape = tuple(int(v) for v in entry["shape"])
-            offset = int(entry["offset"])
-        except (KeyError, TypeError, ValueError) as exc:
+            shape = entry["shape"]
+            offset = entry["offset"]
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: malformed parameter entry {entry!r}", field="params") from exc
-        count = int(np.prod(shape)) if shape else 1
-        if offset < 0 or offset + 8 * count > len(payload):
+        if not isinstance(shape, list):
+            raise ParseError(f"{path}: parameter {name!r} shape must be a list, got {shape!r}", field="params")
+        shape = tuple(_count(path, v, "params", f"parameter {name!r} dim") for v in shape)
+        offset = _count(path, offset, "params", f"parameter {name!r} offset")
+        count = math.prod(shape)
+        if offset + 8 * count > len(payload):
             raise ParseError(
                 f"{path}: parameter {name!r} needs payload bytes [{offset}, {offset + 8 * count}), "
                 f"payload has {len(payload)}",
                 field="params",
             )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        params.add(name, arr.reshape(shape))
-    return Checkpoint(config=config, params=params, step=int(header["step"]), rng_state=header["rng_state"])
+        try:
+            params.add(name, arr.reshape(shape))
+        except ConfigError as exc:
+            raise ParseError(f"{path}: {exc}", field="params") from exc
+    expected = {name: arr.shape for name, arr in init_model_params(config).items()}
+    found = {name: arr.shape for name, arr in params.items()}
+    if found != expected:
+        wrong = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
+        raise ParseError(
+            f"{path}: parameters do not match the config at {wrong[0]!r}: "
+            f"shape {found.get(wrong[0], 'missing')}, expected {expected.get(wrong[0], 'none')}",
+            field="params",
+        )
+    return Checkpoint(config=config, params=params, step=step, rng_state=header["rng_state"])
 
 
 def rng_state_of(rng: np.random.Generator) -> dict:

@@ -7,7 +7,7 @@ import json
 import sys
 
 from ..config import TrainConfig
-from ..errors import RefScanError
+from ..errors import ParseError, RefScanError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import evaluate, write_report
 from .fixtures import GenConfig, generate_fixtures
@@ -17,8 +17,16 @@ from .training import train, write_loss_curve
 
 
 def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """A JSON object from ``path``; anything else is a ``ParseError`` naming the file."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        data = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: must hold a JSON object")
+    return data
 
 
 def _parse_grid(text: str) -> tuple[int, int]:

@@ -23,7 +23,9 @@ def predict_records(
     """One forward per sample; every forward shares one set of parameter
     leaves, which is safe because evaluation never runs backward.
 
-    A sample whose predicted box or class scores are not finite raises
+    Each forward gets the sample without its targets, so it builds no loss
+    unit; the records take the targets from the sample as given. A sample
+    whose predicted box or class scores are not finite raises
     ``PipelineError`` with the stage of the first unit of its forward whose
     output is not finite.
     """
@@ -37,7 +39,8 @@ def predict_records(
             )
         if s.labels is None or s.labels.shape != (config.num_classes,):
             raise ConfigError(f"sample {s.sample_id!r} labels do not match checkpoint num_classes")
-        res = forward(s, params, config, encoder, param_vars=pv)
+        unlabeled = PipelineSample(s.grid, s.reference, s.detections, sample_id=s.sample_id)
+        res = forward(unlabeled, params, config, encoder, param_vars=pv)
         out = res.output
         # box and scores are means of sigmoids: their sum is finite exactly when every
         # entry is, and a non-finite entry comes from a non-finite head output or earlier

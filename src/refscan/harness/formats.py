@@ -9,6 +9,7 @@ the first violation with its line number.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ParseError
+from ..errors import DimensionError, InputError, ParseError
 from ..retrieval import VisualTokenGrid
 from ..semantics import Detection, ReferenceEncoder, SyntheticEncoder
 
@@ -54,7 +55,7 @@ def read_tensor(path) -> np.ndarray:
             field="dims",
         )
     dims = struct.unpack_from(f"<{rank}I", blob, 12)
-    count = int(np.prod(dims)) if rank else 1
+    count = math.prod(dims)  # exact, so huge dims fail the length check instead of wrapping
     expected = offset + 8 * count
     if len(blob) != expected:
         raise ParseError(f"{path}: payload length {len(blob)} != expected {expected}")
@@ -101,51 +102,55 @@ _REQUIRED_FIELDS = (
 )
 
 
-def _int_field(obj: dict, name: str, line_no: int) -> int:
-    try:
-        return int(obj[name])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{name} must be an integer, got {obj[name]!r}", line=line_no, field=name) from exc
+def _int_field(obj: dict, name: str, fail) -> int:
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        fail(f"{name} must be an integer, got {value!r}", name)
+    return value
 
 
 def _parse_record(
-    obj: dict, line_no: int, path: Path, root: str, num_classes: int | None
+    obj, line_no: int, path: Path, root: str, num_classes: int | None
 ) -> SampleRecord:
-    """One annotation line; ``root`` is the annotation file's resolved directory."""
+    """One annotation line; ``root`` is the annotation file's resolved
+    directory. Every error names the file, the line and the field."""
+
+    def fail(message: str, field: str | None = None):
+        raise ParseError(f"{path}: {message}", line=line_no, field=field)
+
+    if not isinstance(obj, dict):
+        fail("a record must be a JSON object")
     for name in _REQUIRED_FIELDS:
         if name not in obj:
-            raise ParseError("missing field", line=line_no, field=name)
+            fail("missing field", name)
+    for name in ("video_id", "reference", "features_ref"):
+        if not isinstance(obj[name], str):
+            fail(f"{name} must be a string, got {obj[name]!r}", name)
     bbox = obj["gt_bbox"]
     if (
         not isinstance(bbox, list)
         or len(bbox) != 4
-        or not all(isinstance(v, (int, float)) for v in bbox)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in bbox)
     ):
-        raise ParseError("gt_bbox must be four numbers", line=line_no, field="gt_bbox")
+        fail("gt_bbox must be four numbers", "gt_bbox")
     x1, y1, x2, y2 = (float(v) for v in bbox)
     if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
-        raise ParseError(
-            f"gt_bbox {bbox} must satisfy 0<=x1<x2<=1 and 0<=y1<y2<=1",
-            line=line_no,
-            field="gt_bbox",
-        )
-    num_frames = _int_field(obj, "num_frames", line_no)
-    keyframe = _int_field(obj, "keyframe_index", line_no)
+        fail(f"gt_bbox {bbox} must satisfy 0<=x1<x2<=1 and 0<=y1<y2<=1", "gt_bbox")
+    num_frames = _int_field(obj, "num_frames", fail)
+    keyframe = _int_field(obj, "keyframe_index", fail)
     if not (0 <= keyframe < num_frames):
-        raise ParseError(
-            f"keyframe_index {keyframe} outside [0, {num_frames})",
-            line=line_no,
-            field="keyframe_index",
-        )
+        fail(f"keyframe_index {keyframe} outside [0, {num_frames})", "keyframe_index")
     labels = obj["action_labels"]
-    if not isinstance(labels, list) or not all(isinstance(v, int) and v >= 0 for v in labels):
-        raise ParseError("action_labels must be non-negative ints", line=line_no, field="action_labels")
+    if not isinstance(labels, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in labels
+    ):
+        fail("action_labels must be non-negative ints", "action_labels")
     if num_classes is not None and any(v >= num_classes for v in labels):
-        raise ParseError(
-            f"label out of range for {num_classes} classes", line=line_no, field="action_labels"
-        )
-    if not str(obj["reference"]).strip():
-        raise ParseError("reference text is empty", line=line_no, field="reference")
+        fail(f"label out of range for {num_classes} classes", "action_labels")
+    if not obj["reference"].strip():
+        fail("reference text is empty", "reference")
+    if not isinstance(obj["detections"], list):
+        fail("detections must be a list", "detections")
     detections = []
     for k, det in enumerate(obj["detections"]):
         try:
@@ -157,29 +162,21 @@ def _parse_record(
                 ).validate()
             )
         except Exception as exc:
-            raise ParseError(f"detection {k}: {exc}", line=line_no, field="detections") from exc
-    features_ref = str(obj["features_ref"])
+            fail(f"detection {k}: {exc}", "detections")
+    features_ref = obj["features_ref"]
     # resolved, so that no absolute path, ".." or symlink leads out of the root
     target = os.path.realpath(os.path.join(root, features_ref))
     if not target.startswith(os.path.join(root, "")):
-        raise ParseError(
-            f"{path}: features file {features_ref!r} lies outside the dataset root {root}",
-            line=line_no,
-            field="features_ref",
-        )
+        fail(f"features file {features_ref!r} lies outside the dataset root {root}", "features_ref")
     if not os.path.exists(target):
-        raise ParseError(
-            f"features file {features_ref!r} not found under {root}",
-            line=line_no,
-            field="features_ref",
-        )
+        fail(f"features file {features_ref!r} not found under {root}", "features_ref")
     return SampleRecord(
-        video_id=str(obj["video_id"]),
+        video_id=obj["video_id"],
         num_frames=num_frames,
         keyframe_index=keyframe,
-        reference=str(obj["reference"]),
+        reference=obj["reference"],
         gt_bbox=(x1, y1, x2, y2),
-        action_labels=[int(v) for v in labels],
+        action_labels=list(labels),
         features_ref=features_ref,
         detections=detections,
     )
@@ -231,6 +228,8 @@ class FixtureDataset:
             value = self.meta.get(name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParseError(f"{meta_path}: missing or not an integer: {value!r}", field=name)
+            if value < (0 if name == "encoder_seed" else 1):
+                raise ParseError(f"{meta_path}: out of range: {value!r}", field=name)
         self.records = load_annotations(
             self.root / ANNOTATIONS_NAME, num_classes=self.meta["num_classes"]
         )
@@ -259,15 +258,19 @@ class FixtureDataset:
 
     def load_grid(self, record: SampleRecord) -> VisualTokenGrid:
         """Read a sample's tensor; its frames and dim must match the annotation and meta."""
-        grid = VisualTokenGrid(read_tensor(self.root / record.features_ref))
-        for name, found, expected in (
-            ("num_frames", grid.num_frames, record.num_frames),
-            ("dim", grid.dim, self.dim),
+        path = self.root / record.features_ref
+        try:
+            grid = VisualTokenGrid(read_tensor(path))
+        except (DimensionError, InputError) as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        for name, found, expected, source in (
+            ("num_frames", grid.num_frames, record.num_frames, "its record"),
+            ("dim", grid.dim, self.dim, META_NAME),
         ):
             if found != expected:
                 raise ParseError(
                     f"{self.root / ANNOTATIONS_NAME}: video {record.video_id!r} tensor "
-                    f"{record.features_ref} has {name} {found}, expected {expected}",
+                    f"{record.features_ref} has {name} {found}, {source} says {expected}",
                     field=name,
                 )
         return grid
@@ -281,10 +284,17 @@ class FixtureDataset:
         for rec in self.records:
             labels = np.zeros(self.num_classes)
             labels[rec.action_labels] = 1.0
+            grid = self.load_grid(rec)
+            try:
+                reference = prepare_reference(rec.reference, encoder)
+            except InputError as exc:
+                raise ParseError(
+                    f"{self.root / ANNOTATIONS_NAME}: video {rec.video_id!r}: {exc}", field="reference"
+                ) from exc
             samples.append(
                 PipelineSample(
-                    grid=self.load_grid(rec),
-                    reference=prepare_reference(rec.reference, encoder),
+                    grid=grid,
+                    reference=reference,
                     detections=rec.detections,
                     gt_bbox=np.asarray(rec.gt_bbox, dtype=np.float64),
                     labels=labels,

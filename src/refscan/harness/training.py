@@ -7,7 +7,10 @@ multiplies by lr_decay after every completed pass over the dataset. Each
 sample is prepared (keyword retrieval, pooling) the first time a step
 draws it and reused after that: both read only the sample, which no step
 changes. Scene tokens read ``scene_proj`` and are built, with their
-retrieval, in every forward. Everything is deterministic for a fixed
+retrieval, in every forward. Before each forward the store's gradients
+are zeroed and each parameter leaf's ``grad`` is pointed at its view of
+them, so backward adds every gradient straight into the flat gradient
+vector the optimizer reads. Everything is deterministic for a fixed
 config seed.
 """
 
@@ -27,7 +30,13 @@ from .checkpoint import Checkpoint, rng_state_of
 
 
 class Adam:
-    """One update over the store's flat value vector; build it once the store is complete."""
+    """One update over the store's flat value vector; build it once the store is complete.
+
+    The update is ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``x -= lr (m / c1) / (sqrt(v / c2) + eps)`` with the bias corrections
+    ``c = 1 - b**t``, evaluated in that order into two preallocated flat
+    buffers, so a step allocates no temporary of the flat vector.
+    """
 
     def __init__(self, params: ParamStore, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
@@ -37,17 +46,21 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params.flat_values)
         self.v = np.zeros_like(params.flat_values)
+        self._a = np.empty_like(params.flat_values)
+        self._b = np.empty_like(params.flat_values)
 
     def step(self, lr: float) -> None:
         self.t += 1
         b1c = 1.0 - self.beta1**self.t
         b2c = 1.0 - self.beta2**self.t
-        g, m, v = self.params.flat_grads, self.m, self.v
+        g, m, v, a, b = self.params.flat_grads, self.m, self.v, self._a, self._b
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        m += np.multiply(1.0 - self.beta1, g, out=a)
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        self.params.flat_values -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+        v += np.multiply(np.multiply(1.0 - self.beta2, g, out=a), g, out=a)
+        np.multiply(lr, np.divide(m, b1c, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, b2c, out=b), out=b), self.eps, out=b)
+        self.params.flat_values -= np.divide(a, b, out=a)
 
 
 def lr_at_step(step: int, config: TrainConfig, steps_per_epoch: int) -> float:
@@ -118,16 +131,17 @@ def train(
         for i in batch_idx:
             if i not in prepared:
                 prepared[i] = prepare_sample(samples[i], config)
+        params.zero_grads()
         pv = params.as_vars()
+        for name, leaf in pv.items():  # backward adds each leaf's gradient into flat_grads
+            leaf.grad = params.grad(name)
         total = forward([prepared[i] for i in batch_idx], params, config, encoder, param_vars=pv).loss
         loss_value = float(total.value)
         if not math.isfinite(loss_value):
             result.aborted = True
             break
 
-        params.zero_grads()
         total.backward()
-        params.accumulate_grads(pv)
         if not np.isfinite(params.flat_grads).all():
             result.aborted = True
             break

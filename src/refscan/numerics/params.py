@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -97,12 +97,6 @@ class ParamStore:
     def as_vars(self) -> dict[str, Var]:
         """Fresh leaf Vars viewing the current parameter values."""
         return {name: Var(arr) for name, arr in self._params.items()}
-
-    def accumulate_grads(self, param_vars: Mapping[str, Var]) -> None:
-        """Fold gradients from a backward pass into the store buffers."""
-        for name, var in param_vars.items():
-            if var.grad is not None:
-                self._grads[name] += var.grad
 
     def num_scalars(self) -> int:
         return int(self.flat_values.size)

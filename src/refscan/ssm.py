@@ -5,6 +5,9 @@ y(l) = C h(l), zero initial state, unit step size. One kernel serves
 ``ssm_scan`` (one sequence) and ``scan_var`` (the tape node, many
 sequences at once, with a hand-derived backward recurrence instead of
 taping every step): it runs all rows together and loops only over time.
+The input terms B x~(l) of all steps are one product before the loop, so
+a step is one product, A h(l-1), added in place into its term; the
+backward recurrence accumulates in place the same way.
 ``ssm_scan_oracle`` is the deliberately naive scalar-loop twin every
 optimization must keep matching.
 """
@@ -78,20 +81,23 @@ def _scan_forward(x, in_proj, a, b, c):
 
     Returns (x_proj, states, outputs), shaped (T, rows, d_s), (T, rows, n)
     and (T, rows, d_s). Rows are independent sequences; only time is
-    looped. Every product is stacked over one-row slices, ``(.., 1, k) @ W``,
-    which numpy runs as one vector-matrix product per row: each row rounds
-    exactly as a lone sequence would, whatever the row count, and
-    truncating the input in time is bitwise prefix-consistent. One flat 2-D
-    matmul over all rows would round differently with the row count.
+    looped. The input terms B x~(l) of every step are one stacked product
+    before the loop, and each step adds A h(l-1) into its term in place:
+    one product and one add per step. Every product is stacked over
+    one-row slices, ``(.., 1, k) @ W``, which numpy runs as one
+    vector-matrix product per row: each row rounds exactly as a lone
+    sequence would, whatever the row count, and truncating the input in
+    time is bitwise prefix-consistent. One flat 2-D matmul over all rows
+    would round differently with the row count.
     """
-    steps, rows = x.shape[0], x.shape[1]
+    rows = x.shape[1]
     xt = x[:, :, None, :] @ in_proj
-    states = np.empty((steps, rows, 1, a.shape[0]), dtype=np.float64)
+    states = xt @ b.T  # the input terms, which the loop turns into the states
     h = np.zeros((rows, 1, a.shape[0]), dtype=np.float64)
-    at, bt = a.T, b.T
-    for l in range(steps):
-        h = h @ at + xt[l] @ bt
-        states[l] = h
+    at = a.T
+    for state in states:
+        state += h @ at
+        h = state
     outputs = states @ c.T
     return xt[:, :, 0], states[:, :, 0], outputs[:, :, 0]
 
@@ -161,7 +167,7 @@ def scan_var(x: Var, pv: dict[str, Var], prefix: str) -> Var:
         acc = np.empty_like(states)
         acc[steps - 1] = d_states[steps - 1]
         for l in range(steps - 2, -1, -1):
-            acc[l] = d_states[l] + acc[l + 1] @ a
+            np.add(d_states[l], acc[l + 1] @ a, out=acc[l])
         prev = np.concatenate([np.zeros((1, *states.shape[1:])), states[:-1]])
         d_a = flat(acc).T @ flat(prev)
         d_b = flat(acc).T @ flat(xt)

@@ -187,6 +187,24 @@ def mean_of(parts: Sequence[Var]) -> Var:
     return scale(total, 1.0 / len(parts))
 
 
+# -- the scan recurrence -----------------------------------------------------------
+
+
+def scan_forward(x: Array, in_proj: Array, a: Array, b: Array, c: Array) -> tuple[Array, Array, Array]:
+    """``ssm._scan_forward`` with both products of a step, A h(l-1) and
+    B x~(l), inside the time loop: the kernel's first form, which the
+    kernel must match bitwise."""
+    steps, rows = x.shape[0], x.shape[1]
+    xt = x[:, :, None, :] @ in_proj
+    states = np.empty((steps, rows, 1, a.shape[0]), dtype=np.float64)
+    h = np.zeros((rows, 1, a.shape[0]), dtype=np.float64)
+    for l in range(steps):
+        h = h @ a.T + xt[l] @ b.T
+        states[l] = h
+    outputs = states @ c.T
+    return xt[:, :, 0], states[:, :, 0], outputs[:, :, 0]
+
+
 # -- composed layers ---------------------------------------------------------------
 
 

@@ -241,3 +241,39 @@ def test_non_utf8_annotations_exit_1_naming_the_file_and_line(dataset, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "annotations.jsonl" in err and "line 2" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value, field, message", [
+    ({"d_s": "x"}, "d_s", "must be an integer"),
+    ({"seed": -1}, "seed", "must be >= 0"),
+    ({"lambda_box": "x"}, "lambda_box", "must be a number"),
+])
+def test_malformed_config_value_exits_1_naming_the_field(dataset, tmp_path, capsys, value, field, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**json.loads(small_train_config(tmp_path).read_text()), **value}))
+    assert main(["train", "--data", str(dataset), "--config", str(bad),
+                 "--out-ckpt", str(tmp_path / "x.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} {message}") and "stage" not in err and "Traceback" not in err
+    assert not (tmp_path / "x.ckpt").exists()
+
+
+def test_config_file_that_is_not_an_object_exits_1_naming_the_file(dataset, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2]")
+    assert main(["train", "--data", str(dataset), "--config", str(bad),
+                 "--out-ckpt", str(tmp_path / "x.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad.json" in err and "Traceback" not in err
+
+
+def test_reference_without_words_exits_1_naming_the_file(dataset, tmp_path, capsys):
+    path = dataset / "annotations.jsonl"
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    lines[1] = json.dumps({**record, "reference": "... !!"})
+    path.write_text("\n".join(lines) + "\n")
+    assert _train_exit(dataset, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "annotations.jsonl" in err and repr(record["video_id"]) in err
+    assert "no encodable words" in err and "field 'reference'" in err and "Traceback" not in err

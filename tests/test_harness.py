@@ -228,6 +228,9 @@ class TestGridShape:
             ds.load_samples()
 
 
+HUGE = "<1e309>"  # written as the JSON number 1e309
+
+
 class TestCheckpoint:
     def _checkpoint(self):
         cfg = TrainConfig(d=16, frames=4, num_classes=5, **SMALL_CFG).validate()
@@ -273,6 +276,14 @@ class TestCheckpoint:
         [
             (lambda meta: meta["params"][0].pop("offset"), r"malformed parameter entry.*field 'params'"),
             (lambda meta: meta.pop("step"), r"checkpoint header has no 'step'.*field 'step'"),
+            (lambda meta: meta["params"][0].update(shape=[HUGE]), r"parameter '[\w.]+' dim must be an integer >= 0, got inf: field 'params'"),
+            (lambda meta: meta["params"][0].update(offset=HUGE), r"parameter '[\w.]+' offset must be an integer >= 0, got inf: field 'params'"),
+            (lambda meta: meta.update(step=HUGE), r"step must be an integer >= 0.*field 'step'"),
+            (lambda meta: meta["params"][0].update(shape=[-2, 3]), r"parameter '[\w.]+' dim must be an integer >= 0, got -2: field 'params'"),
+            (lambda meta: meta.update(step="x"), r"step must be an integer >= 0, got 'x': field 'step'"),
+            (lambda meta: meta.update(config=[1]), r"invalid config: config must be a JSON object.*field 'config'"),
+            (lambda meta: meta.update(params={"a": 1}), r"params must be a list.*field 'params'"),
+            (lambda meta: meta["config"].update(d_s="x"), r"invalid config: d_s must be an integer.*field 'config'"),
         ],
     )
     def test_malformed_header_is_a_parse_error(self, tmp_path, corrupt, message):
@@ -280,7 +291,8 @@ class TestCheckpoint:
         header, payload = (tmp_path / "a.ckpt").read_bytes().split(b"\n", 1)
         meta = json.loads(header)
         corrupt(meta)
-        (tmp_path / "a.ckpt").write_bytes(json.dumps(meta).encode() + b"\n" + payload)
+        text = json.dumps(meta).replace(json.dumps(HUGE), "1e309")  # parses to inf
+        (tmp_path / "a.ckpt").write_bytes(text.encode() + b"\n" + payload)
         with pytest.raises(ParseError, match=r"a\.ckpt: " + message):
             load_checkpoint(tmp_path / "a.ckpt")
 
@@ -418,6 +430,19 @@ class TestEvaluation:
         first = res.first_nonfinite()
         assert info.value.stage == first.stage == "fusion"
         assert repr(first.key) in str(info.value) and repr(scaled[0].sample_id) in str(info.value)
+
+    def test_predict_records_runs_no_loss(self, monkeypatch):
+        from refscan import fusion
+
+        calls = []
+        real = fusion.loss_var
+        monkeypatch.setattr(fusion, "loss_var", lambda *args: calls.append(1) or real(*args))
+        cfg, samples, enc = TestTraining()._setup(steps=0)
+        params = init_model_params(cfg)
+        records = predict_records(params, cfg, samples, enc)
+        assert calls == []
+        assert [r.gt_labels.tobytes() for r in records] == [s.labels.tobytes() for s in samples]
+        assert forward(samples[0], params, cfg, enc).loss is not None and calls == [1]
 
     def test_report_with_a_nonfinite_value_is_not_written(self, tmp_path):
         cfg, samples, enc = TestTraining()._setup(steps=0)

@@ -9,7 +9,7 @@ from refscan.fusion import init_model_params, keyword_tokens_var, scene_tokens_v
 from refscan.harness.suites import random_scan_case
 from refscan.numerics import uniform_init
 from refscan.numerics.tape import Var
-from refscan.ssm import SsmLayerParams, scan_var, ssm_scan, ssm_scan_oracle
+from refscan.ssm import SsmLayerParams, _scan_forward, scan_var, ssm_scan, ssm_scan_oracle
 
 import composed
 
@@ -250,3 +250,17 @@ def test_init_spectral_radius_below_one():
         for name in ("keyword", "scene", "holistic_temporal", "holistic_spatial"):
             layer = SsmLayerParams(*(params[f"ssm.{name}.{k}"] for k in ("in_proj", "A", "B", "C")))
             assert layer.spectral_radius() < 1.0
+
+
+@pytest.mark.parametrize("steps, rows", [(1, 1), (8, 1), (16, 1), (8, 40), (4, 2)])
+def test_scan_kernel_is_bitwise_the_per_step_formula(steps, rows):
+    """The input terms taken before the loop and the in-place adds round as
+    the per-step ``h A^T + x~ B^T`` did: projections, states and outputs."""
+    rng = np.random.default_rng(100 * steps + rows)
+    p = init_ssm_params(rng, 32, 16, 16)
+    a = p.A + 0.05 * rng.normal(size=p.A.shape)  # dense, so every product sums many terms
+    x = rng.normal(size=(steps, rows, 32))
+    got = _scan_forward(x, p.in_proj, a, p.B, p.C)
+    want = composed.scan_forward(x, p.in_proj, a, p.B, p.C)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()

@@ -289,3 +289,24 @@ def test_target_shape_mismatch_is_tagged_loss():
     with pytest.raises(PipelineError) as info:
         forward(samples, params, config, encoder)
     assert info.value.stage == "loss"
+
+
+def test_forward_without_targets_runs_no_loss_and_keeps_the_outputs():
+    """Samples without targets build no loss unit; the pooled vectors, the
+    heads and the per-sample outputs keep their bits."""
+    config, samples, encoder, params = setup({})
+    bare = [dataclasses.replace(s, gt_bbox=None, labels=None) for s in samples]
+    full, unlabeled = (forward(batch, params, config, encoder) for batch in (samples, bare))
+    assert full.loss is not None and unlabeled.loss is None
+    assert [u.key for u in unlabeled.inputs.units] == [u.key for u in full.inputs.units if u.key != "loss"]
+
+    def kept(res):
+        return {
+            u.key: run.output.value.tobytes()
+            for u, run in zip(res.inputs.units, res.runs)
+            if u.key.startswith(("head.", "pool."))
+        }
+
+    assert len(kept(full)) == 6 and kept(unlabeled) == kept(full)
+    for a, b in zip(unlabeled.outputs, full.outputs):
+        assert a.bbox.tobytes() == b.bbox.tobytes() and a.class_probs.tobytes() == b.class_probs.tobytes()
