@@ -26,13 +26,12 @@ maximum and masked; each scan layer runs once per batch over time-major
 and hierarchy. All products are stacked per slice, so each sample's
 outputs are bitwise those of the same sample run alone.
 
-``prepare_sample`` does the per-sample work that depends on no trainable
-value: keyword retrieval (kept as ``(K, T)`` cell indices), its selection
-signature and the pooled branch inputs. Scene tokens and their retrieval
-read ``scene_proj``, a parameter, so ``forward`` builds them on every call.
-``forward`` accepts raw or prepared samples and prepares raw ones on the
-spot, so a training loop can prepare each sample once while evaluation,
-which sees each sample once, passes raw samples.
+A ``PipelineSample`` works out the inputs that depend on no trainable
+value on first read and keeps them: its keyword picks (``(K, T)`` cell
+indices), their selection signature and each enabled branch's pooled
+input. A training loop that draws a sample again, or a gradient check that
+evaluates it again, reuses them. Scene tokens and their retrieval read
+``scene_proj``, a parameter, so ``forward`` builds them on every call.
 
 ``forward`` runs one ``Unit`` per layer instance: scene tokens
 (``scene_proj.``), scene-attribute retrieval, each scan (``ssm.keyword.``,
@@ -74,7 +73,7 @@ from .errors import ConfigError, DimensionError, InputError, PipelineError
 from .numerics import ParamStore, uniform_init
 from .numerics import tape
 from .numerics.tape import Var, one_row_slices, stacked_matmul, weight_grad
-from .retrieval import VisualTokenGrid, build_trajectory_set
+from .retrieval import TrajectorySet, VisualTokenGrid, build_trajectory_set
 from .semantics import (
     Detection,
     ReferenceBundle,
@@ -436,7 +435,15 @@ def init_model_params(config: TrainConfig, seed: int | None = None) -> ParamStor
 
 @dataclass
 class PipelineSample:
-    """One model input: token grid, reference, keyframe detections, targets."""
+    """One model input: token grid, reference, keyframe detections, targets.
+
+    What ``forward`` derives from the sample alone is worked out on first
+    read and kept: the keyword picks (a hard argmin of the fixed keyword
+    embeddings over the grid), their signature, and each branch's pooled
+    input, pooled only once a branch asks for it. So ``grid`` and
+    ``reference`` must not change after the first ``forward``; a changed
+    sample is a new one (``dataclasses.replace``).
+    """
 
     grid: VisualTokenGrid
     reference: ReferenceBundle
@@ -444,6 +451,26 @@ class PipelineSample:
     gt_bbox: np.ndarray | None = None
     labels: np.ndarray | None = None  # multi-hot (num_classes,)
     sample_id: str = ""
+    _pooled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def kw_picks(self) -> TrajectorySet:
+        return build_trajectory_set(self.reference.keyword_embeddings, self.grid, "keyword")
+
+    @property
+    def kw_indices(self) -> np.ndarray:
+        """(K_kw, T) intp: the nearest cell per keyword and frame."""
+        return self.kw_picks.indices
+
+    @functools.cached_property
+    def kw_signature(self) -> tuple:
+        return self.kw_picks.indices_signature()
+
+    def pooled(self, branch: str) -> np.ndarray:
+        """The branch's scan input: (T, d) frames for "temporal", (S, d) cells for "spatial"."""
+        if branch not in self._pooled:
+            self._pooled[branch] = (pool_spatial if branch == "temporal" else pool_temporal)(self.grid)
+        return self._pooled[branch]
 
 
 @dataclass
@@ -517,43 +544,6 @@ class ForwardResult:
 
 def prepare_reference(text: str, encoder: ReferenceEncoder, stop_set=None) -> ReferenceBundle:
     return embed_reference(text, default_stopwords() if stop_set is None else stop_set, encoder)
-
-
-@dataclass
-class PreparedSample:
-    """A sample plus the inputs ``forward`` derives from it that no parameter reaches.
-
-    Keyword retrieval is a hard argmin of fixed reference embeddings over a
-    fixed grid, and the pooled branch inputs read only the grid, so both
-    hold for as long as the config does. Picks are kept as indices, not
-    tokens; ``forward`` gathers the tokens from the grid.
-    """
-
-    sample: PipelineSample
-    kw_indices: np.ndarray  # (K_kw, T) intp, nearest cell per keyword and frame
-    kw_signature: tuple
-    pooled: dict[str, np.ndarray]  # per enabled branch: (T, d) frames or (S, d) cells
-
-
-def prepare_sample(sample: PipelineSample, config: TrainConfig) -> PreparedSample:
-    """Keyword retrieval, its signature and the pooled branch inputs."""
-    grid = sample.grid
-    try:
-        kw_set = build_trajectory_set(sample.reference.keyword_embeddings, grid, "keyword")
-    except Exception as exc:
-        raise PipelineError("retrieval", exc) from exc
-
-    pooled = {}
-    if config.use_temporal:
-        pooled["temporal"] = pool_spatial(grid)
-    if config.use_spatial:
-        pooled["spatial"] = pool_temporal(grid)
-    return PreparedSample(
-        sample=sample,
-        kw_indices=kw_set.indices,
-        kw_signature=kw_set.indices_signature(),
-        pooled=pooled,
-    )
 
 
 def _pad_rows(blocks: list[np.ndarray]) -> np.ndarray:
@@ -649,15 +639,13 @@ class Unit:
 class BatchInputs:
     """What the units of ``forward`` read besides the parameters, and the units.
 
-    Built once per call from the batch as passed (``items``), or taken from
-    the prior run: everything here depends on the samples and the config
-    alone, so no parameter change invalidates it. The read mask and the
-    rerun plans are filled in by the calls that take a prior.
+    Built once per call from the batch, or taken from the prior run:
+    everything here depends on the samples and the config alone, so no
+    parameter change invalidates it. The read mask and the rerun plans are
+    filled in by the calls that take a prior.
     """
 
-    items: list  # the samples as passed, raw or prepared
     samples: list[PipelineSample]
-    prepared: list[PreparedSample]
     config: TrainConfig
     encoder: ReferenceEncoder
     grid_shape: tuple
@@ -686,26 +674,26 @@ def _targets(samples: list[PipelineSample]) -> tuple | None:
     return gt, labels
 
 
-def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -> BatchInputs:
-    if not items:
+def _batch_inputs(samples: list[PipelineSample], config: TrainConfig, encoder: ReferenceEncoder) -> BatchInputs:
+    if not samples:
         raise InputError("forward: empty batch")
-    samples = [s.sample if isinstance(s, PreparedSample) else s for s in items]
     grid_shape = samples[0].grid.tokens.shape
     for s in samples:
         if s.grid.tokens.shape != grid_shape:
             raise DimensionError(
                 f"sample {s.sample_id!r} grid {s.grid.tokens.shape} differs from the batch's {grid_shape}"
             )
-    prepared = [s if isinstance(s, PreparedSample) else prepare_sample(s, config) for s in items]
+    try:
+        kw_indices = [s.kw_indices for s in samples]
+    except Exception as exc:
+        raise PipelineError("retrieval", exc) from exc
     branches = [b for b, on in zip(BRANCHES, (config.use_temporal, config.use_spatial)) if on]
     n_p = config.n_prompts
-    kw_counts = np.array([len(p.kw_indices) for p in prepared])
+    kw_counts = np.array([len(idx) for idx in kw_indices])
     use_kw = config.use_keyword & (kw_counts > 0)
     kw_input = kw_query = None
     if config.use_mhs_ca and use_kw.any():
-        kw_input = _trajectory_input(
-            [s.grid for s in samples], [p.kw_indices for p in prepared], kw_counts, grid_shape
-        )
+        kw_input = _trajectory_input([s.grid for s in samples], kw_indices, kw_counts, grid_shape)
         kw_mask = _row_mask(kw_counts, int(kw_counts.max()), n_p)
         kw_query = (QueryRows(kw_counts, n_p), PoolPart(kw_mask, use_kw))
     picks_used = config.use_mhs_ca and config.use_keyword
@@ -714,9 +702,7 @@ def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -
     every = np.ones(len(samples), dtype=bool)
     targets = _targets(samples)
     return BatchInputs(
-        items=items,
         samples=samples,
-        prepared=prepared,
         config=config,
         encoder=encoder,
         grid_shape=grid_shape,
@@ -724,14 +710,14 @@ def _batch_inputs(items: list, config: TrainConfig, encoder: ReferenceEncoder) -
         use_kw=use_kw,
         kw_input=kw_input,
         kw_query=kw_query,
-        kw_signature=[(p.kw_signature,) if picks_used else () for p in prepared],
+        kw_signature=[(s.kw_signature,) if picks_used else () for s in samples],
         holistic=(
             Var(holistic),
             QueryRows(holistic_counts, n_p),
             PoolPart(_row_mask(holistic_counts, holistic.shape[1], n_p), every),
         ),
         whole=PoolPart(None, every),
-        pooled={b: np.stack([p.pooled[b] for p in prepared], axis=1) for b in branches},
+        pooled={b: np.stack([s.pooled(b) for s in samples], axis=1) for b in branches},
         targets=targets,
         units=_units(
             tuple(branches),
@@ -1024,7 +1010,7 @@ def _run_units(
 
 
 def forward(
-    samples: PipelineSample | PreparedSample | list[PipelineSample | PreparedSample],
+    samples: PipelineSample | list[PipelineSample],
     params: ParamStore,
     config: TrainConfig,
     encoder: ReferenceEncoder,
@@ -1033,7 +1019,6 @@ def forward(
 ) -> ForwardResult:
     """Run the units (one per layer instance) over one sample or a batch.
 
-    ``samples`` is raw or prepared; a raw sample is prepared on the spot.
     The grids of a batch must share one shape. When every sample has
     targets the last unit is the loss, the batch mean; otherwise no loss
     unit is built and the result's ``loss`` is None, with every other
@@ -1048,15 +1033,15 @@ def forward(
     come out bitwise as a full run's. Backward through a reused output
     raises; differentiate a run made without prior.
     """
-    items = [samples] if isinstance(samples, (PipelineSample, PreparedSample)) else list(samples)
+    samples = list(samples) if isinstance(samples, (list, tuple)) else [samples]
     pv = params.as_vars() if param_vars is None else param_vars
     views = _views_store(pv, params)
     names = params.names()
     if prior is None:
-        inputs = _batch_inputs(items, config, encoder)
+        inputs = _batch_inputs(samples, config, encoder)
     else:
         inputs = prior.inputs
-        same = len(items) == len(inputs.items) and all(a is b for a, b in zip(items, inputs.items))
+        same = len(samples) == len(inputs.samples) and all(a is b for a, b in zip(samples, inputs.samples))
         if not same or encoder is not inputs.encoder or config != inputs.config:
             raise InputError("forward: prior comes from another batch, config or encoder")
         if not (views and prior.values is not None and prior.store is params and prior.names == names):
@@ -1066,7 +1051,7 @@ def forward(
     outputs, runs = _run_units(inputs, pv, params, prior)
     parts = [run.signature for run in runs if run.signature is not None]
     signature = tuple(
-        sum((part[b] for part in parts), inputs.kw_signature[b]) for b in range(len(items))
+        sum((part[b] for part in parts), inputs.kw_signature[b]) for b in range(len(samples))
     )
     values = params.flat_values.copy() if views else None
     loss = outputs[-1] if inputs.targets is not None else None

@@ -18,11 +18,19 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import TrainConfig
+from ..config import TrainConfig, _kind_error
 from ..errors import ConfigError
 from ..retrieval import VisualTokenGrid
 from ..semantics import Detection, SyntheticEncoder, synthetic_encode
-from .formats import ANNOTATIONS_NAME, FEATURES_DIR, META_NAME, SampleRecord, save_annotations, write_tensor
+from .formats import (
+    ANNOTATIONS_NAME,
+    FEATURES_DIR,
+    META_NAME,
+    SampleRecord,
+    record_sample,
+    save_annotations,
+    write_tensor,
+)
 
 FIXTURE_FORMAT_VERSION = 1
 
@@ -63,11 +71,21 @@ class GenConfig:
         return self.seed if self.encoder_seed is None else self.encoder_seed
 
     def validate(self) -> "GenConfig":
+        """Check each field's type, then its range; a bad field raises
+        ``ConfigError`` naming it."""
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            problem = None if optional and value is None else _kind_error(kind, value)
+            if problem is not None:
+                raise ConfigError(f"{f.name} {problem}, got {value!r}")
         for name in ("frames", "grid_rows", "grid_cols", "num_classes", "max_labels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.num_samples < 0:
-            raise ConfigError(f"num_samples must be >= 0, got {self.num_samples}")
+        for name in ("num_samples", "seed", "encoder_seed", "planted_noise", "background_scale"):
+            value = getattr(self, name)  # seeds and noise scales, which numpy rejects below 0
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.max_labels > self.num_classes:
@@ -198,8 +216,6 @@ def make_sample(
 
 def synth_samples(cfg: GenConfig):
     """In-memory PipelineSamples with targets, no disk round trip."""
-    from ..fusion import PipelineSample, prepare_reference
-
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     combos = _draw_combos(cfg, rng)
@@ -207,18 +223,7 @@ def synth_samples(cfg: GenConfig):
     samples = []
     for i in range(cfg.num_samples):
         record, grid = make_sample(cfg, rng, int(combos[i]), i)
-        labels = np.zeros(cfg.num_classes)
-        labels[record.action_labels] = 1.0
-        samples.append(
-            PipelineSample(
-                grid=VisualTokenGrid(grid),
-                reference=prepare_reference(record.reference, encoder),
-                detections=record.detections,
-                gt_bbox=np.asarray(record.gt_bbox),
-                labels=labels,
-                sample_id=record.video_id,
-            )
-        )
+        samples.append(record_sample(record, VisualTokenGrid(grid), encoder, cfg.num_classes))
     return samples
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import fusion
 from ..errors import DimensionError, InputError, ParseError
 from ..retrieval import VisualTokenGrid
 from ..semantics import Detection, ReferenceEncoder, SyntheticEncoder
@@ -161,6 +162,8 @@ def _parse_record(
                     confidence=float(det["confidence"]),
                 ).validate()
             )
+        except KeyError as exc:
+            fail(f"detection {k}: missing key {exc}", "detections")
         except Exception as exc:
             fail(f"detection {k}: {exc}", "detections")
     features_ref = obj["features_ref"]
@@ -210,6 +213,24 @@ def save_annotations(path, records: list[SampleRecord]) -> None:
             fh.write("\n")
 
 
+def record_sample(
+    record: SampleRecord, grid: VisualTokenGrid, encoder: ReferenceEncoder, num_classes: int
+) -> fusion.PipelineSample:
+    """The model input of one record: its grid, its reference embedded by
+    ``encoder``, its detections and box, and its labels as a multi-hot
+    (num_classes,) vector."""
+    labels = np.zeros(num_classes)
+    labels[record.action_labels] = 1.0
+    return fusion.PipelineSample(
+        grid=grid,
+        reference=fusion.prepare_reference(record.reference, encoder),
+        detections=record.detections,
+        gt_bbox=np.asarray(record.gt_bbox, dtype=np.float64),
+        labels=labels,
+        sample_id=record.video_id,
+    )
+
+
 class FixtureDataset:
     """A generated dataset directory: meta.json + annotations + RTEN features."""
 
@@ -257,7 +278,7 @@ class FixtureDataset:
         return SyntheticEncoder(self.dim, self.encoder_seed)
 
     def load_grid(self, record: SampleRecord) -> VisualTokenGrid:
-        """Read a sample's tensor; its frames and dim must match the annotation and meta."""
+        """Read a sample's tensor; its frames must match the annotation and meta, its dim the meta."""
         path = self.root / record.features_ref
         try:
             grid = VisualTokenGrid(read_tensor(path))
@@ -265,6 +286,7 @@ class FixtureDataset:
             raise ParseError(f"{path}: {exc}") from exc
         for name, found, expected, source in (
             ("num_frames", grid.num_frames, record.num_frames, "its record"),
+            ("frames", grid.num_frames, self.frames, META_NAME),
             ("dim", grid.dim, self.dim, META_NAME),
         ):
             if found != expected:
@@ -277,28 +299,14 @@ class FixtureDataset:
 
     def load_samples(self, encoder: ReferenceEncoder | None = None):
         """Materialize PipelineSamples (grids read, references embedded once)."""
-        from ..fusion import PipelineSample, prepare_reference
-
         encoder = encoder or self.default_encoder()
         samples = []
         for rec in self.records:
-            labels = np.zeros(self.num_classes)
-            labels[rec.action_labels] = 1.0
             grid = self.load_grid(rec)
             try:
-                reference = prepare_reference(rec.reference, encoder)
+                samples.append(record_sample(rec, grid, encoder, self.num_classes))
             except InputError as exc:
                 raise ParseError(
                     f"{self.root / ANNOTATIONS_NAME}: video {rec.video_id!r}: {exc}", field="reference"
                 ) from exc
-            samples.append(
-                PipelineSample(
-                    grid=grid,
-                    reference=reference,
-                    detections=rec.detections,
-                    gt_bbox=np.asarray(rec.gt_bbox, dtype=np.float64),
-                    labels=labels,
-                    sample_id=rec.video_id,
-                )
-            )
         return samples

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..config import TrainConfig
 from ..errors import MetricError
-from ..fusion import forward, prepare_sample
+from ..fusion import forward
 from ..metrics import (
     EvalRecord,
     auroc,
@@ -120,23 +120,23 @@ GRADCHECK_GEN = GenConfig(
 def model_loss_fn(samples, params, config, encoder):
     """Batch-mean training loss with the retrieval-selection signature.
 
-    Each sample is prepared once: keyword retrieval and pooling read no
-    parameter, so no perturbation changes them. The first evaluation, the
-    unperturbed one ``grad_check`` differentiates, runs the whole forward
-    and is kept; each later one passes it as ``prior``, so it reruns only
-    the layer instances whose read parameters differ from that evaluation's
-    and what consumes them: one head and the loss for a ``head.*`` scalar,
-    one attention, its branch's pooling, heads and loss for ``attn.*``, one
-    scan and the attentions it feeds for ``ssm.*``, and the scene tokens and
-    retrieval for ``scene_proj`` (past them only when a pick flips). Losses
-    and signatures are bitwise a full forward's.
+    The first evaluation, the unperturbed one ``grad_check``
+    differentiates, runs the whole forward and is kept; each later one
+    passes it as ``prior``, so it reruns only the layer instances whose read
+    parameters differ from that evaluation's and what consumes them: one
+    head and the loss for a ``head.*`` scalar, one attention, its branch's
+    pooling, heads and loss for ``attn.*``, one scan and the attentions it
+    feeds for ``ssm.*``, and the scene tokens and retrieval for
+    ``scene_proj`` (past them only when a pick flips). Keyword retrieval and
+    pooling read no parameter; each sample works them out in the first
+    evaluation and keeps them. Losses and signatures are bitwise a full
+    forward's.
     """
-    prepared = [prepare_sample(s, config) for s in samples]
     baseline = None
 
     def fn(pv):
         nonlocal baseline
-        res = forward(prepared, params, config, encoder, param_vars=pv, prior=baseline)
+        res = forward(samples, params, config, encoder, param_vars=pv, prior=baseline)
         if baseline is None:
             baseline = res
         return res.loss, res.selection_signature

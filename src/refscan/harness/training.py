@@ -3,11 +3,11 @@
 The optimizer is adaptive moment estimation (beta1 0.9, beta2 0.999, eps
 1e-8), applied once to the parameter store's flat value vector. The
 learning rate warms up linearly over the first warmup_ratio of steps, then
-multiplies by lr_decay after every completed pass over the dataset. Each
-sample is prepared (keyword retrieval, pooling) the first time a step
-draws it and reused after that: both read only the sample, which no step
-changes. Scene tokens read ``scene_proj`` and are built, with their
-retrieval, in every forward. Before each forward the store's gradients
+multiplies by lr_decay after every completed pass over the dataset. A
+sample's keyword retrieval and pooled inputs are worked out by the sample
+the first time a step draws it and kept: both read only the sample, which
+no step changes. Scene tokens read ``scene_proj`` and are built, with
+their retrieval, in every forward. Before each forward the store's gradients
 are zeroed and each parameter leaf's ``grad`` is pointed at its view of
 them, so backward adds every gradient straight into the flat gradient
 vector the optimizer reads. Everything is deterministic for a fixed
@@ -23,7 +23,7 @@ import numpy as np
 
 from ..config import TrainConfig
 from ..errors import ConfigError, InputError
-from ..fusion import PipelineSample, PreparedSample, forward, init_model_params, prepare_sample
+from ..fusion import PipelineSample, forward, init_model_params
 from ..numerics import ParamStore
 from ..semantics import ReferenceEncoder
 from .checkpoint import Checkpoint, rng_state_of
@@ -116,7 +116,6 @@ def train(
 
     result = TrainResult(checkpoint=Checkpoint(config, params, 0, rng_state_of(rng)))
     order: list[int] = []
-    prepared: dict[int, PreparedSample] = {}
 
     for step in range(config.steps):
         if not order:
@@ -128,14 +127,11 @@ def train(
             while len(batch_idx) < config.batch:
                 batch_idx.append(order.pop())
 
-        for i in batch_idx:
-            if i not in prepared:
-                prepared[i] = prepare_sample(samples[i], config)
         params.zero_grads()
         pv = params.as_vars()
         for name, leaf in pv.items():  # backward adds each leaf's gradient into flat_grads
             leaf.grad = params.grad(name)
-        total = forward([prepared[i] for i in batch_idx], params, config, encoder, param_vars=pv).loss
+        total = forward([samples[i] for i in batch_idx], params, config, encoder, param_vars=pv).loss
         loss_value = float(total.value)
         if not math.isfinite(loss_value):
             result.aborted = True

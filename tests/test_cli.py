@@ -169,6 +169,21 @@ def test_gen_config_file_with_flag_override(tmp_path):
     assert meta["seed"] == 4
 
 
+@pytest.mark.parametrize("value, field, message", [
+    ({"frames": "x"}, "frames", "must be an integer"),
+    ({"dim": 2.5}, "dim", "must be an integer"),
+    ({"planted_noise": None}, "planted_noise", "must be a number"),
+    ({"seed": -1}, "seed", "must be >= 0"),
+])
+def test_malformed_gen_config_value_exits_1_naming_the_field(tmp_path, capsys, value, field, message):
+    cfg = tmp_path / "gen.json"
+    cfg.write_text(json.dumps({"num_samples": 2, "frames": 2, "dim": 4, "encoder_seed": None, **value}))
+    assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} {message}") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_oracle_suites_pass(capsys):
     for suite in ("scan", "map", "auroc"):
         assert main(["oracle", "--suite", suite]) == 0
@@ -277,3 +292,16 @@ def test_reference_without_words_exits_1_naming_the_file(dataset, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "annotations.jsonl" in err and repr(record["video_id"]) in err
     assert "no encodable words" in err and "field 'reference'" in err and "Traceback" not in err
+
+
+def test_meta_frames_that_differ_from_the_tensors_exit_1_naming_meta_json(dataset, tmp_path, capsys):
+    meta = dataset / "meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "frames": 3}))
+    config = json.loads(small_train_config(tmp_path).read_text())
+    del config["frames"]  # taken from meta.json
+    (tmp_path / "train.json").write_text(json.dumps(config))
+    assert main(["train", "--data", str(dataset), "--config", str(tmp_path / "train.json"),
+                 "--out-ckpt", str(tmp_path / "x.ckpt")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "meta.json says 3" in err and "field 'frames'" in err
+    assert "Traceback" not in err and not (tmp_path / "x.ckpt").exists()

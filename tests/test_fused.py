@@ -8,6 +8,8 @@ training checkpoints keep their bytes.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,6 @@ from refscan.fusion import (
     QueryRows,
     forward,
     init_model_params,
-    prepare_sample,
 )
 from refscan.harness import suites
 from refscan.harness.fixtures import GenConfig, default_train_config, synth_samples
@@ -28,6 +29,7 @@ from refscan.semantics import SyntheticEncoder
 
 import composed
 from test_batch import GEN, OUTPUT_FIELDS, head_and_pool_values, mixed_batch, usable
+from test_prepared import keyword_retrievals
 
 GRAD_RTOL = 1e-12
 FUSED = (
@@ -255,7 +257,7 @@ def test_train_step_builds_at_most_90_tape_nodes():
     config = default_train_config(gen, batch=8, seed=7, d_a=32, lambda_box=4.0, aux_branch_loss=True)
     samples = synth_samples(gen)
     encoder = SyntheticEncoder(gen.dim, gen.seed)
-    res = forward([prepare_sample(s, config) for s in samples], init_model_params(config), config, encoder)
+    res = forward(samples, init_model_params(config), config, encoder)
     seen, stack = {id(res.loss)}, [res.loss]
     while stack:
         for parent in stack.pop()._parents:
@@ -266,16 +268,17 @@ def test_train_step_builds_at_most_90_tape_nodes():
 
 
 def test_gradcheck_loss_prepares_each_sample_once(monkeypatch):
+    """Across three ``model_loss_fn`` evaluations, each sample runs keyword
+    retrieval once, and each evaluation is a fresh forward's, bitwise."""
     config = suites.GRADCHECK_CONFIG
     samples = synth_samples(GenConfig(**{**suites.GRADCHECK_GEN.to_dict(), "seed": 5}))
     encoder = SyntheticEncoder(suites.GRADCHECK_GEN.dim, 5)
     params = init_model_params(config, seed=5)
-    prepared = []
-    monkeypatch.setattr(suites, "prepare_sample", lambda s, c: prepared.append(s) or prepare_sample(s, c))
+    grids = keyword_retrievals(monkeypatch)
     fn = suites.model_loss_fn(samples, params, config, encoder)
     losses = [fn(params.as_vars()) for _ in range(3)]
-    assert len(prepared) == len(samples) and all(a is b for a, b in zip(prepared, samples))
-    raw = forward(samples, params, config, encoder)
+    assert sorted(map(id, grids)) == sorted(id(s.grid) for s in samples)
+    raw = forward([dataclasses.replace(s) for s in samples], params, config, encoder)
     for loss, signature in losses:
         assert float(loss.value) == float(raw.loss.value)
         assert signature == raw.selection_signature

@@ -9,7 +9,9 @@ succeeds (the damage left a valid file, say a flipped digit) or exits 1
 with an ``error:`` line that names the damaged file; any other exception
 escapes ``main`` and fails the test. Byte damage to a tensor payload is
 another valid float, so it is aimed at the header; a non-finite payload
-value is swapped in on its own. The cases come from one seeded
+value is swapped in on its own. A generator config file is damaged the
+same way and run through ``refscan gen --config``; its one ``error:`` line
+names the file or a field. The cases come from one seeded
 ``random.Random``, so a failure reproduces from its case number.
 """
 
@@ -23,6 +25,7 @@ import struct
 import pytest
 
 from refscan.harness.cli import main
+from refscan.harness.fixtures import GenConfig
 
 SEED = 20
 CASES = 40  # per damaged file
@@ -30,6 +33,11 @@ SWAPS = ["-1", "0", "1e309", "null", '"x"', "[]"]
 TRAIN_CONFIG = {
     "d": 4, "d_s": 2, "d_a": 2, "n": 2, "n_prompts": 1, "frames": 2, "num_classes": 3,
     "batch": 2, "steps": 1, "learning_rate": 1e-3, "seed": 1,
+}
+
+GEN_CONFIG = {
+    **GenConfig().to_dict(), "num_samples": 2, "frames": 2, "grid_rows": 1, "grid_cols": 2, "dim": 4,
+    "num_classes": 3, "seed": 11, "max_labels": 2,
 }
 
 
@@ -138,4 +146,24 @@ def test_damaged_input_exits_1_naming_the_file(pristine, tmp_path, capsys, targe
             assert code in (0, 1), (case, argv[0], code)
             if code == 1:
                 assert err.startswith("error: ") and victim.name in err, (case, argv[0], err)
+        shutil.rmtree(work)
+
+
+def test_damaged_gen_config_exits_1_naming_the_file_or_field(tmp_path, capsys):
+    for case, rng in _cases("gen.json"):
+        work = tmp_path / str(case)
+        work.mkdir()
+        victim = work / "gen.json"
+        victim.write_bytes(_damage_json_lines(json.dumps(GEN_CONFIG).encode("utf-8"), rng))
+        try:
+            keys = list(json.loads(victim.read_bytes()))
+        except ValueError:
+            keys = []
+        capsys.readouterr()
+        code = main(["gen", "--config", str(victim), "--out", str(work / "data")])
+        err = capsys.readouterr().err
+        assert code in (0, 1), (case, code)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1, (case, err)
+            assert victim.name in err or any(repr(key) in err or key in err for key in keys), (case, err)
         shutil.rmtree(work)

@@ -133,6 +133,18 @@ class TestAnnotations:
         with pytest.raises(ParseError, match=rf"line 2.*field '{field}'"):
             load_annotations(path)
 
+    def test_detection_missing_a_key_names_the_key(self, tmp_path):
+        generate_fixtures(SMALL_GEN, tmp_path)
+        path = tmp_path / "annotations.jsonl"
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[0])
+        del obj["detections"][2]["category"]
+        lines[0] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        pattern = r"annotations\.jsonl: detection 2: missing key 'category': line 1: field 'detections'"
+        with pytest.raises(ParseError, match=pattern):
+            load_annotations(path)
+
     def test_keyframe_is_center_frame(self, tmp_path):
         generate_fixtures(SMALL_GEN, tmp_path)
         for rec in FixtureDataset(tmp_path).records:
@@ -221,6 +233,12 @@ class TestGridShape:
         write_tensor(tmp_path / rec.features_ref, np.zeros((SMALL_GEN.frames + 1, 4, SMALL_GEN.dim)))
         with pytest.raises(ParseError, match=rf"annotations\.jsonl: video '{rec.video_id}'.*field 'num_frames'"):
             ds.load_grid(rec)
+
+    def test_frame_count_must_match_meta(self, tmp_path):
+        ds = self._dataset(tmp_path, frames=SMALL_GEN.frames - 1)
+        pattern = rf"has frames {SMALL_GEN.frames}, meta\.json says {SMALL_GEN.frames - 1}: field 'frames'"
+        with pytest.raises(ParseError, match=pattern):
+            ds.load_samples()
 
     def test_dim_must_match_meta(self, tmp_path):
         ds = self._dataset(tmp_path, dim=SMALL_GEN.dim * 2)

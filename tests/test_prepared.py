@@ -1,19 +1,22 @@
-"""Prepared samples and the training step built on them.
+"""The inputs a sample keeps, and the training step built on them.
 
-Training prepares each sample once (keyword retrieval, pooling) and runs
-Adam over one flat parameter vector; both must be bitwise the plain
-per-step forward and the per-tensor optimizer.
+A sample works out its keyword retrieval and pooled inputs on first read
+and keeps them; training reuses them across steps and runs Adam over one
+flat parameter vector. Both must be bitwise a forward on fresh samples
+every step and the per-tensor optimizer.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from refscan import fusion
-from refscan.fusion import PreparedSample, forward, init_model_params, prepare_sample
+from refscan.errors import DimensionError, PipelineError
+from refscan.fusion import forward, init_model_params
 from refscan.harness import training
 from refscan.harness.fixtures import GenConfig, default_train_config, synth_samples
 from refscan.harness.training import Adam, lr_at_step, train
@@ -33,7 +36,8 @@ def train_setup():
 
 
 def reference_train(config, samples, encoder):
-    """Uncached forward every step and a per-tensor Adam; returns (losses, params)."""
+    """Forward on fresh sample copies every step, so nothing the samples
+    kept is reused, and a per-tensor Adam; returns (losses, params)."""
     params = init_model_params(config)
     rng = np.random.default_rng(config.seed)
     m = {name: np.zeros_like(arr) for name, arr in params.items()}
@@ -50,7 +54,8 @@ def reference_train(config, samples, encoder):
             while len(batch_idx) < config.batch:
                 batch_idx.append(order.pop())
         pv = {name: Var(arr.copy()) for name, arr in params.items()}
-        loss = forward([samples[i] for i in batch_idx], params, config, encoder, param_vars=pv).loss
+        fresh = [dataclasses.replace(samples[i]) for i in batch_idx]
+        loss = forward(fresh, params, config, encoder, param_vars=pv).loss
         loss.backward()
         lr = lr_at_step(step, config, steps_per_epoch)
         t = step + 1
@@ -85,21 +90,69 @@ def test_training_never_moves_scene_proj():
     assert len(moved) > len(init.names()) // 2
 
 
+def keyword_retrievals(monkeypatch):
+    """The grid of each keyword ``fusion.build_trajectory_set`` call, recorded from now on."""
+    grids = []
+    real = fusion.build_trajectory_set
+
+    def counting(queries, grid, hierarchy):
+        if hierarchy == "keyword":
+            grids.append(grid)
+        return real(queries, grid, hierarchy)
+
+    monkeypatch.setattr(fusion, "build_trajectory_set", counting)
+    return grids
+
+
 def test_train_prepares_each_sample_once(monkeypatch):
+    """Across one ``train``, each sample runs keyword retrieval once."""
     config, samples, encoder = train_setup()
-    calls = []
-
-    def counting_prepare(sample, *args):
-        calls.append(sample.sample_id)
-        return prepare_sample(sample, *args)
-
-    monkeypatch.setattr(training, "prepare_sample", counting_prepare)
+    assert config.steps * config.batch > len(samples)  # samples recur
+    grids = keyword_retrievals(monkeypatch)
     train(config, samples, encoder)
-    assert sorted(calls) == sorted(s.sample_id for s in samples)
+    assert sorted(map(id, grids)) == sorted(id(s.grid) for s in samples)
+
+
+def test_kept_keyword_picks_are_a_fresh_retrieval():
+    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
+    for s in mixed_batch(encoder):
+        fresh = build_trajectory_set(s.reference.keyword_embeddings, s.grid, "keyword")
+        assert s.kw_indices.dtype == np.intp and s.kw_indices.shape == fresh.indices.shape
+        assert np.array_equal(s.kw_indices, fresh.indices)
+        assert s.kw_signature == fresh.indices_signature()
+        assert s.kw_indices is s.kw_indices  # kept, not retrieved again
+
+
+def test_a_keyword_retrieval_failure_is_tagged_retrieval():
+    config = config_for("desk")
+    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
+    samples = mixed_batch(encoder)
+    wider = fusion.prepare_reference("red hat left", SyntheticEncoder(GEN.dim + 1, GEN.seed))
+    samples[2] = dataclasses.replace(samples[2], reference=wider)
+    with pytest.raises(PipelineError) as info:
+        forward(samples, init_model_params(config, seed=0), config, encoder)
+    assert info.value.stage == "retrieval" and isinstance(info.value.cause, DimensionError)
+
+
+def test_a_disabled_branch_is_never_pooled(monkeypatch):
+    config = dataclasses.replace(config_for("desk"), use_spatial=False)
+    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
+    samples = mixed_batch(encoder)
+    pooled = []
+    for name in ("pool_spatial", "pool_temporal"):
+        real = getattr(fusion, name)
+        monkeypatch.setattr(fusion, name, lambda grid, name=name, real=real: pooled.append(name) or real(grid))
+    forward(samples, init_model_params(config, seed=0), config, encoder)
+    forward(samples, init_model_params(config, seed=1), config, encoder)
+    assert pooled == ["pool_spatial"] * len(samples)
+    for s in samples:
+        assert np.array_equal(s.pooled("temporal"), s.grid.tokens.mean(axis=1))
 
 
 @pytest.mark.parametrize("name", ["desk", "one prompt, aux loss", "no holistic"])
 def test_prepared_forward_is_bitwise_the_raw_forward(name):
+    """A forward on samples whose kept inputs are filled is bitwise one on
+    fresh copies, alone or mixed with fresh samples in one batch."""
     config = config_for(name)
     encoder = SyntheticEncoder(GEN.dim, GEN.seed)
     samples = mixed_batch(encoder)
@@ -108,34 +161,33 @@ def test_prepared_forward_is_bitwise_the_raw_forward(name):
     assert any(s.reference.num_keywords == 0 for s in samples)
     assert any(not s.detections for s in samples)
     params = init_model_params(config, seed=0)
-    prepared = [prepare_sample(s, config) for s in samples]
-    assert all(isinstance(p, PreparedSample) and p.kw_indices.dtype == np.intp for p in prepared)
-    raw = forward(samples, params, config, encoder)
-    mixed = forward([p if i % 2 else s for i, (s, p) in enumerate(zip(samples, prepared))], params, config, encoder)
-    for res in (forward(prepared, params, config, encoder), mixed):
-        assert float(res.loss.value) == float(raw.loss.value)
-        assert res.selection_signature == raw.selection_signature
-        for a, b in zip(res.outputs, raw.outputs):
+    filled = forward(samples, params, config, encoder)
+    assert all(s.kw_indices.dtype == np.intp for s in samples)
+    fresh = forward([dataclasses.replace(s) for s in samples], params, config, encoder)
+    mixed = [s if i % 2 else dataclasses.replace(s) for i, s in enumerate(samples)]
+    for res in (filled, forward(samples, params, config, encoder), forward(mixed, params, config, encoder)):
+        assert float(res.loss.value) == float(fresh.loss.value)
+        assert res.selection_signature == fresh.selection_signature
+        for a, b in zip(res.outputs, fresh.outputs):
             for field in OUTPUT_FIELDS:
                 x, y = getattr(a, field), getattr(b, field)
                 assert (x is None and y is None) or np.array_equal(x, y), field
 
 
 def test_prepared_sample_holds_when_scene_proj_moves():
-    """A prepared sample reads no parameter: scene tokens follow ``scene_proj``."""
+    """A sample keeps no parameter-dependent value: scene tokens follow ``scene_proj``."""
     config = config_for("desk")
     encoder = SyntheticEncoder(GEN.dim, GEN.seed)
     samples = mixed_batch(encoder)
     params = init_model_params(config, seed=0)
-    prepared = [prepare_sample(s, config) for s in samples]
-    before = forward(prepared, params, config, encoder).selection_signature
+    before = forward(samples, params, config, encoder).selection_signature
     params["scene_proj.w"] = np.random.default_rng(3).normal(size=params["scene_proj.w"].shape)
-    raw = forward(samples, params, config, encoder)
-    res = forward(prepared, params, config, encoder)
-    assert [sig[1] for sig in raw.selection_signature] != [sig[1] for sig in before]
-    assert res.selection_signature == raw.selection_signature
-    assert float(res.loss.value) == float(raw.loss.value)
-    for a, b in zip(res.outputs, raw.outputs):
+    fresh = forward([dataclasses.replace(s) for s in samples], params, config, encoder)
+    res = forward(samples, params, config, encoder)
+    assert [sig[1] for sig in fresh.selection_signature] != [sig[1] for sig in before]
+    assert res.selection_signature == fresh.selection_signature
+    assert float(res.loss.value) == float(fresh.loss.value)
+    for a, b in zip(res.outputs, fresh.outputs):
         assert np.array_equal(a.class_probs, b.class_probs) and np.array_equal(a.bbox, b.bbox)
 
 
@@ -148,7 +200,7 @@ def test_scan_inputs_are_the_retrieved_trajectory_tokens(monkeypatch):
     inputs = []
     real_scan = fusion.scan_var
     monkeypatch.setattr(fusion, "scan_var", lambda x, *rest: inputs.append(x.value) or real_scan(x, *rest))
-    forward([prepare_sample(s, config) for s in samples], params, config, encoder)
+    forward(samples, params, config, encoder)
     frames, _, dim = samples[0].grid.tokens.shape
     for x, hierarchy in zip(inputs, ("keyword", "scene-attribute")):
         x = x.reshape(frames, len(samples), -1, dim)
