@@ -442,7 +442,8 @@ class PipelineSample:
     embeddings over the grid), their signature, and each branch's pooled
     input, pooled only once a branch asks for it. So ``grid`` and
     ``reference`` must not change after the first ``forward``; a changed
-    sample is a new one (``dataclasses.replace``).
+    sample is a new one (``dataclasses.replace``), which starts with
+    nothing kept.
     """
 
     grid: VisualTokenGrid
@@ -451,26 +452,37 @@ class PipelineSample:
     gt_bbox: np.ndarray | None = None
     labels: np.ndarray | None = None  # multi-hot (num_classes,)
     sample_id: str = ""
-    _pooled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @functools.cached_property
+    def without_targets(self) -> PipelineSample:
+        """The sample with no box or labels, sharing what this one keeps and
+        will keep: the same inputs, so the same kept values."""
+        copy = PipelineSample(self.grid, self.reference, self.detections, sample_id=self.sample_id)
+        copy._kept = self._kept
+        return copy
+
+    @property
     def kw_picks(self) -> TrajectorySet:
-        return build_trajectory_set(self.reference.keyword_embeddings, self.grid, "keyword")
+        if "kw_picks" not in self._kept:
+            self._kept["kw_picks"] = build_trajectory_set(self.reference.keyword_embeddings, self.grid, "keyword")
+        return self._kept["kw_picks"]
 
     @property
     def kw_indices(self) -> np.ndarray:
         """(K_kw, T) intp: the nearest cell per keyword and frame."""
         return self.kw_picks.indices
 
-    @functools.cached_property
+    @property
     def kw_signature(self) -> tuple:
-        return self.kw_picks.indices_signature()
+        if "kw_signature" not in self._kept:
+            self._kept["kw_signature"] = self.kw_picks.indices_signature()
+        return self._kept["kw_signature"]
 
     def pooled(self, branch: str) -> np.ndarray:
         """The branch's scan input: (T, d) frames for "temporal", (S, d) cells for "spatial"."""
-        if branch not in self._pooled:
-            self._pooled[branch] = (pool_spatial if branch == "temporal" else pool_temporal)(self.grid)
-        return self._pooled[branch]
+        if branch not in self._kept:
+            self._kept[branch] = (pool_spatial if branch == "temporal" else pool_temporal)(self.grid)
+        return self._kept[branch]
 
 
 @dataclass

@@ -81,7 +81,7 @@ def _cmd_train(args) -> int:
         write_loss_curve(args.log, result)
     if result.aborted:
         print(
-            f"aborted: non-finite loss or gradient at step {result.steps_done}; "
+            f"aborted: {result.abort_cause()} at step {result.steps_done}; "
             f"last-good checkpoint written to {args.out_ckpt}",
             file=sys.stderr,
         )
@@ -94,8 +94,8 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     dataset = FixtureDataset(args.data)
-    samples = dataset.load_samples()
-    report = evaluate(ckpt.params, ckpt.config, samples, dataset.default_encoder())
+    encoder = dataset.default_encoder()
+    report = evaluate(ckpt.params, ckpt.config, dataset.iter_samples(encoder), encoder)
     write_report(args.report, report)
     print(
         f"mIOU {report['miou']:.4f}  mAP {report['map']:.4f}  AUROC {report['auroc']:.4f}  "

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -17,17 +18,20 @@ from ..semantics import ReferenceEncoder
 def predict_records(
     params: ParamStore,
     config: TrainConfig,
-    samples: list[PipelineSample],
+    samples: Iterable[PipelineSample],
     encoder: ReferenceEncoder,
 ) -> list[EvalRecord]:
-    """One forward per sample; every forward shares one set of parameter
-    leaves, which is safe because evaluation never runs backward.
+    """One forward per sample, drawn from ``samples`` one at a time and kept
+    only as its small ``EvalRecord``, so a streamed split is never held
+    whole. Every forward shares one set of parameter leaves, which is safe
+    because evaluation never runs backward.
 
-    Each forward gets the sample without its targets, so it builds no loss
-    unit; the records take the targets from the sample as given. A sample
-    whose predicted box or class scores are not finite raises
-    ``PipelineError`` with the stage of the first unit of its forward whose
-    output is not finite.
+    Each forward gets ``sample.without_targets()``, so it builds no loss
+    unit, yet shares the keyword picks and pooled inputs the sample keeps:
+    a sample evaluated twice retrieves its keywords once. The records take
+    the targets from the sample as given. A sample whose predicted box or
+    class scores are not finite raises ``PipelineError`` with the stage of
+    the first unit of its forward whose output is not finite.
     """
     pv = params.as_vars()
     records = []
@@ -39,8 +43,7 @@ def predict_records(
             )
         if s.labels is None or s.labels.shape != (config.num_classes,):
             raise ConfigError(f"sample {s.sample_id!r} labels do not match checkpoint num_classes")
-        unlabeled = PipelineSample(s.grid, s.reference, s.detections, sample_id=s.sample_id)
-        res = forward(unlabeled, params, config, encoder, param_vars=pv)
+        res = forward(s.without_targets(), params, config, encoder, param_vars=pv)
         out = res.output
         # box and scores are means of sigmoids: their sum is finite exactly when every
         # entry is, and a non-finite entry comes from a non-finite head output or earlier
@@ -85,9 +88,12 @@ def aggregate_report(records: list[EvalRecord]) -> dict:
 def evaluate(
     params: ParamStore,
     config: TrainConfig,
-    samples: list[PipelineSample],
+    samples: Iterable[PipelineSample],
     encoder: ReferenceEncoder,
 ) -> dict:
+    """The report of ``predict_records`` over any iterable of samples: a
+    list, or ``FixtureDataset.iter_samples`` to read the split one chunk at
+    a time."""
     return aggregate_report(predict_records(params, config, samples, encoder))
 
 

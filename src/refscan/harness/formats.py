@@ -3,7 +3,9 @@
 RTEN layout: magic ``RTEN``, then little-endian u32 version, u32 rank, one
 u32 per dim, then the float64 payload row-major. Annotations are UTF-8
 JSON-lines; every record is validated on load and the file is rejected at
-the first violation with its line number.
+the first violation with its line number. A dataset's tensors are read one
+chunk of ``CHUNK_RECORDS`` records at a time, so a pass over a split holds
+one chunk of grids, not the split.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +31,10 @@ RTEN_VERSION = 1
 META_NAME = "meta.json"
 ANNOTATIONS_NAME = "annotations.jsonl"
 FEATURES_DIR = "features"
+# Records whose tensors are read, and references embedded, together. Memory
+# holds one chunk of grids; each chunk makes one forward wait on its reads,
+# which costs less than a cold read before every forward.
+CHUNK_RECORDS = 128
 
 
 def write_tensor(path, array: np.ndarray) -> None:
@@ -297,16 +304,28 @@ class FixtureDataset:
                 )
         return grid
 
-    def load_samples(self, encoder: ReferenceEncoder | None = None):
-        """Materialize PipelineSamples (grids read, references embedded once)."""
+    def _sample(self, rec: SampleRecord, encoder: ReferenceEncoder) -> fusion.PipelineSample:
+        grid = self.load_grid(rec)
+        try:
+            return record_sample(rec, grid, encoder, self.num_classes)
+        except InputError as exc:
+            raise ParseError(
+                f"{self.root / ANNOTATIONS_NAME}: video {rec.video_id!r}: {exc}", field="reference"
+            ) from exc
+
+    def iter_samples(self, encoder: ReferenceEncoder | None = None) -> Iterator[fusion.PipelineSample]:
+        """The records' PipelineSamples in record order, built one chunk of
+        ``CHUNK_RECORDS`` records at a time: the chunk's tensors are read and
+        its references embedded before its first sample is yielded, and the
+        chunk is dropped before the next is read, so a consumer that keeps no
+        sample holds at most one chunk of grids. A bad tensor raises when its
+        chunk is read. The annotations were validated in full when the
+        dataset was opened."""
         encoder = encoder or self.default_encoder()
-        samples = []
-        for rec in self.records:
-            grid = self.load_grid(rec)
-            try:
-                samples.append(record_sample(rec, grid, encoder, self.num_classes))
-            except InputError as exc:
-                raise ParseError(
-                    f"{self.root / ANNOTATIONS_NAME}: video {rec.video_id!r}: {exc}", field="reference"
-                ) from exc
-        return samples
+        records = self.records
+        for start in range(0, len(records), CHUNK_RECORDS):
+            yield from [self._sample(rec, encoder) for rec in records[start : start + CHUNK_RECORDS]]
+
+    def load_samples(self, encoder: ReferenceEncoder | None = None) -> list[fusion.PipelineSample]:
+        """Every sample of ``iter_samples`` in one list, all grids in memory."""
+        return list(self.iter_samples(encoder))

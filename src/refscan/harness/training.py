@@ -74,11 +74,25 @@ def lr_at_step(step: int, config: TrainConfig, steps_per_epoch: int) -> float:
 
 @dataclass
 class TrainResult:
+    """The last checkpoint and the curve. An aborted step's loss names the
+    stage and key of the first unit of its forward whose output is not
+    finite; a finite loss with non-finite gradients names the first
+    parameter, in store order, whose gradient is not finite."""
+
     checkpoint: Checkpoint
     losses: list[float] = field(default_factory=list)
     lrs: list[float] = field(default_factory=list)
     aborted: bool = False
     steps_done: int = 0
+    abort_stage: str | None = None
+    abort_unit: str | None = None
+    abort_param: str | None = None
+
+    def abort_cause(self) -> str:
+        """Where the aborted step first went non-finite, for a message."""
+        if self.abort_param is not None:
+            return f"non-finite gradient of parameter {self.abort_param!r}"
+        return f"non-finite loss, first in stage {self.abort_stage!r} unit {self.abort_unit!r}"
 
 
 def train(
@@ -89,7 +103,8 @@ def train(
     """Minibatch training over in-memory samples; see TrainResult for the curve.
 
     A non-finite loss or gradient aborts immediately and returns the
-    parameters from before the failed step as the last-good checkpoint.
+    parameters from before the failed step as the last-good checkpoint,
+    with the cause named in the result.
     """
     config.validate()
     if not samples:
@@ -131,15 +146,19 @@ def train(
         pv = params.as_vars()
         for name, leaf in pv.items():  # backward adds each leaf's gradient into flat_grads
             leaf.grad = params.grad(name)
-        total = forward([samples[i] for i in batch_idx], params, config, encoder, param_vars=pv).loss
+        res = forward([samples[i] for i in batch_idx], params, config, encoder, param_vars=pv)
+        total = res.loss
         loss_value = float(total.value)
         if not math.isfinite(loss_value):
-            result.aborted = True
+            unit = res.first_nonfinite()
+            result.aborted, result.abort_stage, result.abort_unit = True, unit.stage, unit.key
             break
+        del res  # so backward's peak memory holds no copy of the flat values
 
         total.backward()
         if not np.isfinite(params.flat_grads).all():
             result.aborted = True
+            result.abort_param = next(n for n in params.names() if not np.isfinite(params.grad(n)).all())
             break
 
         lr = lr_at_step(step, config, steps_per_epoch)

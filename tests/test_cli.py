@@ -158,6 +158,18 @@ def test_eval_nonfinite_prediction_exits_1_without_a_report(dataset, tmp_path, c
     assert not report.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_abort_names_the_stage_and_unit(dataset, tmp_path, capsys):
+    for path in (dataset / "features").glob("*.rten"):
+        write_tensor(path, read_tensor(path) * 1e200)
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("aborted: non-finite loss, first in stage 'fusion' unit 'attn.")
+    assert "at step 0;" in err and "Traceback" not in err and ckpt.exists()
+
+
 def test_gen_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "gen.json"
     cfg.write_text(json.dumps({"num_samples": 2, "frames": 4, "grid_rows": 2,

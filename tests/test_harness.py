@@ -370,8 +370,19 @@ class TestTraining:
         result = train(cfg, samples, enc)
         assert result.aborted
         assert result.steps_done < 8
+        assert (result.abort_stage, result.abort_unit, result.abort_param) == ("loss", "loss", None)
         for _, arr in result.checkpoint.params.items():
             assert np.all(np.isfinite(arr))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_tokens_abort_at_step_0_naming_the_stage(self):
+        cfg, samples, enc = self._setup(steps=4)
+        scaled = [dataclasses.replace(s, grid=VisualTokenGrid(s.grid.tokens * 1e200)) for s in samples]
+        result = train(cfg, scaled, enc)
+        assert result.aborted and result.steps_done == 0 and result.losses == []
+        first = forward(scaled[:cfg.batch], init_model_params(cfg), cfg, enc).first_nonfinite()
+        assert result.abort_stage == first.stage == "fusion" and result.abort_unit == first.key
+        assert result.abort_param is None
 
 
 class TestLrSchedule:

@@ -9,6 +9,7 @@ every step and the per-tensor optimizer.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from refscan import fusion
 from refscan.errors import DimensionError, PipelineError
 from refscan.fusion import forward, init_model_params
 from refscan.harness import training
+from refscan.harness.evaluation import evaluate
 from refscan.harness.fixtures import GenConfig, default_train_config, synth_samples
 from refscan.harness.training import Adam, lr_at_step, train
 from refscan.numerics.tape import Var
@@ -111,6 +113,18 @@ def test_train_prepares_each_sample_once(monkeypatch):
     grids = keyword_retrievals(monkeypatch)
     train(config, samples, encoder)
     assert sorted(map(id, grids)) == sorted(id(s.grid) for s in samples)
+
+
+def test_evaluating_twice_retrieves_each_sample_once(monkeypatch):
+    """The target-less copy an evaluation forwards shares what its sample keeps."""
+    config, samples, encoder = train_setup()
+    samples, params = samples[:4], init_model_params(config)
+    fresh = evaluate(params, config, [dataclasses.replace(s) for s in samples], encoder)
+    grids = keyword_retrievals(monkeypatch)
+    reports = [evaluate(params, config, samples, encoder) for _ in range(2)]
+    assert sorted(map(id, grids)) == sorted(id(s.grid) for s in samples)
+    assert all(s.kw_indices is s.without_targets().kw_indices for s in samples)
+    assert json.dumps(reports[0]) == json.dumps(reports[1]) == json.dumps(fresh)
 
 
 def test_kept_keyword_picks_are_a_fresh_retrieval():
@@ -243,5 +257,7 @@ def test_nonfinite_gradient_aborts_before_the_optimizer(monkeypatch):
     result = train(config, samples, encoder)
     assert math.isfinite(forwards[bad_step])
     assert result.aborted and result.steps_done == bad_step and len(after_step) == bad_step
+    first_reached = next(n for n in result.checkpoint.params.names() if not n.startswith("scene_proj."))
+    assert result.abort_param == first_reached and result.abort_stage is None
     assert result.losses == forwards[:bad_step]
     assert np.array_equal(result.checkpoint.params.flat_values, after_step[-1])
