@@ -26,37 +26,20 @@ maximum and masked; each scan layer runs once per batch over time-major
 and hierarchy. All products are stacked per slice, so each sample's
 outputs are bitwise those of the same sample run alone.
 
-A ``PipelineSample`` works out the inputs that depend on no trainable
-value on first read and keeps them: its keyword picks (``(K, T)`` cell
-indices), their selection signature and each enabled branch's pooled
-input. A training loop that draws a sample again, or a gradient check that
-evaluates it again, reuses them. Scene tokens and their retrieval read
-``scene_proj``, a parameter, so ``forward`` builds them on every call.
-
-``forward`` runs one ``Unit`` per layer instance: scene tokens
-(``scene_proj.``), scene-attribute retrieval, each scan (``ssm.keyword.``,
-``ssm.scene.``, ``ssm.holistic_<branch>.``), each (hierarchy, branch)
-cross-attention (``attn.<hierarchy>.<branch>.``), each branch's hierarchy
-pooling, each head (``head.<branch>.<head>.``) and, when every sample
-has targets, the loss; evaluation passes samples without targets and so
-builds no loss unit. Each declares the parameter prefix it reads and the
-units it consumes; a unit no output consumes is not built. What the units
-read besides the parameters (query row counts and their one-row slices,
-pooling weights, loss targets) is computed once per batch in
-``BatchInputs``. One driver runs the units,
-tags a unit's error as ``PipelineError(stage)`` with the stage names
-``semantics``, ``retrieval``, ``ssm``, ``fusion``, ``heads`` and ``loss``,
-and keeps each unit's output with its part of the selection signature,
-plus one copy of the store's flat value vector. Given such a prior run of
-the same batch and store, ``forward`` compares the flat vector bitwise
-with the prior's copy, maps the moved scalars to the units reading them
-through a read mask (units x scalars), and visits only those units and
-the units consuming them, a plan cached per batch for each set of
-directly changed units; scene-attribute picks equal to the prior's stop a
-``scene_proj`` rerun at retrieval. The gradient check perturbs one scalar
-at a time, so a ``head.*`` scalar reruns one head and the loss. Training
-and evaluation pass no prior, and the same loop runs every unit; the
-per-sample ``ModelOutput``s are built only when read.
+A batch's structure is settled before any unit runs, from facts no
+parameter can change: each sample's keyword count and confident-detection
+count decide which hierarchies some sample has queries in, and a sample
+with none is rejected. ``forward`` then runs one ``Unit`` per layer
+instance that has work: scene tokens (``scene_proj.``) and their
+retrieval, each scan (``ssm.keyword.``, ``ssm.scene.``,
+``ssm.holistic_<branch>.``), each (hierarchy, branch) cross-attention
+(``attn.<hierarchy>.<branch>.``), each branch's hierarchy pooling, each
+head (``head.<branch>.<head>.``) and, when every sample has targets, the
+loss. A ``PipelineSample`` keeps what depends on the sample alone (its
+keyword picks and pooled inputs); scene tokens read ``scene_proj``, a
+parameter, so they and their picks are built by units. A unit's error is
+a ``PipelineError`` tagged with its stage: ``semantics``, ``retrieval``,
+``ssm``, ``fusion``, ``heads`` or ``loss``.
 """
 
 from __future__ import annotations
@@ -73,12 +56,13 @@ from .errors import ConfigError, DimensionError, InputError, PipelineError
 from .numerics import ParamStore, uniform_init
 from .numerics import tape
 from .numerics.tape import Var, one_row_slices, stacked_matmul, weight_grad
-from .retrieval import TrajectorySet, VisualTokenGrid, build_trajectory_set
+from .retrieval import VisualTokenGrid, build_trajectory_set
 from .semantics import (
     Detection,
     ReferenceBundle,
     ReferenceEncoder,
     build_scene_attribute_tokens,
+    confident_detections,
     default_stopwords,
     embed_reference,
 )
@@ -438,12 +422,11 @@ class PipelineSample:
     """One model input: token grid, reference, keyframe detections, targets.
 
     What ``forward`` derives from the sample alone is worked out on first
-    read and kept: the keyword picks (a hard argmin of the fixed keyword
-    embeddings over the grid), their signature, and each branch's pooled
-    input, pooled only once a branch asks for it. So ``grid`` and
-    ``reference`` must not change after the first ``forward``; a changed
-    sample is a new one (``dataclasses.replace``), which starts with
-    nothing kept.
+    read and kept: its keyword picks (a hard argmin of the fixed keyword
+    embeddings over the grid), read only when a batch builds the keyword
+    scan, and each branch's pooled input. So ``grid`` and ``reference``
+    must not change after the first ``forward``; a changed sample is a new
+    one (``dataclasses.replace``), which starts with nothing kept.
     """
 
     grid: VisualTokenGrid
@@ -462,27 +445,30 @@ class PipelineSample:
         return copy
 
     @property
-    def kw_picks(self) -> TrajectorySet:
-        if "kw_picks" not in self._kept:
-            self._kept["kw_picks"] = build_trajectory_set(self.reference.keyword_embeddings, self.grid, "keyword")
-        return self._kept["kw_picks"]
-
-    @property
     def kw_indices(self) -> np.ndarray:
         """(K_kw, T) intp: the nearest cell per keyword and frame."""
-        return self.kw_picks.indices
-
-    @property
-    def kw_signature(self) -> tuple:
-        if "kw_signature" not in self._kept:
-            self._kept["kw_signature"] = self.kw_picks.indices_signature()
-        return self._kept["kw_signature"]
+        if "kw_indices" not in self._kept:
+            picks = build_trajectory_set(self.reference.keyword_embeddings, self.grid, "keyword")
+            self._kept["kw_indices"] = picks.indices
+        return self._kept["kw_indices"]
 
     def pooled(self, branch: str) -> np.ndarray:
         """The branch's scan input: (T, d) frames for "temporal", (S, d) cells for "spatial"."""
         if branch not in self._kept:
             self._kept[branch] = (pool_spatial if branch == "temporal" else pool_temporal)(self.grid)
         return self._kept[branch]
+
+
+def check_sample(sample: PipelineSample, config: TrainConfig) -> None:
+    """Reject a sample whose grid frames, grid dim or labels do not fit ``config``."""
+    grid = sample.grid
+    if (grid.num_frames, grid.dim) != (config.frames, config.d):
+        raise ConfigError(
+            f"sample {sample.sample_id!r} grid has {grid.num_frames} frames of dim {grid.dim}, "
+            f"config expects {config.frames} frames of dim {config.d}"
+        )
+    if sample.labels is None or np.shape(sample.labels) != (config.num_classes,):
+        raise ConfigError(f"sample {sample.sample_id!r} labels do not match num_classes {config.num_classes}")
 
 
 @dataclass
@@ -499,9 +485,12 @@ class ForwardResult:
     """One batch: the batch-mean loss, per-sample signatures and outputs, and
     the inputs and unit runs that a later call can take as its ``prior``.
 
-    Each sample's selection signature records its retrieval picks and the
-    ReLU and BCE-clamp masks: a perturbation that changes it crosses a kink
-    of the loss, where a finite difference is not the gradient. ``values``
+    Each sample's selection signature records its scene-attribute picks,
+    if it has any, and the ReLU and BCE-clamp masks: a perturbation that
+    changes it crosses a kink of the loss, where a finite difference is not
+    the gradient. Its keyword picks are left out: its text and grid fix
+    them, so no parameter can flip them. A sample's signature depends on
+    no other sample of the batch. ``values``
     is one copy of the store's flat value vector as the run read it, or
     None when the leaves did not view the store's arrays; such a run cannot
     be a prior. The per-sample ``outputs`` are built on first access.
@@ -649,12 +638,14 @@ class Unit:
 
 @dataclass
 class BatchInputs:
-    """What the units of ``forward`` read besides the parameters, and the units.
+    """A batch's settled structure, what its units read besides the
+    parameters, and the units.
 
-    Built once per call from the batch, or taken from the prior run:
-    everything here depends on the samples and the config alone, so no
-    parameter change invalidates it. The read mask and the rerun plans are
-    filled in by the calls that take a prior.
+    Built once per call from the samples and the config alone, or taken
+    from the prior run, so no parameter change invalidates it. ``rows``
+    maps each hierarchy tag the attentions query to its real query rows
+    (None: every row is real) and its ``PoolPart``. The read mask and the
+    rerun plans are filled in by the calls that take a prior.
     """
 
     samples: list[PipelineSample]
@@ -662,12 +653,10 @@ class BatchInputs:
     encoder: ReferenceEncoder
     grid_shape: tuple
     branches: list[str]  # the enabled branches, in BRANCHES order
-    use_kw: np.ndarray  # (B,) bool
+    scene_counts: np.ndarray  # (B,) confident detections, so scene-attribute picks, per sample
+    holistic: Var | None  # (B, max words, d) holistic queries; None: no holistic attention
     kw_input: np.ndarray | None  # keyword scan input, (T, B * max K, d); None: no keyword scan
-    kw_query: tuple | None  # the keyword query's QueryRows and PoolPart
-    kw_signature: list[tuple]  # per sample: its keyword picks, when they feed an output
-    holistic: tuple  # the holistic query: (B, max words, d) leaf, QueryRows, PoolPart
-    whole: PoolPart  # every row of every sample counts
+    rows: dict[str, tuple[QueryRows | None, PoolPart]]
     pooled: dict[str, np.ndarray]  # per branch: time-major (steps, B, d) scan input
     targets: tuple | None  # (B, 1, 4) boxes and (B, 1, C) labels; None: a sample has no targets
     units: tuple[Unit, ...]
@@ -695,23 +684,40 @@ def _batch_inputs(samples: list[PipelineSample], config: TrainConfig, encoder: R
             raise DimensionError(
                 f"sample {s.sample_id!r} grid {s.grid.tokens.shape} differs from the batch's {grid_shape}"
             )
-    try:
-        kw_indices = [s.kw_indices for s in samples]
-    except Exception as exc:
-        raise PipelineError("retrieval", exc) from exc
+        ref = s.reference
+        if ref.holistic.shape[1:] != grid_shape[2:] or ref.keyword_embeddings.shape[1:] != grid_shape[2:]:
+            shapes = f"{ref.holistic.shape} and {ref.keyword_embeddings.shape}"
+            error = DimensionError(f"sample {s.sample_id!r} reference rows {shapes} vs grid dim {grid_shape[2]}")
+            raise PipelineError("retrieval", error)
+    kw_counts = np.array([s.reference.keyword_embeddings.shape[0] for s in samples])
+    scene_counts = np.array(
+        [len(confident_detections(s.detections, config.conf_threshold, config.max_detections)) for s in samples]
+    )
+    used = {  # per hierarchy, (B,): which samples have its queries
+        "rv": np.full(len(samples), config.use_holistic),
+        "kwv": config.use_keyword & (kw_counts > 0),
+        "bv": config.use_attribute & (scene_counts > 0),
+    }
+    served = used["rv"] | used["kwv"] | used["bv"]
+    if not served.all():
+        error = ConfigError(f"all hierarchies disabled for sample {samples[int(served.argmin())].sample_id!r}")
+        raise PipelineError("retrieval", error)
+    tags = tuple(tag for tag in HIERARCHIES if used[tag].any())
     branches = [b for b, on in zip(BRANCHES, (config.use_temporal, config.use_spatial)) if on]
-    n_p = config.n_prompts
-    kw_counts = np.array([len(idx) for idx in kw_indices])
-    use_kw = config.use_keyword & (kw_counts > 0)
-    kw_input = kw_query = None
-    if config.use_mhs_ca and use_kw.any():
-        kw_input = _trajectory_input([s.grid for s in samples], kw_indices, kw_counts, grid_shape)
-        kw_mask = _row_mask(kw_counts, int(kw_counts.max()), n_p)
-        kw_query = (QueryRows(kw_counts, n_p), PoolPart(kw_mask, use_kw))
-    picks_used = config.use_mhs_ca and config.use_keyword
-    holistic = _pad_rows([s.reference.holistic for s in samples])
-    holistic_counts = np.array([s.reference.holistic.shape[0] for s in samples])
-    every = np.ones(len(samples), dtype=bool)
+    queried = tags if config.use_mhs_ca else ()
+    n_p, holistic, kw_input, rows = config.n_prompts, None, None, {}
+    if "rv" in queried:
+        counts = np.array([s.reference.holistic.shape[0] for s in samples])
+        holistic = Var(_pad_rows([s.reference.holistic for s in samples]))
+        mask = _row_mask(counts, holistic.shape[1], n_p)
+        rows["rv"] = (QueryRows(counts, n_p), PoolPart(mask, used["rv"]))
+    if "kwv" in queried:
+        grids, picks = [s.grid for s in samples], [s.kw_indices for s in samples]
+        kw_input = _trajectory_input(grids, picks, kw_counts, grid_shape)
+        mask = _row_mask(kw_counts, int(kw_counts.max()), n_p)
+        rows["kwv"] = (QueryRows(kw_counts, n_p), PoolPart(mask, used["kwv"]))
+    if "bv" in queried:
+        rows["bv"] = (None, PoolPart(None, used["bv"]))
     targets = _targets(samples)
     return BatchInputs(
         samples=samples,
@@ -719,27 +725,13 @@ def _batch_inputs(samples: list[PipelineSample], config: TrainConfig, encoder: R
         encoder=encoder,
         grid_shape=grid_shape,
         branches=branches,
-        use_kw=use_kw,
+        scene_counts=scene_counts,
+        holistic=holistic,
         kw_input=kw_input,
-        kw_query=kw_query,
-        kw_signature=[(s.kw_signature,) if picks_used else () for s in samples],
-        holistic=(
-            Var(holistic),
-            QueryRows(holistic_counts, n_p),
-            PoolPart(_row_mask(holistic_counts, holistic.shape[1], n_p), every),
-        ),
-        whole=PoolPart(None, every),
+        rows=rows,
         pooled={b: np.stack([s.pooled(b) for s in samples], axis=1) for b in branches},
         targets=targets,
-        units=_units(
-            tuple(branches),
-            attend=config.use_mhs_ca,
-            holistic=config.use_holistic,
-            keyword=kw_input is not None,
-            scene=config.use_attribute and config.use_mhs_ca,
-            check=not (config.use_holistic or use_kw.all()),
-            loss=targets is not None,
-        ),
+        units=_units(tuple(branches), tags, config.use_mhs_ca, targets is not None),
     )
 
 
@@ -749,7 +741,7 @@ def _mask_signature(masks: list[np.ndarray]) -> list[tuple]:
 
 
 def _scene_tokens(prefix: str, x: BatchInputs, pv: dict[str, Var]):
-    """Scene-attribute token vectors, (K_bs, d), of each sample's detections."""
+    """Scene-attribute token vectors, (K_bs, d), of each sample's confident detections."""
     w, b = pv[prefix + "w"].value, pv[prefix + "b"].value
     queries = [
         build_scene_attribute_tokens(
@@ -765,39 +757,22 @@ def _scene_tokens(prefix: str, x: BatchInputs, pv: dict[str, Var]):
     return queries, None
 
 
-def _scene_retrieval(signed: bool, x: BatchInputs, pv: dict[str, Var], queries: list[np.ndarray]):
-    """Scene-attribute picks, and with ``signed`` (they feed the scene scan)
-    the picks as the signature part. Also rejects a sample no hierarchy serves."""
+def _scene_retrieval(x: BatchInputs, pv: dict[str, Var], queries: list[np.ndarray]):
+    """Each sample's (K_bs, T) scene-attribute picks; the signature part is
+    the picks of each sample that has any."""
     sets = [build_trajectory_set(q, s.grid, "scene-attribute") for q, s in zip(queries, x.samples)]
-    bs_counts = np.array([len(t) for t in sets])
-    use_bv = x.config.use_attribute & (bs_counts > 0)
-    for b, s in enumerate(x.samples):
-        if not (x.config.use_holistic or x.use_kw[b] or use_bv[b]):
-            raise ConfigError(f"all hierarchies disabled for sample {s.sample_id!r}")
-    picks = {
-        "bs_indices": [t.indices for t in sets],
-        "bs_counts": bs_counts,
-        "part": PoolPart(None, use_bv),
-    }
-    return picks, [(t.indices_signature(),) for t in sets] if signed else None
+    return [t.indices for t in sets], [(t.indices_signature(),) if len(t) else () for t in sets]
 
 
 def _keyword_scan(prefix: str, x: BatchInputs, pv: dict[str, Var]):
-    """The keyword query: (B, K, d_s) tokens, QueryRows, PoolPart."""
-    t_kw = keyword_tokens_var(Var(x.kw_input), pv, prefix, len(x.samples))
-    return (t_kw, *x.kw_query), None
+    """The (B, K, d_s) keyword queries."""
+    return keyword_tokens_var(Var(x.kw_input), pv, prefix, len(x.samples)), None
 
 
-def _scene_scan(prefix: str, x: BatchInputs, pv: dict[str, Var], picks: dict):
-    """The scene-attribute query, (B, T, d_s) tokens with every row real;
-    None when no sample has one."""
-    part = picks["part"]
-    if not part.used.any():
-        return None, None
-    grids = [s.grid for s in x.samples]
-    bs_input = _trajectory_input(grids, picks["bs_indices"], picks["bs_counts"], x.grid_shape)
-    h_bs = scene_tokens_var(Var(bs_input), pv, prefix, picks["bs_counts"])
-    return (h_bs, None, part), None
+def _scene_scan(prefix: str, x: BatchInputs, pv: dict[str, Var], picks: list[np.ndarray]):
+    """The (B, T, d_s) scene-attribute queries, every row real."""
+    bs_input = _trajectory_input([s.grid for s in x.samples], picks, x.scene_counts, x.grid_shape)
+    return scene_tokens_var(Var(bs_input), pv, prefix, x.scene_counts), None
 
 
 def _holistic_scan(branch: str, prefix: str, x: BatchInputs, pv: dict[str, Var]):
@@ -806,22 +781,20 @@ def _holistic_scan(branch: str, prefix: str, x: BatchInputs, pv: dict[str, Var])
     return tape.transpose(scans, (1, 0, 2)), None
 
 
-def _attention(tag: str, prefix: str, x: BatchInputs, pv: dict[str, Var], enhanced: Var, query=None):
+def _attention(tag: str, prefix: str, x: BatchInputs, pv: dict[str, Var], enhanced: Var, queries: Var | None = None):
     """One hierarchy's cross-attention over the enhanced tokens, as a pooling
-    part ``(out, part)``; None when no sample has the hierarchy."""
-    q = x.holistic if tag == "rv" else query
-    if q is None:
-        return None, None
-    queries, rows, part = q
+    part ``(out, part)``; the holistic queries are a batch input."""
+    rows, part = x.rows[tag]
+    queries = x.holistic if queries is None else queries
     return (cross_attention_var(queries, enhanced, pv, prefix, rows), part), None
 
 
 def _pool(x: BatchInputs, pv: dict[str, Var], *parts):
-    """The branch's (B, 1, d_a) vector z: the used hierarchies' attention
-    outputs pooled (with cross-attention off, the enhanced tokens pooled)."""
-    if not x.config.use_mhs_ca:
-        parts = ((parts[0], x.whole),)
-    return pool_hierarchies_var([p for p in parts if p is not None]), None
+    """The branch's (B, 1, d_a) vector z: the hierarchies' attention outputs
+    pooled (with cross-attention off, the enhanced tokens pooled)."""
+    if not x.config.use_mhs_ca:  # every row of every sample counts
+        parts = ((parts[0], PoolPart(None, np.ones(len(x.samples), dtype=bool))),)
+    return pool_hierarchies_var(list(parts)), None
 
 
 def _head(prefix: str, x: BatchInputs, pv: dict[str, Var], z: Var):
@@ -844,22 +817,16 @@ def _loss(x: BatchInputs, pv: dict[str, Var], *predictions: Var):
 
 
 @functools.lru_cache(maxsize=32)
-def _units(
-    branches: tuple[str, ...], attend: bool, holistic: bool, keyword: bool, scene: bool, check: bool, loss: bool
-) -> tuple[Unit, ...]:
+def _units(branches: tuple[str, ...], tags: tuple[str, ...], attend: bool, loss: bool) -> tuple[Unit, ...]:
     """The units a batch runs, in order, each wired to the units it consumes;
     built once per batch structure and shared by every batch of it.
 
-    ``attend``: cross-attention is on. ``holistic``: the holistic queries
-    are. ``keyword``: keyword queries feed the attentions. ``scene``:
-    scene-attribute queries do. ``check``: a sample has neither holistic nor
-    keyword queries, so the hierarchy check needs its scene-attribute picks.
-    ``loss``: every sample has targets, so the loss unit runs last. A unit
-    no output consumes is left out: without cross-attention the
-    keyword and scene-attribute scans and every attention; the scene tokens
-    and their retrieval too, unless ``check`` needs them. Whether a
-    scene-attribute attention has queries depends on the picks, so it is
-    kept and returns None when no sample has any.
+    ``tags`` are the hierarchies some sample of the batch has queries in;
+    with ``attend`` (cross-attention on) each gets one attention per branch,
+    and the keyword and scene-attribute ones the units that build their
+    queries. Without it no query is built and the branch pooling takes the
+    enhanced tokens. With ``loss`` every sample has targets, and the loss
+    unit runs last.
     """
     units: list[Unit] = []
     index: dict[str, int] = {}
@@ -873,30 +840,25 @@ def _units(
         index[key] = len(units)
         units.append(Unit(key, stage, reads, tuple(index[k] for k in consumes), run, settles))
 
-    if scene or check:
+    queried = tags if attend else ()
+    if "bv" in queried:
         add("semantics", "semantics", _scene_tokens, prefix="scene_proj.")
-        run = functools.partial(_scene_retrieval, scene)
-        add("retrieval", "retrieval", run, consumes=("semantics",), settles=True)
-    queries = [("rv", ())] if holistic else []
-    if keyword:
+        add("retrieval", "retrieval", _scene_retrieval, consumes=("semantics",), settles=True)
+    if "kwv" in queried:
         add("ssm.keyword", "ssm", _keyword_scan, prefix="ssm.keyword.")
-        queries.append(("kwv", ("ssm.keyword",)))
-    if scene:
+    if "bv" in queried:
         add("ssm.scene", "ssm", _scene_scan, prefix="ssm.scene.", consumes=("retrieval",))
-        queries.append(("bv", ("ssm.scene",)))
+    queries = {"rv": (), "kwv": ("ssm.keyword",), "bv": ("ssm.scene",)}
     for branch in branches:
         key = f"ssm.holistic_{branch}"
         add(key, "ssm", functools.partial(_holistic_scan, branch), prefix=f"{key}.")
     heads = []
     for branch in branches:
         enhanced = f"ssm.holistic_{branch}"
-        if attend:
-            parts = [f"attn.{tag}.{branch}" for tag, _ in queries]
-            for (tag, query), key in zip(queries, parts):
-                run = functools.partial(_attention, tag)
-                add(key, "fusion", run, prefix=f"{key}.", consumes=(enhanced, *query))
-        else:
-            parts = [enhanced]
+        parts = [f"attn.{tag}.{branch}" for tag in queried] if attend else [enhanced]
+        for tag, key in zip(queried, parts):
+            run = functools.partial(_attention, tag)
+            add(key, "fusion", run, prefix=f"{key}.", consumes=(enhanced, *queries[tag]))
         add(f"pool.{branch}", "fusion", _pool, consumes=parts)
     for branch in branches:
         for head in ("reg", "cls"):
@@ -929,8 +891,6 @@ def _refusing(value, key: str):
             )
 
         return Var(value.value, (), refuse)
-    if isinstance(value, dict):
-        return {k: _refusing(v, key) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return type(value)(_refusing(v, key) for v in value)
     return value
@@ -942,8 +902,6 @@ def _finite(value) -> bool:
         value = value.value
     if isinstance(value, np.ndarray):
         return value.dtype.kind != "f" or bool(np.isfinite(value).all())
-    if isinstance(value, dict):
-        return all(_finite(v) for v in value.values())
     if isinstance(value, (list, tuple)):
         return all(_finite(v) for v in value)
     return True
@@ -1062,9 +1020,7 @@ def forward(
             )
     outputs, runs = _run_units(inputs, pv, params, prior)
     parts = [run.signature for run in runs if run.signature is not None]
-    signature = tuple(
-        sum((part[b] for part in parts), inputs.kw_signature[b]) for b in range(len(samples))
-    )
+    signature = tuple(sum((part[b] for part in parts), ()) for b in range(len(samples)))
     values = params.flat_values.copy() if views else None
     loss = outputs[-1] if inputs.targets is not None else None
     return ForwardResult(loss, signature, inputs, runs, params, names, values)

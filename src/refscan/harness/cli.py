@@ -3,30 +3,16 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from ..config import TrainConfig
-from ..errors import ParseError, RefScanError
+from ..errors import RefScanError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import evaluate, write_report
 from .fixtures import GenConfig, generate_fixtures
-from .formats import FixtureDataset
+from .formats import FixtureDataset, read_json_object
 from .suites import run_auroc_suite, run_map_suite, run_model_gradcheck, run_scan_suite
 from .training import train, write_loss_curve
-
-
-def _load_json(path) -> dict:
-    """A JSON object from ``path``; anything else is a ``ParseError`` naming the file."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        data = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: must hold a JSON object")
-    return data
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -38,7 +24,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _cmd_gen(args) -> int:
-    base = _load_json(args.config) if args.config else {}
+    base = read_json_object(args.config) if args.config else {}
     overrides = {
         "num_samples": args.num,
         "frames": args.frames,
@@ -56,7 +42,7 @@ def _cmd_gen(args) -> int:
 
 
 def _train_config(args, dataset: FixtureDataset) -> TrainConfig:
-    base = _load_json(args.config) if args.config else {}
+    base = read_json_object(args.config) if args.config else {}
     base.setdefault("d", dataset.dim)
     base.setdefault("frames", dataset.frames)
     base.setdefault("num_classes", dataset.num_classes)
@@ -105,7 +91,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    config = TrainConfig.from_dict(_load_json(args.config)) if args.config else None
+    config = TrainConfig.from_dict(read_json_object(args.config)) if args.config else None
     report = run_model_gradcheck(config=config, seed=args.seed, eps=args.eps)
     print(report.format_table())
     ok = report.passed(args.tol)

@@ -8,8 +8,8 @@ from collections.abc import Iterable
 import numpy as np
 
 from ..config import TrainConfig
-from ..errors import ConfigError, InputError, MetricError, PipelineError
-from ..fusion import PipelineSample, forward
+from ..errors import InputError, MetricError, PipelineError
+from ..fusion import PipelineSample, check_sample, forward
 from ..metrics import EvalRecord, auroc, iou, mean_iou, multilabel_map
 from ..numerics import ParamStore
 from ..semantics import ReferenceEncoder
@@ -36,13 +36,7 @@ def predict_records(
     pv = params.as_vars()
     records = []
     for s in samples:
-        if s.grid.dim != config.d or s.grid.num_frames != config.frames:
-            raise ConfigError(
-                f"sample {s.sample_id!r} dims ({s.grid.num_frames} frames, d={s.grid.dim}) "
-                f"do not match checkpoint config ({config.frames} frames, d={config.d})"
-            )
-        if s.labels is None or s.labels.shape != (config.num_classes,):
-            raise ConfigError(f"sample {s.sample_id!r} labels do not match checkpoint num_classes")
+        check_sample(s, config)
         res = forward(s.without_targets(), params, config, encoder, param_vars=pv)
         out = res.output
         # box and scores are means of sigmoids: their sum is finite exactly when every

@@ -15,7 +15,7 @@ import math
 import os
 import struct
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +70,18 @@ def read_tensor(path) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(dims).copy()
 
 
+def read_json_object(path) -> dict:
+    """A JSON object from ``path``; anything else is a ``ParseError`` naming the file."""
+    blob = Path(path).read_bytes()
+    try:
+        data = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: must hold a JSON object")
+    return data
+
+
 @dataclass
 class SampleRecord:
     video_id: str
@@ -82,32 +94,10 @@ class SampleRecord:
     detections: list[Detection] = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "video_id": self.video_id,
-            "num_frames": self.num_frames,
-            "keyframe_index": self.keyframe_index,
-            "reference": self.reference,
-            "gt_bbox": list(self.gt_bbox),
-            "action_labels": list(self.action_labels),
-            "features_ref": self.features_ref,
-            "detections": [
-                {"bbox": list(d.bbox), "category": d.category, "confidence": d.confidence}
-                for d in self.detections
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
-_REQUIRED_FIELDS = (
-    "video_id",
-    "num_frames",
-    "keyframe_index",
-    "reference",
-    "gt_bbox",
-    "action_labels",
-    "features_ref",
-    "detections",
-)
+_REQUIRED_FIELDS = tuple(f.name for f in fields(SampleRecord))
 
 
 def _int_field(obj: dict, name: str, fail) -> int:
@@ -246,12 +236,7 @@ class FixtureDataset:
         meta_path = self.root / META_NAME
         if not meta_path.exists():
             raise ParseError(f"dataset meta file {meta_path} does not exist")
-        try:
-            self.meta = json.loads(meta_path.read_bytes().decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParseError(f"{meta_path}: not a UTF-8 JSON document ({exc})") from exc
-        if not isinstance(self.meta, dict):
-            raise ParseError(f"{meta_path}: must hold a JSON object")
+        self.meta = read_json_object(meta_path)
         for name in ("dim", "frames", "num_classes", "encoder_seed"):
             value = self.meta.get(name)
             if isinstance(value, bool) or not isinstance(value, int):

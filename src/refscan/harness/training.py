@@ -7,11 +7,11 @@ multiplies by lr_decay after every completed pass over the dataset. A
 sample's keyword retrieval and pooled inputs are worked out by the sample
 the first time a step draws it and kept: both read only the sample, which
 no step changes. Scene tokens read ``scene_proj`` and are built, with
-their retrieval, in every forward. Before each forward the store's gradients
-are zeroed and each parameter leaf's ``grad`` is pointed at its view of
-them, so backward adds every gradient straight into the flat gradient
-vector the optimizer reads. Everything is deterministic for a fixed
-config seed.
+their retrieval, in every forward of a batch with a confident detection.
+Before each forward the store's gradients are zeroed and each parameter
+leaf's ``grad`` is pointed at its view of them, so backward adds every
+gradient straight into the flat gradient vector the optimizer reads.
+Everything is deterministic for a fixed config seed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 
 from ..config import TrainConfig
 from ..errors import ConfigError, InputError
-from ..fusion import PipelineSample, forward, init_model_params
+from ..fusion import PipelineSample, check_sample, forward, init_model_params
 from ..numerics import ParamStore
 from ..semantics import ReferenceEncoder
 from .checkpoint import Checkpoint, rng_state_of
@@ -115,14 +115,7 @@ def train(
                 f"sample {s.sample_id!r} has {s.grid.num_cells} grid cells, "
                 f"sample {samples[0].sample_id!r} has {samples[0].grid.num_cells}; a batch needs one grid shape"
             )
-        if s.grid.dim != config.d:
-            raise ConfigError(f"sample {s.sample_id!r} dim {s.grid.dim} != config d {config.d}")
-        if s.grid.num_frames != config.frames:
-            raise ConfigError(
-                f"sample {s.sample_id!r} has {s.grid.num_frames} frames, config expects {config.frames}"
-            )
-        if s.labels is None or s.labels.shape != (config.num_classes,):
-            raise ConfigError(f"sample {s.sample_id!r} labels do not match num_classes")
+        check_sample(s, config)
 
     params = init_model_params(config)
     rng = np.random.default_rng(config.seed)
@@ -163,6 +156,7 @@ def train(
 
         lr = lr_at_step(step, config, steps_per_epoch)
         optimizer.step(lr)
+        del total  # so the next forward and backward do not hold this step's tape
 
         result.losses.append(loss_value)
         result.lrs.append(lr)

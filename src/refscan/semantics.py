@@ -204,6 +204,17 @@ class Detection:
         return self
 
 
+def confident_detections(
+    detections: list[Detection], conf_threshold: float = 0.7, max_count: int = 10
+) -> list[Detection]:
+    """The detections at or above the confidence threshold, sorted by
+    descending confidence (stable in original order on ties), truncated to
+    ``max_count``: the ones that become scene-attribute tokens."""
+    kept = [det for det in detections if det.confidence >= conf_threshold]
+    kept.sort(key=lambda det: -det.confidence)
+    return kept[: int(max_count)]
+
+
 def build_scene_attribute_tokens(
     detections: list[Detection],
     encoder: ReferenceEncoder,
@@ -213,13 +224,11 @@ def build_scene_attribute_tokens(
     max_count: int = 10,
 ) -> np.ndarray:
     """(K, d_out) projections of concat(category embedding, bbox), one row
-    per confident detection.
+    per ``confident_detections`` entry, in its order.
 
-    Detections are filtered at the confidence threshold, sorted by descending
-    confidence (stable in original order on ties), and truncated to
-    ``max_count``. The projection input dim must equal encoder dim + 4. Each
-    row is its own one-row product, so it keeps the bits of the detection
-    projected alone; one flat (K, d + 4) product would round differently.
+    The projection input dim must equal encoder dim + 4. Each row is its
+    own one-row product, so it keeps the bits of the detection projected
+    alone; one flat (K, d + 4) product would round differently.
     """
     proj_w = np.asarray(proj_w, dtype=np.float64)
     if proj_w.ndim != 2 or proj_w.shape[0] != encoder.dim + 4 or np.shape(proj_b) != proj_w.shape[1:]:
@@ -227,11 +236,9 @@ def build_scene_attribute_tokens(
             f"scene projection expects input dim {encoder.dim + 4} and a matching bias, "
             f"got weights {proj_w.shape} and bias {np.shape(proj_b)}"
         )
-    kept = [det for det in detections if det.confidence >= conf_threshold]
-    kept.sort(key=lambda det: -det.confidence)
     feats = [
         np.concatenate([encoder.encode_word(det.category), np.asarray(det.bbox, dtype=np.float64)])
-        for det in kept[: int(max_count)]
+        for det in confident_detections(detections, conf_threshold, max_count)
     ]
     feats = np.array(feats, dtype=np.float64).reshape(len(feats), proj_w.shape[0])
     return (feats[:, None, :] @ proj_w)[:, 0] + proj_b
