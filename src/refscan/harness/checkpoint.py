@@ -79,7 +79,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"{path}: checkpoint header is not a JSON object")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version {header.get('format_version')!r}")
-    for key in ("config", "step", "rng_state", "params"):
+    for key in ("config", "step", "seed", "rng_state", "params"):
         if key not in header:
             raise ParseError(f"{path}: checkpoint header has no {key!r}", field=key)
     try:
@@ -91,7 +91,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"{path}: rng_state must be a JSON object", field="rng_state")
     if not isinstance(header["params"], list):
         raise ParseError(f"{path}: params must be a list of parameter entries", field="params")
-    params = ParamStore(seed=_count(path, header.get("seed", 0), "seed"))
+    params = ParamStore(seed=_count(path, header["seed"], "seed"))
     for entry in header["params"]:
         try:
             name = str(entry["name"])

@@ -48,7 +48,11 @@ class Var:
         return self.value.shape
 
     def backward(self) -> None:
-        """Accumulate dself/dleaf into every reachable node's ``grad``."""
+        """Accumulate dself/dleaf into every reachable node's ``grad``.
+
+        The walk orders only nodes with a vjp: a leaf has no parents to
+        order, and its children's vjps add into it in the same order.
+        """
         topo: list[Var] = []
         seen: set[int] = set()
         stack: list[tuple[Var, bool]] = [(self, False)]
@@ -62,7 +66,7 @@ class Var:
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p._vjp is not None and id(p) not in seen:
                     stack.append((p, False))
 
         self.grad = np.ones_like(self.value)

@@ -107,34 +107,6 @@ class SyntheticEncoder:
         return (mean / norm).reshape(1, -1)
 
 
-class PrecomputedEncoder:
-    """File-backed encoder over a token -> row-index table.
-
-    ``table`` maps token strings to rows of ``embeddings`` (N x d). Missing
-    tokens raise AdapterError; sentence embedding is the renormalized mean of
-    the word rows, matching the synthetic default.
-    """
-
-    def __init__(self, table: dict[str, int], embeddings: np.ndarray):
-        self.table = dict(table)
-        self.embeddings = np.asarray(embeddings, dtype=np.float64)
-        if self.embeddings.ndim != 2:
-            raise ConfigError("embedding table must be 2-D")
-        self.dim = self.embeddings.shape[1]
-
-    def encode_word(self, word: str) -> np.ndarray:
-        if word not in self.table:
-            raise AdapterError(f"token {word!r} not in precomputed table")
-        return self.embeddings[self.table[word]].copy()
-
-    def encode_sentence(self, words: list[str]) -> np.ndarray:
-        if not words:
-            raise InputError("cannot encode an empty sentence")
-        mean = np.mean([self.encode_word(w) for w in words], axis=0)
-        norm = np.linalg.norm(mean)
-        return (mean / norm if norm > 0 else mean).reshape(1, -1)
-
-
 @dataclass
 class ReferenceBundle:
     """Everything derived from one reference sentence."""

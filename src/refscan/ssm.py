@@ -46,10 +46,6 @@ class SsmLayerParams:
             raise DimensionError(f"C shape {self.C.shape} != ({d_s}, {n})")
 
     @property
-    def in_dim(self) -> int:
-        return self.in_proj.shape[0]
-
-    @property
     def out_dim(self) -> int:
         return self.in_proj.shape[1]
 

@@ -294,6 +294,7 @@ class TestCheckpoint:
         [
             (lambda meta: meta["params"][0].pop("offset"), r"malformed parameter entry.*field 'params'"),
             (lambda meta: meta.pop("step"), r"checkpoint header has no 'step'.*field 'step'"),
+            (lambda meta: meta.pop("seed"), r"checkpoint header has no 'seed'.*field 'seed'"),
             (lambda meta: meta["params"][0].update(shape=[HUGE]), r"parameter '[\w.]+' dim must be an integer >= 0, got inf: field 'params'"),
             (lambda meta: meta["params"][0].update(offset=HUGE), r"parameter '[\w.]+' offset must be an integer >= 0, got inf: field 'params'"),
             (lambda meta: meta.update(step=HUGE), r"step must be an integer >= 0.*field 'step'"),

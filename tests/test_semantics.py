@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from refscan.errors import AdapterError, ConfigError, InputError
 from refscan.semantics import (
     Detection,
-    PrecomputedEncoder,
     SyntheticEncoder,
     build_scene_attribute_tokens,
     default_stopwords,
@@ -226,17 +225,6 @@ class TestStopwordsFile:
     def test_comments_and_blanks_ignored(self):
         stop = parse_stopwords("# header\nthe\n\na  # trailing\n")
         assert stop == {"the", "a"}
-
-
-def test_precomputed_encoder_round_trip():
-    emb = np.eye(3)
-    enc = PrecomputedEncoder({"man": 0, "red": 1, "left": 2}, emb)
-    np.testing.assert_array_equal(enc.encode_word("red"), [0.0, 1.0, 0.0])
-    with pytest.raises(AdapterError):
-        enc.encode_word("missing")
-    bundle = embed_reference("man left", set(), enc)
-    expected = np.array([0.5, 0.0, 0.5])
-    np.testing.assert_allclose(bundle.holistic[0], expected / np.linalg.norm(expected))
 
 
 def test_detection_validation():
