@@ -29,16 +29,17 @@ outputs are bitwise those of the same sample run alone.
 A batch's structure is settled before any unit runs, from facts no
 parameter can change: each sample's keyword count and confident-detection
 count decide which hierarchies some sample has queries in, and a sample
-with none is rejected. ``forward`` then runs one ``Unit`` per layer
-instance that has work: scene tokens (``scene_proj.``) and their
-retrieval, each scan (``ssm.keyword.``, ``ssm.scene.``,
+with none is rejected. The scan inputs are built with it: the keyword
+picks a ``PipelineSample`` keeps, and the scene-attribute picks of its
+confident detections under ``scene_projection``, a constant of the
+store's seed (the picks are a hard argmin, so the projection could never
+learn). ``forward`` then runs one ``Unit`` per layer instance that has
+work: each scan (``ssm.keyword.``, ``ssm.scene.``,
 ``ssm.holistic_<branch>.``), each (hierarchy, branch) cross-attention
 (``attn.<hierarchy>.<branch>.``), each branch's hierarchy pooling, each
 head (``head.<branch>.<head>.``) and, when every sample has targets, the
-loss. A ``PipelineSample`` keeps what depends on the sample alone (its
-keyword picks and pooled inputs); scene tokens read ``scene_proj``, a
-parameter, so they and their picks are built by units. A unit's error is
-a ``PipelineError`` tagged with its stage: ``semantics``, ``retrieval``,
+loss. An error is a ``PipelineError`` tagged with its stage: ``semantics``
+or ``retrieval`` while the batch inputs are built, then the unit's
 ``ssm``, ``fusion``, ``heads`` or ``loss``.
 """
 
@@ -369,6 +370,17 @@ def loss_var(
 # -- parameter construction ----------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def scene_projection(d: int, seed: int) -> np.ndarray:
+    """The read-only (d + 4, d) projection of scene-attribute features for a
+    store initialized from ``seed``: the first draw of its init rng. Its
+    tokens feed only the hard argmin of retrieval, so no gradient reaches
+    it; it is a constant, not a parameter."""
+    w = uniform_init(np.random.default_rng(seed), d + 4, (d + 4, d))
+    w.flags.writeable = False
+    return w
+
+
 def init_model_params(config: TrainConfig, seed: int | None = None) -> ParamStore:
     """Build every learnable tensor; toggles never change what exists.
 
@@ -380,8 +392,7 @@ def init_model_params(config: TrainConfig, seed: int | None = None) -> ParamStor
     rng = np.random.default_rng(seed)
     params = ParamStore(seed=seed)
 
-    params.add("scene_proj.w", uniform_init(rng, config.d + 4, (config.d + 4, config.d)))
-    params.add("scene_proj.b", np.zeros(config.d))
+    uniform_init(rng, config.d + 4, (config.d + 4, config.d))  # scene_projection's draw, discarded here
 
     def add_ssm(name: str, in_dim: int):
         params.add(f"ssm.{name}.in_proj", uniform_init(rng, in_dim, (in_dim, config.d_s)))
@@ -485,15 +496,15 @@ class ForwardResult:
     """One batch: the batch-mean loss, per-sample signatures and outputs, and
     the inputs and unit runs that a later call can take as its ``prior``.
 
-    Each sample's selection signature records its scene-attribute picks,
-    if it has any, and the ReLU and BCE-clamp masks: a perturbation that
-    changes it crosses a kink of the loss, where a finite difference is not
-    the gradient. Its keyword picks are left out: its text and grid fix
-    them, so no parameter can flip them. A sample's signature depends on
-    no other sample of the batch. ``values``
-    is one copy of the store's flat value vector as the run read it, or
-    None when the leaves did not view the store's arrays; such a run cannot
-    be a prior. The per-sample ``outputs`` are built on first access.
+    Each sample's selection signature records its ReLU and BCE-clamp
+    masks: a perturbation that changes it crosses a kink of the loss, where
+    a finite difference is not the gradient. Its picks are left out: its
+    text, detections, grid and the store's seed fix them, so no parameter
+    can flip them. A sample's signature depends on no other sample of the
+    batch. ``values`` is one copy of the store's flat value vector as the
+    run read it, or None when the leaves did not view the store's arrays;
+    such a run cannot be a prior. The per-sample ``outputs`` are built on
+    first access.
     """
 
     loss: Var | None
@@ -623,9 +634,7 @@ class Unit:
     unit's output and its per-sample part of the selection signature (None
     for no part). A unit reads parameters only under the prefixes in
     ``reads``, and nothing else but the batch inputs and what it consumes.
-    ``stage`` is its ``PipelineError`` tag. A ``settles`` unit's output is
-    fixed by its signature part, so a rerun whose part equals the prior's
-    changes nothing downstream.
+    ``stage`` is its ``PipelineError`` tag.
     """
 
     key: str
@@ -633,7 +642,6 @@ class Unit:
     reads: tuple[str, ...]
     consumes: tuple[int, ...]
     run: Callable[..., tuple[object, list[tuple] | None]]
-    settles: bool = False
 
 
 @dataclass
@@ -641,21 +649,21 @@ class BatchInputs:
     """A batch's settled structure, what its units read besides the
     parameters, and the units.
 
-    Built once per call from the samples and the config alone, or taken
-    from the prior run, so no parameter change invalidates it. ``rows``
-    maps each hierarchy tag the attentions query to its real query rows
-    (None: every row is real) and its ``PoolPart``. The read mask and the
-    rerun plans are filled in by the calls that take a prior.
+    Built once per call from the samples, the config and the store's seed
+    alone, or taken from the prior run, so no parameter change invalidates
+    it. ``rows`` maps each hierarchy tag the attentions query to its real
+    query rows (None: every row is real) and its ``PoolPart``. The read
+    mask and the rerun plans are filled in by the calls that take a prior.
     """
 
     samples: list[PipelineSample]
     config: TrainConfig
     encoder: ReferenceEncoder
-    grid_shape: tuple
     branches: list[str]  # the enabled branches, in BRANCHES order
     scene_counts: np.ndarray  # (B,) confident detections, so scene-attribute picks, per sample
     holistic: Var | None  # (B, max words, d) holistic queries; None: no holistic attention
     kw_input: np.ndarray | None  # keyword scan input, (T, B * max K, d); None: no keyword scan
+    bs_input: np.ndarray | None  # scene-attribute scan input, (T, B * max count, d); None: no scene scan
     rows: dict[str, tuple[QueryRows | None, PoolPart]]
     pooled: dict[str, np.ndarray]  # per branch: time-major (steps, B, d) scan input
     targets: tuple | None  # (B, 1, 4) boxes and (B, 1, C) labels; None: a sample has no targets
@@ -675,7 +683,27 @@ def _targets(samples: list[PipelineSample]) -> tuple | None:
     return gt, labels
 
 
-def _batch_inputs(samples: list[PipelineSample], config: TrainConfig, encoder: ReferenceEncoder) -> BatchInputs:
+def _scene_picks(samples: list[PipelineSample], config: TrainConfig, encoder: ReferenceEncoder, seed: int):
+    """Each sample's (K_bs, T) scene-attribute picks: its confident
+    detections' tokens under the seed's ``scene_projection``, retrieved over
+    its grid."""
+    proj = scene_projection(config.d, seed)
+    try:
+        queries = [
+            build_scene_attribute_tokens(s.detections, encoder, proj, config.conf_threshold, config.max_detections)
+            for s in samples
+        ]
+    except Exception as exc:
+        raise PipelineError("semantics", exc) from exc
+    try:
+        return [build_trajectory_set(q, s.grid, "scene-attribute").indices for q, s in zip(queries, samples)]
+    except Exception as exc:
+        raise PipelineError("retrieval", exc) from exc
+
+
+def _batch_inputs(
+    samples: list[PipelineSample], config: TrainConfig, encoder: ReferenceEncoder, seed: int
+) -> BatchInputs:
     if not samples:
         raise InputError("forward: empty batch")
     grid_shape = samples[0].grid.tokens.shape
@@ -705,7 +733,7 @@ def _batch_inputs(samples: list[PipelineSample], config: TrainConfig, encoder: R
     tags = tuple(tag for tag in HIERARCHIES if used[tag].any())
     branches = [b for b, on in zip(BRANCHES, (config.use_temporal, config.use_spatial)) if on]
     queried = tags if config.use_mhs_ca else ()
-    n_p, holistic, kw_input, rows = config.n_prompts, None, None, {}
+    n_p, holistic, kw_input, bs_input, rows = config.n_prompts, None, None, None, {}
     if "rv" in queried:
         counts = np.array([s.reference.holistic.shape[0] for s in samples])
         holistic = Var(_pad_rows([s.reference.holistic for s in samples]))
@@ -717,17 +745,19 @@ def _batch_inputs(samples: list[PipelineSample], config: TrainConfig, encoder: R
         mask = _row_mask(kw_counts, int(kw_counts.max()), n_p)
         rows["kwv"] = (QueryRows(kw_counts, n_p), PoolPart(mask, used["kwv"]))
     if "bv" in queried:
+        picks = _scene_picks(samples, config, encoder, seed)
+        bs_input = _trajectory_input([s.grid for s in samples], picks, scene_counts, grid_shape)
         rows["bv"] = (None, PoolPart(None, used["bv"]))
     targets = _targets(samples)
     return BatchInputs(
         samples=samples,
         config=config,
         encoder=encoder,
-        grid_shape=grid_shape,
         branches=branches,
         scene_counts=scene_counts,
         holistic=holistic,
         kw_input=kw_input,
+        bs_input=bs_input,
         rows=rows,
         pooled={b: np.stack([s.pooled(b) for s in samples], axis=1) for b in branches},
         targets=targets,
@@ -740,39 +770,14 @@ def _mask_signature(masks: list[np.ndarray]) -> list[tuple]:
     return list(zip(*[[m.tobytes() for m in mask] for mask in masks]))
 
 
-def _scene_tokens(prefix: str, x: BatchInputs, pv: dict[str, Var]):
-    """Scene-attribute token vectors, (K_bs, d), of each sample's confident detections."""
-    w, b = pv[prefix + "w"].value, pv[prefix + "b"].value
-    queries = [
-        build_scene_attribute_tokens(
-            s.detections,
-            x.encoder,
-            w,
-            b,
-            conf_threshold=x.config.conf_threshold,
-            max_count=x.config.max_detections,
-        )
-        for s in x.samples
-    ]
-    return queries, None
-
-
-def _scene_retrieval(x: BatchInputs, pv: dict[str, Var], queries: list[np.ndarray]):
-    """Each sample's (K_bs, T) scene-attribute picks; the signature part is
-    the picks of each sample that has any."""
-    sets = [build_trajectory_set(q, s.grid, "scene-attribute") for q, s in zip(queries, x.samples)]
-    return [t.indices for t in sets], [(t.indices_signature(),) if len(t) else () for t in sets]
-
-
 def _keyword_scan(prefix: str, x: BatchInputs, pv: dict[str, Var]):
     """The (B, K, d_s) keyword queries."""
     return keyword_tokens_var(Var(x.kw_input), pv, prefix, len(x.samples)), None
 
 
-def _scene_scan(prefix: str, x: BatchInputs, pv: dict[str, Var], picks: list[np.ndarray]):
+def _scene_scan(prefix: str, x: BatchInputs, pv: dict[str, Var]):
     """The (B, T, d_s) scene-attribute queries, every row real."""
-    bs_input = _trajectory_input([s.grid for s in x.samples], picks, x.scene_counts, x.grid_shape)
-    return scene_tokens_var(Var(bs_input), pv, prefix, x.scene_counts), None
+    return scene_tokens_var(Var(x.bs_input), pv, prefix, x.scene_counts), None
 
 
 def _holistic_scan(branch: str, prefix: str, x: BatchInputs, pv: dict[str, Var]):
@@ -823,7 +828,7 @@ def _units(branches: tuple[str, ...], tags: tuple[str, ...], attend: bool, loss:
 
     ``tags`` are the hierarchies some sample of the batch has queries in;
     with ``attend`` (cross-attention on) each gets one attention per branch,
-    and the keyword and scene-attribute ones the units that build their
+    and the keyword and scene-attribute ones the scans that build their
     queries. Without it no query is built and the branch pooling takes the
     enhanced tokens. With ``loss`` every sample has targets, and the loss
     unit runs last.
@@ -831,23 +836,20 @@ def _units(branches: tuple[str, ...], tags: tuple[str, ...], attend: bool, loss:
     units: list[Unit] = []
     index: dict[str, int] = {}
 
-    def add(key, stage, run, prefix=None, consumes=(), settles=False):
+    def add(key, stage, run, prefix=None, consumes=()):
         """Register a unit; one that reads parameters gets its ``prefix`` as
         its first argument, the one prefix it declares in ``reads``."""
         reads = ()
         if prefix is not None:
             run, reads = functools.partial(run, prefix), (prefix,)
         index[key] = len(units)
-        units.append(Unit(key, stage, reads, tuple(index[k] for k in consumes), run, settles))
+        units.append(Unit(key, stage, reads, tuple(index[k] for k in consumes), run))
 
     queried = tags if attend else ()
-    if "bv" in queried:
-        add("semantics", "semantics", _scene_tokens, prefix="scene_proj.")
-        add("retrieval", "retrieval", _scene_retrieval, consumes=("semantics",), settles=True)
     if "kwv" in queried:
         add("ssm.keyword", "ssm", _keyword_scan, prefix="ssm.keyword.")
     if "bv" in queried:
-        add("ssm.scene", "ssm", _scene_scan, prefix="ssm.scene.", consumes=("retrieval",))
+        add("ssm.scene", "ssm", _scene_scan, prefix="ssm.scene.")
     queries = {"rv": (), "kwv": ("ssm.keyword",), "bv": ("ssm.scene",)}
     for branch in branches:
         key = f"ssm.holistic_{branch}"
@@ -916,13 +918,11 @@ def _views_store(pv: dict[str, Var], params: ParamStore) -> bool:
         return False
 
 
-def _rerun_plan(x: BatchInputs, params: ParamStore, moved: np.ndarray) -> tuple[tuple[int, ...], list[bool]]:
-    """The units to visit when the scalars at ``moved`` changed, in run order,
-    and which of the units read a moved scalar.
-
-    The plan is those units plus every unit that consumes one of them; it
-    is cached per set of directly changed units. The read mask is built
-    from the store on the first call for a batch.
+def _rerun_plan(x: BatchInputs, params: ParamStore, moved: np.ndarray) -> tuple[int, ...]:
+    """The units to rerun when the scalars at ``moved`` changed, in run order:
+    the units that read a moved scalar, and every unit that consumes one of
+    the plan. It is cached per set of directly changed units; the read mask
+    is built from the store on the first call for a batch.
     """
     if x.reads is None:
         x.reads = np.zeros((len(x.units), params.num_scalars()), dtype=bool)
@@ -936,7 +936,7 @@ def _rerun_plan(x: BatchInputs, params: ParamStore, moved: np.ndarray) -> tuple[
         hit = direct.tolist()
         for k, unit in enumerate(x.units):
             hit[k] = hit[k] or any(hit[i] for i in unit.consumes)
-        x.plans[key] = (tuple(k for k, h in enumerate(hit) if h), direct.tolist())
+        x.plans[key] = tuple(k for k, h in enumerate(hit) if h)
     return x.plans[key]
 
 
@@ -948,29 +948,23 @@ def _run_units(
     Without ``prior`` every unit runs. With ``prior``, an earlier call on
     the same inputs and store, the scalars whose bits differ from that
     call's copy of the flat value vector select the units that read them,
-    and only those and the units consuming them are visited. A visited
-    unit runs if it reads a moved scalar or a unit it consumes changed; a
-    unit that runs changes, unless it settles back to its prior signature
-    part. Every other output is the prior's, as refusing leaves.
+    and only those and the units consuming them run again. Every other
+    output is the prior's, as refusing leaves.
     """
     units = x.units
     if prior is None:
-        plan, changed = range(len(units)), [True] * len(units)
+        plan = range(len(units))
         outputs, runs = [None] * len(units), [None] * len(units)
     else:
         moved = np.flatnonzero(params.flat_values.view(np.int64) != prior.values.view(np.int64))
-        plan, direct = _rerun_plan(x, params, moved)
-        changed = list(direct)
+        plan = _rerun_plan(x, params, moved)
         outputs, runs = list(prior.reused), list(prior.runs)
     for k in plan:
         unit = units[k]
-        if not (changed[k] or any(map(changed.__getitem__, unit.consumes))):
-            continue
         try:
             output, signature = unit.run(x, pv, *[outputs[i] for i in unit.consumes])
         except Exception as exc:
             raise PipelineError(unit.stage, exc) from exc
-        changed[k] = not (unit.settles and prior is not None and signature == prior.runs[k].signature)
         outputs[k] = output
         runs[k] = UnitRun(output, signature)
     return outputs, runs
@@ -1008,7 +1002,7 @@ def forward(
     views = _views_store(pv, params)
     names = params.names()
     if prior is None:
-        inputs = _batch_inputs(samples, config, encoder)
+        inputs = _batch_inputs(samples, config, encoder, params.seed)
     else:
         inputs = prior.inputs
         same = len(samples) == len(inputs.samples) and all(a is b for a, b in zip(samples, inputs.samples))

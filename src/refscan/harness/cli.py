@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from ..config import TrainConfig
-from ..errors import RefScanError
+from ..errors import ConfigError, RefScanError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import evaluate, write_report
 from .fixtures import GenConfig, generate_fixtures
@@ -104,6 +104,8 @@ _SUITE_TOL = {"scan": 1e-10, "map": 1e-9, "auroc": 1e-9}
 
 
 def _cmd_oracle(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     result = _SUITES[args.suite](seed=args.seed)
     tol = _SUITE_TOL[args.suite]
     ok = result["max_abs_diff"] <= tol

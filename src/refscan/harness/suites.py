@@ -125,12 +125,11 @@ def model_loss_fn(samples, params, config, encoder):
     passes it as ``prior``, so it reruns only the layer instances whose read
     parameters differ from that evaluation's and what consumes them: one
     head and the loss for a ``head.*`` scalar, one attention, its branch's
-    pooling, heads and loss for ``attn.*``, one scan and the attentions it
-    feeds for ``ssm.*``, and the scene tokens and retrieval for
-    ``scene_proj`` (past them only when a pick flips). Keyword retrieval and
-    pooling read no parameter; each sample works them out in the first
-    evaluation and keeps them. Losses and signatures are bitwise a full
-    forward's.
+    pooling, heads and loss for ``attn.*``, and one scan and the attentions
+    it feeds for ``ssm.*``. Retrieval and pooling read no parameter: the
+    first evaluation builds the batch inputs, the picks among them, and
+    every later one takes them from it. Losses and signatures are bitwise a
+    full forward's.
     """
     baseline = None
 

@@ -6,11 +6,12 @@ learning rate warms up linearly over the first warmup_ratio of steps, then
 multiplies by lr_decay after every completed pass over the dataset. A
 sample's keyword retrieval and pooled inputs are worked out by the sample
 the first time a step draws it and kept: both read only the sample, which
-no step changes. Scene tokens read ``scene_proj`` and are built, with
-their retrieval, in every forward of a batch with a confident detection.
-Before each forward the store's gradients are zeroed and each parameter
-leaf's ``grad`` is pointed at its view of them, so backward adds every
-gradient straight into the flat gradient vector the optimizer reads.
+no step changes. Scene-attribute picks read the fixed projection of the
+store's seed, and are built with the inputs of every batch with a
+confident detection. Before each forward the store's gradients are
+zeroed and each parameter leaf's ``grad`` is pointed at its view of them,
+so backward adds every gradient straight into the flat gradient vector
+the optimizer reads.
 Everything is deterministic for a fixed config seed.
 """
 

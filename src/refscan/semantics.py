@@ -191,7 +191,6 @@ def build_scene_attribute_tokens(
     detections: list[Detection],
     encoder: ReferenceEncoder,
     proj_w: np.ndarray,
-    proj_b: np.ndarray,
     conf_threshold: float = 0.7,
     max_count: int = 10,
 ) -> np.ndarray:
@@ -203,14 +202,11 @@ def build_scene_attribute_tokens(
     alone; one flat (K, d + 4) product would round differently.
     """
     proj_w = np.asarray(proj_w, dtype=np.float64)
-    if proj_w.ndim != 2 or proj_w.shape[0] != encoder.dim + 4 or np.shape(proj_b) != proj_w.shape[1:]:
-        raise ConfigError(
-            f"scene projection expects input dim {encoder.dim + 4} and a matching bias, "
-            f"got weights {proj_w.shape} and bias {np.shape(proj_b)}"
-        )
+    if proj_w.ndim != 2 or proj_w.shape[0] != encoder.dim + 4:
+        raise ConfigError(f"scene projection expects input dim {encoder.dim + 4}, got weights {proj_w.shape}")
     feats = [
         np.concatenate([encoder.encode_word(det.category), np.asarray(det.bbox, dtype=np.float64)])
         for det in confident_detections(detections, conf_threshold, max_count)
     ]
     feats = np.array(feats, dtype=np.float64).reshape(len(feats), proj_w.shape[0])
-    return (feats[:, None, :] @ proj_w)[:, 0] + proj_b
+    return (feats[:, None, :] @ proj_w)[:, 0]

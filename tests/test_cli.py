@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from refscan.errors import ParseError
+from refscan.harness.checkpoint import load_checkpoint, save_checkpoint
 from refscan.harness.cli import main
 from refscan.harness.formats import read_tensor, write_tensor
+from refscan.numerics import ParamStore
 
 
 @pytest.fixture()
@@ -202,6 +206,12 @@ def test_oracle_suites_pass(capsys):
         assert "PASS" in capsys.readouterr().out
 
 
+def test_oracle_negative_seed_exits_1(capsys):
+    assert main(["oracle", "--suite", "scan", "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_gradcheck_subcommand(capsys, tmp_path):
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps({
@@ -239,6 +249,30 @@ def test_truncated_checkpoint_exits_1_naming_the_parameter(dataset, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "model.ckpt" in err and "parameter 'ssm." in err
     assert "Traceback" not in err
+
+
+def test_checkpoint_holding_a_scene_projection_exits_1(dataset, tmp_path, capsys):
+    """A checkpoint from when the scene projection was a parameter fails the
+    shape check at its first extra name."""
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(ckpt)]) == 0
+    old = load_checkpoint(ckpt)
+    params = ParamStore(seed=old.params.seed)
+    params.add("scene_proj.w", np.zeros((old.config.d + 4, old.config.d)))
+    params.add("scene_proj.b", np.zeros(old.config.d))
+    for name, arr in old.params.items():
+        params.add(name, arr)
+    old.params = params
+    save_checkpoint(ckpt, old)
+    with pytest.raises(ParseError, match="parameters do not match the config at 'scene_proj.b'") as info:
+        load_checkpoint(ckpt)
+    assert info.value.field == "params"
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset), "--report", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'scene_proj.b'" in err
+    assert "Traceback" not in err and not (tmp_path / "r.json").exists()
 
 
 def _train_exit(dataset, tmp_path) -> int:

@@ -21,7 +21,9 @@ from refscan.fusion import forward, init_model_params
 from refscan.harness import training
 from refscan.harness.evaluation import evaluate
 from refscan.harness.fixtures import GenConfig, default_train_config, synth_samples
+from refscan.harness.checkpoint import save_checkpoint
 from refscan.harness.training import Adam, lr_at_step, train
+from refscan.numerics import uniform_init
 from refscan.numerics.tape import Var
 from refscan.retrieval import build_trajectory_set
 from refscan.semantics import SyntheticEncoder, build_scene_attribute_tokens
@@ -82,14 +84,22 @@ def test_train_is_bitwise_an_uncached_per_tensor_loop():
         assert np.array_equal(result.checkpoint.params[name], arr), name
 
 
-def test_training_never_moves_scene_proj():
-    """``scene_proj`` enters no tape, so training leaves it where it started."""
+def test_the_scene_projection_is_a_constant_of_the_seed(tmp_path):
+    """No ``scene_proj.*`` is in the store or a checkpoint; the projection
+    is the first draw of the store's init rng, built once and read-only.
+    The scan-input test below holds each batch's scene picks to it."""
     config, samples, encoder = train_setup()
-    init = init_model_params(config)
-    trained = train(config, samples, encoder).checkpoint.params
-    moved = [name for name, arr in init.items() if not np.array_equal(trained[name], arr)]
-    assert "scene_proj.w" not in moved and "scene_proj.b" not in moved
-    assert len(moved) > len(init.names()) // 2
+    ckpt = train(config, samples, encoder).checkpoint
+    save_checkpoint(tmp_path / "model.ckpt", ckpt)
+    header = json.loads((tmp_path / "model.ckpt").read_bytes().split(b"\n", 1)[0])
+    assert header["params"] and not [e for e in header["params"] if e["name"].startswith("scene_proj")]
+    assert not [n for n in ckpt.params.names() if n.startswith("scene_proj")]
+
+    for seed in (0, 1):
+        proj = fusion.scene_projection(TRAIN_GEN.dim, seed)
+        first = uniform_init(np.random.default_rng(seed), TRAIN_GEN.dim + 4, (TRAIN_GEN.dim + 4, TRAIN_GEN.dim))
+        assert np.array_equal(proj, first) and not proj.flags.writeable
+        assert proj is fusion.scene_projection(TRAIN_GEN.dim, seed)
 
 
 def keyword_retrievals(monkeypatch):
@@ -188,18 +198,17 @@ def test_prepared_forward_is_bitwise_the_raw_forward(name):
 
 
 def test_prepared_sample_holds_when_scene_proj_moves():
-    """A sample keeps no parameter-dependent value: scene tokens follow ``scene_proj``."""
+    """A sample keeps nothing that depends on the store: its scene picks
+    follow the projection of the seed of the store it meets."""
     config = config_for("desk")
     encoder = SyntheticEncoder(GEN.dim, GEN.seed)
     samples = mixed_batch(encoder)
-    params = init_model_params(config, seed=0)
-    before = forward(samples, params, config, encoder).selection_signature
-    params["scene_proj.w"] = np.random.default_rng(3).normal(size=params["scene_proj.w"].shape)
+    before = forward(samples, init_model_params(config, seed=0), config, encoder).inputs.bs_input
+    params = init_model_params(config, seed=3)
     fresh = forward([dataclasses.replace(s) for s in samples], params, config, encoder)
     res = forward(samples, params, config, encoder)
-    assert [[p for p in sig if isinstance(p, tuple)] for sig in fresh.selection_signature] != [
-        [p for p in sig if isinstance(p, tuple)] for sig in before
-    ]
+    assert not np.array_equal(fresh.inputs.bs_input, before)
+    assert np.array_equal(res.inputs.bs_input, fresh.inputs.bs_input)
     assert res.selection_signature == fresh.selection_signature
     assert float(res.loss.value) == float(fresh.loss.value)
     for a, b in zip(res.outputs, fresh.outputs):
@@ -207,31 +216,34 @@ def test_prepared_sample_holds_when_scene_proj_moves():
 
 
 def test_scan_inputs_are_the_retrieved_trajectory_tokens(monkeypatch):
-    """The gathered, padded scan input holds each trajectory's retrieved tokens."""
+    """The gathered, padded scan input holds each trajectory's retrieved
+    tokens; the scene-attribute ones under the store's seed's projection."""
     config = config_for("desk")
     encoder = SyntheticEncoder(GEN.dim, GEN.seed)
     samples = mixed_batch(encoder)
-    params = init_model_params(config, seed=0)
     inputs = []
     real_scan = fusion.scan_var
     monkeypatch.setattr(fusion, "scan_var", lambda x, *rest: inputs.append(x.value) or real_scan(x, *rest))
-    forward(samples, params, config, encoder)
     frames, _, dim = samples[0].grid.tokens.shape
-    for x, hierarchy in zip(inputs, ("keyword", "scene-attribute")):
-        x = x.reshape(frames, len(samples), -1, dim)
-        for b, s in enumerate(samples):
-            if hierarchy == "keyword":
-                queries = s.reference.keyword_embeddings
-            else:
-                queries = build_scene_attribute_tokens(
-                    s.detections, encoder, params["scene_proj.w"], params["scene_proj.b"],
-                    conf_threshold=config.conf_threshold, max_count=config.max_detections,
-                )
-            picks = build_trajectory_set(queries, s.grid, hierarchy).indices
-            for k, cells in enumerate(picks):
-                tokens = s.grid.tokens[np.arange(frames), cells]
-                assert np.array_equal(x[:, b, k], tokens), (hierarchy, b, k)
-            assert not x[:, b, len(picks):].any()
+    for seed in (0, 1):
+        params = init_model_params(config, seed=seed)
+        del inputs[:]
+        forward(samples, params, config, encoder)
+        for x, hierarchy in zip(inputs, ("keyword", "scene-attribute")):
+            x = x.reshape(frames, len(samples), -1, dim)
+            for b, s in enumerate(samples):
+                if hierarchy == "keyword":
+                    queries = s.reference.keyword_embeddings
+                else:
+                    queries = build_scene_attribute_tokens(
+                        s.detections, encoder, fusion.scene_projection(config.d, seed),
+                        conf_threshold=config.conf_threshold, max_count=config.max_detections,
+                    )
+                picks = build_trajectory_set(queries, s.grid, hierarchy).indices
+                for k, cells in enumerate(picks):
+                    tokens = s.grid.tokens[np.arange(frames), cells]
+                    assert np.array_equal(x[:, b, k], tokens), (hierarchy, b, k)
+                assert not x[:, b, len(picks):].any()
 
 
 def test_nonfinite_gradient_aborts_before_the_optimizer(monkeypatch):
@@ -258,7 +270,6 @@ def test_nonfinite_gradient_aborts_before_the_optimizer(monkeypatch):
     result = train(config, samples, encoder)
     assert math.isfinite(forwards[bad_step])
     assert result.aborted and result.steps_done == bad_step and len(after_step) == bad_step
-    first_reached = next(n for n in result.checkpoint.params.names() if not n.startswith("scene_proj."))
-    assert result.abort_param == first_reached and result.abort_stage is None
+    assert result.abort_param == result.checkpoint.params.names()[0] and result.abort_stage is None
     assert result.losses == forwards[:bad_step]
     assert np.array_equal(result.checkpoint.params.flat_values, after_step[-1])

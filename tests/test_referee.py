@@ -44,7 +44,8 @@ def scene_queries(sample, params, config, encoder) -> np.ndarray:
     scans = []
     for det in kept:
         feature = np.concatenate([encoder.encode_word(det.category), det.bbox])
-        token = feature @ params["scene_proj.w"] + params["scene_proj.b"]
+        scale = 1.0 / np.sqrt(config.d + 4)  # the projection is the first draw of the store's init rng
+        token = feature @ np.random.default_rng(params.seed).uniform(-scale, scale, (config.d + 4, config.d))
         scans.append(scan(params, "scene", trajectory(sample.grid.tokens, token)))
     return np.mean(scans, axis=0) if scans else np.zeros((0, config.d_s))
 

@@ -151,11 +151,11 @@ class TestSceneAttributeTokens:
     def test_identity_projection_carries_bbox(self):
         enc = _ZeroEncoder(4)
         det = Detection(bbox=(0.0, 0.0, 1.0, 1.0), category="person", confidence=0.9)
-        tokens = build_scene_attribute_tokens([det], enc, np.eye(8), np.zeros(8), 0.5, 10)
+        tokens = build_scene_attribute_tokens([det], enc, np.eye(8), 0.5, 10)
         np.testing.assert_array_equal(tokens, [[0, 0, 0, 0, 0, 0, 1, 1]])
 
     def test_empty_detections(self):
-        tokens = build_scene_attribute_tokens([], _ZeroEncoder(4), np.eye(8), np.zeros(8))
+        tokens = build_scene_attribute_tokens([], _ZeroEncoder(4), np.eye(8))
         assert tokens.shape == (0, 8)
 
     def test_threshold_filters(self):
@@ -164,7 +164,7 @@ class TestSceneAttributeTokens:
             Detection(bbox=(0.0, 0.0, 0.5, 0.5), category="a", confidence=0.5),
             Detection(bbox=(0.1, 0.1, 0.9, 0.9), category="b", confidence=0.9),
         ]
-        tokens = build_scene_attribute_tokens(dets, enc, np.eye(8), np.zeros(8), 0.7, 10)
+        tokens = build_scene_attribute_tokens(dets, enc, np.eye(8), 0.7, 10)
         # the identity projection carries each box: the rows name the kept detections
         np.testing.assert_array_equal(tokens[:, 4:], [dets[1].bbox])
 
@@ -175,7 +175,7 @@ class TestSceneAttributeTokens:
             Detection(bbox=(0.1, 0.1, 0.9, 0.9), category="b", confidence=0.99),
             Detection(bbox=(0.2, 0.2, 0.8, 0.8), category="c", confidence=0.85),
         ]
-        tokens = build_scene_attribute_tokens(dets, enc, np.eye(8), np.zeros(8), 0.7, 2)
+        tokens = build_scene_attribute_tokens(dets, enc, np.eye(8), 0.7, 2)
         np.testing.assert_array_equal(tokens[:, 4:], [dets[1].bbox, dets[2].bbox])
 
     def test_rows_are_one_row_products(self):
@@ -184,22 +184,22 @@ class TestSceneAttributeTokens:
         product rounds some entries differently."""
         rng = np.random.default_rng(29)
         enc = SyntheticEncoder(32, 5)
-        w, b = rng.normal(size=(36, 32)), rng.normal(size=32)
+        w = rng.normal(size=(36, 32))
         dets = [
             Detection(bbox=(0.1 * i, 0.05, 0.1 * i + 0.3, 0.9), category=c, confidence=0.95 - 0.05 * i)
             for i, c in enumerate(["person", "chair", "cup", "dog", "phone"])
         ]
-        tokens = build_scene_attribute_tokens(dets, enc, w, b, 0.7, 10)
+        tokens = build_scene_attribute_tokens(dets, enc, w, 0.7, 10)
         assert tokens.shape == (5, 32)
         for det, row in zip(dets, tokens):
             feat = np.concatenate([enc.encode_word(det.category), det.bbox])
-            np.testing.assert_array_equal(row, (feat.reshape(1, -1) @ w + b)[0])
+            np.testing.assert_array_equal(row, (feat.reshape(1, -1) @ w)[0])
 
     def test_projection_dim_guard(self):
         with pytest.raises(ConfigError):
-            build_scene_attribute_tokens([], _ZeroEncoder(4), np.eye(5), np.zeros(5))
-        with pytest.raises(ConfigError, match="bias"):
-            build_scene_attribute_tokens([], _ZeroEncoder(4), np.eye(8), np.zeros(1))
+            build_scene_attribute_tokens([], _ZeroEncoder(4), np.eye(5))
+        with pytest.raises(ConfigError, match="input dim 8"):
+            build_scene_attribute_tokens([], _ZeroEncoder(4), np.zeros(8))
 
     @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -211,8 +211,8 @@ class TestSceneAttributeTokens:
             Detection(bbox=(0.0, 0.0, 0.5, 0.5), category="x", confidence=float(c))
             for c in rng.uniform(0, 1, size=6)
         ]
-        n_lo = len(build_scene_attribute_tokens(dets, enc, np.eye(8), np.zeros(8), lo, 10))
-        n_hi = len(build_scene_attribute_tokens(dets, enc, np.eye(8), np.zeros(8), hi, 10))
+        n_lo = len(build_scene_attribute_tokens(dets, enc, np.eye(8), lo, 10))
+        n_hi = len(build_scene_attribute_tokens(dets, enc, np.eye(8), hi, 10))
         assert n_hi <= n_lo <= len(dets)
 
 

@@ -1,13 +1,14 @@
 """The units of ``forward``: error tags, and reruns from a prior run.
 
-``forward`` runs one unit per layer instance: scene tokens, scene-attribute
-retrieval, each scan, each (hierarchy, branch) cross-attention, each
-branch's pooling, each head and the loss. Given a prior result it reruns
-only the units whose read parameters or consumed outputs changed, and the
-gradient check relies on that for every perturbed scalar. A stale reuse of
-``scene_proj`` would pass the gradient check silently (its analytic
-gradient is 0), so the guard below compares cached and uncached
-evaluations bitwise, one perturbed scalar per parameter name.
+``forward`` builds a batch's inputs (the keyword and scene-attribute
+picks among them), then runs one unit per layer instance: each scan, each
+(hierarchy, branch) cross-attention, each branch's pooling, each head and
+the loss. Given a prior result it reruns only the units whose read
+parameters or consumed outputs changed, and the gradient check relies on
+that for every perturbed scalar. A stale reuse could pass the gradient
+check silently wherever the analytic gradient is small, so the guard below
+compares cached and uncached evaluations bitwise, one perturbed scalar per
+parameter name.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import pytest
 
 from refscan import fusion
 from refscan.config import TrainConfig
-from refscan.errors import InputError, PipelineError
+from refscan.errors import ConfigError, InputError, PipelineError
 from refscan.fusion import forward, init_model_params
 from refscan.harness import suites
 from refscan.harness.fixtures import GenConfig, synth_samples
@@ -27,7 +28,7 @@ from refscan.numerics.tape import Var
 from refscan.semantics import SyntheticEncoder
 
 # at this seed a perturbation of 0.5 moves the loss or the signature for every
-# parameter the configs below read, scene_proj included (it flips a retrieval)
+# parameter the configs below read
 SEED = 5
 DELTA = 0.5
 CONFIGS = {
@@ -49,15 +50,15 @@ def setup(overrides: dict):
 
 def unread(config: TrainConfig, names: list[str]) -> set[str]:
     """Names no output depends on. Without cross-attention the attention
-    weights, the keyword and scene-attribute scans and the scene tokens feed
-    nothing; without the attribute hierarchy its scan, attentions and the
-    scene tokens feed nothing (every sample here has a holistic query); a
-    disabled hierarchy or branch reads none of its weights."""
+    weights and the keyword and scene-attribute scans feed nothing; without
+    the attribute hierarchy its scan and attentions feed nothing (every
+    sample here has a holistic query); a disabled hierarchy or branch reads
+    none of its weights."""
     dead = []
     if not config.use_mhs_ca:
-        dead += ["attn.", "ssm.keyword.", "ssm.scene.", "scene_proj."]
+        dead += ["attn.", "ssm.keyword.", "ssm.scene."]
     if not config.use_attribute:
-        dead += ["attn.bv.", "ssm.scene.", "scene_proj."]
+        dead += ["attn.bv.", "ssm.scene."]
     if not config.use_holistic:
         dead += ["attn.rv."]
     for branch, on in (("temporal", config.use_temporal), ("spatial", config.use_spatial)):
@@ -109,10 +110,8 @@ HEADS_LOSS = ["head.temporal.reg", "head.temporal.cls", "head.spatial.reg", "hea
 TEMPORAL_HEADS_LOSS = ["head.temporal.reg", "head.temporal.cls", "loss"]
 SPATIAL_HEADS_LOSS = ["head.spatial.reg", "head.spatial.cls", "loss"]
 
-# a perturbation of 1e-5 reruns exactly these units, in run order; at SEED it
-# flips no scene-attribute pick, so a scene_proj rerun stops at retrieval
+# a perturbation of 1e-5 reruns exactly these units, in run order
 RERUNS = {
-    "scene_proj.b": ["semantics", "retrieval"],
     "ssm.keyword.C": [
         "ssm.keyword", "attn.kwv.temporal", "pool.temporal", "attn.kwv.spatial", "pool.spatial", *HEADS_LOSS,
     ],
@@ -160,20 +159,10 @@ def test_rerun_starts_at_the_first_stage_reading_the_change(pname, monkeypatch):
     assert reruns(monkeypatch, pname, 1e-5) == (RERUNS[pname], False)
 
 
-def test_a_flipped_scene_pick_reruns_what_the_picks_feed(monkeypatch):
-    ran, moved = reruns(monkeypatch, "scene_proj.b", DELTA)
-    assert moved
-    assert ran == [
-        "semantics", "retrieval", "ssm.scene",
-        "attn.bv.temporal", "pool.temporal", "attn.bv.spatial", "pool.spatial", *HEADS_LOSS,
-    ]
-
-
 def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
     """One attention per perturbed attn.* scalar, the attentions of the
-    changed scan's query or context per ssm.* scalar, none for scene_proj
-    when no pick flips (none does at seed 3); a plan that reruns more than
-    the changed units and their consumers moves these counts."""
+    changed scan's query or context per ssm.* scalar; a plan that reruns
+    more than the changed units and their consumers moves these counts."""
     calls = {"cross_attention_var": 0, "scan_var": 0, "head_var": 0, "pool_hierarchies_var": 0, "loss_var": 0}
     for name in calls:
         real = getattr(fusion, name)
@@ -184,11 +173,11 @@ def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
 
         monkeypatch.setattr(fusion, name, counted)
     report = suites.run_model_gradcheck(seed=3)
-    assert sum(r.checked for r in report.rows) == 2994
+    assert sum(r.checked for r in report.rows) == 2658
     # baseline 6 attentions + 832 ssm.keyword/ssm.scene evaluations x 2 + 832
     # holistic evaluations x 3 + 2,752 attn.* evaluations x 1; heads: 4 + 832 x 4
     # + 832 x 2 + 2,752 x 2 + 900 head.* evaluations x 1; pooling: 2 + 832 x 2
-    # + 832 + 2,752; loss: 1 + 832 + 832 + 2,752 + 900 (no scene_proj one)
+    # + 832 + 2,752; loss: 1 + 832 + 832 + 2,752 + 900
     assert calls == {
         "cross_attention_var": 6918,
         "scan_var": 1668,
@@ -245,7 +234,6 @@ def test_prior_needs_leaves_viewing_its_own_store():
 @pytest.mark.parametrize(
     "pname, stage",
     [
-        ("scene_proj.w", "semantics"),
         ("ssm.keyword.in_proj", "ssm"),
         ("attn.bv.spatial.w_q", "fusion"),
         ("head.spatial.cls.w1", "heads"),
@@ -258,6 +246,16 @@ def test_parameter_shape_mismatch_is_tagged_with_its_stage(pname, stage):
     with pytest.raises(PipelineError) as info:
         forward(samples, params, config, encoder, param_vars=pv)
     assert info.value.stage == stage
+
+
+def test_an_encoder_of_another_dim_is_tagged_semantics():
+    """The scene tokens are the one place the encoder meets the fixed
+    projection; an encoder of another dim fails there, before any unit."""
+    config, samples, encoder, params = setup({})
+    with pytest.raises(PipelineError) as info:
+        forward(samples, params, config, SyntheticEncoder(encoder.dim + 1, SEED))
+    assert info.value.stage == "semantics" and isinstance(info.value.cause, ConfigError)
+    assert "scene projection expects input dim 21" in str(info.value.cause)
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,10 @@ and confident-detection counts alone, so ``forward`` builds only units
 with queries to work on. The digests pin the numbers that structure must
 not move: loss, per-sample outputs, selection signature and gradients,
 for eight configs over three batches. They were recorded with numpy 2.4.6
-on CPython 3.11 (x86-64), on the code as it stood while keyword picks
-were still part of the selection signature; they were recorded with
-those picks, and the empty scene-attribute picks of samples without one,
-left out of it.
+on CPython 3.11 (x86-64), on the code as it stood while the scene
+projection was still a parameter and scene-attribute picks were part of
+the selection signature: the signature with those picks left out, and the
+gradients with the ``scene_proj`` entries left out.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from refscan.errors import DimensionError, PipelineError
 from refscan.fusion import forward, prepare_reference
 from refscan.harness import training
 from refscan.harness.training import train
-from refscan.numerics.tape import Var
 from refscan.semantics import SyntheticEncoder
 
 from test_batch import GEN, OUTPUT_FIELDS, mixed_batch, usable
@@ -39,7 +38,7 @@ CONFIGS = {
     "no holistic, no cross-attention": {"use_holistic": False, "use_mhs_ca": False},
 }
 BATCHES = ("plain", "no confident detection", "mixed")
-SCENE_UNITS = ("semantics", "retrieval", "ssm.scene", "attn.bv.")
+SCENE_UNITS = ("ssm.scene", "attn.bv.")
 
 
 def batch(name: str, overrides: dict):
@@ -86,30 +85,30 @@ def case_digests(config_name: str, batch_name: str) -> tuple[str, str, str, str]
 
 
 DIGESTS = {
-    ('gradcheck', 'plain'): ('a2229e9607598df1', '0fe57cab42b5e4c7', '98992aee39cbf0d2', '5d2397a8f6bd92ec'),
-    ('gradcheck', 'no confident detection'): ('4b99188af8c6de65', '97a3a06ebbf46fbc', '57fb73f57ab59d1c', '6d823e4a0586bd51'),
-    ('gradcheck', 'mixed'): ('208ad989c0abc13e', 'c33f6138cdd71b50', '74e2cb3671830215', 'e22bcd1ec1511288'),
-    ('no attribute', 'plain'): ('4b99188af8c6de65', '97a3a06ebbf46fbc', '57fb73f57ab59d1c', '6d823e4a0586bd51'),
-    ('no attribute', 'no confident detection'): ('4b99188af8c6de65', '97a3a06ebbf46fbc', '57fb73f57ab59d1c', '6d823e4a0586bd51'),
-    ('no attribute', 'mixed'): ('8abb6af242baf9d9', '944b502e1a3e2ad9', '555ddda720d45d5d', '993fbfe3a2f4a3b8'),
-    ('no cross-attention', 'plain'): ('3130c155d8ee6495', 'b7a678329050c03f', 'd49aa58368251d82', '79828378d2f5d673'),
-    ('no cross-attention', 'no confident detection'): ('3130c155d8ee6495', 'b7a678329050c03f', 'd49aa58368251d82', '79828378d2f5d673'),
-    ('no cross-attention', 'mixed'): ('4dab64f7ffc86aa9', 'f2c402e3a7c986cb', '2e0670383b7ebba6', '3f95af48a1f9df93'),
-    ('no holistic', 'plain'): ('19a6775aab5b1bd6', 'a226058b0b12510d', '802cf39a1212ab9d', '772eca1e09929a62'),
-    ('no holistic', 'no confident detection'): ('e7b403be1c01438e', '890467ffd54dfe56', '395a73131a1c8f07', 'bbee0d7b5ed4c8f1'),
-    ('no holistic', 'mixed'): ('e355d95d4825ff02', '2578e91db0e76276', 'eb4718330b21fa9b', 'c145f9374329f31e'),
-    ('no holistic, no cross-attention', 'plain'): ('3130c155d8ee6495', 'b7a678329050c03f', 'd49aa58368251d82', '79828378d2f5d673'),
-    ('no holistic, no cross-attention', 'no confident detection'): ('3130c155d8ee6495', 'b7a678329050c03f', 'd49aa58368251d82', '79828378d2f5d673'),
-    ('no holistic, no cross-attention', 'mixed'): ('6f018bb4a7db8615', 'e2f5ea154014b2cd', '8434be8883dde788', '3410534f04bedd55'),
-    ('no keyword', 'plain'): ('9b1bf9cdb73fec30', 'f87bc61df05d2971', '76b7e0152816e0b5', '01fa07181c222ecf'),
-    ('no keyword', 'no confident detection'): ('c1574f772f833fe9', 'e9509f5c449686e1', '7c976af4a632df5b', '79b0cafba924f155'),
-    ('no keyword', 'mixed'): ('889677e9e0835551', 'd8b3ae83b448278e', '69139365ae7676ff', '9c2d8f40f260735d'),
-    ('no prompts, aux loss', 'plain'): ('5d9b241ca27ba315', '6244dc7b918e2dc0', 'b494a735f9a054c6', '1f1c795baf8d0a8d'),
-    ('no prompts, aux loss', 'no confident detection'): ('332073c26d78edac', '3fcf22bfcbec5d7c', '516325b4709d4ff4', '15dc31e44c650d01'),
-    ('no prompts, aux loss', 'mixed'): ('6b9418c0b131eaf0', 'e46bb05155899171', '81373df1b187dfad', 'c656322c1f323038'),
-    ('temporal only', 'plain'): ('47048da598e6afda', '7b88dd115c39fd49', '27c36e1b8bebe81f', '2ef8ae28067e75b7'),
-    ('temporal only', 'no confident detection'): ('f4162fa554c4ced1', '1fbaede020b5908d', '1eb9c05ef1a3c3a9', 'b534b60ff380267f'),
-    ('temporal only', 'mixed'): ('1358761f7e1e6c52', 'f6a9bb3d7744ba2a', 'f355abfb40f70f9c', '7bfe9e9b1d11f081'),
+    ('gradcheck', 'plain'): ('a2229e9607598df1', '0fe57cab42b5e4c7', '8ca2a08cefb9be27', '1f6ad6b87e87184b'),
+    ('gradcheck', 'no confident detection'): ('4b99188af8c6de65', '97a3a06ebbf46fbc', '57fb73f57ab59d1c', '90bcd574fb55c502'),
+    ('gradcheck', 'mixed'): ('208ad989c0abc13e', 'c33f6138cdd71b50', 'dbc6fd97ff1553ba', '5f8593161a999c88'),
+    ('no attribute', 'plain'): ('4b99188af8c6de65', '97a3a06ebbf46fbc', '57fb73f57ab59d1c', '90bcd574fb55c502'),
+    ('no attribute', 'no confident detection'): ('4b99188af8c6de65', '97a3a06ebbf46fbc', '57fb73f57ab59d1c', '90bcd574fb55c502'),
+    ('no attribute', 'mixed'): ('8abb6af242baf9d9', '944b502e1a3e2ad9', '555ddda720d45d5d', '38073c7c5e4dddce'),
+    ('no cross-attention', 'plain'): ('3130c155d8ee6495', 'b7a678329050c03f', 'd49aa58368251d82', 'ac50c6b32566f24b'),
+    ('no cross-attention', 'no confident detection'): ('3130c155d8ee6495', 'b7a678329050c03f', 'd49aa58368251d82', 'ac50c6b32566f24b'),
+    ('no cross-attention', 'mixed'): ('4dab64f7ffc86aa9', 'f2c402e3a7c986cb', '2e0670383b7ebba6', 'b4680b71147ea94d'),
+    ('no holistic', 'plain'): ('19a6775aab5b1bd6', 'a226058b0b12510d', 'aa2d7deaff374972', '1a55e980e325376b'),
+    ('no holistic', 'no confident detection'): ('e7b403be1c01438e', '890467ffd54dfe56', '395a73131a1c8f07', '5530c028d27f746a'),
+    ('no holistic', 'mixed'): ('e355d95d4825ff02', '2578e91db0e76276', '5a4695cc4be6a022', 'a16dac511d5c0eff'),
+    ('no holistic, no cross-attention', 'plain'): ('3130c155d8ee6495', 'b7a678329050c03f', 'd49aa58368251d82', 'ac50c6b32566f24b'),
+    ('no holistic, no cross-attention', 'no confident detection'): ('3130c155d8ee6495', 'b7a678329050c03f', 'd49aa58368251d82', 'ac50c6b32566f24b'),
+    ('no holistic, no cross-attention', 'mixed'): ('6f018bb4a7db8615', 'e2f5ea154014b2cd', '8434be8883dde788', 'c036169e621f994a'),
+    ('no keyword', 'plain'): ('9b1bf9cdb73fec30', 'f87bc61df05d2971', 'b65e51eb4ef4b724', 'e6f7c5d31adc6de0'),
+    ('no keyword', 'no confident detection'): ('c1574f772f833fe9', 'e9509f5c449686e1', '7c976af4a632df5b', '71cf9638db0ae45f'),
+    ('no keyword', 'mixed'): ('889677e9e0835551', 'd8b3ae83b448278e', 'aadfc227d75c9746', '7246481d1c19af3b'),
+    ('no prompts, aux loss', 'plain'): ('5d9b241ca27ba315', '6244dc7b918e2dc0', '23cd9261495611bb', 'c12f3bb3ce877cb4'),
+    ('no prompts, aux loss', 'no confident detection'): ('332073c26d78edac', '3fcf22bfcbec5d7c', '516325b4709d4ff4', 'dcc1c3a335b6cd59'),
+    ('no prompts, aux loss', 'mixed'): ('6b9418c0b131eaf0', 'e46bb05155899171', 'feabf99908b886ba', '0480608bf488e571'),
+    ('temporal only', 'plain'): ('47048da598e6afda', '7b88dd115c39fd49', '45890e7c4740db25', '2e9e7810c0b63645'),
+    ('temporal only', 'no confident detection'): ('f4162fa554c4ced1', '1fbaede020b5908d', '1eb9c05ef1a3c3a9', '2bccfcedd4ae8334'),
+    ('temporal only', 'mixed'): ('1358761f7e1e6c52', 'f6a9bb3d7744ba2a', '97dcd6458b158b32', '6cedef851c3d393a'),
 }
 
 
@@ -137,7 +136,8 @@ def test_a_batch_without_confident_detections_builds_no_scene_unit(monkeypatch):
     assert len(keys) == 14 and not [k for k in keys if k.startswith(SCENE_UNITS)]
     assert built == []
     plain = [u.key for u in forward(setup({})[1], params, config, encoder).inputs.units]
-    assert len(plain) == 19 and len([k for k in plain if k.startswith(SCENE_UNITS)]) == 5
+    assert len(plain) == 17 and len([k for k in plain if k.startswith(SCENE_UNITS)]) == 3
+    assert built
 
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
@@ -161,8 +161,9 @@ def test_a_reference_that_does_not_fit_the_grid_fails_at_retrieval(config_name):
 
 
 def test_the_hierarchy_check_runs_before_any_unit(monkeypatch):
-    """A sample no hierarchy serves is rejected before the scene tokens run,
-    here with a scene projection that would fail them."""
+    """A sample no hierarchy serves is rejected before the scene tokens are
+    built, here with an encoder whose dim would fail them, and before any
+    unit runs."""
     config, samples, encoder, params = setup({"use_holistic": False})
     served_by_none = dataclasses.replace(
         samples[1], reference=prepare_reference("of the in a", encoder), detections=samples[1].detections[1:2]
@@ -177,11 +178,13 @@ def test_the_hierarchy_check_runs_before_any_unit(monkeypatch):
             dataclasses.replace(u, run=lambda *a, u=u: ran.append(u.key) or u.run(*a)) for u in units(*args, **kw)
         ),
     )
-    pv = params.as_vars()
-    pv["scene_proj.w"] = Var(np.zeros((3, 3)))
+    built = []
+    real = fusion.build_scene_attribute_tokens
+    monkeypatch.setattr(fusion, "build_scene_attribute_tokens", lambda *a, **kw: built.append(1) or real(*a, **kw))
+    wider = SyntheticEncoder(encoder.dim + 1, encoder.seed)
     with pytest.raises(PipelineError, match="all hierarchies disabled") as info:
-        forward([samples[0], served_by_none], params, config, encoder, param_vars=pv)
-    assert info.value.stage == "retrieval" and ran == []
+        forward([samples[0], served_by_none], params, config, wider)
+    assert info.value.stage == "retrieval" and ran == [] and built == []
 
 
 def test_a_training_step_drops_its_tape_before_the_next_forward(monkeypatch):
