@@ -40,7 +40,8 @@ work: each scan (``ssm.keyword.``, ``ssm.scene.``,
 head (``head.<branch>.<head>.``) and, when every sample has targets, the
 loss. An error is a ``PipelineError`` tagged with its stage: ``semantics``
 or ``retrieval`` while the batch inputs are built, then the unit's
-``ssm``, ``fusion``, ``heads`` or ``loss``.
+``ssm``, ``fusion``, ``heads`` or ``loss``. A result's ``rerun`` runs
+again only the units that read a moved scalar and the units consuming them.
 """
 
 from __future__ import annotations
@@ -304,10 +305,10 @@ def _row_loss(y: np.ndarray, probs: np.ndarray, b: np.ndarray, bbox: np.ndarray,
     classes, summed then multiplied by -1/n_c."""
     n_c = probs.shape[-1]
     band = (probs >= PROB_EPS) & (probs <= 1.0 - PROB_EPS)
-    p = np.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
-    q = 1.0 + (-p)
-    not_y = 1.0 + (-y)
-    diff = bbox + (-b)
+    p = np.minimum(np.maximum(probs, PROB_EPS), 1.0 - PROB_EPS)
+    q = 1.0 - p
+    not_y = 1.0 - y
+    diff = bbox - b
     bce = (y * np.log(p) + not_y * np.log(q)).sum(axis=-1) * (-1.0 / n_c)
     value = bce + (diff * diff).sum(axis=-1) * lambda_box
 
@@ -494,7 +495,7 @@ class ModelOutput:
 @dataclass
 class ForwardResult:
     """One batch: the batch-mean loss, per-sample signatures and outputs, and
-    the inputs and unit runs that a later call can take as its ``prior``.
+    the inputs and unit runs that ``rerun`` reuses.
 
     Each sample's selection signature records its ReLU and BCE-clamp
     masks: a perturbation that changes it crosses a kink of the loss, where
@@ -503,7 +504,7 @@ class ForwardResult:
     can flip them. A sample's signature depends on no other sample of the
     batch. ``values`` is one copy of the store's flat value vector as the
     run read it, or None when the leaves did not view the store's arrays;
-    such a run cannot be a prior. The per-sample ``outputs`` are built on
+    such a run cannot be rerun. The per-sample ``outputs`` are built on
     first access.
     """
 
@@ -512,8 +513,25 @@ class ForwardResult:
     inputs: BatchInputs = field(repr=False)
     runs: list[UnitRun] = field(repr=False)
     store: ParamStore = field(repr=False)
-    names: list[str] = field(repr=False)  # the store's names at the run
     values: np.ndarray | None = field(repr=False)
+
+    def rerun(self, param_vars: dict[str, Var] | None = None) -> ForwardResult:
+        """This batch again under the store's current values: only the units
+        reading a scalar whose bits differ from ``values``, and the units
+        consuming them, run again, so outputs, loss and signatures are
+        bitwise a full forward's. The leaves of this run and ``param_vars``
+        must view the store's arrays, and the store must not have grown.
+        Backward through a reused output raises. A rerun can be rerun."""
+        params = self.store
+        pv = params.as_vars() if param_vars is None else param_vars
+        if self.values is None or not _views_store(pv, params):
+            raise InputError("rerun: the leaves of the run and of the rerun must view the store's arrays")
+        if self.values.size != params.num_scalars():
+            raise InputError(f"rerun: the store grew from {self.values.size} to {params.num_scalars()} scalars")
+        moved = np.flatnonzero(params.flat_values.view(np.int64) != self.values.view(np.int64))
+        outputs, runs = list(self.reused), list(self.runs)
+        _run_units(self.inputs, pv, _rerun_plan(self.inputs, params, moved), outputs, runs)
+        return _result(self.inputs, params, outputs, runs, views=True)
 
     @functools.cached_property
     def outputs(self) -> list[ModelOutput]:
@@ -537,9 +555,9 @@ class ForwardResult:
 
     @functools.cached_property
     def reused(self) -> list:
-        """Each unit's output as leaves whose backward raises, for the calls
-        that take this run as their prior: its graph, and its parameter
-        leaves, belong to this run."""
+        """Each unit's output as leaves whose backward raises, for the
+        reruns of this run: its graph, and its parameter leaves, belong to
+        this run."""
         return [_refusing(run.output, unit.key) for unit, run in zip(self.inputs.units, self.runs)]
 
     def first_nonfinite(self) -> Unit | None:
@@ -627,7 +645,7 @@ def scene_tokens_var(x: Var, pv: dict[str, Var], prefix: str, counts: np.ndarray
 
 @dataclass(frozen=True)
 class Unit:
-    """One layer instance of ``forward``, the unit a prior run lets it reuse.
+    """One layer instance of ``forward``, the unit a rerun reuses or runs again.
 
     ``run(inputs, param_vars, *consumed)`` takes the outputs of the earlier
     units at the indices in ``consumes``, in that order, and returns the
@@ -649,16 +667,15 @@ class BatchInputs:
     """A batch's settled structure, what its units read besides the
     parameters, and the units.
 
-    Built once per call from the samples, the config and the store's seed
-    alone, or taken from the prior run, so no parameter change invalidates
+    Built once per ``forward`` from the samples, the config and the store's
+    seed alone, and kept by its reruns, so no parameter change invalidates
     it. ``rows`` maps each hierarchy tag the attentions query to its real
     query rows (None: every row is real) and its ``PoolPart``. The read
-    mask and the rerun plans are filled in by the calls that take a prior.
+    mask and the rerun plans are filled in by the reruns.
     """
 
     samples: list[PipelineSample]
     config: TrainConfig
-    encoder: ReferenceEncoder
     branches: list[str]  # the enabled branches, in BRANCHES order
     scene_counts: np.ndarray  # (B,) confident detections, so scene-attribute picks, per sample
     holistic: Var | None  # (B, max words, d) holistic queries; None: no holistic attention
@@ -752,7 +769,6 @@ def _batch_inputs(
     return BatchInputs(
         samples=samples,
         config=config,
-        encoder=encoder,
         branches=branches,
         scene_counts=scene_counts,
         holistic=holistic,
@@ -887,10 +903,7 @@ def _refusing(value, key: str):
     if isinstance(value, Var):
 
         def refuse(g: np.ndarray):
-            raise InputError(
-                f"backward reached the {key!r} output reused from a prior forward; "
-                "differentiate a forward run without prior"
-            )
+            raise InputError(f"backward reached the {key!r} output a rerun reused; differentiate a forward run")
 
         return Var(value.value, (), refuse)
     if isinstance(value, (list, tuple)):
@@ -940,34 +953,26 @@ def _rerun_plan(x: BatchInputs, params: ParamStore, moved: np.ndarray) -> tuple[
     return x.plans[key]
 
 
-def _run_units(
-    x: BatchInputs, pv: dict[str, Var], params: ParamStore, prior: ForwardResult | None
-) -> tuple[list, list[UnitRun]]:
-    """Run the units in order; a unit's error becomes ``PipelineError(stage)``.
-
-    Without ``prior`` every unit runs. With ``prior``, an earlier call on
-    the same inputs and store, the scalars whose bits differ from that
-    call's copy of the flat value vector select the units that read them,
-    and only those and the units consuming them run again. Every other
-    output is the prior's, as refusing leaves.
-    """
-    units = x.units
-    if prior is None:
-        plan = range(len(units))
-        outputs, runs = [None] * len(units), [None] * len(units)
-    else:
-        moved = np.flatnonzero(params.flat_values.view(np.int64) != prior.values.view(np.int64))
-        plan = _rerun_plan(x, params, moved)
-        outputs, runs = list(prior.reused), list(prior.runs)
+def _run_units(x: BatchInputs, pv: dict[str, Var], plan, outputs: list, runs: list) -> None:
+    """Run the units at the indices in ``plan``, in order, over ``outputs`` and
+    ``runs`` in place; a unit's error becomes ``PipelineError(stage)``."""
     for k in plan:
-        unit = units[k]
+        unit = x.units[k]
         try:
             output, signature = unit.run(x, pv, *[outputs[i] for i in unit.consumes])
         except Exception as exc:
             raise PipelineError(unit.stage, exc) from exc
         outputs[k] = output
         runs[k] = UnitRun(output, signature)
-    return outputs, runs
+
+
+def _result(x: BatchInputs, params: ParamStore, outputs: list, runs: list[UnitRun], views: bool) -> ForwardResult:
+    """A run's loss, per-sample signatures and, if its leaves viewed the store, values."""
+    parts = [run.signature for run in runs if run.signature is not None]
+    signature = tuple(sum((part[b] for part in parts), ()) for b in range(len(x.samples)))
+    values = params.flat_values.copy() if views else None
+    loss = outputs[-1] if x.targets is not None else None
+    return ForwardResult(loss, signature, x, runs, params, values)
 
 
 # -- full forward ---------------------------------------------------------------
@@ -979,7 +984,6 @@ def forward(
     config: TrainConfig,
     encoder: ReferenceEncoder,
     param_vars: dict[str, Var] | None = None,
-    prior: ForwardResult | None = None,
 ) -> ForwardResult:
     """Run the units (one per layer instance) over one sample or a batch.
 
@@ -987,34 +991,12 @@ def forward(
     targets the last unit is the loss, the batch mean; otherwise no loss
     unit is built and the result's ``loss`` is None, with every other
     output as it would be with targets. ``param_vars`` lets the caller
-    keep the leaf Vars whose gradients one backward pass accumulates.
-
-    ``prior`` is the result of an earlier call on the same batch objects,
-    config, encoder and store, in which, as in this call, each leaf viewed
-    the store's own array. A unit is run again only if a parameter it reads
-    changed value since then or a unit it consumes changed its output;
-    every other unit's output is reused, so outputs, loss and signatures
-    come out bitwise as a full run's. Backward through a reused output
-    raises; differentiate a run made without prior.
+    keep the leaf Vars whose gradients one backward pass accumulates. The
+    result's ``rerun`` runs the batch again under changed parameters.
     """
     samples = list(samples) if isinstance(samples, (list, tuple)) else [samples]
     pv = params.as_vars() if param_vars is None else param_vars
-    views = _views_store(pv, params)
-    names = params.names()
-    if prior is None:
-        inputs = _batch_inputs(samples, config, encoder, params.seed)
-    else:
-        inputs = prior.inputs
-        same = len(samples) == len(inputs.samples) and all(a is b for a, b in zip(samples, inputs.samples))
-        if not same or encoder is not inputs.encoder or config != inputs.config:
-            raise InputError("forward: prior comes from another batch, config or encoder")
-        if not (views and prior.values is not None and prior.store is params and prior.names == names):
-            raise InputError(
-                "forward: a prior needs the same parameter store, and leaves that view its arrays in both runs"
-            )
-    outputs, runs = _run_units(inputs, pv, params, prior)
-    parts = [run.signature for run in runs if run.signature is not None]
-    signature = tuple(sum((part[b] for part in parts), ()) for b in range(len(samples)))
-    values = params.flat_values.copy() if views else None
-    loss = outputs[-1] if inputs.targets is not None else None
-    return ForwardResult(loss, signature, inputs, runs, params, names, values)
+    x = _batch_inputs(samples, config, encoder, params.seed)
+    outputs, runs = [None] * len(x.units), [None] * len(x.units)
+    _run_units(x, pv, range(len(x.units)), outputs, runs)
+    return _result(x, params, outputs, runs, _views_store(pv, params))

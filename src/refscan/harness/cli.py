@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ..config import TrainConfig
@@ -57,7 +58,19 @@ def _train_config(args, dataset: FixtureDataset) -> TrainConfig:
     return TrainConfig.from_dict(base)
 
 
+def _check_output(flag: str, path: str) -> None:
+    """Reject, before any work, an output path that is a directory or in a missing one."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise ConfigError(f"{flag} {path}: directory {directory} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"{flag} {path}: is a directory")
+
+
 def _cmd_train(args) -> int:
+    _check_output("--out-ckpt", args.out_ckpt)
+    if args.log:
+        _check_output("--log", args.log)
     dataset = FixtureDataset(args.data)
     config = _train_config(args, dataset)
     samples = dataset.load_samples()
@@ -78,6 +91,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_output("--report", args.report)
     ckpt = load_checkpoint(args.ckpt)
     dataset = FixtureDataset(args.data)
     encoder = dataset.default_encoder()
@@ -91,6 +105,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if not 0 < args.tol < float("inf"):
+        raise ConfigError(f"gradcheck: tol must be positive and finite, got {args.tol}")
     config = TrainConfig.from_dict(read_json_object(args.config)) if args.config else None
     report = run_model_gradcheck(config=config, seed=args.seed, eps=args.eps)
     print(report.format_table())

@@ -121,23 +121,24 @@ def model_loss_fn(samples, params, config, encoder):
     """Batch-mean training loss with the retrieval-selection signature.
 
     The first evaluation, the unperturbed one ``grad_check``
-    differentiates, runs the whole forward and is kept; each later one
-    passes it as ``prior``, so it reruns only the layer instances whose read
+    differentiates, runs the whole forward and is kept; each later one is
+    its ``rerun``, which runs again only the layer instances whose read
     parameters differ from that evaluation's and what consumes them: one
     head and the loss for a ``head.*`` scalar, one attention, its branch's
     pooling, heads and loss for ``attn.*``, and one scan and the attentions
     it feeds for ``ssm.*``. Retrieval and pooling read no parameter: the
     first evaluation builds the batch inputs, the picks among them, and
-    every later one takes them from it. Losses and signatures are bitwise a
-    full forward's.
+    every rerun keeps them. Losses and signatures are bitwise a full
+    forward's.
     """
     baseline = None
 
     def fn(pv):
         nonlocal baseline
-        res = forward(samples, params, config, encoder, param_vars=pv, prior=baseline)
         if baseline is None:
-            baseline = res
+            res = baseline = forward(samples, params, config, encoder, param_vars=pv)
+        else:
+            res = baseline.rerun(pv)
         return res.loss, res.selection_signature
 
     return fn

@@ -231,6 +231,42 @@ def test_gradcheck_bad_eps_exits_1(capsys, eps):
     assert "eps must be positive and finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_gradcheck_bad_tol_exits_1_before_the_check_runs(capsys, tol):
+    assert main(["gradcheck", "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table: not one loss was evaluated
+    assert captured.err.startswith("error: gradcheck: tol must be positive and finite")
+    assert captured.err.count("\n") == 1
+
+
+def test_train_log_into_a_missing_directory_writes_nothing(dataset, tmp_path, capsys):
+    ckpt, log = tmp_path / "model.ckpt", tmp_path / "missing" / "loss.csv"
+    assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(ckpt), "--log", str(log)]) == 1
+    assert capsys.readouterr().err == f"error: --log {log}: directory {log.parent} does not exist\n"
+    assert not ckpt.exists() and not log.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["train", "--out-ckpt", "{out}"], "--out-ckpt"),
+        (["train", "--out-ckpt", "{tmp}/model.ckpt", "--log", "{out}"], "--log"),
+        (["eval", "--ckpt", "{tmp}/model.ckpt", "--report", "{out}"], "--report"),
+    ],
+)
+@pytest.mark.parametrize("missing_dir", [True, False])
+def test_unwritable_output_path_is_rejected_before_the_data_is_read(tmp_path, capsys, command, flag, missing_dir):
+    """The data directory does not exist either: the output path is checked first."""
+    out = tmp_path / "missing" / "out" if missing_dir else tmp_path
+    argv = [arg.format(out=out, tmp=tmp_path) for arg in command] + ["--data", str(tmp_path / "no-data")]
+    assert main(argv) == 1
+    reason = f"directory {out.parent} does not exist" if missing_dir else "is a directory"
+    assert capsys.readouterr().err == f"error: {flag} {out}: {reason}\n"
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
 def test_unknown_config_key_is_reported(dataset, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_field": 1}))

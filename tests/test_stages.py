@@ -1,9 +1,9 @@
-"""The units of ``forward``: error tags, and reruns from a prior run.
+"""The units of ``forward``: error tags, and reruns of a result.
 
 ``forward`` builds a batch's inputs (the keyword and scene-attribute
 picks among them), then runs one unit per layer instance: each scan, each
 (hierarchy, branch) cross-attention, each branch's pooling, each head and
-the loss. Given a prior result it reruns only the units whose read
+the loss. A result's ``rerun`` runs again only the units whose read
 parameters or consumed outputs changed, and the gradient check relies on
 that for every perturbed scalar. A stale reuse could pass the gradient
 check silently wherever the analytic gradient is small, so the guard below
@@ -72,6 +72,12 @@ def evaluation(loss: Var, signature: tuple) -> tuple[bytes, tuple]:
     return np.asarray(loss.value).tobytes(), signature
 
 
+def bits(res: fusion.ForwardResult) -> tuple:
+    """A result's loss, signatures and per-sample fused outputs, as bytes."""
+    outputs = [(o.bbox.tobytes(), o.class_probs.tobytes()) for o in res.outputs]
+    return evaluation(res.loss, res.selection_signature), outputs
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_cached_evaluation_is_bitwise_the_uncached_one(name):
     """Per parameter, the scalar with the largest gradient, and the first and
@@ -126,11 +132,8 @@ RERUNS = {
 }
 
 
-def reruns(monkeypatch, pname: str, step: float) -> tuple[list[str], bool]:
-    """The units one perturbed gradcheck evaluation reruns, and whether its
-    signature moved."""
-    config, samples, encoder, params = setup({})
-    every = [u.key for u in forward(samples, params, config, encoder).inputs.units]
+def count_units(monkeypatch) -> list[str]:
+    """The keys of the units run from now on, in order, appended as they run."""
     ran = []
 
     def counted(unit):
@@ -142,6 +145,15 @@ def reruns(monkeypatch, pname: str, step: float) -> tuple[list[str], bool]:
 
     units = fusion._units
     monkeypatch.setattr(fusion, "_units", lambda *args, **kw: tuple(counted(u) for u in units(*args, **kw)))
+    return ran
+
+
+def reruns(monkeypatch, pname: str, step: float) -> tuple[list[str], bool]:
+    """The units one perturbed gradcheck evaluation reruns, and whether its
+    signature moved."""
+    config, samples, encoder, params = setup({})
+    every = [u.key for u in forward(samples, params, config, encoder).inputs.units]
+    ran = count_units(monkeypatch)
     fn = suites.model_loss_fn(samples, params, config, encoder)
     _, base = fn(params.as_vars())
     assert ran == every
@@ -187,48 +199,73 @@ def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
     }
 
 
+def test_two_moved_units_rerun_the_union_of_their_plans(monkeypatch):
+    """A scene-scan scalar and a spatial holistic-attention scalar moved
+    together: each unit of either plan runs once, in run order (the
+    attention runs between the scene scan's two attentions), and the
+    result is bitwise a full forward's."""
+    config, samples, encoder, params = setup({})
+    ran = count_units(monkeypatch)
+    first = forward(samples, params, config, encoder)
+    every = list(ran)
+    del ran[:]
+    moved = ("ssm.scene.A", "attn.rv.spatial.prompts")
+    for pname in moved:
+        params[pname].reshape(-1)[0] += 1e-5
+    res = first.rerun()
+    assert ran == [k for k in every if k in {*RERUNS[moved[0]], *RERUNS[moved[1]]}]
+    assert ran.index("attn.rv.spatial") < ran.index("attn.bv.spatial")
+    assert bits(res) == bits(forward(samples, params, config, encoder))
+
+
+def test_a_rerun_of_a_rerun_is_bitwise_a_full_forward():
+    """Each rerun compares with, and reuses, the run it is a method of, so
+    a head moved after a scan reuses the attentions the scan's rerun made."""
+    config, samples, encoder, params = setup({})
+    res = forward(samples, params, config, encoder)
+    for pname in ("ssm.keyword.C", "head.temporal.reg.b2", "attn.bv.spatial.w_q"):
+        params[pname].reshape(-1)[0] += DELTA
+        res = res.rerun()
+        assert bits(res) == bits(forward(samples, params, config, encoder)), pname
+
+
 def test_backward_through_a_reused_output_raises():
     config, samples, encoder, params = setup({})
     first = params.as_vars()
     cold = forward(samples, params, config, encoder, param_vars=first)
     params["head.temporal.reg.b2"][0] += 0.1
-    warm = forward(samples, params, config, encoder, param_vars=params.as_vars(), prior=cold)
-    with pytest.raises(InputError, match="'pool.temporal' output reused from a prior forward"):
+    warm = cold.rerun()
+    with pytest.raises(InputError, match="'pool.temporal' output a rerun reused"):
         warm.loss.backward()
-    assert all(v.grad is None for v in first.values())  # nothing reached the prior run's leaves
+    assert all(v.grad is None for v in first.values())  # nothing reached the first run's leaves
     again = params.as_vars()
     forward(samples, params, config, encoder, param_vars=again).loss.backward()
     assert again["head.temporal.reg.b2"].grad is not None
 
 
-def test_prior_of_another_batch_is_rejected():
-    config, samples, encoder, params = setup({})
-    prior = forward(samples, params, config, encoder)
-    with pytest.raises(InputError, match="prior"):
-        forward(samples[:1], params, config, encoder, prior=prior)
-    with pytest.raises(InputError, match="prior"):
-        forward(samples, params, config, SyntheticEncoder(encoder.dim, SEED), prior=prior)
-    other = TrainConfig(**{**config.to_dict(), "lambda_box": 2.0}).validate()
-    with pytest.raises(InputError, match="prior"):
-        forward(samples, params, other, encoder, prior=prior)
-
-
-def test_prior_needs_leaves_viewing_its_own_store():
+def test_rerun_needs_leaves_viewing_its_own_store():
     """Change detection compares the store's flat vector, so it sees only
     the values of leaves that view the store's arrays, in both runs."""
     config, samples, encoder, params = setup({})
     copies = {name: Var(arr.copy()) for name, arr in params.items()}
     detached = forward(samples, params, config, encoder, param_vars=copies)
-    with pytest.raises(InputError, match="same parameter store"):
-        forward(samples, params, config, encoder, prior=detached)
-    prior = forward(samples, params, config, encoder)
-    with pytest.raises(InputError, match="same parameter store"):
-        forward(samples, params, config, encoder, param_vars=copies, prior=prior)
-    other = init_model_params(config, seed=SEED)
-    with pytest.raises(InputError, match="same parameter store"):
-        forward(samples, other, config, encoder, prior=prior)
-    again = forward(samples, params, config, encoder, prior=prior)
-    assert evaluation(again.loss, again.selection_signature) == evaluation(prior.loss, prior.selection_signature)
+    view = "the leaves of the run and of the rerun must view the store's arrays"
+    with pytest.raises(InputError, match=view):
+        detached.rerun()
+    res = forward(samples, params, config, encoder)
+    with pytest.raises(InputError, match=view):
+        res.rerun(copies)
+    assert bits(res.rerun()) == bits(res)
+
+
+def test_rerun_after_the_store_grew_raises():
+    """Scalar positions are compared by index, and an added parameter is the
+    one way they could stop lining up with the run's copy."""
+    config, samples, encoder, params = setup({})
+    res = forward(samples, params, config, encoder)
+    params.add("extra", np.zeros(3))
+    with pytest.raises(InputError, match=f"store grew from {res.values.size} to {res.values.size + 3} scalars"):
+        res.rerun()
 
 
 @pytest.mark.parametrize(
