@@ -100,36 +100,53 @@ class HierarchyAttnParams:
     prompts: np.ndarray  # (N_p, d_a)
 
 
-class QueryRows:
-    """The real (unpadded) query rows of each batch entry, fixed per batch,
-    and the one-row slices ``tape.stacked_matmul`` recomputes: of the
-    queries alone, and of the queries with the ``n_prompts`` prompt rows
-    after them."""
+class Rows:
+    """One query hierarchy's rows in a batch, read by its attentions and its
+    pooling: ``counts`` (B,) real query rows per entry (None: every row is
+    real), then ``n_prompts`` prompt rows; ``used`` (B,) marks the entries
+    whose mean over hierarchies takes this one in.
 
-    __slots__ = ("counts", "n_prompts", "single", "single_full")
+    ``cross_attention_var`` reads the one-row slices ``tape.stacked_matmul``
+    recomputes: ``single`` of the queries alone, ``single_full`` with the
+    prompt rows. ``pool_hierarchies_var`` reads ``mask`` (B, max count +
+    n_prompts), the real rows then the prompt rows (None when every count
+    is equal), its row weights ``w`` and row counts ``rows``, and ``keep``,
+    ``used`` as weights (None when every entry uses it); a slice with no
+    row left averages to zero.
+    """
 
-    def __init__(self, counts: np.ndarray, n_prompts: int):
-        self.counts = np.asarray(counts)  # (B,)
-        self.n_prompts = n_prompts
-        self.single = one_row_slices(self.counts)
-        self.single_full = one_row_slices(self.counts + n_prompts)
+    __slots__ = ("counts", "n_prompts", "used", "single", "single_full", "mask", "w", "rows", "keep")
+
+    def __init__(self, counts: np.ndarray | None, n_prompts: int, used: np.ndarray):
+        self.n_prompts, self.used = n_prompts, used
+        self.counts = self.single = self.single_full = self.mask = self.w = self.rows = None
+        if counts is not None:
+            self.counts = counts = np.asarray(counts)
+            self.single, self.single_full = one_row_slices(counts), one_row_slices(counts + n_prompts)
+        if counts is not None and (counts != counts[0]).any():
+            cols = np.arange(counts.max() + n_prompts)
+            self.mask = (cols < counts[:, None]) | (cols >= counts.max())
+            self.w = self.mask.astype(np.float64)[..., None]
+            self.rows = np.maximum(self.w.sum(axis=-2, keepdims=True), 1.0)
+        self.keep = None if used.all() else np.asarray(used, dtype=np.float64)[:, None, None]
 
 
 def cross_attention_var(
-    queries: Var, context: Var, pv: dict[str, Var], prefix: str, rows: QueryRows | None = None
+    queries: Var, context: Var, pv: dict[str, Var], prefix: str, rows: Rows | None = None
 ) -> Var:
     """(..., Q + N_p, d_a) readout; the prompt rows follow the query rows.
 
     One tape node over the leaves ``pv[prefix + name]`` for ``w_q``,
     ``w_k``, ``w_v`` and ``prompts``. Leading axes are the batch; ``rows``
-    holds the real query rows of each batch entry (None: every row is
-    real), and the query projection, the scores and the readout keep each
-    entry's bits through ``tape.stacked_matmul``. The backward is the chain
-    through the readout, the row softmax, the scaled scores and the three
-    projections; the prompt rows' gradient is summed over the batch.
-    ``context`` is a parent twice, once through the keys and once through
-    the values, so its gradient sums the two terms one at a time, as the
-    composed ops did, and training stays bitwise.
+    is the hierarchy's ``Rows`` (None, or counts None: every row is real),
+    whose ``single`` and ``single_full`` slices keep each entry's bits in
+    the query projection, the scores and the readout through
+    ``tape.stacked_matmul``; its ``n_prompts`` must match ``prompts``. The
+    backward is the chain through the readout, the row softmax, the scaled
+    scores and the three projections; the prompt rows' gradient is summed
+    over the batch. ``context`` is a parent twice, once through the keys and
+    once through the values, so its gradient sums the two terms one at a
+    time, as the composed ops did, and training stays bitwise.
     """
     leaves = tuple(pv[prefix + name] for name in ("w_q", "w_k", "w_v", "prompts"))
     xq, ctx = queries.value, context.value
@@ -188,33 +205,15 @@ def cross_attention(
     return cross_attention_var(Var(np.asarray(queries)), Var(np.asarray(context)), pv, "").value
 
 
-class PoolPart:
-    """How one hierarchy's (B, rows, d_a) output enters the branch vector z,
-    fixed per batch: ``mask`` (B, rows) leaves padded rows out of the row
-    mean (None: every row counts), and ``used`` (B,) leaves the hierarchy
-    out of a sample's mean. The row weights, row counts and keep vector
-    that ``pool_hierarchies_var`` applies are derived once here; a slice
-    with no row left averages to zero."""
-
-    __slots__ = ("mask", "used", "w", "rows", "keep")
-
-    def __init__(self, mask: np.ndarray | None, used: np.ndarray):
-        self.mask, self.used = mask, used
-        self.w = self.rows = None
-        if mask is not None:
-            self.w = np.asarray(mask, dtype=np.float64)[..., None]
-            self.rows = np.maximum(self.w.sum(axis=-2, keepdims=True), 1.0)
-        self.keep = None if used.all() else np.asarray(used, dtype=np.float64)[:, None, None]
-
-
-def pool_hierarchies_var(parts: list[tuple[Var, PoolPart]]) -> Var:
+def pool_hierarchies_var(parts: list[tuple[Var, Rows]]) -> Var:
     """(B, 1, d_a) branch vector z: per sample, the mean over the hierarchies
     it uses of each hierarchy output's mean over its real rows. One tape node.
 
-    Each part is ``(out, part)``: ``out`` is (B, rows, d_a) and ``part``
-    says which of its rows and samples count. Both means sum then divide,
-    in the order the parts come, so a lone part keeps the bits of a plain
-    row mean.
+    Each part is ``(out, rows)``: ``out`` is (B, rows, d_a) and ``rows`` its
+    hierarchy's ``Rows``, whose ``w``, ``rows`` and ``keep`` say which of its
+    rows and samples count (counts None: every row). Both means sum then
+    divide, in the order the parts come, so a lone part keeps the bits of a
+    plain row mean.
     """
     if not parts:
         raise ConfigError("no hierarchy enabled")
@@ -584,23 +583,12 @@ def _pad_rows(blocks: list[np.ndarray]) -> np.ndarray:
     return out
 
 
-def _trajectory_input(grids, indices, counts: np.ndarray, grid_shape) -> np.ndarray:
-    """Time-major scan input (T, B * max count, d) gathered from each grid's
-    picks; padded rows are zero."""
-    frames, _, dim = grid_shape
-    x = np.zeros((frames, len(grids), int(counts.max()), dim))
-    steps = np.arange(frames)
-    for b, (grid, idx) in enumerate(zip(grids, indices)):
-        x[:, b, : len(idx)] = grid.tokens[steps, idx].transpose(1, 0, 2)
-    return x.reshape(frames, -1, dim)
-
-
-def _row_mask(counts: np.ndarray, width: int, n_prompts: int) -> np.ndarray | None:
-    """(B, width + n_prompts) mask of real query rows and prompt rows."""
-    if np.all(counts == width):
-        return None
-    real = np.arange(width)[None, :] < counts[:, None]
-    return np.concatenate([real, np.ones((len(counts), n_prompts), dtype=bool)], axis=1)
+def _trajectory_input(grids: list[VisualTokenGrid], picks: list[np.ndarray]) -> np.ndarray:
+    """Time-major scan input (T, B * max count, d): each grid's (count, T, d)
+    tokens at its (count, T) picks, zero-padded by ``_pad_rows``."""
+    steps = np.arange(grids[0].num_frames)
+    x = _pad_rows([grid.tokens[steps, idx] for grid, idx in zip(grids, picks)])
+    return x.transpose(2, 0, 1, 3).reshape(len(steps), -1, x.shape[-1])
 
 
 def keyword_tokens_var(x: Var, pv: dict[str, Var], prefix: str, n_b: int) -> Var:
@@ -669,9 +657,9 @@ class BatchInputs:
 
     Built once per ``forward`` from the samples, the config and the store's
     seed alone, and kept by its reruns, so no parameter change invalidates
-    it. ``rows`` maps each hierarchy tag the attentions query to its real
-    query rows (None: every row is real) and its ``PoolPart``. The read
-    mask and the rerun plans are filled in by the reruns.
+    it. ``rows`` maps each hierarchy tag the attentions query to its
+    ``Rows``, which its attentions and its pooling read. The read mask and
+    the rerun plans are filled in by the reruns.
     """
 
     samples: list[PipelineSample]
@@ -681,7 +669,7 @@ class BatchInputs:
     holistic: Var | None  # (B, max words, d) holistic queries; None: no holistic attention
     kw_input: np.ndarray | None  # keyword scan input, (T, B * max K, d); None: no keyword scan
     bs_input: np.ndarray | None  # scene-attribute scan input, (T, B * max count, d); None: no scene scan
-    rows: dict[str, tuple[QueryRows | None, PoolPart]]
+    rows: dict[str, Rows]
     pooled: dict[str, np.ndarray]  # per branch: time-major (steps, B, d) scan input
     targets: tuple | None  # (B, 1, 4) boxes and (B, 1, C) labels; None: a sample has no targets
     units: tuple[Unit, ...]
@@ -751,20 +739,16 @@ def _batch_inputs(
     branches = [b for b, on in zip(BRANCHES, (config.use_temporal, config.use_spatial)) if on]
     queried = tags if config.use_mhs_ca else ()
     n_p, holistic, kw_input, bs_input, rows = config.n_prompts, None, None, None, {}
+    grids = [s.grid for s in samples]
     if "rv" in queried:
-        counts = np.array([s.reference.holistic.shape[0] for s in samples])
         holistic = Var(_pad_rows([s.reference.holistic for s in samples]))
-        mask = _row_mask(counts, holistic.shape[1], n_p)
-        rows["rv"] = (QueryRows(counts, n_p), PoolPart(mask, used["rv"]))
+        rows["rv"] = Rows([s.reference.holistic.shape[0] for s in samples], n_p, used["rv"])
     if "kwv" in queried:
-        grids, picks = [s.grid for s in samples], [s.kw_indices for s in samples]
-        kw_input = _trajectory_input(grids, picks, kw_counts, grid_shape)
-        mask = _row_mask(kw_counts, int(kw_counts.max()), n_p)
-        rows["kwv"] = (QueryRows(kw_counts, n_p), PoolPart(mask, used["kwv"]))
+        kw_input = _trajectory_input(grids, [s.kw_indices for s in samples])
+        rows["kwv"] = Rows(kw_counts, n_p, used["kwv"])
     if "bv" in queried:
-        picks = _scene_picks(samples, config, encoder, seed)
-        bs_input = _trajectory_input([s.grid for s in samples], picks, scene_counts, grid_shape)
-        rows["bv"] = (None, PoolPart(None, used["bv"]))
+        bs_input = _trajectory_input(grids, _scene_picks(samples, config, encoder, seed))
+        rows["bv"] = Rows(None, n_p, used["bv"])
     targets = _targets(samples)
     return BatchInputs(
         samples=samples,
@@ -804,17 +788,16 @@ def _holistic_scan(branch: str, prefix: str, x: BatchInputs, pv: dict[str, Var])
 
 def _attention(tag: str, prefix: str, x: BatchInputs, pv: dict[str, Var], enhanced: Var, queries: Var | None = None):
     """One hierarchy's cross-attention over the enhanced tokens, as a pooling
-    part ``(out, part)``; the holistic queries are a batch input."""
-    rows, part = x.rows[tag]
-    queries = x.holistic if queries is None else queries
-    return (cross_attention_var(queries, enhanced, pv, prefix, rows), part), None
+    part ``(out, rows)``; the holistic queries are a batch input."""
+    queries, rows = x.holistic if queries is None else queries, x.rows[tag]
+    return (cross_attention_var(queries, enhanced, pv, prefix, rows), rows), None
 
 
 def _pool(x: BatchInputs, pv: dict[str, Var], *parts):
     """The branch's (B, 1, d_a) vector z: the hierarchies' attention outputs
     pooled (with cross-attention off, the enhanced tokens pooled)."""
     if not x.config.use_mhs_ca:  # every row of every sample counts
-        parts = ((parts[0], PoolPart(None, np.ones(len(x.samples), dtype=bool))),)
+        parts = ((parts[0], Rows(None, 0, np.ones(len(x.samples), dtype=bool))),)
     return pool_hierarchies_var(list(parts)), None
 
 

@@ -66,7 +66,8 @@ def _count(path, value, field: str, what: str | None = None) -> int:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a malformed header value is a ``ParseError`` naming
-    the file and the field."""
+    the file and the field. The directory's blocks must tile the payload:
+    each starts where the one before it ends, and the last ends with it."""
     path = Path(path)
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -92,6 +93,7 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(header["params"], list):
         raise ParseError(f"{path}: params must be a list of parameter entries", field="params")
     params = ParamStore(seed=_count(path, header["seed"], "seed"))
+    name, end = None, 0
     for entry in header["params"]:
         try:
             name = str(entry["name"])
@@ -104,10 +106,16 @@ def load_checkpoint(path) -> Checkpoint:
         shape = tuple(_count(path, v, "params", f"parameter {name!r} dim") for v in shape)
         offset = _count(path, offset, "params", f"parameter {name!r} offset")
         count = math.prod(shape)
-        if offset + 8 * count > len(payload):
+        if offset != end:
             raise ParseError(
-                f"{path}: parameter {name!r} needs payload bytes [{offset}, {offset + 8 * count}), "
-                f"payload has {len(payload)}",
+                f"{path}: parameter {name!r} starts at payload byte {offset}, not at {end}, "
+                "where the block before it ends",
+                field="params",
+            )
+        end = offset + 8 * count
+        if end > len(payload):
+            raise ParseError(
+                f"{path}: parameter {name!r} needs payload bytes [{offset}, {end}), payload has {len(payload)}",
                 field="params",
             )
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
@@ -115,6 +123,11 @@ def load_checkpoint(path) -> Checkpoint:
             params.add(name, arr.reshape(shape))
         except ConfigError as exc:
             raise ParseError(f"{path}: {exc}", field="params") from exc
+    if end != len(payload):
+        raise ParseError(
+            f"{path}: payload has {len(payload) - end} bytes past the last parameter block ({name!r})",
+            field="params",
+        )
     expected = {name: arr.shape for name, arr in init_model_params(config).items()}
     found = {name: arr.shape for name, arr in params.items()}
     if found != expected:

@@ -12,7 +12,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import evaluate, write_report
 from .fixtures import GenConfig, generate_fixtures
 from .formats import FixtureDataset, read_json_object
-from .suites import run_auroc_suite, run_map_suite, run_model_gradcheck, run_scan_suite
+from .suites import GRADCHECK_GEN, run_auroc_suite, run_map_suite, run_model_gradcheck, run_scan_suite
 from .training import train, write_loss_curve
 
 
@@ -55,6 +55,17 @@ def _train_config(args, dataset: FixtureDataset) -> TrainConfig:
     ):
         if value is not None:
             base[key] = value
+    return TrainConfig.from_dict(base)
+
+
+def _gradcheck_config(path: str) -> TrainConfig:
+    """The ``--config`` fields, with unset geometry taken from the gradcheck
+    fixtures; a set value that differs from theirs is a ``ConfigError``."""
+    base = read_json_object(path)
+    for key, value in (("d", GRADCHECK_GEN.dim), ("frames", GRADCHECK_GEN.frames),
+                       ("num_classes", GRADCHECK_GEN.num_classes)):
+        if base.setdefault(key, value) != value:
+            raise ConfigError(f"--config {path}: field {key!r} is {base[key]!r}, the gradcheck fixtures have {value}")
     return TrainConfig.from_dict(base)
 
 
@@ -107,7 +118,7 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not 0 < args.tol < float("inf"):
         raise ConfigError(f"gradcheck: tol must be positive and finite, got {args.tol}")
-    config = TrainConfig.from_dict(read_json_object(args.config)) if args.config else None
+    config = _gradcheck_config(args.config) if args.config else None
     report = run_model_gradcheck(config=config, seed=args.seed, eps=args.eps)
     print(report.format_table())
     ok = report.passed(args.tol)

@@ -25,14 +25,13 @@ from ..semantics import Detection, SyntheticEncoder, synthetic_encode
 from .formats import (
     ANNOTATIONS_NAME,
     FEATURES_DIR,
+    FIXTURE_FORMAT_VERSION,
     META_NAME,
     SampleRecord,
     record_sample,
     save_annotations,
     write_tensor,
 )
-
-FIXTURE_FORMAT_VERSION = 1
 
 _NOUNS = ("man", "woman", "boy", "girl", "person", "worker")
 _COLORS = ("red", "blue", "green", "black", "white", "yellow")

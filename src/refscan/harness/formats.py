@@ -29,6 +29,7 @@ RTEN_MAGIC = b"RTEN"
 RTEN_VERSION = 1
 
 META_NAME = "meta.json"
+FIXTURE_FORMAT_VERSION = 1  # meta.json's format_version
 ANNOTATIONS_NAME = "annotations.jsonl"
 FEATURES_DIR = "features"
 # Records whose tensors are read, and references embedded, together. Memory
@@ -237,6 +238,9 @@ class FixtureDataset:
         if not meta_path.exists():
             raise ParseError(f"dataset meta file {meta_path} does not exist")
         self.meta = read_json_object(meta_path)
+        version = self.meta.get("format_version")
+        if type(version) is not int or version != FIXTURE_FORMAT_VERSION:
+            raise ParseError(f"{meta_path}: unsupported dataset format version {version!r}", field="format_version")
         for name in ("dim", "frames", "num_classes", "encoder_seed"):
             value = self.meta.get(name)
             if isinstance(value, bool) or not isinstance(value, int):

@@ -224,6 +224,28 @@ def test_gradcheck_subcommand(capsys, tmp_path):
     assert "overall max rel err" in out
 
 
+@pytest.mark.parametrize("fields", [
+    {"d_s": 2, "d_a": 2, "n": 2, "n_prompts": 1},
+    {"d_s": 2, "d_a": 2, "n": 2, "n_prompts": 1, "use_mhs_ca": False},
+])
+def test_gradcheck_takes_unset_geometry_from_its_fixtures(capsys, tmp_path, fields):
+    cfg = tmp_path / "partial.json"
+    cfg.write_text(json.dumps(fields))
+    assert main(["gradcheck", "--config", str(cfg)]) == 0
+    assert "gradcheck PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field, value", [("num_classes", 3), ("d", 32), ("frames", 8)])
+def test_gradcheck_config_geometry_off_the_fixtures_exits_1_before_the_check_runs(capsys, tmp_path, field, value):
+    cfg = tmp_path / "off.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert main(["gradcheck", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no table: not one loss was evaluated
+    assert captured.err.startswith(f"error: --config {cfg}: field {field!r} is {value}")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("eps", ["nan", "inf", "0"])
 def test_gradcheck_bad_eps_exits_1(capsys, eps):
     assert main(["gradcheck", "--eps", eps]) == 1

@@ -17,8 +17,7 @@ from refscan import fusion
 from refscan.config import TrainConfig
 from refscan.fusion import (
     PROB_EPS,
-    PoolPart,
-    QueryRows,
+    Rows,
     forward,
     init_model_params,
 )
@@ -89,7 +88,7 @@ def test_cross_attention_vjp(n_p, rows):
     queries = padded(rng, rows or [3] * 4, 3, 5)
     arrays = [queries, rng.normal(size=(4, 6, 4))]
     arrays += [rng.normal(size=s) for s in ((5, 3), (4, 3), (4, 3), (n_p, 3))]
-    query_rows = None if rows is None else QueryRows(np.array(rows), n_p)
+    query_rows = None if rows is None else Rows(np.array(rows), n_p, np.ones(4, dtype=bool))
 
     def build(layer, v):
         return layer(v[0], v[1], named("attn.kwv.spatial.", ATTN, v[2:]), "attn.kwv.spatial.", query_rows)
@@ -111,13 +110,15 @@ def test_cross_attention_vjp_single_sample():
 def test_pool_hierarchies_vjp(used):
     rng = np.random.default_rng(11)
     used = np.array(used)
-    mask = np.array([[1, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1], [0, 0, 0, 1]], dtype=bool)
-    empty = np.array([[1, 1, 0], [0, 0, 0], [1, 0, 0], [1, 1, 1]], dtype=bool)  # sample 1 has no row
+    prompted = Rows([2, 1, 3, 0], 1, np.ones(4, dtype=bool))
+    empty = Rows([2, 0, 1, 3], 0, used)  # sample 1 has no row
+    np.testing.assert_array_equal(prompted.mask, [[1, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1], [0, 0, 0, 1]])
+    np.testing.assert_array_equal(empty.mask, [[1, 1, 0], [0, 0, 0], [1, 0, 0], [1, 1, 1]])
     arrays = [rng.normal(size=(4, 4, 3)), rng.normal(size=(4, 3, 3)), rng.normal(size=(4, 5, 3))]
 
     def build(layer, v):
-        parts = [(v[0], PoolPart(mask, np.ones(4, dtype=bool))), (v[1], PoolPart(empty, used))]
-        return layer(parts + [(v[2], PoolPart(None, np.array([False, True, True, True])))])
+        every_row = Rows(None, 0, np.array([False, True, True, True]))
+        return layer([(v[0], prompted), (v[1], empty), (v[2], every_row)])
 
     assert_matches_composed("pool_hierarchies_var", arrays, build)
 

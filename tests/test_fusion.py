@@ -7,7 +7,7 @@ from refscan.config import TrainConfig
 from refscan.errors import ConfigError, DimensionError
 from refscan.fusion import (
     HierarchyAttnParams,
-    PoolPart,
+    Rows,
     cross_attention,
     cross_attention_var,
     forward,
@@ -18,9 +18,11 @@ from refscan.fusion import (
     pool_hierarchies_var,
     pool_spatial,
     pool_temporal,
+    _trajectory_input,
 )
 from refscan.harness.fixtures import GenConfig, synth_samples
 from refscan.numerics import Var, softmax
+from refscan.numerics.tape import one_row_slices
 from refscan.retrieval import VisualTokenGrid
 from refscan.semantics import SyntheticEncoder
 
@@ -46,7 +48,7 @@ def mhs_ca_branch(enhanced, hierarchy_queries, params_per_hierarchy):
     for tag, queries in hierarchy_queries:
         pv = {name: Var(v) for name, v in vars(params_per_hierarchy[tag]).items()}
         out = cross_attention_var(Var(queries[None]), context, pv, "")
-        parts.append((out, PoolPart(None, np.ones(1, dtype=bool))))
+        parts.append((out, Rows(None, 0, np.ones(1, dtype=bool))))
     return pool_hierarchies_var(parts).value[0, 0]
 
 
@@ -352,3 +354,50 @@ class TestForward:
         cfg_aux, *_ = self._setup(aux_branch_loss=True)
         aux = float(forward(samples[0], params, cfg_aux, encoder).loss.value)
         assert aux > base
+
+
+# -- a batch's rows and trajectory inputs -------------------------------------------
+
+
+@pytest.mark.parametrize("n_p", [0, 2])
+@pytest.mark.parametrize("counts", [[0, 1, 3], [2, 2]])
+def test_rows_derive_slices_and_mask_from_counts(counts, n_p):
+    counts = np.array(counts)
+    rows = Rows(counts, n_p, counts > 0)
+    for got, want in ((rows.single, one_row_slices(counts)), (rows.single_full, one_row_slices(counts + n_p))):
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
+    if len(set(counts.tolist())) == 1:
+        assert rows.mask is None and rows.w is None and rows.rows is None
+    else:  # the real rows, then the prompt rows
+        expected = [[r < c for r in range(counts.max())] + [True] * n_p for c in counts]
+        np.testing.assert_array_equal(rows.mask, expected)
+        np.testing.assert_array_equal(rows.w[..., 0], expected)
+        np.testing.assert_array_equal(rows.rows[:, 0, 0], np.maximum(counts + n_p, 1))
+    if (counts > 0).all():
+        assert rows.keep is None
+    else:
+        np.testing.assert_array_equal(rows.keep[:, 0, 0], counts > 0)
+
+
+def test_rows_without_counts_have_every_row_real():
+    rows = Rows(None, 2, np.array([True, False]))
+    assert rows.counts is None and rows.single is None and rows.single_full is None
+    assert rows.mask is None and rows.w is None and rows.rows is None
+    np.testing.assert_array_equal(rows.keep[:, 0, 0], [1.0, 0.0])
+
+
+def test_trajectory_input_is_the_per_sample_gather():
+    rng = np.random.default_rng(5)
+    frames, cells, dim = 3, 4, 2
+    grids = [VisualTokenGrid(rng.normal(size=(frames, cells, dim))) for _ in range(3)]
+    picks = [rng.integers(0, cells, size=(k, frames)) for k in (2, 0, 3)]  # the second sample has no picks
+    x = _trajectory_input(grids, picks)
+    assert x.shape == (frames, 3 * 3, dim)
+    x = x.reshape(frames, 3, 3, dim)
+    for b, (grid, idx) in enumerate(zip(grids, picks)):
+        for k in range(3):
+            for t in range(frames):
+                want = grid.tokens[t, idx[k, t]] if k < len(idx) else np.zeros(dim)
+                np.testing.assert_array_equal(x[t, b, k], want)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,20 @@ class TestGridShape:
         with pytest.raises(ParseError, match=pattern):
             ds.load_samples()
 
+    @pytest.mark.parametrize("version", [99, 0, "1", True, None])
+    def test_unknown_format_version_is_rejected(self, tmp_path, version):
+        pattern = rf"meta\.json: unsupported dataset format version {re.escape(repr(version))}: field 'format_version'"
+        with pytest.raises(ParseError, match=pattern):
+            self._dataset(tmp_path, format_version=version)
+
+    def test_missing_format_version_is_rejected(self, tmp_path):
+        generate_fixtures(SMALL_GEN, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        del meta["format_version"]
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ParseError, match=r"meta\.json: unsupported dataset format version None: field 'format_version'"):
+            FixtureDataset(tmp_path)
+
     def test_dim_must_match_meta(self, tmp_path):
         ds = self._dataset(tmp_path, dim=SMALL_GEN.dim * 2)
         with pytest.raises(ParseError, match=rf"annotations\.jsonl: video '{ds.records[0].video_id}'.*field 'dim'"):
@@ -289,6 +304,15 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match=rf"a\.ckpt: parameter '{last}' needs payload bytes.*field 'params'"):
             load_checkpoint(tmp_path / "a.ckpt")
 
+    def test_trailing_payload_bytes_name_file_and_parameter(self, tmp_path):
+        save_checkpoint(tmp_path / "a.ckpt", self._checkpoint())
+        with open(tmp_path / "a.ckpt", "ab") as fh:
+            fh.write(bytes(16))
+        last = sorted(self._checkpoint().params.names())[-1]
+        pattern = rf"a\.ckpt: payload has 16 bytes past the last parameter block \('{last}'\): field 'params'"
+        with pytest.raises(ParseError, match=pattern):
+            load_checkpoint(tmp_path / "a.ckpt")
+
     @pytest.mark.parametrize(
         "corrupt, message",
         [
@@ -303,6 +327,9 @@ class TestCheckpoint:
             (lambda meta: meta.update(config=[1]), r"invalid config: config must be a JSON object.*field 'config'"),
             (lambda meta: meta.update(params={"a": 1}), r"params must be a list.*field 'params'"),
             (lambda meta: meta["config"].update(d_s="x"), r"invalid config: d_s must be an integer.*field 'config'"),
+            (lambda meta: meta["params"].pop(), r"payload has \d+ bytes past the last parameter block \('[\w.]+'\): field 'params'"),
+            (lambda meta: meta["params"][1].update(offset=0), r"parameter '[\w.]+' starts at payload byte 0, not at \d+, where the block before it ends: field 'params'"),
+            (lambda meta: meta["params"][1].update(offset=meta["params"][1]["offset"] + 8), r"parameter '[\w.]+' starts at payload byte \d+, not at \d+.*field 'params'"),
         ],
     )
     def test_malformed_header_is_a_parse_error(self, tmp_path, corrupt, message):
