@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -132,7 +132,7 @@ class Rows:
 
 
 def cross_attention_var(
-    queries: Var, context: Var, pv: dict[str, Var], prefix: str, rows: Rows | None = None
+    queries: Var, context: Var, pv: Mapping[str, Var], prefix: str, rows: Rows | None = None
 ) -> Var:
     """(..., Q + N_p, d_a) readout; the prompt rows follow the query rows.
 
@@ -251,7 +251,7 @@ def pool_hierarchies_var(parts: list[tuple[Var, Rows]]) -> Var:
 # -- heads and losses ---------------------------------------------------------
 
 
-def head_var(z: Var, pv: dict[str, Var], prefix: str) -> tuple[Var, np.ndarray]:
+def head_var(z: Var, pv: Mapping[str, Var], prefix: str) -> tuple[Var, np.ndarray]:
     """sigmoid(relu(z W1 + b1) W2 + b2) as one tape node over the leaves
     ``pv[prefix + name]`` for ``w1``, ``b1``, ``w2`` and ``b2``, and the
     hidden ReLU mask, where the output has kinks."""
@@ -390,39 +390,34 @@ def init_model_params(config: TrainConfig, seed: int | None = None) -> ParamStor
     config.validate()
     seed = config.seed if seed is None else seed
     rng = np.random.default_rng(seed)
-    params = ParamStore(seed=seed)
+    arrays = {}
 
     uniform_init(rng, config.d + 4, (config.d + 4, config.d))  # scene_projection's draw, discarded here
 
-    def add_ssm(name: str, in_dim: int):
-        params.add(f"ssm.{name}.in_proj", uniform_init(rng, in_dim, (in_dim, config.d_s)))
-        params.add(f"ssm.{name}.A", np.diag(rng.uniform(0.5, 0.95, size=config.n)))
-        params.add(f"ssm.{name}.B", uniform_init(rng, config.d_s, (config.n, config.d_s)))
-        params.add(f"ssm.{name}.C", uniform_init(rng, config.n, (config.d_s, config.n)))
-
-    add_ssm("keyword", config.d)
-    add_ssm("scene", config.d)
-    add_ssm("holistic_temporal", config.d)
-    add_ssm("holistic_spatial", config.d)
+    for name in ("keyword", "scene", "holistic_temporal", "holistic_spatial"):
+        arrays[f"ssm.{name}.in_proj"] = uniform_init(rng, config.d, (config.d, config.d_s))
+        arrays[f"ssm.{name}.A"] = np.diag(rng.uniform(0.5, 0.95, size=config.n))
+        arrays[f"ssm.{name}.B"] = uniform_init(rng, config.d_s, (config.n, config.d_s))
+        arrays[f"ssm.{name}.C"] = uniform_init(rng, config.n, (config.d_s, config.n))
 
     query_dims = {"rv": config.d, "kwv": config.d_s, "bv": config.d_s}
     for tag in HIERARCHIES:
         for branch in BRANCHES:
             base = f"attn.{tag}.{branch}"
-            params.add(f"{base}.w_q", uniform_init(rng, query_dims[tag], (query_dims[tag], config.d_a)))
-            params.add(f"{base}.w_k", uniform_init(rng, config.d_s, (config.d_s, config.d_a)))
-            params.add(f"{base}.w_v", uniform_init(rng, config.d_s, (config.d_s, config.d_a)))
-            params.add(f"{base}.prompts", uniform_init(rng, config.d_a, (config.n_prompts, config.d_a)))
+            arrays[f"{base}.w_q"] = uniform_init(rng, query_dims[tag], (query_dims[tag], config.d_a))
+            arrays[f"{base}.w_k"] = uniform_init(rng, config.d_s, (config.d_s, config.d_a))
+            arrays[f"{base}.w_v"] = uniform_init(rng, config.d_s, (config.d_s, config.d_a))
+            arrays[f"{base}.prompts"] = uniform_init(rng, config.d_a, (config.n_prompts, config.d_a))
 
     for branch in BRANCHES:
         for head, out_dim in (("reg", 4), ("cls", config.num_classes)):
             base = f"head.{branch}.{head}"
-            params.add(f"{base}.w1", uniform_init(rng, config.d_a, (config.d_a, config.d_a)))
-            params.add(f"{base}.b1", np.zeros(config.d_a))
-            params.add(f"{base}.w2", uniform_init(rng, config.d_a, (config.d_a, out_dim)))
-            params.add(f"{base}.b2", np.zeros(out_dim))
+            arrays[f"{base}.w1"] = uniform_init(rng, config.d_a, (config.d_a, config.d_a))
+            arrays[f"{base}.b1"] = np.zeros(config.d_a)
+            arrays[f"{base}.w2"] = uniform_init(rng, config.d_a, (config.d_a, out_dim))
+            arrays[f"{base}.b2"] = np.zeros(out_dim)
 
-    return params
+    return ParamStore(arrays, seed=seed)
 
 
 # -- full forward ---------------------------------------------------------------
@@ -501,10 +496,9 @@ class ForwardResult:
     a finite difference is not the gradient. Its picks are left out: its
     text, detections, grid and the store's seed fix them, so no parameter
     can flip them. A sample's signature depends on no other sample of the
-    batch. ``values`` is one copy of the store's flat value vector as the
-    run read it, or None when the leaves did not view the store's arrays;
-    such a run cannot be rerun. The per-sample ``outputs`` are built on
-    first access.
+    batch. ``values`` is always a copy of the store's flat value vector as
+    the run read it, which ``rerun`` compares the store with. The
+    per-sample ``outputs`` are built on first access.
     """
 
     loss: Var | None
@@ -512,25 +506,26 @@ class ForwardResult:
     inputs: BatchInputs = field(repr=False)
     runs: list[UnitRun] = field(repr=False)
     store: ParamStore = field(repr=False)
-    values: np.ndarray | None = field(repr=False)
+    values: np.ndarray = field(repr=False)
 
-    def rerun(self, param_vars: dict[str, Var] | None = None) -> ForwardResult:
-        """This batch again under the store's current values: only the units
-        reading a scalar whose bits differ from ``values``, and the units
-        consuming them, run again, so outputs, loss and signatures are
-        bitwise a full forward's. The leaves of this run and ``param_vars``
-        must view the store's arrays, and the store must not have grown.
-        Backward through a reused output raises. A rerun can be rerun."""
-        params = self.store
-        pv = params.as_vars() if param_vars is None else param_vars
-        if self.values is None or not _views_store(pv, params):
-            raise InputError("rerun: the leaves of the run and of the rerun must view the store's arrays")
-        if self.values.size != params.num_scalars():
-            raise InputError(f"rerun: the store grew from {self.values.size} to {params.num_scalars()} scalars")
+    def rerun(self) -> ForwardResult:
+        """This batch again under the store's current values, read through
+        its ``leaves``: only the units reading a scalar whose bits differ
+        from ``values``, and the units consuming them, run again, so
+        outputs, loss and signatures are bitwise a full forward's. When a
+        unit is reused, the loss's backward raises before any vjp runs, so
+        no gradient reaches the store. A rerun can be rerun."""
+        params, units = self.store, self.inputs.units
         moved = np.flatnonzero(params.flat_values.view(np.int64) != self.values.view(np.int64))
-        outputs, runs = list(self.reused), list(self.runs)
-        _run_units(self.inputs, pv, _rerun_plan(self.inputs, params, moved), outputs, runs)
-        return _result(self.inputs, params, outputs, runs, views=True)
+        plan = _rerun_plan(self.inputs, params, moved)
+        outputs, runs = [run.output for run in self.runs], list(self.runs)
+        _run_units(self.inputs, params.leaves, plan, outputs, runs)
+        result = _result(self.inputs, params, outputs, runs)
+        if result.loss is not None and len(plan) < len(units):
+            reran = set(plan)
+            key = next((units[i].key for k in plan for i in units[k].consumes if i not in reran), units[-1].key)
+            result.loss = _refusing(result.loss, key)
+        return result
 
     @functools.cached_property
     def outputs(self) -> list[ModelOutput]:
@@ -551,13 +546,6 @@ class ForwardResult:
             )
             for b in range(len(self.inputs.samples))
         ]
-
-    @functools.cached_property
-    def reused(self) -> list:
-        """Each unit's output as leaves whose backward raises, for the
-        reruns of this run: its graph, and its parameter leaves, belong to
-        this run."""
-        return [_refusing(run.output, unit.key) for unit, run in zip(self.inputs.units, self.runs)]
 
     def first_nonfinite(self) -> Unit | None:
         """The first unit, in run order, whose output holds a non-finite value."""
@@ -591,7 +579,7 @@ def _trajectory_input(grids: list[VisualTokenGrid], picks: list[np.ndarray]) -> 
     return x.transpose(2, 0, 1, 3).reshape(len(steps), -1, x.shape[-1])
 
 
-def keyword_tokens_var(x: Var, pv: dict[str, Var], prefix: str, n_b: int) -> Var:
+def keyword_tokens_var(x: Var, pv: Mapping[str, Var], prefix: str, n_b: int) -> Var:
     """(B, K, d_s) keyword tokens: the final-step readout of each trajectory's
     scan through the layer at ``prefix``. ``x`` is the time-major scan input
     (T, B * K, d); the scan is one node and the final-step pick another."""
@@ -606,7 +594,7 @@ def keyword_tokens_var(x: Var, pv: dict[str, Var], prefix: str, n_b: int) -> Var
     return Var(scans.value[-1].reshape(n_b, -1, shape[-1]), (scans,), vjp)
 
 
-def scene_tokens_var(x: Var, pv: dict[str, Var], prefix: str, counts: np.ndarray) -> Var:
+def scene_tokens_var(x: Var, pv: Mapping[str, Var], prefix: str, counts: np.ndarray) -> Var:
     """(B, T, d_s) scene-attribute sequence: per sample, the mean of its
     trajectories' per-step scan outputs through the layer at ``prefix``,
     zero for a sample with none.
@@ -635,7 +623,7 @@ def scene_tokens_var(x: Var, pv: dict[str, Var], prefix: str, counts: np.ndarray
 class Unit:
     """One layer instance of ``forward``, the unit a rerun reuses or runs again.
 
-    ``run(inputs, param_vars, *consumed)`` takes the outputs of the earlier
+    ``run(inputs, leaves, *consumed)`` takes the outputs of the earlier
     units at the indices in ``consumes``, in that order, and returns the
     unit's output and its per-sample part of the selection signature (None
     for no part). A unit reads parameters only under the prefixes in
@@ -770,30 +758,30 @@ def _mask_signature(masks: list[np.ndarray]) -> list[tuple]:
     return list(zip(*[[m.tobytes() for m in mask] for mask in masks]))
 
 
-def _keyword_scan(prefix: str, x: BatchInputs, pv: dict[str, Var]):
+def _keyword_scan(prefix: str, x: BatchInputs, pv: Mapping[str, Var]):
     """The (B, K, d_s) keyword queries."""
     return keyword_tokens_var(Var(x.kw_input), pv, prefix, len(x.samples)), None
 
 
-def _scene_scan(prefix: str, x: BatchInputs, pv: dict[str, Var]):
+def _scene_scan(prefix: str, x: BatchInputs, pv: Mapping[str, Var]):
     """The (B, T, d_s) scene-attribute queries, every row real."""
     return scene_tokens_var(Var(x.bs_input), pv, prefix, x.scene_counts), None
 
 
-def _holistic_scan(branch: str, prefix: str, x: BatchInputs, pv: dict[str, Var]):
+def _holistic_scan(branch: str, prefix: str, x: BatchInputs, pv: Mapping[str, Var]):
     """The branch's (B, steps, d_s) enhanced tokens, which the attentions attend over."""
     scans = scan_var(Var(x.pooled[branch]), pv, prefix)
     return tape.transpose(scans, (1, 0, 2)), None
 
 
-def _attention(tag: str, prefix: str, x: BatchInputs, pv: dict[str, Var], enhanced: Var, queries: Var | None = None):
+def _attention(tag: str, prefix: str, x: BatchInputs, pv: Mapping[str, Var], enhanced: Var, queries: Var | None = None):
     """One hierarchy's cross-attention over the enhanced tokens, as a pooling
     part ``(out, rows)``; the holistic queries are a batch input."""
     queries, rows = x.holistic if queries is None else queries, x.rows[tag]
     return (cross_attention_var(queries, enhanced, pv, prefix, rows), rows), None
 
 
-def _pool(x: BatchInputs, pv: dict[str, Var], *parts):
+def _pool(x: BatchInputs, pv: Mapping[str, Var], *parts):
     """The branch's (B, 1, d_a) vector z: the hierarchies' attention outputs
     pooled (with cross-attention off, the enhanced tokens pooled)."""
     if not x.config.use_mhs_ca:  # every row of every sample counts
@@ -801,13 +789,13 @@ def _pool(x: BatchInputs, pv: dict[str, Var], *parts):
     return pool_hierarchies_var(list(parts)), None
 
 
-def _head(prefix: str, x: BatchInputs, pv: dict[str, Var], z: Var):
+def _head(prefix: str, x: BatchInputs, pv: Mapping[str, Var], z: Var):
     """One head's prediction; the signature part is its ReLU mask."""
     y, kinks = head_var(z, pv, prefix)
     return y, _mask_signature([kinks])
 
 
-def _loss(x: BatchInputs, pv: dict[str, Var], *predictions: Var):
+def _loss(x: BatchInputs, pv: Mapping[str, Var], *predictions: Var):
     """The batch-mean loss over each branch's (box, class) predictions; the
     signature part is its clamp bands."""
     loss, bands = loss_var(
@@ -880,18 +868,14 @@ class UnitRun:
     signature: list[tuple] | None
 
 
-def _refusing(value, key: str):
-    """``value`` with each Var swapped for a leaf of the same value whose
-    backward raises."""
-    if isinstance(value, Var):
+def _refusing(loss: Var, key: str) -> Var:
+    """``loss`` as a leaf of the same value whose backward raises, naming
+    ``key``, the first reused output that backward would reach."""
 
-        def refuse(g: np.ndarray):
-            raise InputError(f"backward reached the {key!r} output a rerun reused; differentiate a forward run")
+    def refuse(g: np.ndarray):
+        raise InputError(f"backward would reach the {key!r} output a rerun reused; differentiate a forward run")
 
-        return Var(value.value, (), refuse)
-    if isinstance(value, (list, tuple)):
-        return type(value)(_refusing(v, key) for v in value)
-    return value
+    return Var(loss.value, (), refuse)
 
 
 def _finite(value) -> bool:
@@ -903,15 +887,6 @@ def _finite(value) -> bool:
     if isinstance(value, (list, tuple)):
         return all(_finite(v) for v in value)
     return True
-
-
-def _views_store(pv: dict[str, Var], params: ParamStore) -> bool:
-    """Whether each leaf's value is the store's own array of its name, so the
-    store's flat vector holds every value the units read."""
-    try:
-        return all([pv[name].value is arr for name, arr in params.items()])
-    except KeyError:
-        return False
 
 
 def _rerun_plan(x: BatchInputs, params: ParamStore, moved: np.ndarray) -> tuple[int, ...]:
@@ -936,7 +911,7 @@ def _rerun_plan(x: BatchInputs, params: ParamStore, moved: np.ndarray) -> tuple[
     return x.plans[key]
 
 
-def _run_units(x: BatchInputs, pv: dict[str, Var], plan, outputs: list, runs: list) -> None:
+def _run_units(x: BatchInputs, pv: Mapping[str, Var], plan, outputs: list, runs: list) -> None:
     """Run the units at the indices in ``plan``, in order, over ``outputs`` and
     ``runs`` in place; a unit's error becomes ``PipelineError(stage)``."""
     for k in plan:
@@ -949,13 +924,12 @@ def _run_units(x: BatchInputs, pv: dict[str, Var], plan, outputs: list, runs: li
         runs[k] = UnitRun(output, signature)
 
 
-def _result(x: BatchInputs, params: ParamStore, outputs: list, runs: list[UnitRun], views: bool) -> ForwardResult:
-    """A run's loss, per-sample signatures and, if its leaves viewed the store, values."""
+def _result(x: BatchInputs, params: ParamStore, outputs: list, runs: list[UnitRun]) -> ForwardResult:
+    """A run's loss, per-sample signatures and the store's values it read."""
     parts = [run.signature for run in runs if run.signature is not None]
     signature = tuple(sum((part[b] for part in parts), ()) for b in range(len(x.samples)))
-    values = params.flat_values.copy() if views else None
     loss = outputs[-1] if x.targets is not None else None
-    return ForwardResult(loss, signature, x, runs, params, values)
+    return ForwardResult(loss, signature, x, runs, params, params.flat_values.copy())
 
 
 # -- full forward ---------------------------------------------------------------
@@ -966,20 +940,19 @@ def forward(
     params: ParamStore,
     config: TrainConfig,
     encoder: ReferenceEncoder,
-    param_vars: dict[str, Var] | None = None,
 ) -> ForwardResult:
     """Run the units (one per layer instance) over one sample or a batch.
 
     The grids of a batch must share one shape. When every sample has
     targets the last unit is the loss, the batch mean; otherwise no loss
     unit is built and the result's ``loss`` is None, with every other
-    output as it would be with targets. ``param_vars`` lets the caller
-    keep the leaf Vars whose gradients one backward pass accumulates. The
+    output as it would be with targets. The units read the parameters
+    through the store's ``leaves``, so a backward of the loss adds into the
+    store's ``flat_grads``; zero them first for a fresh gradient. The
     result's ``rerun`` runs the batch again under changed parameters.
     """
     samples = list(samples) if isinstance(samples, (list, tuple)) else [samples]
-    pv = params.as_vars() if param_vars is None else param_vars
     x = _batch_inputs(samples, config, encoder, params.seed)
     outputs, runs = [None] * len(x.units), [None] * len(x.units)
-    _run_units(x, pv, range(len(x.units)), outputs, runs)
-    return _result(x, params, outputs, runs, _views_store(pv, params))
+    _run_units(x, params.leaves, range(len(x.units)), outputs, runs)
+    return _result(x, params, outputs, runs)

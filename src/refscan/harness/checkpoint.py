@@ -92,7 +92,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"{path}: rng_state must be a JSON object", field="rng_state")
     if not isinstance(header["params"], list):
         raise ParseError(f"{path}: params must be a list of parameter entries", field="params")
-    params = ParamStore(seed=_count(path, header["seed"], "seed"))
+    seed = _count(path, header["seed"], "seed")
+    arrays: dict[str, np.ndarray] = {}
     name, end = None, 0
     for entry in header["params"]:
         try:
@@ -103,6 +104,8 @@ def load_checkpoint(path) -> Checkpoint:
             raise ParseError(f"{path}: malformed parameter entry {entry!r}", field="params") from exc
         if not isinstance(shape, list):
             raise ParseError(f"{path}: parameter {name!r} shape must be a list, got {shape!r}", field="params")
+        if name in arrays:
+            raise ParseError(f"{path}: duplicate parameter name {name!r}", field="params")
         shape = tuple(_count(path, v, "params", f"parameter {name!r} dim") for v in shape)
         offset = _count(path, offset, "params", f"parameter {name!r} offset")
         count = math.prod(shape)
@@ -118,18 +121,14 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: parameter {name!r} needs payload bytes [{offset}, {end}), payload has {len(payload)}",
                 field="params",
             )
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
-        try:
-            params.add(name, arr.reshape(shape))
-        except ConfigError as exc:
-            raise ParseError(f"{path}: {exc}", field="params") from exc
+        arrays[name] = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
     if end != len(payload):
         raise ParseError(
             f"{path}: payload has {len(payload) - end} bytes past the last parameter block ({name!r})",
             field="params",
         )
     expected = {name: arr.shape for name, arr in init_model_params(config).items()}
-    found = {name: arr.shape for name, arr in params.items()}
+    found = {name: arr.shape for name, arr in arrays.items()}
     if found != expected:
         wrong = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))
         raise ParseError(
@@ -137,7 +136,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"shape {found.get(wrong[0], 'missing')}, expected {expected.get(wrong[0], 'none')}",
             field="params",
         )
-    return Checkpoint(config=config, params=params, step=step, rng_state=header["rng_state"])
+    return Checkpoint(config=config, params=ParamStore(arrays, seed=seed), step=step, rng_state=header["rng_state"])
 
 
 def rng_state_of(rng: np.random.Generator) -> dict:

@@ -11,8 +11,8 @@ from ..errors import ConfigError, RefScanError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import evaluate, write_report
 from .fixtures import GenConfig, generate_fixtures
-from .formats import FixtureDataset, read_json_object
-from .suites import GRADCHECK_GEN, run_auroc_suite, run_map_suite, run_model_gradcheck, run_scan_suite
+from .formats import META_NAME, FixtureDataset, read_json_object
+from .suites import GRADCHECK_CONFIG, GRADCHECK_GEN, run_auroc_suite, run_map_suite, run_model_gradcheck, run_scan_suite
 from .training import train, write_loss_curve
 
 
@@ -58,14 +58,26 @@ def _train_config(args, dataset: FixtureDataset) -> TrainConfig:
     return TrainConfig.from_dict(base)
 
 
+_GEOMETRY = (("d", "dim"), ("frames", "frames"), ("num_classes", "num_classes"))
+
+
+def _check_geometry(fields: dict, where: str, source, source_where: str) -> None:
+    """Raise ``ConfigError`` naming both sides when a config's ``d``,
+    ``frames`` or ``num_classes`` in ``fields`` differ from ``source``'s
+    ``dim``, ``frames`` or ``num_classes``."""
+    for field, key in _GEOMETRY:
+        found, expected = fields[field], getattr(source, key)
+        if found != expected:
+            raise ConfigError(f"{where}: field {field!r} is {found!r}, {source_where} has {key!r} {expected}")
+
+
 def _gradcheck_config(path: str) -> TrainConfig:
     """The ``--config`` fields, with unset geometry taken from the gradcheck
     fixtures; a set value that differs from theirs is a ``ConfigError``."""
     base = read_json_object(path)
-    for key, value in (("d", GRADCHECK_GEN.dim), ("frames", GRADCHECK_GEN.frames),
-                       ("num_classes", GRADCHECK_GEN.num_classes)):
-        if base.setdefault(key, value) != value:
-            raise ConfigError(f"--config {path}: field {key!r} is {base[key]!r}, the gradcheck fixtures have {value}")
+    for field, key in _GEOMETRY:
+        base.setdefault(field, getattr(GRADCHECK_GEN, key))
+    _check_geometry(base, f"--config {path}", GRADCHECK_GEN, "the gradcheck fixtures")
     return TrainConfig.from_dict(base)
 
 
@@ -105,6 +117,7 @@ def _cmd_eval(args) -> int:
     _check_output("--report", args.report)
     ckpt = load_checkpoint(args.ckpt)
     dataset = FixtureDataset(args.data)
+    _check_geometry(vars(ckpt.config), f"checkpoint {args.ckpt}", dataset, f"dataset {dataset.root / META_NAME}")
     encoder = dataset.default_encoder()
     report = evaluate(ckpt.params, ckpt.config, dataset.iter_samples(encoder), encoder)
     write_report(args.report, report)
@@ -118,8 +131,9 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not 0 < args.tol < float("inf"):
         raise ConfigError(f"gradcheck: tol must be positive and finite, got {args.tol}")
-    config = _gradcheck_config(args.config) if args.config else None
-    report = run_model_gradcheck(config=config, seed=args.seed, eps=args.eps)
+    config = _gradcheck_config(args.config) if args.config else GRADCHECK_CONFIG
+    seed = config.seed if args.seed is None else args.seed
+    report = run_model_gradcheck(config=config, seed=seed, eps=args.eps)
     print(report.format_table())
     ok = report.passed(args.tol)
     print(f"gradcheck {'PASS' if ok else 'FAIL'} (tolerance {args.tol:g})")
@@ -180,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of the full model")
     p.add_argument("--config", default=None, help="JSON file with TrainConfig fields")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="overrides the --config seed (default 0)")
     p.add_argument("--eps", type=float, default=1e-5)
     p.add_argument("--tol", type=float, default=1e-4)
     p.set_defaults(func=_cmd_gradcheck)

@@ -23,8 +23,8 @@ def predict_records(
 ) -> list[EvalRecord]:
     """One forward per sample, drawn from ``samples`` one at a time and kept
     only as its small ``EvalRecord``, so a streamed split is never held
-    whole. Every forward shares one set of parameter leaves, which is safe
-    because evaluation never runs backward.
+    whole. Every forward reads the store's own leaves; evaluation never
+    runs backward, so their gradients stay as they were.
 
     Each forward gets ``sample.without_targets()``, so it builds no loss
     unit, yet shares the keyword picks and pooled inputs the sample keeps:
@@ -33,11 +33,10 @@ def predict_records(
     class scores are not finite raises ``PipelineError`` with the stage of
     the first unit of its forward whose output is not finite.
     """
-    pv = params.as_vars()
     records = []
     for s in samples:
         check_sample(s, config)
-        res = forward(s.without_targets(), params, config, encoder, param_vars=pv)
+        res = forward(s.without_targets(), params, config, encoder)
         out = res.output
         # box and scores are means of sigmoids: their sum is finite exactly when every
         # entry is, and a non-finite entry comes from a non-finite head output or earlier

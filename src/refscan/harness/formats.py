@@ -241,7 +241,7 @@ class FixtureDataset:
         version = self.meta.get("format_version")
         if type(version) is not int or version != FIXTURE_FORMAT_VERSION:
             raise ParseError(f"{meta_path}: unsupported dataset format version {version!r}", field="format_version")
-        for name in ("dim", "frames", "num_classes", "encoder_seed"):
+        for name in ("dim", "frames", "grid_rows", "grid_cols", "num_classes", "encoder_seed"):
             value = self.meta.get(name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParseError(f"{meta_path}: missing or not an integer: {value!r}", field=name)
@@ -274,7 +274,8 @@ class FixtureDataset:
         return SyntheticEncoder(self.dim, self.encoder_seed)
 
     def load_grid(self, record: SampleRecord) -> VisualTokenGrid:
-        """Read a sample's tensor; its frames must match the annotation and meta, its dim the meta."""
+        """Read a sample's tensor; its frames must match the annotation and
+        meta, its cells (``grid_rows`` x ``grid_cols``) and dim the meta."""
         path = self.root / record.features_ref
         try:
             grid = VisualTokenGrid(read_tensor(path))
@@ -283,6 +284,7 @@ class FixtureDataset:
         for name, found, expected, source in (
             ("num_frames", grid.num_frames, record.num_frames, "its record"),
             ("frames", grid.num_frames, self.frames, META_NAME),
+            ("cells", grid.num_cells, self.meta["grid_rows"] * self.meta["grid_cols"], META_NAME),
             ("dim", grid.dim, self.dim, META_NAME),
         ):
             if found != expected:

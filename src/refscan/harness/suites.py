@@ -129,16 +129,17 @@ def model_loss_fn(samples, params, config, encoder):
     it feeds for ``ssm.*``. Retrieval and pooling read no parameter: the
     first evaluation builds the batch inputs, the picks among them, and
     every rerun keeps them. Losses and signatures are bitwise a full
-    forward's.
+    forward's. ``fn`` takes the leaves ``grad_check`` hands it, which are
+    the store's own, and reads the parameters through the store.
     """
     baseline = None
 
-    def fn(pv):
+    def fn(leaves):
         nonlocal baseline
         if baseline is None:
-            res = baseline = forward(samples, params, config, encoder, param_vars=pv)
+            res = baseline = forward(samples, params, config, encoder)
         else:
-            res = baseline.rerun(pv)
+            res = baseline.rerun()
         return res.loss, res.selection_signature
 
     return fn

@@ -8,10 +8,10 @@ sample's keyword retrieval and pooled inputs are worked out by the sample
 the first time a step draws it and kept: both read only the sample, which
 no step changes. Scene-attribute picks read the fixed projection of the
 store's seed, and are built with the inputs of every batch with a
-confident detection. Before each forward the store's gradients are
-zeroed and each parameter leaf's ``grad`` is pointed at its view of them,
-so backward adds every gradient straight into the flat gradient vector
-the optimizer reads.
+confident detection. The store's leaves hold views of its flat
+gradient vector as their ``grad``, so after the store's gradients are
+zeroed each backward adds every gradient straight into the vector the
+optimizer reads.
 Everything is deterministic for a fixed config seed.
 """
 
@@ -137,10 +137,7 @@ def train(
                 batch_idx.append(order.pop())
 
         params.zero_grads()
-        pv = params.as_vars()
-        for name, leaf in pv.items():  # backward adds each leaf's gradient into flat_grads
-            leaf.grad = params.grad(name)
-        res = forward([samples[i] for i in batch_idx], params, config, encoder, param_vars=pv)
+        res = forward([samples[i] for i in batch_idx], params, config, encoder)
         total = res.loss
         loss_value = float(total.value)
         if not math.isfinite(loss_value):

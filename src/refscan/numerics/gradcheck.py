@@ -6,15 +6,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
-import numpy as np
-
 from ..errors import ConfigError
 from .params import ParamStore
 from .tape import Var
 
-# loss_fn maps leaf Vars (one per parameter) to a scalar Var; it may also
-# return (loss, selection_signature) so the harness can detect when a
-# perturbation flips a hard-argmin choice and skip that entry.
+# loss_fn maps the store's leaf Vars (one per parameter) to a scalar Var; it
+# may also return (loss, selection_signature) so the harness can detect when
+# a perturbation flips a hard-argmin choice and skip that entry.
 LossFn = Callable[[Mapping[str, Var]], "Var | tuple[Var, object]"]
 
 
@@ -51,13 +49,14 @@ class GradCheckReport:
         return "\n".join(lines)
 
 
-def _eval(loss_fn: LossFn, param_vars: Mapping[str, Var]) -> tuple[Var, object]:
-    out = loss_fn(param_vars)
+def _eval(loss_fn: LossFn, leaves: Mapping[str, Var]) -> tuple[Var, float, object]:
+    """The loss, its value read before any entry moves again, and the signature."""
+    out = loss_fn(leaves)
     if isinstance(out, tuple):
         loss, sig = out
     else:
         loss, sig = out, None
-    return loss, sig
+    return loss, float(loss.value), sig
 
 
 def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckReport:
@@ -67,41 +66,35 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
     perturbation changes the selection signature are skipped rather than
     compared; a non-finite loss flags the parameter and aborts the check,
     and a non-finite analytic or numeric gradient entry fails it with an
-    infinite error. The perturbed evaluations are never differentiated, so
-    they reuse the baseline's leaf Vars, which view the parameter values
-    being perturbed.
+    infinite error. Every evaluation gets the store's ``leaves``, which view
+    the values being perturbed. Only the baseline is differentiated, into
+    the store's zeroed gradients, where the analytic gradient is read.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigError(f"grad_check: eps must be positive and finite, got {eps}")
 
     report = GradCheckReport(eps=eps)
 
-    pv = params.as_vars()
-    loss_var, base_sig = _eval(loss_fn, pv)
-    base_loss = float(loss_var.value)
+    params.zero_grads()
+    loss_var, base_loss, base_sig = _eval(loss_fn, params.leaves)
     if not math.isfinite(base_loss):
         report.aborted = True
         report.flagged_param = "<baseline>"
         return report
     loss_var.backward()
-    analytic = {
-        name: (pv[name].grad if pv[name].grad is not None else np.zeros_like(arr))
-        for name, arr in params.items()
-    }
 
     for name, arr in params.items():
         row = ParamCheckRow(name=name)
         flat = arr.reshape(-1)
-        a_flat = analytic[name].reshape(-1)
+        a_flat = params.grad(name).reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            loss_p, sig_p = _eval(loss_fn, pv)
+            _, lp, sig_p = _eval(loss_fn, params.leaves)
             flat[i] = orig - eps
-            loss_m, sig_m = _eval(loss_fn, pv)
+            _, lm, sig_m = _eval(loss_fn, params.leaves)
             flat[i] = orig
 
-            lp, lm = float(loss_p.value), float(loss_m.value)
             if not (math.isfinite(lp) and math.isfinite(lm)):
                 report.aborted = True
                 report.flagged_param = name

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+import types
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -11,53 +12,38 @@ from .tape import Var
 
 
 class ParamStore:
-    """Name -> float64 array map plus same-shaped gradients.
+    """Name -> float64 array map plus same-shaped gradients, built whole.
 
-    All values live in one contiguous vector (``flat_values``) and all
-    gradients in a second (``flat_grads``); each name maps to a contiguous,
-    writable view of its slice, so whole-store work (the optimizer, zeroing,
-    finiteness checks) is one numpy call. Names are unique; gradient shape
-    always matches the parameter shape. ``add`` grows the backing buffers
-    geometrically and, when it does, moves every view; arrays fetched before
-    that no longer alias the store, so fetch views once the store is
-    complete. The store remembers the seed it was initialized from so
-    checkpoints can reproduce it.
+    ``arrays`` is the complete ordered name -> array map; the store copies
+    it once into one contiguous vector (``flat_values``) and lays out a
+    second of zeros (``flat_grads``). Each name maps to a contiguous,
+    writable view of its slice, so whole-store work (the optimizer,
+    zeroing, finiteness checks) is one numpy call, and the store never
+    grows, so a view never moves. ``leaves`` is a read-only map with one
+    leaf Var per name whose ``value`` and ``grad`` are those views: every
+    forward reads the store's values through them, and every backward adds
+    into ``flat_grads``. The store remembers the seed it was initialized
+    from so checkpoints can reproduce it.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, arrays: Mapping[str, np.ndarray], seed: int = 0):
         self.seed = int(seed)
-        self._value_buf = np.zeros(0)
-        self._grad_buf = np.zeros(0)
-        self.flat_values = self._value_buf
-        self.flat_grads = self._grad_buf
+        arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
+        size = sum(arr.size for arr in arrays.values())
+        self.flat_values, self.flat_grads = np.zeros(size), np.zeros(size)
         self._params: dict[str, np.ndarray] = {}
         self._grads: dict[str, np.ndarray] = {}
-
-    def add(self, name: str, value: np.ndarray) -> np.ndarray:
-        if name in self._params:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        arr = np.asarray(value, dtype=np.float64)
-        start = self.flat_values.size
-        end = start + arr.size
-        if end > self._value_buf.size:
-            self._grow(max(end, 2 * self._value_buf.size))
-        self.flat_values = self._value_buf[:end]
-        self.flat_grads = self._grad_buf[:end]
-        self.flat_values[start:end] = arr.reshape(-1)
-        self._params[name] = self.flat_values[start:end].reshape(arr.shape)
-        self._grads[name] = self.flat_grads[start:end].reshape(arr.shape)
-        return self._params[name]
-
-    def _grow(self, capacity: int) -> None:
-        """Move values and gradients into larger buffers and re-point every view."""
-        size = self.flat_values.size
-        self._value_buf, self._grad_buf = np.zeros(capacity), np.zeros(capacity)
-        self._value_buf[:size] = self.flat_values
-        self._grad_buf[:size] = self.flat_grads
-        for name, span in self.flat_slices():
-            shape = self._params[name].shape
-            self._params[name] = self._value_buf[span].reshape(shape)
-            self._grads[name] = self._grad_buf[span].reshape(shape)
+        leaves = {}
+        start = 0
+        for name, arr in arrays.items():
+            span = slice(start, start + arr.size)
+            self.flat_values[span] = arr.reshape(-1)
+            self._params[name] = self.flat_values[span].reshape(arr.shape)
+            self._grads[name] = self.flat_grads[span].reshape(arr.shape)
+            leaves[name] = Var(self._params[name])
+            leaves[name].grad = self._grads[name]
+            start = span.stop
+        self.leaves: Mapping[str, Var] = types.MappingProxyType(leaves)
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -93,10 +79,6 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         self.flat_grads[...] = 0.0
-
-    def as_vars(self) -> dict[str, Var]:
-        """Fresh leaf Vars viewing the current parameter values."""
-        return {name: Var(arr) for name, arr in self._params.items()}
 
     def num_scalars(self) -> int:
         return int(self.flat_values.size)

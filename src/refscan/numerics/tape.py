@@ -69,6 +69,9 @@ class Var:
                 if p._vjp is not None and id(p) not in seen:
                     stack.append((p, False))
 
+        if self._vjp is None and self.grad is not None:  # a leaf root adds in place: its grad may view a store
+            self.grad += 1.0
+            return
         self.grad = np.ones_like(self.value)
         for node in reversed(topo):
             if node._vjp is None or node.grad is None:

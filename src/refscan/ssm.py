@@ -15,6 +15,7 @@ optimization must keep matching.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -136,7 +137,7 @@ def ssm_scan_oracle(inputs: np.ndarray, params: SsmLayerParams) -> ScanOutput:
     return ScanOutput(outputs=outputs, final_state=np.asarray(h, dtype=np.float64))
 
 
-def scan_var(x: Var, pv: dict[str, Var], prefix: str) -> Var:
+def scan_var(x: Var, pv: Mapping[str, Var], prefix: str) -> Var:
     """Tape node for a batch of scans; backward is the reverse-time recurrence.
 
     ``x`` is time-major, (T, rows, d), one independent sequence per row, or

@@ -13,8 +13,14 @@ from refscan.config import TrainConfig
 from refscan.errors import DimensionError
 from refscan.fusion import ModelOutput, forward, init_model_params, prepare_reference
 from refscan.harness.fixtures import GenConfig, synth_samples
-from refscan.harness.suites import GRADCHECK_CONFIG, GRADCHECK_GEN, random_scan_case, run_model_gradcheck
-from refscan.numerics import ParamStore, grad_check
+from refscan.harness.suites import (
+    GRADCHECK_CONFIG,
+    GRADCHECK_GEN,
+    model_loss_fn,
+    random_scan_case,
+    run_model_gradcheck,
+)
+from refscan.numerics import grad_check
 from refscan.numerics.tape import Var
 from refscan.retrieval import VisualTokenGrid, build_trajectory_set, nearest_token
 from refscan.semantics import Detection, SyntheticEncoder
@@ -109,9 +115,9 @@ def test_batch_gradient_is_mean_of_sample_gradients():
     params = init_model_params(config, seed=0)
 
     def grads(batch):
-        pv = params.as_vars()
-        forward(batch, params, config, encoder, param_vars=pv).loss.backward()
-        return {k: np.zeros_like(v.value) if v.grad is None else v.grad for k, v in pv.items()}
+        params.zero_grads()
+        forward(batch, params, config, encoder).loss.backward()
+        return {name: params.grad(name).copy() for name in params.names()}
 
     batch = grads(samples)
     singles = [grads([s]) for s in samples]
@@ -195,30 +201,26 @@ def test_gradcheck_skips_a_head_relu_kink():
     z = forward(samples, params, config, encoder).outputs[0].z_temporal
     params[name][unit] = -(z @ params["head.temporal.cls.w1"])[unit]
 
-    sub = ParamStore()
-    b1 = sub.add("b1", params[name])
+    b1 = params[name]
 
-    def loss_fn(sub_vars):
-        pv = params.as_vars()
-        pv[name] = sub_vars["b1"]
-        res = forward(samples, params, config, encoder, param_vars=pv)
-        return res.loss, res.selection_signature
+    def loss():
+        return forward(samples, params, config, encoder).loss
 
-    pv = sub.as_vars()
-    loss, _ = loss_fn(pv)
-    loss.backward()
-    analytic = pv["b1"].grad[unit]
+    params.zero_grads()
+    loss().backward()
+    analytic = params.grad(name)[unit]
     b1[unit] += eps
-    up = float(loss_fn(sub.as_vars())[0].value)
+    up = float(loss().value)
     b1[unit] -= 2 * eps
-    down = float(loss_fn(sub.as_vars())[0].value)
+    down = float(loss().value)
     b1[unit] += eps
     numeric = (up - down) / (2 * eps)
     assert abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric)) > 1e-4
 
-    report = grad_check(loss_fn, sub, eps)
-    assert report.rows[0].skipped == 1
-    assert report.rows[0].checked == b1.size - 1
+    report = grad_check(model_loss_fn(samples, params, config, encoder), params, eps)
+    row = next(row for row in report.rows if row.name == name)
+    assert row.skipped == 1
+    assert row.checked == b1.size - 1
     assert report.passed(1e-4), report.format_table()
 
 

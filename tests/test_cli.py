@@ -235,6 +235,23 @@ def test_gradcheck_takes_unset_geometry_from_its_fixtures(capsys, tmp_path, fiel
     assert "gradcheck PASS" in capsys.readouterr().out
 
 
+def test_gradcheck_seed_comes_from_the_flag_then_the_config(capsys, tmp_path):
+    fields = {"d_s": 2, "d_a": 2, "n": 2, "n_prompts": 1}
+    plain, seeded = tmp_path / "plain.json", tmp_path / "seeded.json"
+    plain.write_text(json.dumps(fields))
+    seeded.write_text(json.dumps({**fields, "seed": 5}))
+
+    def table(*argv):
+        assert main(["gradcheck", *argv]) == 0
+        return capsys.readouterr().out
+
+    at_5 = table("--config", str(plain), "--seed", "5")
+    at_0 = table("--config", str(plain))
+    assert at_5 != at_0
+    assert table("--config", str(seeded)) == at_5
+    assert table("--config", str(seeded), "--seed", "0") == at_0
+
+
 @pytest.mark.parametrize("field, value", [("num_classes", 3), ("d", 32), ("frames", 8)])
 def test_gradcheck_config_geometry_off_the_fixtures_exits_1_before_the_check_runs(capsys, tmp_path, field, value):
     cfg = tmp_path / "off.json"
@@ -316,12 +333,8 @@ def test_checkpoint_holding_a_scene_projection_exits_1(dataset, tmp_path, capsys
     assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
                  "--out-ckpt", str(ckpt)]) == 0
     old = load_checkpoint(ckpt)
-    params = ParamStore(seed=old.params.seed)
-    params.add("scene_proj.w", np.zeros((old.config.d + 4, old.config.d)))
-    params.add("scene_proj.b", np.zeros(old.config.d))
-    for name, arr in old.params.items():
-        params.add(name, arr)
-    old.params = params
+    scene_proj = {"scene_proj.w": np.zeros((old.config.d + 4, old.config.d)), "scene_proj.b": np.zeros(old.config.d)}
+    old.params = ParamStore({**scene_proj, **dict(old.params.items())}, seed=old.params.seed)
     save_checkpoint(ckpt, old)
     with pytest.raises(ParseError, match="parameters do not match the config at 'scene_proj.b'") as info:
         load_checkpoint(ckpt)
@@ -331,6 +344,47 @@ def test_checkpoint_holding_a_scene_projection_exits_1(dataset, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "'scene_proj.b'" in err
     assert "Traceback" not in err and not (tmp_path / "r.json").exists()
+
+
+def test_a_tensor_with_cells_cut_fails_eval_and_train_naming_it(dataset, tmp_path, capsys):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(ckpt)]) == 0
+    tensor = sorted((dataset / "features").glob("*.rten"))[1]
+    write_tensor(tensor, read_tensor(tensor)[:, :3])
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset), "--report", str(tmp_path / "r.json")]) == 1
+    assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(tmp_path / "again.ckpt")]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and not (tmp_path / "r.json").exists()
+    for err in errors:
+        assert err.startswith("error: ") and f"tensor features/{tensor.name} has cells 3" in err
+        assert err.endswith("field 'cells'")
+
+
+@pytest.mark.parametrize("field, key, gen_args", [
+    ("d", "dim", ["--dim", "32"]),
+    ("frames", "frames", ["--frames", "8"]),
+    ("num_classes", "num_classes", ["--classes", "3"]),
+])
+def test_eval_of_a_checkpoint_off_the_dataset_exits_1_before_reading_tensors(
+    dataset, tmp_path, capsys, monkeypatch, field, key, gen_args
+):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(ckpt)]) == 0
+    other = tmp_path / "other"
+    gen = {"--num": "2", "--frames": "4", "--grid": "2x2", "--dim": "16", "--classes": "5"}
+    gen.update(zip(gen_args[::2], gen_args[1::2]))
+    assert main(["gen", *[v for pair in gen.items() for v in pair], "--out", str(other)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("refscan.harness.formats.read_tensor", lambda path: pytest.fail(f"read {path}"))
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(other), "--report", str(tmp_path / "r.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt}: field {field!r} is ")
+    assert f"dataset {other / 'meta.json'} has {key!r} " in err and err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def _train_exit(dataset, tmp_path) -> int:

@@ -260,6 +260,42 @@ class TestGridShape:
         with pytest.raises(ParseError, match=rf"annotations\.jsonl: video '{ds.records[0].video_id}'.*field 'dim'"):
             ds.load_samples()
 
+    @pytest.mark.parametrize(
+        "meta_overrides, field, problem",
+        [
+            ({"grid_rows": 0}, "grid_rows", "out of range: 0"),
+            ({"grid_cols": -1}, "grid_cols", "out of range: -1"),
+            ({"grid_rows": "2"}, "grid_rows", "missing or not an integer: '2'"),
+            ({"grid_cols": 2.0}, "grid_cols", "missing or not an integer: 2.0"),
+            ({"grid_rows": True}, "grid_rows", "missing or not an integer: True"),
+            ({"grid_cols": None}, "grid_cols", "missing or not an integer: None"),
+        ],
+    )
+    def test_grid_size_must_be_a_positive_integer(self, tmp_path, meta_overrides, field, problem):
+        with pytest.raises(ParseError, match=rf"meta\.json: {re.escape(problem)}: field '{field}'"):
+            self._dataset(tmp_path, **meta_overrides)
+
+    @pytest.mark.parametrize("meta_overrides", [{"grid_rows": 3}, {"grid_cols": 1}])
+    def test_cell_count_must_match_meta(self, tmp_path, meta_overrides):
+        ds = self._dataset(tmp_path, **meta_overrides)
+        rec = ds.records[0]
+        expected = {"grid_rows": SMALL_GEN.grid_rows, "grid_cols": SMALL_GEN.grid_cols, **meta_overrides}
+        pattern = (
+            rf"annotations\.jsonl: video '{rec.video_id}' tensor {re.escape(rec.features_ref)} has cells 4, "
+            rf"meta\.json says {expected['grid_rows'] * expected['grid_cols']}: field 'cells'"
+        )
+        with pytest.raises(ParseError, match=pattern):
+            ds.load_samples()
+
+    def test_a_tensor_with_cells_cut_is_rejected(self, tmp_path):
+        ds = self._dataset(tmp_path)
+        rec = ds.records[2]
+        grid = read_tensor(tmp_path / rec.features_ref)
+        write_tensor(tmp_path / rec.features_ref, grid[:, :3])
+        pattern = rf"video '{rec.video_id}' tensor {re.escape(rec.features_ref)} has cells 3, meta\.json says 4: field 'cells'"
+        with pytest.raises(ParseError, match=pattern):
+            ds.load_grid(rec)
+
 
 HUGE = "<1e309>"  # written as the JSON number 1e309
 
@@ -330,6 +366,7 @@ class TestCheckpoint:
             (lambda meta: meta["params"].pop(), r"payload has \d+ bytes past the last parameter block \('[\w.]+'\): field 'params'"),
             (lambda meta: meta["params"][1].update(offset=0), r"parameter '[\w.]+' starts at payload byte 0, not at \d+, where the block before it ends: field 'params'"),
             (lambda meta: meta["params"][1].update(offset=meta["params"][1]["offset"] + 8), r"parameter '[\w.]+' starts at payload byte \d+, not at \d+.*field 'params'"),
+            (lambda meta: meta["params"][1].update(name=meta["params"][0]["name"]), r"duplicate parameter name '[\w.]+': field 'params'"),
         ],
     )
     def test_malformed_header_is_a_parse_error(self, tmp_path, corrupt, message):

@@ -46,8 +46,7 @@ def test_uniform_init_bounds():
 
 class TestGradCheck:
     def test_square_closed_form(self):
-        params = ParamStore()
-        params.add("w", np.array([[3.0]]))
+        params = ParamStore({"w": np.array([[3.0]])})
 
         def loss_fn(pv):
             return composed.sum_all(composed.mul(pv["w"], pv["w"]))
@@ -59,8 +58,7 @@ class TestGradCheck:
         assert report.max_rel_err <= 1e-6
 
     def test_constant_function_zero_grads(self):
-        params = ParamStore()
-        params.add("w", np.array([1.0, -2.0]))
+        params = ParamStore({"w": np.array([1.0, -2.0])})
 
         def loss_fn(pv):
             return Var(np.asarray(4.2))
@@ -69,8 +67,7 @@ class TestGradCheck:
         assert report.max_rel_err == 0.0
 
     def test_selection_flip_entries_are_skipped(self):
-        params = ParamStore()
-        params.add("w", np.array([0.5]))
+        params = ParamStore({"w": np.array([0.5])})
 
         def loss_fn(pv):
             # signature depends on the sign, so any perturbation of an entry
@@ -83,9 +80,7 @@ class TestGradCheck:
         assert report.rows[0].checked == 0
 
     def test_nonfinite_loss_flags_and_aborts(self):
-        params = ParamStore()
-        params.add("bad", np.array([0.0]))
-        params.add("good", np.array([1.0]))
+        params = ParamStore({"bad": np.array([0.0]), "good": np.array([1.0])})
 
         def loss_fn(pv):
             if params["bad"][0] != 0.0:
@@ -96,22 +91,25 @@ class TestGradCheck:
         assert report.aborted
         assert report.flagged_param == "bad"
 
+    def test_loss_that_is_a_parameter_leaf(self):
+        params = ParamStore({"w": np.array(2.0)})
+        report = grad_check(lambda pv: pv["w"], params, eps=1e-5)
+        assert report.rows[0].checked == 1 and report.max_rel_err <= 1e-9
+        assert params.leaves["w"].grad is params.grad("w") == 1.0
+
     def test_rejects_nonpositive_eps(self):
-        params = ParamStore()
-        params.add("w", np.array([1.0]))
+        params = ParamStore({"w": np.array([1.0])})
         with pytest.raises(ConfigError):
             grad_check(lambda pv: composed.sum_all(pv["w"]), params, eps=0.0)
 
     @pytest.mark.parametrize("eps", [np.nan, np.inf])
     def test_rejects_nonfinite_eps(self, eps):
-        params = ParamStore()
-        params.add("w", np.array([1.0]))
+        params = ParamStore({"w": np.array([1.0])})
         with pytest.raises(ConfigError):
             grad_check(lambda pv: composed.sum_all(pv["w"]), params, eps=eps)
 
     def test_nonfinite_analytic_gradient_fails(self):
-        params = ParamStore()
-        params.add("w", np.array([1.0, 2.0]))
+        params = ParamStore({"w": np.array([1.0, 2.0])})
 
         def loss_fn(pv):
             w = pv["w"]
@@ -133,15 +131,15 @@ class TestTapeOps:
     )
     def test_op_gradient(self, name):
         rng = np.random.default_rng(hash(name) % 2**32)
-        params = ParamStore()
         base = rng.normal(size=(3, 4))
-        params.add("a", np.abs(base) + 0.5 if name == "log" else base)
+        arrays = {"a": np.abs(base) + 0.5 if name == "log" else base}
         if name == "matmul":
-            params.add("b", rng.normal(size=(4, 2)))
+            arrays["b"] = rng.normal(size=(4, 2))
         elif name == "add_rowvec":
-            params.add("b", rng.normal(size=4))
+            arrays["b"] = rng.normal(size=4)
         elif name in ("mul", "concat_rows"):
-            params.add("b", rng.normal(size=(3, 4)))
+            arrays["b"] = rng.normal(size=(3, 4))
+        params = ParamStore(arrays)
 
         def loss_fn(pv):
             if name == "matmul":
@@ -181,29 +179,65 @@ class TestTapeOps:
 
 
 def test_param_store_shape_guard():
-    params = ParamStore()
-    params.add("w", np.zeros((2, 2)))
+    params = ParamStore({"w": np.zeros((2, 2))})
     with pytest.raises(DimensionError):
         params["w"] = np.zeros(3)
-    with pytest.raises(ConfigError):
-        params.add("w", np.zeros(1))
+    with pytest.raises(ConfigError, match="unknown parameter 'v'"):
+        params["v"] = np.zeros(1)
 
 
 def test_param_store_views_share_the_flat_vectors():
-    params = ParamStore()
-    params.add("a", np.arange(6.0).reshape(2, 3))
-    params.add("b", np.array([7.0, 8.0]))
+    params = ParamStore({"a": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])}, seed=4)
     a, b = params["a"], params["b"]
     assert a.flags.c_contiguous and a.flags.writeable and np.shares_memory(a, params.flat_values)
     np.testing.assert_array_equal(params.flat_values, [0, 1, 2, 3, 4, 5, 7, 8])
     a.reshape(-1)[4] = -1.0  # how grad_check perturbs an entry
     params["b"] = np.array([9.0, 10.0])
     np.testing.assert_array_equal(params.flat_values, [0, 1, 2, 3, -1, 5, 9, 10])
-    assert b[1] == 10.0
-    vb = Var(b)
-    vb.grad = params.grad("b")  # how training points a leaf's gradient at the store
-    vb.grad += np.array([1.0, 2.0])
-    np.testing.assert_array_equal(params.flat_grads, [0, 0, 0, 0, 0, 0, 1, 2])
-    np.testing.assert_array_equal(params.grad("b"), [1.0, 2.0])
+    assert b[1] == 10.0 and params.seed == 4 and params.num_scalars() == 8
+
+
+def test_param_store_leaves_view_the_flat_vectors():
+    params = ParamStore({"a": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])})
+    assert list(params.leaves) == ["a", "b"]
+    for name, leaf in params.leaves.items():
+        assert leaf.value is params[name] and leaf.grad is params.grad(name)
+        assert np.shares_memory(leaf.value, params.flat_values)
+        assert np.shares_memory(leaf.grad, params.flat_grads)
+        assert leaf.value.shape == leaf.grad.shape == params[name].shape
+    leaf_a, leaf_b = params.leaves["a"], params.leaves["b"]
+    params["b"] = np.array([9.0, 10.0])
+    params["a"].reshape(-1)[4] = -1.0  # how grad_check perturbs an entry
+    np.testing.assert_array_equal(leaf_b.value, [9.0, 10.0])
+    assert leaf_a.value[1, 1] == -1.0
+
+
+def test_backward_adds_into_the_store_gradients():
+    params = ParamStore({"a": np.array([[1.0, 2.0]]), "b": np.array([3.0, 4.0])})
+    a, b = params.leaves["a"], params.leaves["b"]
+    for _ in range(2):  # a second backward adds to the first
+        composed.sum_all(composed.mul(a, composed.add_rowvec(a, b))).backward()
+    # d/da sum(a * (a + b)) = 2a + b, d/db = a
+    np.testing.assert_array_equal(params.flat_grads, [10.0, 16.0, 2.0, 4.0])
+    assert a.grad is params.grad("a")
     params.zero_grads()
-    assert not params.flat_grads.any() and params.num_scalars() == 8
+    assert not a.grad.any() and not b.grad.any()
+    composed.sum_all(a).backward()
+    np.testing.assert_array_equal(params.flat_grads, [1.0, 1.0, 0.0, 0.0])
+
+
+def test_backward_of_a_leaf_adds_into_its_store_view():
+    params = ParamStore({"a": np.array([1.0, 2.0]), "w": np.array(3.0)})
+    w = params.leaves["w"]
+    w.backward()
+    w.backward()
+    assert w.grad is params.grad("w")
+    np.testing.assert_array_equal(params.flat_grads, [0.0, 0.0, 2.0])
+
+
+def test_param_store_leaves_are_read_only():
+    params = ParamStore({"w": np.zeros(2)})
+    with pytest.raises(TypeError):
+        params.leaves["w"] = Var(np.ones(2))
+    with pytest.raises(TypeError):
+        del params.leaves["w"]

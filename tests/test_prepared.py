@@ -24,7 +24,6 @@ from refscan.harness.fixtures import GenConfig, default_train_config, synth_samp
 from refscan.harness.checkpoint import save_checkpoint
 from refscan.harness.training import Adam, lr_at_step, train
 from refscan.numerics import uniform_init
-from refscan.numerics.tape import Var
 from refscan.retrieval import build_trajectory_set
 from refscan.semantics import SyntheticEncoder, build_scene_attribute_tokens
 
@@ -57,14 +56,14 @@ def reference_train(config, samples, encoder):
             order = list(rng.permutation(len(samples)))
             while len(batch_idx) < config.batch:
                 batch_idx.append(order.pop())
-        pv = {name: Var(arr.copy()) for name, arr in params.items()}
+        params.zero_grads()
         fresh = [dataclasses.replace(samples[i]) for i in batch_idx]
-        loss = forward(fresh, params, config, encoder, param_vars=pv).loss
+        loss = forward(fresh, params, config, encoder).loss
         loss.backward()
         lr = lr_at_step(step, config, steps_per_epoch)
         t = step + 1
         for name, arr in params.items():
-            g = pv[name].grad if pv[name].grad is not None else np.zeros_like(arr)
+            g = params.grad(name)
             m[name] *= beta1
             m[name] += (1.0 - beta1) * g
             v[name] *= beta2

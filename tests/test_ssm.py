@@ -131,10 +131,8 @@ class TestScanVar:
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 3))
         base = init_ssm_params(rng, 3, 2, 4)
-        params = ParamStore()
-        for name in ("in_proj", "A", "B", "C"):
-            params.add(f"ssm.layer.{name}", getattr(base, name))
-        params.add("x", x)
+        layer = {f"ssm.layer.{name}": getattr(base, name) for name in ("in_proj", "A", "B", "C")}
+        params = ParamStore({**layer, "x": x})
         weights = rng.normal(size=(5, 2))
 
         def loss_fn(pv):

@@ -24,6 +24,7 @@ from refscan.errors import ConfigError, InputError, PipelineError
 from refscan.fusion import forward, init_model_params
 from refscan.harness import suites
 from refscan.harness.fixtures import GenConfig, synth_samples
+from refscan.numerics import ParamStore
 from refscan.numerics.tape import Var
 from refscan.semantics import SyntheticEncoder
 
@@ -84,8 +85,7 @@ def test_cached_evaluation_is_bitwise_the_uncached_one(name):
     last scalar, where a read mask shifted by one would miss a change."""
     config, samples, encoder, params = setup(CONFIGS[name])
     fn = suites.model_loss_fn(samples, params, config, encoder)
-    pv = params.as_vars()
-    loss, signature = fn(pv)
+    loss, signature = fn(params.leaves)
     base = evaluation(loss, signature)
     loss.backward()  # the kept evaluation is a cold run, so it differentiates
     moved = set()
@@ -93,13 +93,12 @@ def test_cached_evaluation_is_bitwise_the_uncached_one(name):
         flat = arr.reshape(-1)
         if not flat.size:
             continue
-        grad = pv[pname].grad
-        top = 0 if grad is None else int(np.argmax(np.abs(grad.reshape(-1))))
+        top = int(np.argmax(np.abs(params.grad(pname).reshape(-1))))
         for i in (top, 0, flat.size - 1):
             orig = flat[i]
             flat[i] = orig + DELTA
             try:
-                cached = evaluation(*fn(params.as_vars()))
+                cached = evaluation(*fn(params.leaves))
                 full = forward(samples, params, config, encoder)
             finally:
                 flat[i] = orig
@@ -109,7 +108,7 @@ def test_cached_evaluation_is_bitwise_the_uncached_one(name):
     names = [n for n, a in params.items() if a.size]
     # every perturbation a reused stale output would hide did move the evaluation
     assert moved == set(names) - unread(config, names)
-    assert evaluation(*fn(params.as_vars())) == base
+    assert evaluation(*fn(params.leaves)) == base
 
 
 HEADS_LOSS = ["head.temporal.reg", "head.temporal.cls", "head.spatial.reg", "head.spatial.cls", "loss"]
@@ -155,13 +154,13 @@ def reruns(monkeypatch, pname: str, step: float) -> tuple[list[str], bool]:
     every = [u.key for u in forward(samples, params, config, encoder).inputs.units]
     ran = count_units(monkeypatch)
     fn = suites.model_loss_fn(samples, params, config, encoder)
-    _, base = fn(params.as_vars())
+    _, base = fn(params.leaves)
     assert ran == every
     del ran[:]
-    fn(params.as_vars())
+    fn(params.leaves)
     assert ran == []  # nothing changed: every output is reused
     params[pname].reshape(-1)[0] += step
-    _, signature = fn(params.as_vars())
+    _, signature = fn(params.leaves)
     return ran, signature != base
 
 
@@ -231,41 +230,14 @@ def test_a_rerun_of_a_rerun_is_bitwise_a_full_forward():
 
 def test_backward_through_a_reused_output_raises():
     config, samples, encoder, params = setup({})
-    first = params.as_vars()
-    cold = forward(samples, params, config, encoder, param_vars=first)
+    cold = forward(samples, params, config, encoder)
     params["head.temporal.reg.b2"][0] += 0.1
     warm = cold.rerun()
     with pytest.raises(InputError, match="'pool.temporal' output a rerun reused"):
         warm.loss.backward()
-    assert all(v.grad is None for v in first.values())  # nothing reached the first run's leaves
-    again = params.as_vars()
-    forward(samples, params, config, encoder, param_vars=again).loss.backward()
-    assert again["head.temporal.reg.b2"].grad is not None
-
-
-def test_rerun_needs_leaves_viewing_its_own_store():
-    """Change detection compares the store's flat vector, so it sees only
-    the values of leaves that view the store's arrays, in both runs."""
-    config, samples, encoder, params = setup({})
-    copies = {name: Var(arr.copy()) for name, arr in params.items()}
-    detached = forward(samples, params, config, encoder, param_vars=copies)
-    view = "the leaves of the run and of the rerun must view the store's arrays"
-    with pytest.raises(InputError, match=view):
-        detached.rerun()
-    res = forward(samples, params, config, encoder)
-    with pytest.raises(InputError, match=view):
-        res.rerun(copies)
-    assert bits(res.rerun()) == bits(res)
-
-
-def test_rerun_after_the_store_grew_raises():
-    """Scalar positions are compared by index, and an added parameter is the
-    one way they could stop lining up with the run's copy."""
-    config, samples, encoder, params = setup({})
-    res = forward(samples, params, config, encoder)
-    params.add("extra", np.zeros(3))
-    with pytest.raises(InputError, match=f"store grew from {res.values.size} to {res.values.size + 3} scalars"):
-        res.rerun()
+    assert not params.flat_grads.any()  # refused before any vjp added into the store
+    forward(samples, params, config, encoder).loss.backward()
+    assert params.grad("head.temporal.reg.b2").any()
 
 
 @pytest.mark.parametrize(
@@ -278,10 +250,9 @@ def test_rerun_after_the_store_grew_raises():
 )
 def test_parameter_shape_mismatch_is_tagged_with_its_stage(pname, stage):
     config, samples, encoder, params = setup({})
-    pv = params.as_vars()
-    pv[pname] = Var(np.zeros((3, 3)))
+    wrong = ParamStore({**dict(params.items()), pname: np.zeros((3, 3))}, seed=params.seed)
     with pytest.raises(PipelineError) as info:
-        forward(samples, params, config, encoder, param_vars=pv)
+        forward(samples, wrong, config, encoder)
     assert info.value.stage == stage
 
 

@@ -67,15 +67,15 @@ def case_digests(config_name: str, batch_name: str) -> tuple[str, str, str, str]
     """Digests of one case's loss, per-sample outputs, selection signature
     and gradients in store order (zeros for a leaf backward did not reach)."""
     config, samples, encoder, params = batch(batch_name, CONFIGS[config_name])
-    pv = params.as_vars()
-    res = forward(samples, params, config, encoder, param_vars=pv)
+    params.zero_grads()
+    res = forward(samples, params, config, encoder)
     res.loss.backward()
     outputs = [
         b"-" if getattr(out, name) is None else np.asarray(getattr(out, name)).tobytes()
         for out in res.outputs
         for name in OUTPUT_FIELDS
     ]
-    grads = [(np.zeros_like(arr) if pv[name].grad is None else pv[name].grad).tobytes() for name, arr in params.items()]
+    grads = [params.grad(name).tobytes() for name in params.names()]
     return (
         _sha(np.asarray(res.loss.value).tobytes()),
         _sha(*outputs),
