@@ -96,6 +96,7 @@ def _cmd_train(args) -> int:
         _check_output("--log", args.log)
     dataset = FixtureDataset(args.data)
     config = _train_config(args, dataset)
+    _check_geometry(vars(config), f"--config {args.config}", dataset, f"dataset {dataset.root / META_NAME}")
     samples = dataset.load_samples()
     result = train(config, samples, dataset.default_encoder())
     save_checkpoint(args.out_ckpt, result.checkpoint)

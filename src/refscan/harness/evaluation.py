@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from collections.abc import Iterable
 
 import numpy as np
@@ -91,8 +93,29 @@ def evaluate(
 
 
 def write_report(path, report: dict) -> None:
-    """Write the report as strict JSON; a non-finite value raises before the file is opened."""
-    text = json.dumps(report, sort_keys=True, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    """Write the report as strict JSON: the bytes of ``json.dumps(report,
+    sort_keys=True, allow_nan=False)`` and a newline, encoded one top-level
+    field and one list entry at a time, so the whole text is never held. The
+    text goes to a temporary file beside ``path``, which replaces ``path``
+    once complete; a non-finite value raises ``ValueError`` and leaves a file
+    at neither name."""
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("{")
+            for i, key in enumerate(sorted(report)):
+                fh.write(f"{', ' if i else ''}{encode(key)}: ")
+                value = report[key]
+                if isinstance(value, list):
+                    fh.write("[")
+                    for j, item in enumerate(value):
+                        fh.write(f"{', ' if j else ''}{encode(item)}")
+                    fh.write("]")
+                else:
+                    fh.write(encode(value))
+            fh.write("}\n")
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)

@@ -159,7 +159,7 @@ def embed_reference(
     return ReferenceBundle(text, words, keywords, holistic, keyword_embeddings)
 
 
-@dataclass
+@dataclass(slots=True)
 class Detection:
     """One keyframe detection: normalized corner box, category, confidence."""
 

@@ -387,6 +387,28 @@ def test_eval_of_a_checkpoint_off_the_dataset_exits_1_before_reading_tensors(
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("field, key, value, expected", [
+    ("d", "dim", 32, 16),
+    ("frames", "frames", 8, 4),
+    ("num_classes", "num_classes", 3, 5),
+])
+def test_train_config_off_the_dataset_exits_1_before_reading_tensors(
+    tmp_path, capsys, monkeypatch, field, key, value, expected
+):
+    data = tmp_path / "data"
+    assert main(["gen", "--num", "2", "--frames", "4", "--grid", "2x2", "--dim", "16", "--classes", "5",
+                 "--out", str(data)]) == 0
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({field: value, "steps": 1, "batch": 2}))
+    capsys.readouterr()
+    monkeypatch.setattr("refscan.harness.formats.read_tensor", lambda path: pytest.fail(f"read {path}"))
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(data), "--config", str(config), "--out-ckpt", str(ckpt)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --config {config}: field {field!r} is {value}, dataset {data / 'meta.json'} has {key!r} {expected}\n"
+    assert not ckpt.exists()
+
+
 def _train_exit(dataset, tmp_path) -> int:
     return main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
                  "--out-ckpt", str(tmp_path / "model.ckpt")])

@@ -546,6 +546,26 @@ class TestEvaluation:
             write_report(tmp_path / "r.json", report)
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_written_report_is_the_json_text(self, tmp_path, rows):
+        cfg, samples, enc = TestTraining()._setup(steps=0)
+        full = evaluate(init_model_params(cfg), cfg, samples, enc)
+        report = {**full, "num_samples": rows, "samples": full["samples"][:rows]}  # one row has no AUROC
+        write_report(tmp_path / "r.json", report)
+        expected = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+        assert (tmp_path / "r.json").read_bytes() == expected.encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+    def test_a_nonfinite_value_leaves_no_file_and_keeps_an_older_report(self, tmp_path):
+        cfg, samples, enc = TestTraining()._setup(steps=0)
+        report = evaluate(init_model_params(cfg), cfg, samples, enc)
+        (tmp_path / "r.json").write_text("older")
+        report["samples"][-1]["iou"] = float("inf")
+        with pytest.raises(ValueError):
+            write_report(tmp_path / "r.json", report)
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+        assert (tmp_path / "r.json").read_text() == "older"
+
     def test_evaluate_twice_identical_reports(self, tmp_path):
         cfg, samples, enc = TestTraining()._setup(steps=0)
         params = init_model_params(cfg)
