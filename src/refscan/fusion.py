@@ -31,17 +31,20 @@ parameter can change: each sample's keyword count and confident-detection
 count decide which hierarchies some sample has queries in, and a sample
 with none is rejected. The scan inputs are built with it: the keyword
 picks a ``PipelineSample`` keeps, and the scene-attribute picks of its
-confident detections under ``scene_projection``, a constant of the
-store's seed (the picks are a hard argmin, so the projection could never
-learn). ``forward`` then runs one ``Unit`` per layer instance that has
-work: each scan (``ssm.keyword.``, ``ssm.scene.``,
-``ssm.holistic_<branch>.``), each (hierarchy, branch) cross-attention
-(``attn.<hierarchy>.<branch>.``), each branch's hierarchy pooling, each
-head (``head.<branch>.<head>.``) and, when every sample has targets, the
-loss. An error is a ``PipelineError`` tagged with its stage: ``semantics``
-or ``retrieval`` while the batch inputs are built, then the unit's
-``ssm``, ``fusion``, ``heads`` or ``loss``. A result's ``rerun`` runs
-again only the units that read a moved scalar and the units consuming them.
+confident detections under ``scene_projection``, a constant of the store's
+seed (the picks are a hard argmin, so the projection could never learn).
+With cross-attention off no hierarchy is queried. ``forward`` then runs
+one ``Unit`` per layer instance that has work: each scan
+(``ssm.keyword.``, ``ssm.scene.``, ``ssm.holistic_<branch>.``), each
+(hierarchy, branch) cross-attention (``attn.<hierarchy>.<branch>.``), each
+branch's hierarchy pooling, each head (``head.<branch>.<head>.``) and,
+when every sample has targets, the loss. A unit's run is the ``Var`` its
+layer built and its kink masks (the heads' ReLU masks, the loss's clamp
+bands), from which a result builds its selection signature when read. An
+error is a ``PipelineError`` tagged with its stage: ``semantics`` or
+``retrieval`` while the batch inputs are built, then the unit's ``ssm``,
+``fusion``, ``heads`` or ``loss``. A result's ``rerun`` runs again only
+the units that read a moved scalar and the units consuming them.
 """
 
 from __future__ import annotations
@@ -496,15 +499,15 @@ class ForwardResult:
     a finite difference is not the gradient. Its picks are left out: its
     text, detections, grid and the store's seed fix them, so no parameter
     can flip them. A sample's signature depends on no other sample of the
-    batch. ``values`` is always a copy of the store's flat value vector as
-    the run read it, which ``rerun`` compares the store with. The
-    per-sample ``outputs`` are built on first access.
+    batch. ``runs`` holds each unit's ``(output, masks)`` in run order;
+    ``values`` is always a copy of the store's flat value vector as the run
+    read it, which ``rerun`` compares the store with. The per-sample
+    ``outputs`` and signatures are built on first read.
     """
 
     loss: Var | None
-    selection_signature: tuple
     inputs: BatchInputs = field(repr=False)
-    runs: list[UnitRun] = field(repr=False)
+    runs: list[tuple[Var, list[np.ndarray] | None]] = field(repr=False)
     store: ParamStore = field(repr=False)
     values: np.ndarray = field(repr=False)
 
@@ -518,9 +521,9 @@ class ForwardResult:
         params, units = self.store, self.inputs.units
         moved = np.flatnonzero(params.flat_values.view(np.int64) != self.values.view(np.int64))
         plan = _rerun_plan(self.inputs, params, moved)
-        outputs, runs = [run.output for run in self.runs], list(self.runs)
-        _run_units(self.inputs, params.leaves, plan, outputs, runs)
-        result = _result(self.inputs, params, outputs, runs)
+        runs = list(self.runs)
+        _run_units(self.inputs, params.leaves, plan, runs)
+        result = _result(self.inputs, params, runs)
         if result.loss is not None and len(plan) < len(units):
             reran = set(plan)
             key = next((units[i].key for k in plan for i in units[k].consumes if i not in reran), units[-1].key)
@@ -528,8 +531,14 @@ class ForwardResult:
         return result
 
     @functools.cached_property
+    def selection_signature(self) -> tuple:
+        """Per sample, the bytes of its slice of each kept mask, in run order."""
+        masks = [mask for _, kept in self.runs if kept is not None for mask in kept]
+        return tuple(tuple(mask[b].tobytes() for mask in masks) for b in range(len(self.inputs.samples)))
+
+    @functools.cached_property
     def outputs(self) -> list[ModelOutput]:
-        out = {unit.key: run.output for unit, run in zip(self.inputs.units, self.runs)}
+        out = {unit.key: run[0] for unit, run in zip(self.inputs.units, self.runs)}
         heads = [(out[f"head.{b}.reg"].value, out[f"head.{b}.cls"].value) for b in self.inputs.branches]
         bbox, probs = fuse_predictions(*heads)
 
@@ -549,7 +558,7 @@ class ForwardResult:
 
     def first_nonfinite(self) -> Unit | None:
         """The first unit, in run order, whose output holds a non-finite value."""
-        return next((u for u, run in zip(self.inputs.units, self.runs) if not _finite(run.output)), None)
+        return next((u for u, (out, _) in zip(self.inputs.units, self.runs) if not np.isfinite(out.value).all()), None)
 
     @property
     def output(self) -> ModelOutput:
@@ -623,19 +632,20 @@ def scene_tokens_var(x: Var, pv: Mapping[str, Var], prefix: str, counts: np.ndar
 class Unit:
     """One layer instance of ``forward``, the unit a rerun reuses or runs again.
 
-    ``run(inputs, leaves, *consumed)`` takes the outputs of the earlier
-    units at the indices in ``consumes``, in that order, and returns the
-    unit's output and its per-sample part of the selection signature (None
-    for no part). A unit reads parameters only under the prefixes in
-    ``reads``, and nothing else but the batch inputs and what it consumes.
-    ``stage`` is its ``PipelineError`` tag.
+    ``run(inputs, leaves, *consumed)`` takes the output ``Var``s of the
+    earlier units at the indices in ``consumes``, in that order, and returns
+    the ``Var`` its layer built and its kink masks, a list of (B, ...) bool
+    arrays that the selection signature records (None: no kink). A unit
+    reads parameters only under the prefixes in ``reads``, and nothing else
+    but the batch inputs and what it consumes. ``stage`` is its
+    ``PipelineError`` tag.
     """
 
     key: str
     stage: str
     reads: tuple[str, ...]
     consumes: tuple[int, ...]
-    run: Callable[..., tuple[object, list[tuple] | None]]
+    run: Callable[..., tuple[Var, list[np.ndarray] | None]]
 
 
 @dataclass
@@ -646,8 +656,10 @@ class BatchInputs:
     Built once per ``forward`` from the samples, the config and the store's
     seed alone, and kept by its reruns, so no parameter change invalidates
     it. ``rows`` maps each hierarchy tag the attentions query to its
-    ``Rows``, which its attentions and its pooling read. The read mask and
-    the rerun plans are filled in by the reruns.
+    ``Rows``, which its attentions and its pooling read; when none is
+    queried, None maps to the whole-rows ``Rows`` the pooling of the
+    enhanced tokens reads. The read mask and the rerun plans are filled in
+    by the reruns.
     """
 
     samples: list[PipelineSample]
@@ -657,7 +669,7 @@ class BatchInputs:
     holistic: Var | None  # (B, max words, d) holistic queries; None: no holistic attention
     kw_input: np.ndarray | None  # keyword scan input, (T, B * max K, d); None: no keyword scan
     bs_input: np.ndarray | None  # scene-attribute scan input, (T, B * max count, d); None: no scene scan
-    rows: dict[str, Rows]
+    rows: dict[str | None, Rows]
     pooled: dict[str, np.ndarray]  # per branch: time-major (steps, B, d) scan input
     targets: tuple | None  # (B, 1, 4) boxes and (B, 1, C) labels; None: a sample has no targets
     units: tuple[Unit, ...]
@@ -723,18 +735,19 @@ def _batch_inputs(
     if not served.all():
         error = ConfigError(f"all hierarchies disabled for sample {samples[int(served.argmin())].sample_id!r}")
         raise PipelineError("retrieval", error)
-    tags = tuple(tag for tag in HIERARCHIES if used[tag].any())
+    tags = tuple(tag for tag in HIERARCHIES if config.use_mhs_ca and used[tag].any())
     branches = [b for b, on in zip(BRANCHES, (config.use_temporal, config.use_spatial)) if on]
-    queried = tags if config.use_mhs_ca else ()
     n_p, holistic, kw_input, bs_input, rows = config.n_prompts, None, None, None, {}
     grids = [s.grid for s in samples]
-    if "rv" in queried:
+    if not tags:  # the pooling takes the enhanced tokens, every row of every sample
+        rows[None] = Rows(None, 0, np.ones(len(samples), dtype=bool))
+    if "rv" in tags:
         holistic = Var(_pad_rows([s.reference.holistic for s in samples]))
         rows["rv"] = Rows([s.reference.holistic.shape[0] for s in samples], n_p, used["rv"])
-    if "kwv" in queried:
+    if "kwv" in tags:
         kw_input = _trajectory_input(grids, [s.kw_indices for s in samples])
         rows["kwv"] = Rows(kw_counts, n_p, used["kwv"])
-    if "bv" in queried:
+    if "bv" in tags:
         bs_input = _trajectory_input(grids, _scene_picks(samples, config, encoder, seed))
         rows["bv"] = Rows(None, n_p, used["bv"])
     targets = _targets(samples)
@@ -749,13 +762,8 @@ def _batch_inputs(
         rows=rows,
         pooled={b: np.stack([s.pooled(b) for s in samples], axis=1) for b in branches},
         targets=targets,
-        units=_units(tuple(branches), tags, config.use_mhs_ca, targets is not None),
+        units=_units(tuple(branches), tags, targets is not None),
     )
-
-
-def _mask_signature(masks: list[np.ndarray]) -> list[tuple]:
-    """Per sample, the bytes of its slice of each (B, ...) mask."""
-    return list(zip(*[[m.tobytes() for m in mask] for mask in masks]))
 
 
 def _keyword_scan(prefix: str, x: BatchInputs, pv: Mapping[str, Var]):
@@ -775,50 +783,47 @@ def _holistic_scan(branch: str, prefix: str, x: BatchInputs, pv: Mapping[str, Va
 
 
 def _attention(tag: str, prefix: str, x: BatchInputs, pv: Mapping[str, Var], enhanced: Var, queries: Var | None = None):
-    """One hierarchy's cross-attention over the enhanced tokens, as a pooling
-    part ``(out, rows)``; the holistic queries are a batch input."""
-    queries, rows = x.holistic if queries is None else queries, x.rows[tag]
-    return (cross_attention_var(queries, enhanced, pv, prefix, rows), rows), None
+    """One hierarchy's cross-attention over the enhanced tokens; the holistic
+    queries are a batch input."""
+    queries = x.holistic if queries is None else queries
+    return cross_attention_var(queries, enhanced, pv, prefix, x.rows[tag]), None
 
 
-def _pool(x: BatchInputs, pv: Mapping[str, Var], *parts):
-    """The branch's (B, 1, d_a) vector z: the hierarchies' attention outputs
-    pooled (with cross-attention off, the enhanced tokens pooled)."""
-    if not x.config.use_mhs_ca:  # every row of every sample counts
-        parts = ((parts[0], Rows(None, 0, np.ones(len(x.samples), dtype=bool))),)
-    return pool_hierarchies_var(list(parts)), None
+def _pool(tags: tuple[str, ...], x: BatchInputs, pv: Mapping[str, Var], *outputs: Var):
+    """The branch's (B, 1, d_a) vector z: each queried hierarchy's attention
+    output pooled over its ``Rows``; with none queried, the enhanced tokens
+    over the whole-rows one."""
+    return pool_hierarchies_var([(out, x.rows[tag]) for out, tag in zip(outputs, tags or (None,))]), None
 
 
 def _head(prefix: str, x: BatchInputs, pv: Mapping[str, Var], z: Var):
-    """One head's prediction; the signature part is its ReLU mask."""
+    """One head's prediction; its kinks are its ReLU mask."""
     y, kinks = head_var(z, pv, prefix)
-    return y, _mask_signature([kinks])
+    return y, [kinks]
 
 
 def _loss(x: BatchInputs, pv: Mapping[str, Var], *predictions: Var):
-    """The batch-mean loss over each branch's (box, class) predictions; the
-    signature part is its clamp bands."""
-    loss, bands = loss_var(
+    """The batch-mean loss over each branch's (box, class) predictions; its
+    kinks are its clamp bands."""
+    return loss_var(
         list(predictions[0::2]),
         list(predictions[1::2]),
         *x.targets,
         x.config.lambda_box,
         x.config.aux_branch_loss,
     )
-    return loss, _mask_signature(bands)
 
 
 @functools.lru_cache(maxsize=32)
-def _units(branches: tuple[str, ...], tags: tuple[str, ...], attend: bool, loss: bool) -> tuple[Unit, ...]:
+def _units(branches: tuple[str, ...], tags: tuple[str, ...], loss: bool) -> tuple[Unit, ...]:
     """The units a batch runs, in order, each wired to the units it consumes;
     built once per batch structure and shared by every batch of it.
 
-    ``tags`` are the hierarchies some sample of the batch has queries in;
-    with ``attend`` (cross-attention on) each gets one attention per branch,
-    and the keyword and scene-attribute ones the scans that build their
-    queries. Without it no query is built and the branch pooling takes the
-    enhanced tokens. With ``loss`` every sample has targets, and the loss
-    unit runs last.
+    ``tags`` are the hierarchies the batch queries: each gets one attention
+    per branch, and the keyword and scene-attribute ones the scans that
+    build their queries. With none (cross-attention off) the branch pooling
+    takes the enhanced tokens. With ``loss`` every sample has targets, and
+    the loss unit runs last.
     """
     units: list[Unit] = []
     index: dict[str, int] = {}
@@ -832,10 +837,9 @@ def _units(branches: tuple[str, ...], tags: tuple[str, ...], attend: bool, loss:
         index[key] = len(units)
         units.append(Unit(key, stage, reads, tuple(index[k] for k in consumes), run))
 
-    queried = tags if attend else ()
-    if "kwv" in queried:
+    if "kwv" in tags:
         add("ssm.keyword", "ssm", _keyword_scan, prefix="ssm.keyword.")
-    if "bv" in queried:
+    if "bv" in tags:
         add("ssm.scene", "ssm", _scene_scan, prefix="ssm.scene.")
     queries = {"rv": (), "kwv": ("ssm.keyword",), "bv": ("ssm.scene",)}
     for branch in branches:
@@ -844,11 +848,11 @@ def _units(branches: tuple[str, ...], tags: tuple[str, ...], attend: bool, loss:
     heads = []
     for branch in branches:
         enhanced = f"ssm.holistic_{branch}"
-        parts = [f"attn.{tag}.{branch}" for tag in queried] if attend else [enhanced]
-        for tag, key in zip(queried, parts):
+        parts = [f"attn.{tag}.{branch}" for tag in tags] or [enhanced]
+        for tag, key in zip(tags, parts):
             run = functools.partial(_attention, tag)
             add(key, "fusion", run, prefix=f"{key}.", consumes=(enhanced, *queries[tag]))
-        add(f"pool.{branch}", "fusion", _pool, consumes=parts)
+        add(f"pool.{branch}", "fusion", functools.partial(_pool, tags), consumes=parts)
     for branch in branches:
         for head in ("reg", "cls"):
             key = f"head.{branch}.{head}"
@@ -859,15 +863,6 @@ def _units(branches: tuple[str, ...], tags: tuple[str, ...], attend: bool, loss:
     return tuple(units)
 
 
-@dataclass(slots=True)
-class UnitRun:
-    """One unit's output and signature part, which a later call reuses while
-    the unit's read values and consumed outputs stay as they were."""
-
-    output: object
-    signature: list[tuple] | None
-
-
 def _refusing(loss: Var, key: str) -> Var:
     """``loss`` as a leaf of the same value whose backward raises, naming
     ``key``, the first reused output that backward would reach."""
@@ -876,17 +871,6 @@ def _refusing(loss: Var, key: str) -> Var:
         raise InputError(f"backward would reach the {key!r} output a rerun reused; differentiate a forward run")
 
     return Var(loss.value, (), refuse)
-
-
-def _finite(value) -> bool:
-    """Whether every float array in a unit output is finite."""
-    if isinstance(value, Var):
-        value = value.value
-    if isinstance(value, np.ndarray):
-        return value.dtype.kind != "f" or bool(np.isfinite(value).all())
-    if isinstance(value, (list, tuple)):
-        return all(_finite(v) for v in value)
-    return True
 
 
 def _rerun_plan(x: BatchInputs, params: ParamStore, moved: np.ndarray) -> tuple[int, ...]:
@@ -911,25 +895,22 @@ def _rerun_plan(x: BatchInputs, params: ParamStore, moved: np.ndarray) -> tuple[
     return x.plans[key]
 
 
-def _run_units(x: BatchInputs, pv: Mapping[str, Var], plan, outputs: list, runs: list) -> None:
-    """Run the units at the indices in ``plan``, in order, over ``outputs`` and
-    ``runs`` in place; a unit's error becomes ``PipelineError(stage)``."""
+def _run_units(x: BatchInputs, pv: Mapping[str, Var], plan, runs: list) -> None:
+    """Run the units at the indices in ``plan``, in order, storing each one's
+    ``(output, masks)`` in ``runs`` in place, where a later unit reads the
+    output; a unit's error becomes ``PipelineError(stage)``."""
     for k in plan:
         unit = x.units[k]
         try:
-            output, signature = unit.run(x, pv, *[outputs[i] for i in unit.consumes])
+            runs[k] = unit.run(x, pv, *[runs[i][0] for i in unit.consumes])
         except Exception as exc:
             raise PipelineError(unit.stage, exc) from exc
-        outputs[k] = output
-        runs[k] = UnitRun(output, signature)
 
 
-def _result(x: BatchInputs, params: ParamStore, outputs: list, runs: list[UnitRun]) -> ForwardResult:
-    """A run's loss, per-sample signatures and the store's values it read."""
-    parts = [run.signature for run in runs if run.signature is not None]
-    signature = tuple(sum((part[b] for part in parts), ()) for b in range(len(x.samples)))
-    loss = outputs[-1] if x.targets is not None else None
-    return ForwardResult(loss, signature, x, runs, params, params.flat_values.copy())
+def _result(x: BatchInputs, params: ParamStore, runs: list) -> ForwardResult:
+    """A run's loss, unit runs and the store's values it read."""
+    loss = runs[-1][0] if x.targets is not None else None
+    return ForwardResult(loss, x, runs, params, params.flat_values.copy())
 
 
 # -- full forward ---------------------------------------------------------------
@@ -953,6 +934,6 @@ def forward(
     """
     samples = list(samples) if isinstance(samples, (list, tuple)) else [samples]
     x = _batch_inputs(samples, config, encoder, params.seed)
-    outputs, runs = [None] * len(x.units), [None] * len(x.units)
-    _run_units(x, params.leaves, range(len(x.units)), outputs, runs)
-    return _result(x, params, outputs, runs)
+    runs = [None] * len(x.units)
+    _run_units(x, params.leaves, range(len(x.units)), runs)
+    return _result(x, params, runs)

@@ -81,19 +81,30 @@ def _gradcheck_config(path: str) -> TrainConfig:
     return TrainConfig.from_dict(base)
 
 
-def _check_output(flag: str, path: str) -> None:
-    """Reject, before any work, an output path that is a directory or in a missing one."""
+def _check_output(flag: str, path: str, inputs: tuple = ()) -> None:
+    """Reject, before any work, an output path that is a directory, in a
+    missing one, or, resolved, one of the command's other paths: ``inputs``
+    holds their ``(flag, path)`` pairs (a None path is unset), and a file
+    already in a directory among them counts as that directory's."""
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
         raise ConfigError(f"{flag} {path}: directory {directory} does not exist")
     if os.path.isdir(path):
         raise ConfigError(f"{flag} {path}: is a directory")
+    target = os.path.realpath(path)
+    for other, source in inputs:
+        if source is None:
+            continue
+        source = os.path.realpath(source)
+        if target == source or (os.path.isfile(target) and target.startswith(source + os.sep)):
+            raise ConfigError(f"{flag} {path}: would overwrite {other} {source}")
 
 
 def _cmd_train(args) -> int:
-    _check_output("--out-ckpt", args.out_ckpt)
+    inputs = (("--data", args.data), ("--config", args.config))
+    _check_output("--out-ckpt", args.out_ckpt, (("--log", args.log), *inputs))
     if args.log:
-        _check_output("--log", args.log)
+        _check_output("--log", args.log, inputs)
     dataset = FixtureDataset(args.data)
     config = _train_config(args, dataset)
     _check_geometry(vars(config), f"--config {args.config}", dataset, f"dataset {dataset.root / META_NAME}")
@@ -115,7 +126,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_output("--report", args.report)
+    _check_output("--report", args.report, (("--ckpt", args.ckpt), ("--data", args.data)))
     ckpt = load_checkpoint(args.ckpt)
     dataset = FixtureDataset(args.data)
     _check_geometry(vars(ckpt.config), f"checkpoint {args.ckpt}", dataset, f"dataset {dataset.root / META_NAME}")

@@ -251,7 +251,7 @@ class FixtureDataset:
             value = self.meta.get(name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ParseError(f"{meta_path}: missing or not an integer: {value!r}", field=name)
-            if value < (0 if name == "encoder_seed" else 1):
+            if value < {"encoder_seed": 0, "dim": 2}.get(name, 1):  # the synthetic encoder needs dim >= 2
                 raise ParseError(f"{meta_path}: out of range: {value!r}", field=name)
         self.records = load_annotations(
             self.root / ANNOTATIONS_NAME, num_classes=self.meta["num_classes"]

@@ -45,9 +45,6 @@ class ParamStore:
             start = span.stop
         self.leaves: Mapping[str, Var] = types.MappingProxyType(leaves)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
     def __getitem__(self, name: str) -> np.ndarray:
         return self._params[name]
 

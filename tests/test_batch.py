@@ -68,7 +68,7 @@ def config_for(name):
 def head_and_pool_values(res, b: int) -> dict:
     """Each head's and each branch pooling's output for batch entry ``b``."""
     units = zip(res.inputs.units, res.runs)
-    return {u.key: run.output.value[b] for u, run in units if u.key.startswith(("head.", "pool."))}
+    return {u.key: run[0].value[b] for u, run in units if u.key.startswith(("head.", "pool."))}
 
 
 def usable(samples, config):

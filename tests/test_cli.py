@@ -306,6 +306,52 @@ def test_unwritable_output_path_is_rejected_before_the_data_is_read(tmp_path, ca
     assert not any(tmp_path.iterdir())  # nothing written
 
 
+@pytest.fixture()
+def trained(dataset, tmp_path):
+    """(dataset, config, checkpoint) after a 3-step train."""
+    cfg, ckpt = small_train_config(tmp_path), tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(cfg), "--out-ckpt", str(ckpt)]) == 0
+    return dataset, cfg, ckpt
+
+
+def _files(root) -> dict:
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "command, flag, other",
+    [
+        (["train", "--out-ckpt", "{tmp}/new.ckpt", "--log", "{tmp}/new.ckpt"], "--out-ckpt", "--log"),
+        (["train", "--out-ckpt", "{ckpt}", "--log", "{link}"], "--out-ckpt", "--log"),
+        (["train", "--out-ckpt", "{data}/meta.json"], "--out-ckpt", "--data"),
+        (["train", "--out-ckpt", "{tmp}/new.ckpt", "--log", "{data}/annotations.jsonl"], "--log", "--data"),
+        (["train", "--out-ckpt", "{config}"], "--out-ckpt", "--config"),
+        (["eval", "--ckpt", "{ckpt}", "--report", "{data}/meta.json"], "--report", "--data"),
+        (["eval", "--ckpt", "{ckpt}", "--report", "{ckpt}"], "--report", "--ckpt"),
+        (["eval", "--ckpt", "{ckpt}", "--report", "{link}"], "--report", "--ckpt"),
+    ],
+)
+def test_an_output_over_an_input_exits_1_and_writes_nothing(trained, tmp_path, capsys, command, flag, other):
+    """Resolved, so through a symlink too; checked before any work."""
+    data, cfg, ckpt = trained
+    (tmp_path / "link").symlink_to(ckpt)
+    inputs = ["--data", str(data)] + (["--config", str(cfg)] if command[0] == "train" else [])
+    argv = [arg.format(tmp=tmp_path, data=data, config=cfg, ckpt=ckpt, link=tmp_path / "link") for arg in command]
+    before = _files(tmp_path)
+    assert main(argv + inputs) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and f": would overwrite {other} " in err, err
+    assert _files(tmp_path) == before
+
+
+def test_a_new_report_inside_the_dataset_is_allowed(trained, capsys):
+    data, _, ckpt = trained
+    before = _files(data)
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(data), "--report", str(data / "report.json")]) == 0
+    assert json.loads((data / "report.json").read_text())["num_samples"] == 4
+    assert {p: b for p, b in _files(data).items() if p.name != "report.json"} == before
+
+
 def test_unknown_config_key_is_reported(dataset, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"not_a_field": 1}))

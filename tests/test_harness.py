@@ -269,6 +269,7 @@ class TestGridShape:
             ({"grid_cols": 2.0}, "grid_cols", "missing or not an integer: 2.0"),
             ({"grid_rows": True}, "grid_rows", "missing or not an integer: True"),
             ({"grid_cols": None}, "grid_cols", "missing or not an integer: None"),
+            ({"dim": 1}, "dim", "out of range: 1"),
         ],
     )
     def test_grid_size_must_be_a_positive_integer(self, tmp_path, meta_overrides, field, problem):

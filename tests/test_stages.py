@@ -308,7 +308,7 @@ def test_forward_without_targets_runs_no_loss_and_keeps_the_outputs():
 
     def kept(res):
         return {
-            u.key: run.output.value.tobytes()
+            u.key: run[0].value.tobytes()
             for u, run in zip(res.inputs.units, res.runs)
             if u.key.startswith(("head.", "pool."))
         }

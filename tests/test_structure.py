@@ -25,6 +25,7 @@ from refscan.errors import DimensionError, PipelineError
 from refscan.fusion import forward, prepare_reference
 from refscan.harness import training
 from refscan.harness.training import train
+from refscan.numerics.tape import Var
 from refscan.semantics import SyntheticEncoder
 
 from test_batch import GEN, OUTPUT_FIELDS, mixed_batch, usable
@@ -120,11 +121,44 @@ def test_numbers_are_the_recorded_ones(config_name, batch_name):
 
 @pytest.mark.parametrize("overrides", [{"use_mhs_ca": False}, {"use_keyword": False}])
 def test_no_keyword_retrieval_where_no_keyword_scan_is_built(overrides, monkeypatch):
+    """Every sample has keywords and confident detections. Without
+    cross-attention no hierarchy is queried: no scene-attribute token is
+    built either, and each branch pools its enhanced tokens alone."""
     config, samples, encoder, params = setup(overrides)
+    assert all(s.reference.num_keywords for s in samples)
     grids = keyword_retrievals(monkeypatch)
+    built = []
+    real = fusion.build_scene_attribute_tokens
+    monkeypatch.setattr(fusion, "build_scene_attribute_tokens", lambda *a, **kw: built.append(1) or real(*a, **kw))
     res = forward(samples, params, config, encoder)
-    assert "ssm.keyword" not in [u.key for u in res.inputs.units]
+    assert res.inputs.scene_counts.all()
+    keys = [u.key for u in res.inputs.units]
+    assert "ssm.keyword" not in keys
     assert grids == []
+    if not config.use_mhs_ca:
+        assert not [k for k in keys if k.startswith(("attn.", "ssm.keyword", "ssm.scene"))]
+        pools = [u for u in res.inputs.units if u.key.startswith("pool.")]
+        assert [[keys[i] for i in u.consumes] for u in pools] == [["ssm.holistic_temporal"], ["ssm.holistic_spatial"]]
+        assert built == []
+
+
+@pytest.mark.parametrize("batch_name", BATCHES)
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+def test_a_unit_run_is_its_var_and_its_kink_masks(config_name, batch_name):
+    """What ``first_nonfinite`` and the selection signature read: each
+    output is a ``Var``; the heads and the loss keep lists of (B, ...) bool
+    masks, and every other unit None."""
+    config, samples, encoder, params = batch(batch_name, CONFIGS[config_name])
+    res = forward(samples, params, config, encoder)
+    assert len(res.runs) == len(res.inputs.units)
+    for unit, (out, masks) in zip(res.inputs.units, res.runs):
+        assert isinstance(out, Var), unit.key
+        if not unit.key.startswith(("head.", "loss")):
+            assert masks is None, unit.key
+            continue
+        assert isinstance(masks, list) and masks, unit.key
+        for mask in masks:
+            assert mask.dtype == bool and mask.shape[0] == len(samples), unit.key
 
 
 def test_a_batch_without_confident_detections_builds_no_scene_unit(monkeypatch):
