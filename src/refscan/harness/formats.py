@@ -2,16 +2,20 @@
 
 RTEN layout: magic ``RTEN``, then little-endian u32 version, u32 rank, one
 u32 per dim, then the float64 payload row-major. Annotations are UTF-8
-JSON-lines; every record is validated on load and the file is rejected at
-the first violation with its line number. A dataset's tensors are read one
-chunk of ``CHUNK_RECORDS`` records at a time, so a pass over a split holds
-one chunk of grids (and the last grid of the chunk before), not the split.
-The chunk size trades that memory against the share of samples that wait
-on a chunk's reads, one per chunk.
+JSON-lines, parsed one line at a time: each record is validated as its line
+is read, and the file is rejected at the first violation with its line
+number. A dataset's records are parsed, and their tensors read, one chunk
+of ``CHUNK_RECORDS`` records at a time, so a pass over a split holds one
+chunk of records and grids (and the last grid of the chunk before), not
+the split, and its first sample waits on one chunk, not on the whole
+annotation file. The chunk size trades that memory against the share of
+samples that wait on a chunk's parse and reads, one per chunk.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
@@ -34,13 +38,17 @@ META_NAME = "meta.json"
 FIXTURE_FORMAT_VERSION = 1  # meta.json's format_version
 ANNOTATIONS_NAME = "annotations.jsonl"
 FEATURES_DIR = "features"
-# Records whose tensors are read, and references embedded, together. Memory
-# holds one chunk of grids, and the first sample of each chunk waits on the
-# chunk's reads. On a 1,024-record split (d=32, 8 frames, 4x4 grid) the chunk
-# size alone set `refscan eval`'s peak RSS at 48.4, 46.0, 45.0 and 44.4 MB for
-# 128, 64, 32 and 16 records; at 32, 3.1% of the samples wait on reads (0.8%
-# at 128). At d=768 on a 14x14 grid of 8 frames one grid is 9.6 MB, so a
-# 32-record chunk holds 0.3 GB where 128 held 1.2 GB.
+# Records that are parsed, whose tensors are read, and whose references are
+# embedded, together. Memory holds one chunk of records and grids, and the
+# first sample of each chunk waits on the chunk's parse and reads. On a
+# 1,024-record split (d=32, 8 frames, 4x4 grid) the chunk size alone set
+# `refscan eval`'s peak RSS at 48.4, 46.0, 45.0 and 44.4 MB for 128, 64, 32
+# and 16 records; at 32, 3.1% of the samples wait on reads (0.8% at 128). At
+# d=768 on a 14x14 grid of 8 frames one grid is 9.6 MB, so a 32-record chunk
+# holds 0.3 GB where 128 held 1.2 GB. Parsing per chunk too, on that split
+# and a 2-vCPU host, cut `refscan eval`'s time from `cli.main` to the first
+# forward from 66-73 to 18-25 ms and its records from 1.91 to 0.05 MB
+# (tracemalloc); started from a shell, its peak RSS fell from 44.3 to 42.2 MB.
 CHUNK_RECORDS = 32
 
 
@@ -189,25 +197,36 @@ def _parse_record(
     )
 
 
-def load_annotations(path, num_classes: int | None = None) -> list[SampleRecord]:
-    """Parse and validate a JSONL annotation file; empty file -> empty list."""
+def iter_annotations(path, num_classes: int | None = None) -> Iterator[SampleRecord]:
+    """Parse and validate a JSONL annotation file one line at a time,
+    yielding each record as its line is read. Lines are numbered as
+    ``bytes.splitlines`` numbers them (``\\n``, ``\\r\\n`` and a lone ``\\r``
+    each end one), blank lines count and yield nothing, and the first bad
+    line raises a ``ParseError`` naming the file, the line and the field."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"annotation file {path} does not exist")
     root = os.path.realpath(path.parent)
-    records = []
-    for line_no, raw in enumerate(path.read_bytes().splitlines(), start=1):
-        try:
-            line = raw.decode("utf-8").strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{path}: not UTF-8: {exc.reason}", line=line_no) from exc
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=line_no) from exc
-        records.append(_parse_record(obj, line_no, path, root, num_classes))
-    return records
+    with open(path, "rb") as fh:
+        # split block by block as bytes.splitlines splits the whole file: each
+        # block ends at a b"\n", so no b"\r\n" straddles two
+        lines = (raw for block in fh for raw in block.splitlines())
+        for line_no, raw in enumerate(lines, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                obj = json.loads(line)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{path}: not UTF-8: {exc.reason}", line=line_no) from exc
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=line_no) from exc
+            yield _parse_record(obj, line_no, path, root, num_classes)
+
+
+def load_annotations(path, num_classes: int | None = None) -> list[SampleRecord]:
+    """Every record of ``iter_annotations``; empty file -> empty list."""
+    return list(iter_annotations(path, num_classes))
 
 
 def save_annotations(path, records: list[SampleRecord]) -> None:
@@ -236,7 +255,12 @@ def record_sample(
 
 
 class FixtureDataset:
-    """A generated dataset directory: meta.json + annotations + RTEN features."""
+    """A generated dataset directory: meta.json + annotations + RTEN features.
+
+    Opening one checks ``meta.json`` and that the annotation file exists,
+    and parses no record: ``iter_samples`` validates each record when its
+    chunk is read, and ``records`` and ``len()`` parse the whole file on
+    first use."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -253,9 +277,15 @@ class FixtureDataset:
                 raise ParseError(f"{meta_path}: missing or not an integer: {value!r}", field=name)
             if value < {"encoder_seed": 0, "dim": 2}.get(name, 1):  # the synthetic encoder needs dim >= 2
                 raise ParseError(f"{meta_path}: out of range: {value!r}", field=name)
-        self.records = load_annotations(
-            self.root / ANNOTATIONS_NAME, num_classes=self.meta["num_classes"]
-        )
+        self.annotations_path = self.root / ANNOTATIONS_NAME
+        if not self.annotations_path.exists():
+            raise ParseError(f"annotation file {self.annotations_path} does not exist")
+
+    @functools.cached_property
+    def records(self) -> list[SampleRecord]:
+        """Every record in one list, parsed and validated in full on first
+        read and then kept; ``iter_samples`` does not read it."""
+        return load_annotations(self.annotations_path, self.num_classes)
 
     @property
     def dim(self) -> int:
@@ -295,7 +325,7 @@ class FixtureDataset:
         ):
             if found != expected:
                 raise ParseError(
-                    f"{self.root / ANNOTATIONS_NAME}: video {record.video_id!r} tensor "
+                    f"{self.annotations_path}: video {record.video_id!r} tensor "
                     f"{record.features_ref} has {name} {found}, {source} says {expected}",
                     field=name,
                 )
@@ -307,7 +337,7 @@ class FixtureDataset:
             return record_sample(rec, grid, encoder, self.num_classes)
         except InputError as exc:
             raise ParseError(
-                f"{self.root / ANNOTATIONS_NAME}: video {rec.video_id!r}: {exc}", field="reference"
+                f"{self.annotations_path}: video {rec.video_id!r}: {exc}", field="reference"
             ) from exc
 
     def iter_samples(self, encoder: ReferenceEncoder | None = None) -> Iterator[fusion.PipelineSample]:
@@ -317,12 +347,13 @@ class FixtureDataset:
         chunk is dropped before the next is read. A consumer that keeps each
         sample only until it asks for the next holds one chunk of grids plus
         the last grid of the chunk before, which it still holds while the
-        next chunk is read. A bad tensor raises when its chunk is read. The
-        annotations were validated in full when the dataset was opened."""
+        next chunk is read. A chunk's records are parsed from the annotation
+        file just before its tensors, so a malformed record, like a bad
+        tensor, raises when its chunk is read, after the samples before it."""
         encoder = encoder or self.default_encoder()
-        records = self.records
-        for start in range(0, len(records), CHUNK_RECORDS):
-            yield from [self._sample(rec, encoder) for rec in records[start : start + CHUNK_RECORDS]]
+        records = iter_annotations(self.annotations_path, self.num_classes)
+        while chunk := list(itertools.islice(records, CHUNK_RECORDS)):
+            yield from [self._sample(rec, encoder) for rec in chunk]
 
     def load_samples(self, encoder: ReferenceEncoder | None = None) -> list[fusion.PipelineSample]:
         """Every sample of ``iter_samples`` in one list, all grids in memory."""
