@@ -259,8 +259,8 @@ class FixtureDataset:
 
     Opening one checks ``meta.json`` and that the annotation file exists,
     and parses no record: ``iter_samples`` validates each record when its
-    chunk is read, and ``records`` and ``len()`` parse the whole file on
-    first use."""
+    chunk is read, and ``records`` parses the whole file on first
+    use."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -302,9 +302,6 @@ class FixtureDataset:
     @property
     def encoder_seed(self) -> int:
         return int(self.meta["encoder_seed"])
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def default_encoder(self) -> SyntheticEncoder:
         return SyntheticEncoder(self.dim, self.encoder_seed)

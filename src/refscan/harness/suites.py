@@ -131,6 +131,10 @@ def model_loss_fn(samples, params, config, encoder):
     every rerun keeps them. Losses and signatures are bitwise a full
     forward's. ``fn`` takes the leaves ``grad_check`` hands it, which are
     the store's own, and reads the parameters through the store.
+    ``grad_check`` calls it once for the baseline and then, on a host with
+    more than one usable CPU, in forked workers too: each inherits the
+    kept baseline and reruns it for its share of the scalars. The report
+    is the one a single process makes, and a one-CPU host runs one.
     """
     baseline = None
 

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NoReturn
+
+import numpy as np
 
 from ..errors import ConfigError
 from .params import ParamStore
@@ -59,6 +64,94 @@ def _eval(loss_fn: LossFn, leaves: Mapping[str, Var]) -> tuple[Var, float, objec
     return loss, float(loss.value), sig
 
 
+# What a probe found for one entry: not probed (or it raised), both losses
+# taken with the baseline's selection signature, or either signature differed.
+_MISSING, _SAME, _FLIPPED = 0, 1, 2
+
+
+def _worker_count(entries: int) -> int:
+    """One process per usable CPU, at most one per entry. One process where
+    the platform cannot say which CPUs are usable, or where another thread
+    runs: a forked child keeps only the calling thread, and a lock another
+    thread held would stay held in it."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), entries))
+
+
+def _probe_share(probe, entries, losses: np.ndarray, state: np.ndarray) -> None:
+    """Probe ``entries`` in order into ``losses`` and ``state``. Stop after a
+    non-finite loss, where the fold will abort, or at an entry that raises,
+    which stays missing so that the fold probes it again and raises there."""
+    for j in entries:
+        try:
+            lp, lm, flipped = probe(j)
+        except Exception:
+            return
+        losses[j] = lp, lm
+        state[j] = _FLIPPED if flipped else _SAME
+        if not (math.isfinite(lp) and math.isfinite(lm)):
+            return
+
+
+def _worker(write_fd: int, probe, share: slice, losses: np.ndarray, state: np.ndarray) -> NoReturn:
+    """In a forked child: probe ``share``, send its states and losses down
+    the pipe and exit without running any of the parent's exit handlers."""
+    code = 1
+    try:
+        _probe_share(probe, range(state.size)[share], losses, state)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(state[share].tobytes() + losses[share].tobytes())
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _receive(payload: bytes, share: slice, losses: np.ndarray, state: np.ndarray) -> None:
+    """Take a worker's outcomes; a worker that died before sending them
+    all leaves its share missing."""
+    count = len(state[share])
+    if len(payload) == count * (1 + losses.itemsize * 2):
+        state[share] = np.frombuffer(payload, np.uint8, count)
+        losses[share] = np.frombuffer(payload, np.float64, offset=count).reshape(count, 2)
+
+
+def _probe_all(probe, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's two losses and state, its probes dealt round-robin to
+    this process (entries 0, W, 2W, ...) and W - 1 forked workers. Every
+    worker is reaped before this returns or raises; one still running when
+    this process raises, an interrupt included, is killed first."""
+    losses, state = np.zeros((size, 2)), np.zeros(size, np.uint8)
+    workers = _worker_count(size)
+    running = []  # (pid, read end, share) of each worker not yet reaped
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: the fold probes this share
+                os.close(read_fd)
+                os.close(write_fd)
+                break
+            if pid == 0:
+                _worker(write_fd, probe, slice(k, size, workers), losses, state)
+            os.close(write_fd)
+            running.append((pid, open(read_fd, "rb"), slice(k, size, workers)))
+        _probe_share(probe, range(0, size, workers), losses, state)
+        while running:
+            pid, pipe, share = running[0]
+            with pipe:
+                _receive(pipe.read(), share, losses, state)
+            os.waitpid(pid, 0)
+            running.pop(0)
+    finally:
+        for pid, pipe, _ in running:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return losses, state
+
+
 def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckReport:
     """Compare analytic gradients with (f(x+eps) - f(x-eps)) / (2 eps).
 
@@ -69,6 +162,17 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
     infinite error. Every evaluation gets the store's ``leaves``, which view
     the values being perturbed. Only the baseline is differentiated, into
     the store's zeroed gradients, where the analytic gradient is read.
+
+    Each probe (the +eps and -eps evaluations of one scalar) is independent
+    of the others, so after the baseline and its backward the probes are
+    split round-robin over one process per usable CPU: the check forks a
+    worker per extra CPU, each of which inherits the baseline, probes its
+    share and sends back the two losses and whether a signature flipped.
+    This process probes its own share, reaps the workers, then folds every
+    outcome in entry order, probing itself any entry a worker did not
+    report. So the report, and the first exception in entry order, are
+    those of probing every scalar in one process, which is all a one-CPU
+    host runs.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigError(f"grad_check: eps must be positive and finite, got {eps}")
@@ -83,29 +187,39 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
         return report
     loss_var.backward()
 
-    for name, arr in params.items():
-        row = ParamCheckRow(name=name)
-        flat = arr.reshape(-1)
-        a_flat = params.grad(name).reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
+    values, grads = params.flat_values, params.flat_grads
+
+    def probe(j: int) -> tuple[float, float, bool]:
+        orig = values[j]
+        try:
+            values[j] = orig + eps
             _, lp, sig_p = _eval(loss_fn, params.leaves)
-            flat[i] = orig - eps
+            values[j] = orig - eps
             _, lm, sig_m = _eval(loss_fn, params.leaves)
-            flat[i] = orig
+        finally:
+            values[j] = orig
+        return lp, lm, sig_p != base_sig or sig_m != base_sig
+
+    losses, state = _probe_all(probe, values.size)
+    for name, span in params.flat_slices():
+        row = ParamCheckRow(name=name)
+        for j in range(span.start, span.stop):
+            if state[j] == _MISSING:
+                lp, lm, flipped = probe(j)
+            else:
+                (lp, lm), flipped = losses[j].tolist(), state[j] == _FLIPPED
 
             if not (math.isfinite(lp) and math.isfinite(lm)):
                 report.aborted = True
                 report.flagged_param = name
                 report.rows.append(row)
                 return report
-            if sig_p != base_sig or sig_m != base_sig:
+            if flipped:
                 row.skipped += 1
                 continue
 
             numeric = (lp - lm) / (2.0 * eps)
-            a = float(a_flat[i])
+            a = float(grads[j])
             rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
             if not (math.isfinite(a) and math.isfinite(numeric)):
                 rel = math.inf

@@ -70,7 +70,7 @@ class TestAnnotations:
     def test_generate_then_load_round_trip(self, tmp_path):
         generate_fixtures(SMALL_GEN, tmp_path)
         ds = FixtureDataset(tmp_path)
-        assert len(ds) == SMALL_GEN.num_samples
+        assert len(ds.records) == SMALL_GEN.num_samples
         save_annotations(tmp_path / "copy.jsonl", ds.records)
         again = load_annotations(tmp_path / "copy.jsonl", num_classes=ds.num_classes)
         assert again == ds.records
@@ -170,7 +170,7 @@ class TestFixtures:
     def test_zero_samples_valid_dataset(self, tmp_path):
         generate_fixtures(GenConfig(**{**SMALL_GEN.to_dict(), "num_samples": 0}), tmp_path)
         ds = FixtureDataset(tmp_path)
-        assert len(ds) == 0
+        assert len(ds.records) == 0
 
     def test_synth_samples_match_disk(self, tmp_path):
         generate_fixtures(SMALL_GEN, tmp_path)

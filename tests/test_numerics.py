@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +123,181 @@ class TestGradCheck:
         assert report.rows[0].checked == 2
         assert report.max_rel_err == np.inf and np.isnan(report.rows[0].worst_analytic)
         assert not report.passed(1e-4)
+
+
+def use_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def report_bits(report) -> tuple:
+    """Every field of a report, its floats as bytes."""
+    def bits(*xs):
+        return tuple(np.float64(x).tobytes() for x in xs)
+
+    rows = [(r.name, r.checked, r.skipped, bits(r.max_rel_err, r.worst_analytic, r.worst_numeric)) for r in report.rows]
+    return bits(report.eps, report.max_rel_err), report.aborted, report.flagged_param, rows
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def moved(params, j: int) -> bool:
+    """Whether entry ``j`` of the store is away from its value in SPLIT."""
+    return params.flat_values[j] != SPLIT_VALUES[j]
+
+
+# five scalars over two parameters: with two CPUs this process probes entries
+# 0, 2 and 4 and the worker 1 and 3
+SPLIT = {"a": np.array([0.5, -1.5, 2.0]), "b": np.array([0.5, 0.25])}
+SPLIT_VALUES = np.concatenate(list(SPLIT.values()))
+
+
+def square(params):
+    return lambda pv: composed.sum_all(composed.add(composed.mul(pv["a"], pv["a"]), pv["a"]))
+
+
+def flips_at_half(params):
+    # entries 0 and 3 sit exactly at the boundary: one in each share
+    return lambda pv: (composed.sum_all(pv["b"]), tuple(params.flat_values[[0, 3]] > 0.5))
+
+
+def nonfinite_at(j):
+    def make(params):
+        def loss_fn(pv):
+            if moved(params, j):
+                return Var(np.asarray(np.inf))
+            return composed.sum_all(pv["b"])
+
+        return loss_fn
+
+    return make
+
+
+class TestGradCheckOnTwoCpus:
+    """The probes split over two processes, whatever this host has."""
+
+    def both(self, monkeypatch, make_loss):
+        reports = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            params = ParamStore(SPLIT)
+            reports.append(grad_check(make_loss(params), params, eps=1e-5))
+            assert_no_child_left()
+            np.testing.assert_array_equal(params.flat_values, SPLIT_VALUES)
+        return reports
+
+    @pytest.mark.parametrize("make_loss, rows, flagged", [
+        (square, [(3, 0), (2, 0)], None),
+        (flips_at_half, [(2, 1), (1, 1)], None),
+        (nonfinite_at(3), [(3, 0), (0, 0)], "b"),
+        (nonfinite_at(2), [(2, 0)], "a"),
+    ], ids=["square", "selection flip", "abort in the worker's share", "abort in this share"])
+    def test_rows_are_the_one_cpu_rows(self, monkeypatch, make_loss, rows, flagged):
+        one, two = self.both(monkeypatch, make_loss)
+        assert report_bits(two) == report_bits(one)
+        assert [(r.checked, r.skipped) for r in two.rows] == rows
+        assert (two.aborted, two.flagged_param) == (flagged is not None, flagged)
+
+    def test_this_process_probes_every_other_scalar(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        parent, here = os.getpid(), []
+        params = ParamStore(SPLIT)
+
+        def loss_fn(pv):
+            if os.getpid() == parent:
+                here.append(np.flatnonzero(params.flat_values != SPLIT_VALUES).tolist())
+            return square(params)(pv)
+
+        grad_check(loss_fn, params, eps=1e-5)
+        assert here == [[]] + [[j] for j in (0, 0, 2, 2, 4, 4)]
+
+    @pytest.mark.parametrize("j", [3, 2], ids=["worker's share", "this share"])
+    def test_a_loss_that_raises_raises_as_on_one_cpu(self, monkeypatch, j):
+        def make(params):
+            def loss_fn(pv):
+                if moved(params, j):
+                    raise ValueError(f"entry {j} moved")
+                return composed.sum_all(pv["a"])
+
+            return loss_fn
+
+        raised = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            params = ParamStore(SPLIT)
+            with pytest.raises(ValueError) as info:
+                grad_check(make(params), params, eps=1e-5)
+            raised.append((type(info.value), str(info.value)))
+            assert_no_child_left()
+            np.testing.assert_array_equal(params.flat_values, SPLIT_VALUES)
+        assert raised[1] == raised[0] == (ValueError, f"entry {j} moved")
+
+    @pytest.mark.parametrize("lost", ["worker dies", "fork fails"])
+    def test_a_share_no_worker_reports_is_probed_here(self, monkeypatch, lost):
+        parent = os.getpid()
+        if lost == "fork fails":
+            def no_fork():
+                raise BlockingIOError("no process to be had")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+
+        def make(params):
+            def loss_fn(pv):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return composed.sum_all(composed.mul(pv["a"], pv["a"]))
+
+            return loss_fn
+
+        one, two = self.both(monkeypatch, make)
+        assert report_bits(two) == report_bits(one)
+        assert [r.checked for r in two.rows] == [3, 2]
+
+    def test_an_interrupt_here_kills_and_reaps_the_worker(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        parent = os.getpid()
+        params = ParamStore(SPLIT)
+
+        def loss_fn(pv):
+            if os.getpid() != parent:
+                time.sleep(60)  # a worker still probing
+            elif moved(params, 0):
+                raise KeyboardInterrupt
+            return composed.sum_all(pv["a"])
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            grad_check(loss_fn, params, eps=1e-5)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+        np.testing.assert_array_equal(params.flat_values, SPLIT_VALUES)
+
+    @pytest.mark.parametrize("arrays, loss_fn", [
+        ({}, lambda pv: Var(np.asarray(1.0))),
+        ({"w": np.array([3.0])}, lambda pv: composed.sum_all(pv["w"])),
+    ], ids=["no scalar", "one scalar"])
+    def test_fewer_than_two_scalars_fork_nothing(self, monkeypatch, arrays, loss_fn):
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        report = grad_check(loss_fn, ParamStore(arrays), eps=1e-5)
+        assert [r.checked for r in report.rows] == [1] * len(arrays)
+
+    def test_another_running_thread_forks_nothing(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            params = ParamStore(SPLIT)
+            report = grad_check(square(params), params, eps=1e-5)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert [r.checked for r in report.rows] == [3, 2]
 
 
 class TestTapeOps:

@@ -14,6 +14,7 @@ parameter name.
 from __future__ import annotations
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -170,10 +171,7 @@ def test_rerun_starts_at_the_first_stage_reading_the_change(pname, monkeypatch):
     assert reruns(monkeypatch, pname, 1e-5) == (RERUNS[pname], False)
 
 
-def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
-    """One attention per perturbed attn.* scalar, the attentions of the
-    changed scan's query or context per ssm.* scalar; a plan that reruns
-    more than the changed units and their consumers moves these counts."""
+def count_unit_calls(monkeypatch) -> dict[str, int]:
     calls = {"cross_attention_var": 0, "scan_var": 0, "head_var": 0, "pool_hierarchies_var": 0, "loss_var": 0}
     for name in calls:
         real = getattr(fusion, name)
@@ -183,6 +181,16 @@ def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(fusion, name, counted)
+    return calls
+
+
+def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
+    """One attention per perturbed attn.* scalar, the attentions of the
+    changed scan's query or context per ssm.* scalar; a plan that reruns
+    more than the changed units and their consumers moves these counts.
+    One usable CPU, so every evaluation runs in this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = count_unit_calls(monkeypatch)
     report = suites.run_model_gradcheck(seed=3)
     assert sum(r.checked for r in report.rows) == 2658
     # baseline 6 attentions + 832 ssm.keyword/ssm.scene evaluations x 2 + 832
@@ -196,6 +204,20 @@ def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
         "pool_hierarchies_var": 5250,
         "loss_var": 5317,
     }
+
+
+def test_gradcheck_on_two_cpus_evaluates_its_half_here(monkeypatch):
+    """With two usable CPUs this process probes every other scalar of the
+    2,658 (the forked worker's evaluations are not counted here) and the
+    report is the one-CPU report."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = suites.run_model_gradcheck(seed=3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = count_unit_calls(monkeypatch)
+    report = suites.run_model_gradcheck(seed=3)
+    assert calls["loss_var"] == 1 + 2 * 1329
+    assert [vars(r) for r in report.rows] == [vars(r) for r in alone.rows]
+    assert (report.max_rel_err, report.aborted) == (alone.max_rel_err, alone.aborted)
 
 
 def test_two_moved_units_rerun_the_union_of_their_plans(monkeypatch):
