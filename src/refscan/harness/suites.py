@@ -133,7 +133,8 @@ def model_loss_fn(samples, params, config, encoder):
     the store's own, and reads the parameters through the store.
     ``grad_check`` calls it once for the baseline and then, on a host with
     more than one usable CPU, in forked workers too: each inherits the
-    kept baseline and reruns it for its share of the scalars. The report
+    kept baseline, reruns it for its round-robin share of the scalars and
+    writes the losses into a table it shares with the parent. The report
     is the one a single process makes, and a one-CPU host runs one.
     """
     baseline = None

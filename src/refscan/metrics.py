@@ -114,17 +114,17 @@ def multilabel_map_oracle(records: list[EvalRecord]) -> float:
 
 
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks ascending by score, ties get the mean of their ranks."""
+    """1-based ranks ascending by score, ties get the mean of their ranks.
+
+    A tie group spanning sorted positions ``i`` to ``j - 1`` gets
+    ``(i + j + 1) / 2``. ``-0.0`` ties ``0.0``; a NaN ties nothing, and NaNs
+    rank last in sample order (the sort is stable, which ``np.unique``'s is not).
+    """
     order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    bounds = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1], [True])))
     ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    sorted_scores = scores[order]
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((bounds[:-1] + bounds[1:] + 1) / 2.0, np.diff(bounds))
     return ranks
 
 

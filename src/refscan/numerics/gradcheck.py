@@ -7,7 +7,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, NoReturn
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -89,64 +89,46 @@ def _probe_share(probe, entries, losses: np.ndarray, state: np.ndarray) -> None:
         except Exception:
             return
         losses[j] = lp, lm
-        state[j] = _FLIPPED if flipped else _SAME
+        state[j] = _FLIPPED if flipped else _SAME  # after the losses it vouches for
         if not (math.isfinite(lp) and math.isfinite(lm)):
             return
 
 
-def _worker(write_fd: int, probe, share: slice, losses: np.ndarray, state: np.ndarray) -> NoReturn:
-    """In a forked child: probe ``share``, send its states and losses down
-    the pipe and exit without running any of the parent's exit handlers."""
-    code = 1
-    try:
-        _probe_share(probe, range(state.size)[share], losses, state)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(state[share].tobytes() + losses[share].tobytes())
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _receive(payload: bytes, share: slice, losses: np.ndarray, state: np.ndarray) -> None:
-    """Take a worker's outcomes; a worker that died before sending them
-    all leaves its share missing."""
-    count = len(state[share])
-    if len(payload) == count * (1 + losses.itemsize * 2):
-        state[share] = np.frombuffer(payload, np.uint8, count)
-        losses[share] = np.frombuffer(payload, np.float64, offset=count).reshape(count, 2)
-
-
 def _probe_all(probe, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's two losses and state, its probes dealt round-robin to
-    this process (entries 0, W, 2W, ...) and W - 1 forked workers. Every
-    worker is reaped before this returns or raises; one still running when
-    this process raises, an interrupt included, is killed first."""
-    losses, state = np.zeros((size, 2)), np.zeros(size, np.uint8)
+    this process (entries 0, W, 2W, ...) and W - 1 forked workers. Dealing
+    is static, never by who finishes first, so each process's evaluations
+    are the same from run to run. Both arrays view one anonymous shared
+    mapping made before the fork, which every worker probes its share into
+    before it exits: an entry's state is written after its losses, so a
+    worker that dies leaves missing only the entries it had not finished.
+    Every worker is reaped before this returns or raises; one still running
+    when this process raises, an interrupt included, is killed first."""
+    import mmap  # here, not at the top: train and eval would load it for nothing
+
+    table = mmap.mmap(-1, max(1, size * 17))  # 16 bytes of losses and 1 of state per entry
+    losses = np.frombuffer(table, np.float64, size * 2).reshape(size, 2)
+    state = np.frombuffer(table, np.uint8, size, offset=size * 16)
     workers = _worker_count(size)
-    running = []  # (pid, read end, share) of each worker not yet reaped
+    running = []  # pids of the workers not yet reaped
     try:
         for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
             except OSError:  # no process to be had: the fold probes this share
-                os.close(read_fd)
-                os.close(write_fd)
                 break
             if pid == 0:
-                _worker(write_fd, probe, slice(k, size, workers), losses, state)
-            os.close(write_fd)
-            running.append((pid, open(read_fd, "rb"), slice(k, size, workers)))
+                try:
+                    _probe_share(probe, range(k, size, workers), losses, state)
+                finally:
+                    os._exit(0)  # none of this process's exit handlers
+            running.append(pid)
         _probe_share(probe, range(0, size, workers), losses, state)
         while running:
-            pid, pipe, share = running[0]
-            with pipe:
-                _receive(pipe.read(), share, losses, state)
-            os.waitpid(pid, 0)
+            os.waitpid(running[0], 0)
             running.pop(0)
     finally:
-        for pid, pipe, _ in running:
-            pipe.close()
+        for pid in running:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     return losses, state
@@ -165,14 +147,14 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
 
     Each probe (the +eps and -eps evaluations of one scalar) is independent
     of the others, so after the baseline and its backward the probes are
-    split round-robin over one process per usable CPU: the check forks a
-    worker per extra CPU, each of which inherits the baseline, probes its
-    share and sends back the two losses and whether a signature flipped.
-    This process probes its own share, reaps the workers, then folds every
-    outcome in entry order, probing itself any entry a worker did not
-    report. So the report, and the first exception in entry order, are
-    those of probing every scalar in one process, which is all a one-CPU
-    host runs.
+    dealt round-robin over one process per usable CPU: the check forks a
+    worker per extra CPU, each of which inherits the baseline and writes
+    its share's two losses and whether a signature flipped into a table
+    it shares with this process. This process probes its own share, reaps
+    the workers, then folds the table in entry order, probing itself any
+    entry no worker finished. So the report, and the first exception in
+    entry order, are those of probing every scalar in one process, which
+    is all a one-CPU host runs.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigError(f"grad_check: eps must be positive and finite, got {eps}")

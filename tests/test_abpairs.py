@@ -46,6 +46,49 @@ def test_summary_gives_medians_quartiles_and_strict_wins():
     assert "setup_s (s): 0.34 [0.32, 0.36] -> 0.24 [0.22, 0.26], -29.4%, change lower in 4/5" in text
 
 
+def verdicts(parent: list[float], change: list[float], bound: float = 0.1) -> str:
+    """The verdict text on ``wall_s`` for stand-in runs with these values."""
+    runs = [[metrics(1.0, v) for v in parent], [metrics(1.0, v) for v in change]]
+    return abpairs.format_verdicts(abpairs.summarise(runs), len(parent), {"wall_s": bound})
+
+
+STEADY = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.02, 0.98]  # q1 0.99, q3 1.01: spread 2%
+
+
+def test_verdict_gain_needs_nine_of_ten_lower_and_a_gap_beyond_the_spread():
+    faster = [v - 0.05 for v in STEADY]
+    assert verdicts(STEADY, faster) == "wall_s: gain (bound 10%, parent spread 2.0%)"
+    # still lower in 9 of 10 pairs
+    assert verdicts(STEADY, faster[:-1] + [1.5]).startswith("wall_s: gain")
+    # lower in 8 of 10 pairs only
+    assert verdicts(STEADY, faster[:-2] + [1.5, 1.5]).startswith("wall_s: within bound")
+    # lower in every pair, but by less than the parent's spread
+    assert verdicts(STEADY, [v - 0.01 for v in STEADY]).startswith("wall_s: within bound")
+
+
+def test_verdict_worse_past_the_bound_and_within_it():
+    assert verdicts(STEADY, [v * 1.15 for v in STEADY]).startswith("wall_s: worse")
+    assert verdicts(STEADY, [v * 1.05 for v in STEADY]).startswith("wall_s: within bound")
+
+
+def test_verdict_unresolved_where_the_parent_spreads_wider_than_the_bound():
+    wide = [0.7, 1.3, 0.8, 1.2, 0.9, 1.1, 1.0, 1.0, 0.75, 1.25]
+    assert verdicts(wide, wide) == "wall_s: unresolved (bound 10%, parent spread 35.0%)"
+    assert verdicts(wide, [v * 1.2 for v in wide]).startswith("wall_s: worse")
+
+
+def test_verdicts_cover_the_bounded_metrics_only():
+    runs = [[metrics(0.3, 1.0)] * 2, [metrics(0.3, 1.0)] * 2]
+    assert abpairs.format_verdicts(abpairs.summarise(runs), 2, {"wall_s": 0.25}).splitlines() == [
+        "wall_s: within bound (bound 25%, parent spread 0.0%)"]
+
+
+def test_bounds_are_read_from_the_benchmark_file():
+    limits = abpairs.bounds(Path(__file__).parents[1])
+    assert set(limits) == {"setup_s", "item_ms_p90", "wall_s", "peak_rss_mb"}
+    assert all(0 < b < 1 for b in limits.values())
+
+
 def test_one_pair_is_its_own_spread():
     assert abpairs.spread([0.5]) == (0.5, 0.5, 0.5)
 
@@ -53,7 +96,7 @@ def test_one_pair_is_its_own_spread():
 def checkout(path: Path, run_seconds: float) -> Path:
     """A directory that declares ``run_seconds`` and has no benchmark to run."""
     path.mkdir()
-    (path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": run_seconds}))
+    (path / "BENCHMARK.json").write_text(json.dumps({"run_seconds": run_seconds, "end_to_end": []}))
     return path
 
 

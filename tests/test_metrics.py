@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from refscan.errors import MetricError
 from refscan.metrics import (
     EvalRecord,
+    _average_ranks,
     auroc,
     auroc_oracle,
     iou,
@@ -124,6 +125,34 @@ class TestAuroc:
     def test_single_class_without_negatives_rejected(self):
         with pytest.raises(MetricError):
             auroc(records_from([[1], [1]], [[0.9], [0.8]]))
+
+
+class TestAverageRanks:
+    def test_tie_groups_signed_zeros_and_nans(self):
+        scores = np.array([0.5, np.nan, -0.0, 0.5, np.nan, 0.0, -1.0, 0.5])
+        # ascending: -1.0 | -0.0 0.0 | 0.5 0.5 0.5 | nan | nan, NaNs in sample order
+        expected = np.array([5.0, 7.0, 2.5, 5.0, 8.0, 2.5, 1.0, 5.0])
+        assert _average_ranks(scores).tobytes() == expected.tobytes()
+
+    @given(st.integers(0, 100_000))
+    @settings(max_examples=100, deadline=None)
+    def test_quantized_scores_match_pairwise_counts(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        scores = rng.integers(-2, 3, size=n) / 2.0 * rng.choice([1.0, -1.0], size=n)
+        scores[rng.random(n) < 0.2] = np.nan
+        finite = ~np.isnan(scores)
+        expected = np.empty(n)
+        for i in range(n):
+            if finite[i]:
+                below, tied = np.sum(scores < scores[i]), np.sum(scores == scores[i])
+                expected[i] = below + (tied + 1) / 2.0
+            else:
+                expected[i] = finite.sum() + np.sum(~finite[: i + 1])
+        assert _average_ranks(scores).tobytes() == expected.tobytes()
+
+    def test_signed_zeros_tie_in_auroc(self):
+        assert auroc(records_from([[1], [0]], [[0.0], [-0.0]])) == 0.5
 
 
 class TestOracleEquivalence:

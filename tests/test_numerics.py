@@ -255,6 +255,50 @@ class TestGradCheckOnTwoCpus:
         assert report_bits(two) == report_bits(one)
         assert [r.checked for r in two.rows] == [3, 2]
 
+    def test_a_worker_that_dies_keeps_what_it_finished(self, monkeypatch):
+        parent, here = os.getpid(), []
+
+        def make(params):
+            here.clear()
+            worker_evals = 0
+
+            def loss_fn(pv):
+                nonlocal worker_evals
+                if os.getpid() == parent:
+                    here.append(np.flatnonzero(params.flat_values != SPLIT_VALUES).tolist())
+                else:
+                    worker_evals += 1
+                    if worker_evals == 3:  # entry 1's probe is done, entry 3's starts
+                        os._exit(3)
+                return square(params)(pv)
+
+            return loss_fn
+
+        one, two = self.both(monkeypatch, make)
+        assert report_bits(two) == report_bits(one)
+        # this process's share, then only the worker's unfinished entry
+        assert here == [[]] + [[j] for j in (0, 0, 2, 2, 4, 4, 3, 3)]
+
+    def test_more_workers_than_cpus_each_fill_their_share(self, monkeypatch):
+        # eight processes on whatever this host has: an entry a worker's
+        # write did not reach would be probed here again
+        use_cpus(monkeypatch, 8)
+        parent, here = os.getpid(), []
+        params = ParamStore({"w": np.linspace(-1.0, 1.0, 40)})
+        start = params.flat_values.copy()
+
+        def loss_fn(pv):
+            if os.getpid() == parent:
+                here.append(np.flatnonzero(params.flat_values != start).tolist())
+            return composed.sum_all(composed.mul(pv["w"], pv["w"]))
+
+        began = time.monotonic()
+        report = grad_check(loss_fn, params, eps=1e-5)
+        assert time.monotonic() - began < 30
+        assert_no_child_left()
+        assert here == [[]] + [[j] for j in range(0, 40, 8) for _ in range(2)]
+        assert report.rows[0].checked == 40 and report.max_rel_err <= 1e-6
+
     def test_an_interrupt_here_kills_and_reaps_the_worker(self, monkeypatch):
         use_cpus(monkeypatch, 2)
         parent = os.getpid()

@@ -10,6 +10,16 @@ and PARENT runs first in even pairs and CHANGE first in odd ones, so drift
 of the host within a pair falls on both sides alike. For each end-to-end
 metric it prints each side's median [q1, q3] over the pairs (inclusive
 quartiles) and in how many pairs CHANGE read lower; a tie counts for neither.
+Then it gives each metric that PARENT's ``BENCHMARK.json`` bounds a verdict,
+every metric being better lower and its bound a share of PARENT's median:
+
+- ``gain``: CHANGE read lower in at least 9 of 10 pairs, and its median is
+  below PARENT's by more than PARENT's interquartile distance;
+- ``worse``: CHANGE's median exceeds PARENT's by more than the bound;
+- ``unresolved``: neither, and PARENT's interquartile distance is wider than
+  the bound, so a change within the bound cannot be told from noise;
+- ``within bound``: otherwise.
+
 A run that is not correct or fails items is reported and stops the tool.
 """
 
@@ -37,6 +47,12 @@ def run_seconds(parent: Path, change: Path) -> float:
     if seconds[0] != seconds[1]:
         raise RuntimeError(f"run_seconds is {seconds[0]} in {parent} but {seconds[1]} in {change}")
     return seconds[0]
+
+
+def bounds(checkout: Path) -> dict[str, float]:
+    """Each end-to-end metric's bound, as a share of the parent's median."""
+    benchmark = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -100,6 +116,27 @@ def format_summary(summary: dict, pairs: int) -> str:
     return "\n".join(lines)
 
 
+def verdict(s: dict, pairs: int, bound: float) -> str:
+    """One metric's verdict from its ``summarise`` entry (see the module doc)."""
+    (pm, pq1, pq3), (cm, _, _) = s["parent"], s["change"]
+    if 10 * s["change_lower"] >= 9 * pairs and pm - cm > pq3 - pq1:
+        return "gain"
+    if cm > pm * (1 + bound):
+        return "worse"
+    if pq3 - pq1 > bound * pm:
+        return "unresolved"
+    return "within bound"
+
+
+def format_verdicts(summary: dict, pairs: int, limits: dict[str, float]) -> str:
+    lines = []
+    for name, s in summary.items():
+        if name in limits:
+            (pm, pq1, pq3), bound = s["parent"], limits[name]
+            lines.append(f"{name}: {verdict(s, pairs, bound)} (bound {bound:.0%}, parent spread {(pq3 - pq1) / pm:.1%})")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -112,12 +149,15 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     try:
         seconds = run_seconds(args.parent, args.change)
+        limits = bounds(args.parent)
         runs = run_pairs((args.parent, args.change), args.workload, args.pairs, args.seed, seconds)
     except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"{args.workload}, {args.pairs} pairs from seed {args.seed}, parent -> change:")
-    print(format_summary(summarise(runs), args.pairs))
+    summary = summarise(runs)
+    print(format_summary(summary, args.pairs))
+    print(format_verdicts(summary, args.pairs, limits))
     return 0
 
 
