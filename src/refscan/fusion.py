@@ -688,16 +688,13 @@ def _targets(samples: list[PipelineSample]) -> tuple | None:
     return gt, labels
 
 
-def _scene_picks(samples: list[PipelineSample], config: TrainConfig, encoder: ReferenceEncoder, seed: int):
-    """Each sample's (K_bs, T) scene-attribute picks: its confident
-    detections' tokens under the seed's ``scene_projection``, retrieved over
-    its grid."""
-    proj = scene_projection(config.d, seed)
+def _scene_picks(samples: list[PipelineSample], kept: list[list], d: int, encoder: ReferenceEncoder, seed: int):
+    """Each sample's (K_bs, T) scene-attribute picks: the tokens of its
+    confident detections in ``kept`` under the seed's ``scene_projection``,
+    retrieved over its grid."""
+    proj = scene_projection(d, seed)
     try:
-        queries = [
-            build_scene_attribute_tokens(s.detections, encoder, proj, config.conf_threshold, config.max_detections)
-            for s in samples
-        ]
+        queries = [build_scene_attribute_tokens(dets, encoder, proj) for dets in kept]
     except Exception as exc:
         raise PipelineError("semantics", exc) from exc
     try:
@@ -723,9 +720,8 @@ def _batch_inputs(
             error = DimensionError(f"sample {s.sample_id!r} reference rows {shapes} vs grid dim {grid_shape[2]}")
             raise PipelineError("retrieval", error)
     kw_counts = np.array([s.reference.keyword_embeddings.shape[0] for s in samples])
-    scene_counts = np.array(
-        [len(confident_detections(s.detections, config.conf_threshold, config.max_detections)) for s in samples]
-    )
+    kept = [confident_detections(s.detections, config.conf_threshold, config.max_detections) for s in samples]
+    scene_counts = np.array([len(dets) for dets in kept])
     used = {  # per hierarchy, (B,): which samples have its queries
         "rv": np.full(len(samples), config.use_holistic),
         "kwv": config.use_keyword & (kw_counts > 0),
@@ -748,7 +744,7 @@ def _batch_inputs(
         kw_input = _trajectory_input(grids, [s.kw_indices for s in samples])
         rows["kwv"] = Rows(kw_counts, n_p, used["kwv"])
     if "bv" in tags:
-        bs_input = _trajectory_input(grids, _scene_picks(samples, config, encoder, seed))
+        bs_input = _trajectory_input(grids, _scene_picks(samples, kept, config.d, encoder, seed))
         rows["bv"] = Rows(None, n_p, used["bv"])
     targets = _targets(samples)
     return BatchInputs(

@@ -24,18 +24,21 @@ def _parse_grid(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"grid must look like 4x4, got {text!r}") from exc
 
 
+_GEOMETRY = (("d", "dim"), ("frames", "frames"), ("num_classes", "num_classes"))
+
+
+def _fields(path: str | None, **flags) -> dict:
+    """The ``--config`` file's fields (none without a file), each flag that
+    is set taking the place of its field."""
+    base = read_json_object(path) if path else {}
+    base.update({k: v for k, v in flags.items() if v is not None})
+    return base
+
+
 def _cmd_gen(args) -> int:
-    base = read_json_object(args.config) if args.config else {}
-    overrides = {
-        "num_samples": args.num,
-        "frames": args.frames,
-        "dim": args.dim,
-        "num_classes": args.classes,
-        "seed": args.seed,
-    }
-    if args.grid is not None:
-        overrides["grid_rows"], overrides["grid_cols"] = args.grid
-    base.update({k: v for k, v in overrides.items() if v is not None})
+    rows, cols = args.grid or (None, None)
+    base = _fields(args.config, num_samples=args.num, frames=args.frames, grid_rows=rows, grid_cols=cols,
+                   dim=args.dim, num_classes=args.classes, seed=args.seed)
     cfg = GenConfig.from_dict(base)
     out = generate_fixtures(cfg, args.out)
     print(f"wrote {cfg.num_samples} samples to {out}")
@@ -43,22 +46,10 @@ def _cmd_gen(args) -> int:
 
 
 def _train_config(args, dataset: FixtureDataset) -> TrainConfig:
-    base = read_json_object(args.config) if args.config else {}
-    base.setdefault("d", dataset.dim)
-    base.setdefault("frames", dataset.frames)
-    base.setdefault("num_classes", dataset.num_classes)
-    for key, value in (
-        ("steps", args.steps),
-        ("learning_rate", args.learning_rate),
-        ("batch", args.batch),
-        ("seed", args.seed),
-    ):
-        if value is not None:
-            base[key] = value
+    base = _fields(args.config, steps=args.steps, learning_rate=args.learning_rate, batch=args.batch, seed=args.seed)
+    for field, key in _GEOMETRY:
+        base.setdefault(field, getattr(dataset, key))
     return TrainConfig.from_dict(base)
-
-
-_GEOMETRY = (("d", "dim"), ("frames", "frames"), ("num_classes", "num_classes"))
 
 
 def _check_geometry(fields: dict, where: str, source, source_where: str) -> None:

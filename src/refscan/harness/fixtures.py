@@ -213,30 +213,30 @@ def make_sample(
     return record, grid
 
 
-def synth_samples(cfg: GenConfig):
-    """In-memory PipelineSamples with targets, no disk round trip."""
+def _drawn(cfg: GenConfig):
+    """Each sample's ``make_sample`` pair, in sample order. The config is
+    validated and the combos drawn when this is called; each pair is drawn,
+    from the same rng, when it is taken."""
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     combos = _draw_combos(cfg, rng)
+    return (make_sample(cfg, rng, int(combo), i) for i, combo in enumerate(combos))
+
+
+def synth_samples(cfg: GenConfig):
+    """In-memory PipelineSamples with targets, no disk round trip."""
+    drawn = _drawn(cfg)
     encoder = SyntheticEncoder(cfg.dim, cfg.effective_encoder_seed)
-    samples = []
-    for i in range(cfg.num_samples):
-        record, grid = make_sample(cfg, rng, int(combos[i]), i)
-        samples.append(record_sample(record, VisualTokenGrid(grid), encoder, cfg.num_classes))
-    return samples
+    return [record_sample(record, VisualTokenGrid(grid), encoder, cfg.num_classes) for record, grid in drawn]
 
 
 def generate_fixtures(cfg: GenConfig, out_dir) -> Path:
     """Write meta.json, annotations.jsonl, and one RTEN file per sample."""
-    cfg.validate()
+    drawn = _drawn(cfg)
     out = Path(out_dir)
     (out / FEATURES_DIR).mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
-    combos = _draw_combos(cfg, rng)
-
     records = []
-    for i in range(cfg.num_samples):
-        record, grid = make_sample(cfg, rng, int(combos[i]), i)
+    for record, grid in drawn:
         write_tensor(out / record.features_ref, grid)
         records.append(record)
 

@@ -49,6 +49,11 @@ FEATURES_DIR = "features"
 # and a 2-vCPU host, cut `refscan eval`'s time from `cli.main` to the first
 # forward from 66-73 to 18-25 ms and its records from 1.91 to 0.05 MB
 # (tracemalloc); started from a shell, its peak RSS fell from 44.3 to 42.2 MB.
+# The chunk stays above one record because perfbench times an eval item from
+# one `forward`'s end to the next, end to end: a chunk's reads fall inside
+# the next item, 1 item in 32, above the 90th percentile, where one record
+# at a time puts a read into every item. Per-record reads measured eval-fresh
+# `item_ms_p90` +32.5% (higher in 4 of 4 alternating pairs).
 CHUNK_RECORDS = 32
 
 

@@ -39,11 +39,10 @@ class Adam:
     buffers, so a step allocates no temporary of the flat vector.
     """
 
-    def __init__(self, params: ParamStore, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: ParamStore):
         self.params = params
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(params.flat_values)
         self.v = np.zeros_like(params.flat_values)
@@ -52,15 +51,15 @@ class Adam:
 
     def step(self, lr: float) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         g, m, v, a, b = self.params.flat_grads, self.m, self.v, self._a, self._b
-        m *= self.beta1
-        m += np.multiply(1.0 - self.beta1, g, out=a)
-        v *= self.beta2
-        v += np.multiply(np.multiply(1.0 - self.beta2, g, out=a), g, out=a)
+        m *= self.BETA1
+        m += np.multiply(1.0 - self.BETA1, g, out=a)
+        v *= self.BETA2
+        v += np.multiply(np.multiply(1.0 - self.BETA2, g, out=a), g, out=a)
         np.multiply(lr, np.divide(m, b1c, out=a), out=a)
-        np.add(np.sqrt(np.divide(v, b2c, out=b), out=b), self.eps, out=b)
+        np.add(np.sqrt(np.divide(v, b2c, out=b), out=b), self.EPS, out=b)
         self.params.flat_values -= np.divide(a, b, out=a)
 
 

@@ -20,10 +20,11 @@ class ParamStore:
     writable view of its slice, so whole-store work (the optimizer,
     zeroing, finiteness checks) is one numpy call, and the store never
     grows, so a view never moves. ``leaves`` is a read-only map with one
-    leaf Var per name whose ``value`` and ``grad`` are those views: every
-    forward reads the store's values through them, and every backward adds
-    into ``flat_grads``. The store remembers the seed it was initialized
-    from so checkpoints can reproduce it.
+    leaf Var per name whose ``value`` and ``grad`` are those views, and the
+    only map the store keeps: every lookup by name and every forward reads
+    the values through it, and every backward adds into ``flat_grads``. The
+    store remembers the seed it was initialized from so checkpoints can
+    reproduce it.
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray], seed: int = 0):
@@ -31,46 +32,39 @@ class ParamStore:
         arrays = {name: np.asarray(arr, dtype=np.float64) for name, arr in arrays.items()}
         size = sum(arr.size for arr in arrays.values())
         self.flat_values, self.flat_grads = np.zeros(size), np.zeros(size)
-        self._params: dict[str, np.ndarray] = {}
-        self._grads: dict[str, np.ndarray] = {}
         leaves = {}
         start = 0
         for name, arr in arrays.items():
             span = slice(start, start + arr.size)
             self.flat_values[span] = arr.reshape(-1)
-            self._params[name] = self.flat_values[span].reshape(arr.shape)
-            self._grads[name] = self.flat_grads[span].reshape(arr.shape)
-            leaves[name] = Var(self._params[name])
-            leaves[name].grad = self._grads[name]
+            leaves[name] = Var(self.flat_values[span].reshape(arr.shape))
+            leaves[name].grad = self.flat_grads[span].reshape(arr.shape)
             start = span.stop
         self.leaves: Mapping[str, Var] = types.MappingProxyType(leaves)
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._params[name]
+        return self.leaves[name].value
 
     def __setitem__(self, name: str, value: np.ndarray) -> None:
-        if name not in self._params:
+        if name not in self.leaves:
             raise ConfigError(f"unknown parameter {name!r}")
-        if self._params[name].shape != np.shape(value):
-            raise DimensionError(
-                f"parameter {name!r}: cannot assign shape {np.shape(value)} "
-                f"over {self._params[name].shape}"
-            )
-        self._params[name][...] = value
+        if self[name].shape != np.shape(value):
+            raise DimensionError(f"parameter {name!r}: cannot assign shape {np.shape(value)} over {self[name].shape}")
+        self[name][...] = value
 
     def grad(self, name: str) -> np.ndarray:
-        return self._grads[name]
+        return self.leaves[name].grad
 
     def names(self) -> list[str]:
-        return list(self._params)
+        return list(self.leaves)
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        return iter(self._params.items())
+        return ((name, leaf.value) for name, leaf in self.leaves.items())
 
     def flat_slices(self) -> Iterator[tuple[str, slice]]:
         """Each name with the slice of ``flat_values`` its view covers."""
         start = 0
-        for name, arr in self._params.items():
+        for name, arr in self.items():
             yield name, slice(start, start + arr.size)
             start += arr.size
 

@@ -176,9 +176,7 @@ class Detection:
         return self
 
 
-def confident_detections(
-    detections: list[Detection], conf_threshold: float = 0.7, max_count: int = 10
-) -> list[Detection]:
+def confident_detections(detections: list[Detection], conf_threshold: float, max_count: int) -> list[Detection]:
     """The detections at or above the confidence threshold, sorted by
     descending confidence (stable in original order on ties), truncated to
     ``max_count``: the ones that become scene-attribute tokens."""
@@ -188,14 +186,11 @@ def confident_detections(
 
 
 def build_scene_attribute_tokens(
-    detections: list[Detection],
-    encoder: ReferenceEncoder,
-    proj_w: np.ndarray,
-    conf_threshold: float = 0.7,
-    max_count: int = 10,
+    detections: list[Detection], encoder: ReferenceEncoder, proj_w: np.ndarray
 ) -> np.ndarray:
     """(K, d_out) projections of concat(category embedding, bbox), one row
-    per ``confident_detections`` entry, in its order.
+    per detection, in order; the detections are the ones
+    ``confident_detections`` kept.
 
     The projection input dim must equal encoder dim + 4. Each row is its
     own one-row product, so it keeps the bits of the detection projected
@@ -206,7 +201,7 @@ def build_scene_attribute_tokens(
         raise ConfigError(f"scene projection expects input dim {encoder.dim + 4}, got weights {proj_w.shape}")
     feats = [
         np.concatenate([encoder.encode_word(det.category), np.asarray(det.bbox, dtype=np.float64)])
-        for det in confident_detections(detections, conf_threshold, max_count)
+        for det in detections
     ]
     feats = np.array(feats, dtype=np.float64).reshape(len(feats), proj_w.shape[0])
     return (feats[:, None, :] @ proj_w)[:, 0]

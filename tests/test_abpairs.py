@@ -14,8 +14,12 @@ abpairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(abpairs)
 
 
-def metrics(setup_s: float, wall_s: float) -> dict:
-    return {"setup_s": {"value": setup_s, "unit": "s"}, "wall_s": {"value": wall_s, "unit": "s"}}
+def metrics(setup_s: float, wall_s: float, report: str = "r0") -> dict:
+    """A stand-in run: its metrics and the outputs of its details line."""
+    return {
+        "metrics": {"setup_s": {"value": setup_s, "unit": "s"}, "wall_s": {"value": wall_s, "unit": "s"}},
+        "outputs": {"report_sha256": report, "sessions_agree": True},
+    }
 
 
 def test_pairs_alternate_the_side_that_runs_first_and_step_the_seed():
@@ -29,8 +33,8 @@ def test_pairs_alternate_the_side_that_runs_first_and_step_the_seed():
     assert calls == [("P", 900), ("C", 900), ("C", 901), ("P", 901),
                      ("P", 902), ("C", 902), ("C", 903), ("P", 903)]
     # each side's runs are kept in pair order, whichever side ran first
-    assert [r["setup_s"]["value"] for r in runs[0]] == [0.9, 0.901, 0.902, 0.903]
-    assert [r["setup_s"]["value"] for r in runs[1]] == [0.9, 0.901, 0.902, 0.903]
+    assert [r["metrics"]["setup_s"]["value"] for r in runs[0]] == [0.9, 0.901, 0.902, 0.903]
+    assert [r["metrics"]["setup_s"]["value"] for r in runs[1]] == [0.9, 0.901, 0.902, 0.903]
 
 
 def test_summary_gives_medians_quartiles_and_strict_wins():
@@ -81,6 +85,26 @@ def test_verdicts_cover_the_bounded_metrics_only():
     runs = [[metrics(0.3, 1.0)] * 2, [metrics(0.3, 1.0)] * 2]
     assert abpairs.format_verdicts(abpairs.summarise(runs), 2, {"wall_s": 0.25}).splitlines() == [
         "wall_s: within bound (bound 25%, parent spread 0.0%)"]
+
+
+def test_same_bits_counts_the_pairs_whose_fingerprints_match():
+    parent = [metrics(1.0, 1.0, report=f"r{i}") for i in range(4)]
+    assert abpairs.format_same_bits([parent, parent]) == "report_sha256: change equals parent in 4/4 pairs"
+    # one pair's report differs, and a seed's fingerprint is compared with its own seed only
+    change = [metrics(1.0, 1.0, report=r) for r in ("r0", "rX", "r2", "r3")]
+    assert abpairs.format_same_bits([parent, change]) == "report_sha256: change equals parent in 3/4 pairs"
+    assert abpairs.format_same_bits([parent, parent[::-1]]).endswith("in 0/4 pairs")
+
+
+def test_run_bench_keeps_the_outputs_of_the_details_line(tmp_path):
+    root = tmp_path / "checkout"
+    (root / "perfbench").mkdir(parents=True)
+    details = {"workload": "eval-fresh", "outputs": {"report_sha256": "abc", "sessions_agree": True}}
+    result = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics(0.5, 1.0)["metrics"]}
+    lines = ["noise", json.dumps(details), json.dumps(result)]
+    (root / "perfbench" / "run.py").write_text(f"print({chr(10).join(lines)!r})\n")
+    run = abpairs.run_bench(root, "eval-fresh", 1, 1.0)
+    assert run == {"metrics": result["metrics"], "outputs": details["outputs"]}
 
 
 def test_bounds_are_read_from_the_benchmark_file():

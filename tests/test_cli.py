@@ -8,6 +8,7 @@ import pytest
 
 from refscan.errors import ParseError
 from refscan.harness.checkpoint import load_checkpoint, save_checkpoint
+from refscan.harness import suites
 from refscan.harness.cli import main
 from refscan.harness.formats import read_tensor, write_tensor
 from refscan.numerics import ParamStore
@@ -205,6 +206,29 @@ def test_oracle_suites_pass(capsys):
     for suite in ("scan", "map", "auroc"):
         assert main(["oracle", "--suite", suite]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+def test_a_nan_fast_path_fails_the_oracle(monkeypatch, capsys):
+    monkeypatch.setattr(suites, "multilabel_map", lambda records: float("nan"))
+    assert main(["oracle", "--suite", "map"]) == 1
+    out = capsys.readouterr().out
+    assert "max abs diff inf" in out and out.rstrip().endswith("FAIL")
+
+
+@pytest.mark.parametrize("field", ["outputs", "final_state"])
+def test_one_nan_scan_case_in_50_fails_the_scan_suite(monkeypatch, field):
+    real, calls = suites.ssm_scan, []
+
+    def scan(x, params):
+        out = real(x, params)
+        calls.append(x)
+        if len(calls) == 7:
+            setattr(out, field, np.full_like(getattr(out, field), np.nan))
+        return out
+
+    monkeypatch.setattr(suites, "ssm_scan", scan)
+    result = suites.run_scan_suite(cases=50, seed=0)
+    assert len(calls) == 50 and result["max_abs_diff"] == float("inf")
 
 
 def test_oracle_negative_seed_exits_1(capsys):

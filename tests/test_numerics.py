@@ -435,6 +435,16 @@ def test_param_store_leaves_view_the_flat_vectors():
     assert leaf_a.value[1, 1] == -1.0
 
 
+def test_param_store_keeps_one_map_its_leaves():
+    params = ParamStore({"a": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])})
+    assert set(vars(params)) == {"seed", "flat_values", "flat_grads", "leaves"}
+    for name in params.names():
+        assert params[name] is params.leaves[name].value
+        assert params.grad(name) is params.leaves[name].grad
+    assert [name for name, _ in params.items()] == ["a", "b"]
+    assert all(arr is params.leaves[name].value for name, arr in params.items())
+
+
 def test_backward_adds_into_the_store_gradients():
     params = ParamStore({"a": np.array([[1.0, 2.0]]), "b": np.array([3.0, 4.0])})
     a, b = params.leaves["a"], params.leaves["b"]

@@ -25,7 +25,7 @@ from refscan.harness.checkpoint import save_checkpoint
 from refscan.harness.training import Adam, lr_at_step, train
 from refscan.numerics import uniform_init
 from refscan.retrieval import build_trajectory_set
-from refscan.semantics import SyntheticEncoder, build_scene_attribute_tokens
+from refscan.semantics import SyntheticEncoder, build_scene_attribute_tokens, confident_detections
 
 from test_batch import GEN, OUTPUT_FIELDS, config_for, mixed_batch
 
@@ -234,10 +234,8 @@ def test_scan_inputs_are_the_retrieved_trajectory_tokens(monkeypatch):
                 if hierarchy == "keyword":
                     queries = s.reference.keyword_embeddings
                 else:
-                    queries = build_scene_attribute_tokens(
-                        s.detections, encoder, fusion.scene_projection(config.d, seed),
-                        conf_threshold=config.conf_threshold, max_count=config.max_detections,
-                    )
+                    kept = confident_detections(s.detections, config.conf_threshold, config.max_detections)
+                    queries = build_scene_attribute_tokens(kept, encoder, fusion.scene_projection(config.d, seed))
                 picks = build_trajectory_set(queries, s.grid, hierarchy).indices
                 for k, cells in enumerate(picks):
                     tokens = s.grid.tokens[np.arange(frames), cells]

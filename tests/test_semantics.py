@@ -10,6 +10,7 @@ from refscan.semantics import (
     Detection,
     SyntheticEncoder,
     build_scene_attribute_tokens,
+    confident_detections,
     default_stopwords,
     embed_reference,
     parse_stopwords,
@@ -151,32 +152,36 @@ class TestSceneAttributeTokens:
     def test_identity_projection_carries_bbox(self):
         enc = _ZeroEncoder(4)
         det = Detection(bbox=(0.0, 0.0, 1.0, 1.0), category="person", confidence=0.9)
-        tokens = build_scene_attribute_tokens([det], enc, np.eye(8), 0.5, 10)
+        tokens = build_scene_attribute_tokens([det], enc, np.eye(8))
         np.testing.assert_array_equal(tokens, [[0, 0, 0, 0, 0, 0, 1, 1]])
+
+    def test_every_given_detection_is_a_row_in_its_order(self):
+        """The tokens take the detections as kept: no threshold, sort or cut here."""
+        dets = [
+            Detection(bbox=(0.1, 0.1, 0.9, 0.9), category="b", confidence=0.1),
+            Detection(bbox=(0.0, 0.0, 0.5, 0.5), category="a", confidence=0.9),
+        ]
+        tokens = build_scene_attribute_tokens(dets, _ZeroEncoder(4), np.eye(8))
+        np.testing.assert_array_equal(tokens[:, 4:], [dets[0].bbox, dets[1].bbox])
 
     def test_empty_detections(self):
         tokens = build_scene_attribute_tokens([], _ZeroEncoder(4), np.eye(8))
         assert tokens.shape == (0, 8)
 
     def test_threshold_filters(self):
-        enc = _ZeroEncoder(4)
         dets = [
             Detection(bbox=(0.0, 0.0, 0.5, 0.5), category="a", confidence=0.5),
             Detection(bbox=(0.1, 0.1, 0.9, 0.9), category="b", confidence=0.9),
         ]
-        tokens = build_scene_attribute_tokens(dets, enc, np.eye(8), 0.7, 10)
-        # the identity projection carries each box: the rows name the kept detections
-        np.testing.assert_array_equal(tokens[:, 4:], [dets[1].bbox])
+        assert confident_detections(dets, 0.7, 10) == [dets[1]]
 
     def test_sorted_by_confidence_and_truncated(self):
-        enc = _ZeroEncoder(4)
         dets = [
             Detection(bbox=(0.0, 0.0, 0.5, 0.5), category="a", confidence=0.71),
             Detection(bbox=(0.1, 0.1, 0.9, 0.9), category="b", confidence=0.99),
             Detection(bbox=(0.2, 0.2, 0.8, 0.8), category="c", confidence=0.85),
         ]
-        tokens = build_scene_attribute_tokens(dets, enc, np.eye(8), 0.7, 2)
-        np.testing.assert_array_equal(tokens[:, 4:], [dets[1].bbox, dets[2].bbox])
+        assert confident_detections(dets, 0.7, 2) == [dets[1], dets[2]]
 
     def test_rows_are_one_row_products(self):
         """Each row keeps the bits of its detection projected alone, the
@@ -189,7 +194,7 @@ class TestSceneAttributeTokens:
             Detection(bbox=(0.1 * i, 0.05, 0.1 * i + 0.3, 0.9), category=c, confidence=0.95 - 0.05 * i)
             for i, c in enumerate(["person", "chair", "cup", "dog", "phone"])
         ]
-        tokens = build_scene_attribute_tokens(dets, enc, w, 0.7, 10)
+        tokens = build_scene_attribute_tokens(dets, enc, w)
         assert tokens.shape == (5, 32)
         for det, row in zip(dets, tokens):
             feat = np.concatenate([enc.encode_word(det.category), det.bbox])
@@ -205,14 +210,13 @@ class TestSceneAttributeTokens:
     @settings(max_examples=60, deadline=None)
     def test_count_monotone_in_threshold(self, t1, t2):
         lo, hi = min(t1, t2), max(t1, t2)
-        enc = _ZeroEncoder(4)
         rng = np.random.default_rng(0)
         dets = [
             Detection(bbox=(0.0, 0.0, 0.5, 0.5), category="x", confidence=float(c))
             for c in rng.uniform(0, 1, size=6)
         ]
-        n_lo = len(build_scene_attribute_tokens(dets, enc, np.eye(8), lo, 10))
-        n_hi = len(build_scene_attribute_tokens(dets, enc, np.eye(8), hi, 10))
+        n_lo = len(confident_detections(dets, lo, 10))
+        n_hi = len(confident_detections(dets, hi, 10))
         assert n_hi <= n_lo <= len(dets)
 
 

@@ -20,7 +20,10 @@ every metric being better lower and its bound a share of PARENT's median:
   the bound, so a change within the bound cannot be told from noise;
 - ``within bound``: otherwise.
 
-A run that is not correct or fails items is reported and stops the tool.
+Last, for each ``*_sha256`` fingerprint in the details line of PARENT's runs
+(the checkpoint, report or gradcheck rows), it prints in how many pairs
+CHANGE's value equals PARENT's at the same seed. A run that is not correct
+or fails items is reported and stops the tool.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ def bounds(checkout: Path) -> dict[str, float]:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The ``metrics`` of one untraced run of ``checkout``'s benchmark."""
+    """The ``metrics`` of one untraced run of ``checkout``'s benchmark, and
+    the ``outputs`` of its details line, the second-to-last of stdout."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -64,14 +68,14 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     )
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: perfbench exited {proc.returncode}:\n{proc.stderr[-2000:]}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    details, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{checkout}: seed {seed} run not correct or failed items: {result}")
-    return result["metrics"]
+    return {"metrics": result["metrics"], "outputs": details["outputs"]}
 
 
 def run_pairs(checkouts, workload: str, pairs: int, first_seed: int, seconds: float, run=run_bench) -> list[list[dict]]:
-    """Per side, the metrics of its run in each pair, in pair order."""
+    """Per side, its run in each pair, in pair order."""
     runs: list[list[dict]] = [[], []]
     for seed, order in schedule(pairs, first_seed):
         for side in order:
@@ -93,9 +97,9 @@ def summarise(runs: list[list[dict]]) -> dict:
     pairs in which the change read strictly lower than the parent."""
     parent, change = runs
     summary = {}
-    for name, metric in parent[0].items():
-        a = [r[name]["value"] for r in parent]
-        b = [r[name]["value"] for r in change]
+    for name, metric in parent[0]["metrics"].items():
+        a = [r["metrics"][name]["value"] for r in parent]
+        b = [r["metrics"][name]["value"] for r in change]
         summary[name] = {
             "unit": metric["unit"],
             "parent": spread(a),
@@ -137,6 +141,18 @@ def format_verdicts(summary: dict, pairs: int, limits: dict[str, float]) -> str:
     return "\n".join(lines)
 
 
+def format_same_bits(runs: list[list[dict]]) -> str:
+    """Per ``*_sha256`` output of the parent's runs, in how many pairs the
+    change's value is the parent's."""
+    parent, change = runs
+    lines = []
+    for key in parent[0]["outputs"]:
+        if key.endswith("_sha256"):
+            same = sum(c["outputs"].get(key) == p["outputs"][key] for p, c in zip(parent, change))
+            lines.append(f"{key}: change equals parent in {same}/{len(parent)} pairs")
+    return "\n".join(lines)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -158,6 +174,7 @@ def main(argv=None) -> int:
     summary = summarise(runs)
     print(format_summary(summary, args.pairs))
     print(format_verdicts(summary, args.pairs, limits))
+    print(format_same_bits(runs))
     return 0
 
 
