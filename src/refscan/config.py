@@ -22,6 +22,29 @@ def _kind_error(kind: str, value) -> str | None:
     return None
 
 
+def check_kinds(cfg) -> None:
+    """Raise ``ConfigError`` naming the first field of the dataclass ``cfg``
+    whose value is not of its declared kind; a ``kind | None`` field also
+    takes None."""
+    for f in fields(cfg):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(cfg, f.name)
+        problem = None if optional and value is None else _kind_error(kind, value)
+        if problem is not None:
+            raise ConfigError(f"{f.name} {problem}, got {value!r}")
+
+
+def from_fields(cls, data, what: str):
+    """``cls(**data).validate()``; ``data`` must be a JSON object whose keys
+    are fields of ``cls``, and ``what`` names it in the errors."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    return cls(**data).validate()
+
+
 @dataclass
 class TrainConfig:
     # model dims (desk-scale defaults; production-scale dims are 768 -> 256)
@@ -57,10 +80,7 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         """Check each field's type, then its range; a bad field raises
         ``ConfigError`` naming it."""
-        for f in fields(self):
-            problem = _kind_error(f.type, getattr(self, f.name))
-            if problem is not None:
-                raise ConfigError(f"{f.name} {problem}, got {getattr(self, f.name)!r}")
+        check_kinds(self)
         for name in ("d", "d_s", "d_a", "n", "frames", "num_classes", "batch"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -90,10 +110,4 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data).validate()
+        return from_fields(cls, data, "config")

@@ -568,8 +568,8 @@ class ForwardResult:
         return self.outputs[0]
 
 
-def prepare_reference(text: str, encoder: ReferenceEncoder, stop_set=None) -> ReferenceBundle:
-    return embed_reference(text, default_stopwords() if stop_set is None else stop_set, encoder)
+def prepare_reference(text: str, encoder: ReferenceEncoder) -> ReferenceBundle:
+    return embed_reference(text, default_stopwords(), encoder)
 
 
 def _pad_rows(blocks: list[np.ndarray]) -> np.ndarray:
@@ -636,14 +636,13 @@ class Unit:
     earlier units at the indices in ``consumes``, in that order, and returns
     the ``Var`` its layer built and its kink masks, a list of (B, ...) bool
     arrays that the selection signature records (None: no kink). A unit
-    reads parameters only under the prefixes in ``reads``, and nothing else
-    but the batch inputs and what it consumes. ``stage`` is its
+    reads parameters only under its key's prefix, ``key + "."``, and nothing
+    else but the batch inputs and what it consumes. ``stage`` is its
     ``PipelineError`` tag.
     """
 
     key: str
     stage: str
-    reads: tuple[str, ...]
     consumes: tuple[int, ...]
     run: Callable[..., tuple[Var, list[np.ndarray] | None]]
 
@@ -785,7 +784,7 @@ def _attention(tag: str, prefix: str, x: BatchInputs, pv: Mapping[str, Var], enh
     return cross_attention_var(queries, enhanced, pv, prefix, x.rows[tag]), None
 
 
-def _pool(tags: tuple[str, ...], x: BatchInputs, pv: Mapping[str, Var], *outputs: Var):
+def _pool(tags: tuple[str, ...], prefix: str, x: BatchInputs, pv: Mapping[str, Var], *outputs: Var):
     """The branch's (B, 1, d_a) vector z: each queried hierarchy's attention
     output pooled over its ``Rows``; with none queried, the enhanced tokens
     over the whole-rows one."""
@@ -798,7 +797,7 @@ def _head(prefix: str, x: BatchInputs, pv: Mapping[str, Var], z: Var):
     return y, [kinks]
 
 
-def _loss(x: BatchInputs, pv: Mapping[str, Var], *predictions: Var):
+def _loss(prefix: str, x: BatchInputs, pv: Mapping[str, Var], *predictions: Var):
     """The batch-mean loss over each branch's (box, class) predictions; its
     kinks are its clamp bands."""
     return loss_var(
@@ -824,35 +823,30 @@ def _units(branches: tuple[str, ...], tags: tuple[str, ...], loss: bool) -> tupl
     units: list[Unit] = []
     index: dict[str, int] = {}
 
-    def add(key, stage, run, prefix=None, consumes=()):
-        """Register a unit; one that reads parameters gets its ``prefix`` as
-        its first argument, the one prefix it declares in ``reads``."""
-        reads = ()
-        if prefix is not None:
-            run, reads = functools.partial(run, prefix), (prefix,)
+    def add(key, stage, run, consumes=()):
+        """Register a unit; its run gets the unit's parameter prefix, ``key + "."``,
+        as its first argument."""
         index[key] = len(units)
-        units.append(Unit(key, stage, reads, tuple(index[k] for k in consumes), run))
+        units.append(Unit(key, stage, tuple(index[k] for k in consumes), functools.partial(run, key + ".")))
 
     if "kwv" in tags:
-        add("ssm.keyword", "ssm", _keyword_scan, prefix="ssm.keyword.")
+        add("ssm.keyword", "ssm", _keyword_scan)
     if "bv" in tags:
-        add("ssm.scene", "ssm", _scene_scan, prefix="ssm.scene.")
+        add("ssm.scene", "ssm", _scene_scan)
     queries = {"rv": (), "kwv": ("ssm.keyword",), "bv": ("ssm.scene",)}
     for branch in branches:
-        key = f"ssm.holistic_{branch}"
-        add(key, "ssm", functools.partial(_holistic_scan, branch), prefix=f"{key}.")
+        add(f"ssm.holistic_{branch}", "ssm", functools.partial(_holistic_scan, branch))
     heads = []
     for branch in branches:
         enhanced = f"ssm.holistic_{branch}"
         parts = [f"attn.{tag}.{branch}" for tag in tags] or [enhanced]
         for tag, key in zip(tags, parts):
-            run = functools.partial(_attention, tag)
-            add(key, "fusion", run, prefix=f"{key}.", consumes=(enhanced, *queries[tag]))
+            add(key, "fusion", functools.partial(_attention, tag), consumes=(enhanced, *queries[tag]))
         add(f"pool.{branch}", "fusion", functools.partial(_pool, tags), consumes=parts)
     for branch in branches:
         for head in ("reg", "cls"):
             key = f"head.{branch}.{head}"
-            add(key, "heads", _head, prefix=f"{key}.", consumes=(f"pool.{branch}",))
+            add(key, "heads", _head, consumes=(f"pool.{branch}",))
             heads.append(key)
     if loss:
         add("loss", "loss", _loss, consumes=heads)
@@ -879,7 +873,7 @@ def _rerun_plan(x: BatchInputs, params: ParamStore, moved: np.ndarray) -> tuple[
         x.reads = np.zeros((len(x.units), params.num_scalars()), dtype=bool)
         for name, span in params.flat_slices():
             for k, unit in enumerate(x.units):
-                if unit.reads and name.startswith(unit.reads):
+                if name.startswith(unit.key + "."):
                     x.reads[k, span] = True
     direct = x.reads[:, moved].any(axis=1)
     key = direct.tobytes()

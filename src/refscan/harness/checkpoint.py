@@ -66,8 +66,9 @@ def _count(path, value, field: str, what: str | None = None) -> int:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a malformed header value is a ``ParseError`` naming
-    the file and the field. The directory's blocks must tile the payload:
-    each starts where the one before it ends, and the last ends with it."""
+    the file and the field. The directory's blocks must tile the payload
+    (each starts where the one before it ends, the last ends with it), and
+    every value must be finite."""
     path = Path(path)
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -122,6 +123,8 @@ def load_checkpoint(path) -> Checkpoint:
                 field="params",
             )
         arrays[name] = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if not np.isfinite(arrays[name]).all():
+            raise ParseError(f"{path}: parameter {name!r} holds a non-finite value", field="params")
     if end != len(payload):
         raise ParseError(
             f"{path}: payload has {len(payload) - end} bytes past the last parameter block ({name!r})",

@@ -6,11 +6,13 @@ import argparse
 import os
 import sys
 
+import numpy as np
+
 from ..config import TrainConfig
 from ..errors import ConfigError, RefScanError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import evaluate, write_report
-from .fixtures import GenConfig, generate_fixtures
+from .fixtures import GEOMETRY, GenConfig, generate_fixtures
 from .formats import META_NAME, FixtureDataset, read_json_object
 from .suites import GRADCHECK_CONFIG, GRADCHECK_GEN, run_auroc_suite, run_map_suite, run_model_gradcheck, run_scan_suite
 from .training import train, write_loss_curve
@@ -22,9 +24,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
         return int(rows), int(cols)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"grid must look like 4x4, got {text!r}") from exc
-
-
-_GEOMETRY = (("d", "dim"), ("frames", "frames"), ("num_classes", "num_classes"))
 
 
 def _fields(path: str | None, **flags) -> dict:
@@ -45,30 +44,25 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _train_config(args, dataset: FixtureDataset) -> TrainConfig:
-    base = _fields(args.config, steps=args.steps, learning_rate=args.learning_rate, batch=args.batch, seed=args.seed)
-    for field, key in _GEOMETRY:
-        base.setdefault(field, getattr(dataset, key))
-    return TrainConfig.from_dict(base)
-
-
 def _check_geometry(fields: dict, where: str, source, source_where: str) -> None:
     """Raise ``ConfigError`` naming both sides when a config's ``d``,
     ``frames`` or ``num_classes`` in ``fields`` differ from ``source``'s
     ``dim``, ``frames`` or ``num_classes``."""
-    for field, key in _GEOMETRY:
+    for field, key in GEOMETRY:
         found, expected = fields[field], getattr(source, key)
         if found != expected:
             raise ConfigError(f"{where}: field {field!r} is {found!r}, {source_where} has {key!r} {expected}")
 
 
-def _gradcheck_config(path: str) -> TrainConfig:
-    """The ``--config`` fields, with unset geometry taken from the gradcheck
-    fixtures; a set value that differs from theirs is a ``ConfigError``."""
-    base = read_json_object(path)
-    for field, key in _GEOMETRY:
-        base.setdefault(field, getattr(GRADCHECK_GEN, key))
-    _check_geometry(base, f"--config {path}", GRADCHECK_GEN, "the gradcheck fixtures")
+def _config(path: str | None, source, source_where: str, **flags) -> TrainConfig:
+    """The ``_fields`` of ``--config`` and the flags, with unset geometry
+    taken from ``source`` (a dataset or the gradcheck fixtures); a set value
+    that differs from ``source``'s is a ``ConfigError`` naming the file and
+    the field."""
+    base = _fields(path, **flags)
+    for field, key in GEOMETRY:
+        base.setdefault(field, getattr(source, key))
+    _check_geometry(base, f"--config {path}", source, source_where)
     return TrainConfig.from_dict(base)
 
 
@@ -97,8 +91,8 @@ def _cmd_train(args) -> int:
     if args.log:
         _check_output("--log", args.log, inputs)
     dataset = FixtureDataset(args.data)
-    config = _train_config(args, dataset)
-    _check_geometry(vars(config), f"--config {args.config}", dataset, f"dataset {dataset.root / META_NAME}")
+    config = _config(args.config, dataset, f"dataset {dataset.root / META_NAME}",
+                     steps=args.steps, learning_rate=args.learning_rate, batch=args.batch, seed=args.seed)
     samples = dataset.load_samples()
     result = train(config, samples, dataset.default_encoder())
     save_checkpoint(args.out_ckpt, result.checkpoint)
@@ -134,7 +128,7 @@ def _cmd_eval(args) -> int:
 def _cmd_gradcheck(args) -> int:
     if not 0 < args.tol < float("inf"):
         raise ConfigError(f"gradcheck: tol must be positive and finite, got {args.tol}")
-    config = _gradcheck_config(args.config) if args.config else GRADCHECK_CONFIG
+    config = _config(args.config, GRADCHECK_GEN, "the gradcheck fixtures") if args.config else GRADCHECK_CONFIG
     seed = config.seed if args.seed is None else args.seed
     report = run_model_gradcheck(config=config, seed=seed, eps=args.eps)
     print(report.format_table())
@@ -213,7 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # numpy's warnings stay out of stderr: the stage checks name where a run went non-finite
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except RefScanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

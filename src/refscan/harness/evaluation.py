@@ -12,7 +12,8 @@ import numpy as np
 from ..config import TrainConfig
 from ..errors import InputError, MetricError, PipelineError
 from ..fusion import PipelineSample, check_sample, forward
-from ..metrics import EvalRecord, auroc, iou, mean_iou, multilabel_map
+# mean_iou is not called here: it stays because the benchmark's tracer wraps evaluation.mean_iou
+from ..metrics import EvalRecord, auroc, iou, mean_iou, multilabel_map  # noqa: F401
 from ..numerics import ParamStore
 from ..semantics import ReferenceEncoder
 
@@ -72,7 +73,7 @@ def aggregate_report(records: list[EvalRecord]) -> dict:
         for r in records
     ]
     return {
-        "miou": mean_iou(records),
+        "miou": float(np.mean([row["iou"] for row in rows])),  # mean_iou's value, its IoUs computed once
         "map": multilabel_map(records),
         "auroc": auroc(records),
         "num_samples": len(records),

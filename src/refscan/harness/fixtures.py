@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..config import TrainConfig, _kind_error
+from ..config import TrainConfig, check_kinds, from_fields
 from ..errors import ConfigError
 from ..retrieval import VisualTokenGrid
 from ..semantics import Detection, SyntheticEncoder, synthetic_encode
@@ -38,6 +38,8 @@ _COLORS = ("red", "blue", "green", "black", "white", "yellow")
 _ITEMS = ("shirt", "jacket", "hat", "dress", "coat")
 _POSITIONS = ("left", "right", "center", "front", "back")
 _DISTRACTOR_CATEGORIES = ("chair", "car", "table", "dog", "phone", "cup")
+# The geometry a model shares with its data: (TrainConfig field, GenConfig field and meta.json key)
+GEOMETRY = (("d", "dim"), ("frames", "frames"), ("num_classes", "num_classes"))
 
 
 @dataclass
@@ -72,12 +74,7 @@ class GenConfig:
     def validate(self) -> "GenConfig":
         """Check each field's type, then its range; a bad field raises
         ``ConfigError`` naming it."""
-        for f in fields(self):
-            kind, _, optional = f.type.partition(" | ")
-            value = getattr(self, f.name)
-            problem = None if optional and value is None else _kind_error(kind, value)
-            if problem is not None:
-                raise ConfigError(f"{f.name} {problem}, got {value!r}")
+        check_kinds(self)
         for name in ("frames", "grid_rows", "grid_cols", "num_classes", "max_labels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -103,11 +100,7 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown generator config keys: {sorted(unknown)}")
-        return cls(**data).validate()
+        return from_fields(cls, data, "generator config")
 
 
 def class_signature(c: int, dim: int, seed: int) -> np.ndarray:
@@ -251,12 +244,6 @@ def generate_fixtures(cfg: GenConfig, out_dir) -> Path:
 
 
 def default_train_config(cfg: GenConfig, **overrides) -> TrainConfig:
-    """TrainConfig whose dims match a generator config."""
-    base = dict(
-        d=cfg.dim,
-        frames=cfg.frames,
-        num_classes=cfg.num_classes,
-        seed=cfg.seed,
-    )
-    base.update(overrides)
-    return TrainConfig(**base).validate()
+    """TrainConfig whose geometry and seed are a generator config's."""
+    base = {field: getattr(cfg, key) for field, key in GEOMETRY}
+    return TrainConfig(**{**base, "seed": cfg.seed, **overrides}).validate()

@@ -188,8 +188,8 @@ def _parse_record(
     target = os.path.realpath(os.path.join(root, features_ref))
     if not target.startswith(os.path.join(root, "")):
         fail(f"features file {features_ref!r} lies outside the dataset root {root}", "features_ref")
-    if not os.path.exists(target):
-        fail(f"features file {features_ref!r} not found under {root}", "features_ref")
+    if not os.path.isfile(target):
+        fail(f"features file {features_ref!r} not found under {root}, or not a file", "features_ref")
     return SampleRecord(
         video_id=obj["video_id"],
         num_frames=num_frames,
@@ -262,10 +262,10 @@ def record_sample(
 class FixtureDataset:
     """A generated dataset directory: meta.json + annotations + RTEN features.
 
-    Opening one checks ``meta.json`` and that the annotation file exists,
+    Opening one checks ``meta.json``, keeping its integers (``dim`` to
+    ``encoder_seed``) as attributes, and that the annotation file exists,
     and parses no record: ``iter_samples`` validates each record when its
-    chunk is read, and ``records`` parses the whole file on first
-    use."""
+    chunk is read, and ``records`` parses the whole file on first use."""
 
     def __init__(self, root):
         self.root = Path(root)
@@ -282,6 +282,7 @@ class FixtureDataset:
                 raise ParseError(f"{meta_path}: missing or not an integer: {value!r}", field=name)
             if value < {"encoder_seed": 0, "dim": 2}.get(name, 1):  # the synthetic encoder needs dim >= 2
                 raise ParseError(f"{meta_path}: out of range: {value!r}", field=name)
+            setattr(self, name, value)
         self.annotations_path = self.root / ANNOTATIONS_NAME
         if not self.annotations_path.exists():
             raise ParseError(f"annotation file {self.annotations_path} does not exist")
@@ -291,22 +292,6 @@ class FixtureDataset:
         """Every record in one list, parsed and validated in full on first
         read and then kept; ``iter_samples`` does not read it."""
         return load_annotations(self.annotations_path, self.num_classes)
-
-    @property
-    def dim(self) -> int:
-        return int(self.meta["dim"])
-
-    @property
-    def frames(self) -> int:
-        return int(self.meta["frames"])
-
-    @property
-    def num_classes(self) -> int:
-        return int(self.meta["num_classes"])
-
-    @property
-    def encoder_seed(self) -> int:
-        return int(self.meta["encoder_seed"])
 
     def default_encoder(self) -> SyntheticEncoder:
         return SyntheticEncoder(self.dim, self.encoder_seed)
@@ -322,7 +307,7 @@ class FixtureDataset:
         for name, found, expected, source in (
             ("num_frames", grid.num_frames, record.num_frames, "its record"),
             ("frames", grid.num_frames, self.frames, META_NAME),
-            ("cells", grid.num_cells, self.meta["grid_rows"] * self.meta["grid_cols"], META_NAME),
+            ("cells", grid.num_cells, self.grid_rows * self.grid_cols, META_NAME),
             ("dim", grid.dim, self.dim, META_NAME),
         ):
             if found != expected:

@@ -159,7 +159,6 @@ def model_loss_fn(samples, params, config, encoder):
 
 def run_model_gradcheck(
     config: TrainConfig | None = None,
-    gen: GenConfig | None = None,
     seed: int = 0,
     eps: float = 1e-5,
 ) -> GradCheckReport:
@@ -167,8 +166,7 @@ def run_model_gradcheck(
     from ..fusion import init_model_params
 
     config = (config or GRADCHECK_CONFIG).validate()
-    gen = gen or GRADCHECK_GEN
-    gen = GenConfig(**{**gen.to_dict(), "seed": seed})
+    gen = GenConfig(**{**GRADCHECK_GEN.to_dict(), "seed": seed})
     samples = synth_samples(gen)
     encoder = SyntheticEncoder(gen.dim, gen.seed)
     params = init_model_params(config, seed=seed)

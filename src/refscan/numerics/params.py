@@ -7,7 +7,6 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from ..errors import ConfigError, DimensionError
 from .tape import Var
 
 
@@ -44,13 +43,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.leaves[name].value
-
-    def __setitem__(self, name: str, value: np.ndarray) -> None:
-        if name not in self.leaves:
-            raise ConfigError(f"unknown parameter {name!r}")
-        if self[name].shape != np.shape(value):
-            raise DimensionError(f"parameter {name!r}: cannot assign shape {np.shape(value)} over {self[name].shape}")
-        self[name][...] = value
 
     def grad(self, name: str) -> np.ndarray:
         return self.leaves[name].grad

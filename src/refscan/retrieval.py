@@ -51,7 +51,6 @@ class TrajectorySet:
     """The picks of one hierarchy's queries: ``indices[k, l]`` is query k's
     nearest cell in frame l."""
 
-    hierarchy: str  # "keyword" | "scene-attribute"
     indices: np.ndarray  # (K, T) intp
 
     def __len__(self) -> int:
@@ -90,10 +89,11 @@ def _retrieve(queries: np.ndarray, grid: VisualTokenGrid) -> np.ndarray:
 
 
 def build_trajectory_set(queries: np.ndarray, grid: VisualTokenGrid, hierarchy: str) -> TrajectorySet:
-    """One trajectory per query row, order preserved; zero rows -> empty set."""
+    """One trajectory per query row, order preserved; zero rows -> empty set.
+    Only the benchmark's tracer reads ``hierarchy``, to tell picks apart."""
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim != 2:
         raise DimensionError(f"queries must be 2-D, got shape {queries.shape}")
     if queries.shape[0] == 0:
-        return TrajectorySet(hierarchy, np.zeros((0, grid.num_frames), dtype=np.intp))
-    return TrajectorySet(hierarchy, _retrieve(queries, grid))
+        return TrajectorySet(np.zeros((0, grid.num_frames), dtype=np.intp))
+    return TrajectorySet(_retrieve(queries, grid))

@@ -115,11 +115,7 @@ class ReferenceBundle:
     words: list[str]
     keywords: list[str]
     holistic: np.ndarray  # (N_R, d)
-    keyword_embeddings: np.ndarray  # (num_keywords, d)
-
-    @property
-    def num_keywords(self) -> int:
-        return len(self.keywords)
+    keyword_embeddings: np.ndarray  # (len(keywords), d)
 
 
 def embed_reference(

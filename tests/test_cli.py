@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,57 @@ def test_train_abort_names_the_stage_and_unit(dataset, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("aborted: non-finite loss, first in stage 'fusion' unit 'attn.")
     assert "at step 0;" in err and "Traceback" not in err and ckpt.exists()
+
+
+def test_train_overflow_prints_only_the_abort_line(dataset, tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({**json.loads(small_train_config(tmp_path).read_text()), "learning_rate": 1e300}))
+    ckpt = tmp_path / "model.ckpt"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["train", "--data", str(dataset), "--config", str(cfg), "--out-ckpt", str(ckpt)]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    assert capsys.readouterr().err == (
+        "aborted: non-finite loss, first in stage 'ssm' unit 'ssm.keyword' at step 1; "
+        f"last-good checkpoint written to {ckpt}\n"
+    )
+
+
+@pytest.mark.parametrize("name, value", [("head.temporal.reg.b2", np.nan), ("ssm.keyword.A", np.inf)])
+def test_eval_non_finite_checkpoint_exits_1_naming_the_file_and_parameter(dataset, tmp_path, capsys, name, value):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(ckpt)]) == 0
+    loaded = load_checkpoint(ckpt)
+    loaded.params[name].reshape(-1)[0] = value
+    save_checkpoint(ckpt, loaded)
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(dataset), "--report", str(report)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {ckpt}: parameter {name!r} holds a non-finite value: field 'params'\n"
+    )
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_features_ref_naming_a_directory_exits_1_naming_the_line(dataset, tmp_path, capsys, command):
+    ckpt = tmp_path / "model.ckpt"
+    assert main(["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                 "--out-ckpt", str(ckpt)]) == 0
+    ref = json.loads((dataset / "annotations.jsonl").read_text().splitlines()[0])["features_ref"]
+    (dataset / ref).unlink()
+    (dataset / ref).mkdir()
+    capsys.readouterr()
+    if command == "train":
+        argv = ["train", "--data", str(dataset), "--config", str(small_train_config(tmp_path)),
+                "--out-ckpt", str(tmp_path / "other.ckpt")]
+    else:
+        argv = ["eval", "--ckpt", str(ckpt), "--data", str(dataset), "--report", str(tmp_path / "r.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dataset / 'annotations.jsonl'}: features file {ref!r} ")
+    assert err.endswith("not a file: line 1: field 'features_ref'\n") and err.count("\n") == 1
 
 
 def test_gen_config_file_with_flag_override(tmp_path):

@@ -385,7 +385,7 @@ class TestCheckpoint:
         loaded = load_checkpoint(tmp_path / "a.ckpt")
         assert loaded.params.names() == sorted(loaded.params.names())
         name = loaded.params.names()[0]
-        loaded.params[name] = loaded.params[name] + 1.0
+        loaded.params[name][...] = loaded.params[name] + 1.0
         save_checkpoint(tmp_path / "c.ckpt", loaded)
         assert np.array_equal(load_checkpoint(tmp_path / "c.ckpt").params[name], loaded.params[name])
 
@@ -583,6 +583,15 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig.from_dict({"nope": 1})
+
+    @pytest.mark.parametrize("cls, what", [(TrainConfig, "config"), (GenConfig, "generator config")])
+    def test_both_configs_keep_one_field_contract(self, cls, what):
+        with pytest.raises(ConfigError, match=rf"^unknown {what} keys: \['nope'\]$"):
+            cls.from_dict({"nope": 1})
+        with pytest.raises(ConfigError, match=rf"^{what} must be a JSON object, got list$"):
+            cls.from_dict([1])
+        with pytest.raises(ConfigError, match=r"^seed must be an integer, got 1\.5$"):
+            cls.from_dict({"seed": 1.5})
 
     def test_toggle_invariants(self):
         with pytest.raises(ConfigError):

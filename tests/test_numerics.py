@@ -401,21 +401,13 @@ class TestTapeOps:
         np.testing.assert_allclose(x.grad, [[8.0]])
 
 
-def test_param_store_shape_guard():
-    params = ParamStore({"w": np.zeros((2, 2))})
-    with pytest.raises(DimensionError):
-        params["w"] = np.zeros(3)
-    with pytest.raises(ConfigError, match="unknown parameter 'v'"):
-        params["v"] = np.zeros(1)
-
-
 def test_param_store_views_share_the_flat_vectors():
     params = ParamStore({"a": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0])}, seed=4)
     a, b = params["a"], params["b"]
     assert a.flags.c_contiguous and a.flags.writeable and np.shares_memory(a, params.flat_values)
     np.testing.assert_array_equal(params.flat_values, [0, 1, 2, 3, 4, 5, 7, 8])
     a.reshape(-1)[4] = -1.0  # how grad_check perturbs an entry
-    params["b"] = np.array([9.0, 10.0])
+    params["b"][...] = np.array([9.0, 10.0])
     np.testing.assert_array_equal(params.flat_values, [0, 1, 2, 3, -1, 5, 9, 10])
     assert b[1] == 10.0 and params.seed == 4 and params.num_scalars() == 8
 
@@ -429,7 +421,7 @@ def test_param_store_leaves_view_the_flat_vectors():
         assert np.shares_memory(leaf.grad, params.flat_grads)
         assert leaf.value.shape == leaf.grad.shape == params[name].shape
     leaf_a, leaf_b = params.leaves["a"], params.leaves["b"]
-    params["b"] = np.array([9.0, 10.0])
+    params["b"][...] = np.array([9.0, 10.0])
     params["a"].reshape(-1)[4] = -1.0  # how grad_check perturbs an entry
     np.testing.assert_array_equal(leaf_b.value, [9.0, 10.0])
     assert leaf_a.value[1, 1] == -1.0

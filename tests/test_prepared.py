@@ -179,8 +179,8 @@ def test_prepared_forward_is_bitwise_the_raw_forward(name):
     encoder = SyntheticEncoder(GEN.dim, GEN.seed)
     samples = mixed_batch(encoder)
     if not config.use_holistic:
-        samples = [s for s in samples if s.reference.num_keywords or s.detections]
-    assert any(s.reference.num_keywords == 0 for s in samples)
+        samples = [s for s in samples if len(s.reference.keywords) or s.detections]
+    assert any(len(s.reference.keywords) == 0 for s in samples)
     assert any(not s.detections for s in samples)
     params = init_model_params(config, seed=0)
     filled = forward(samples, params, config, encoder)

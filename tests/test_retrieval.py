@@ -114,7 +114,6 @@ class TestBuildTrajectorySet:
         ts = build_trajectory_set(queries, grid, "scene-attribute")
         for k in range(3):
             np.testing.assert_array_equal(ts.indices[k], picks(queries[k], grid))
-        assert ts.hierarchy == "scene-attribute"
         assert ts.indices_signature() == tuple(tuple(row) for row in ts.indices.tolist())
 
     @given(st.integers(0, 10_000))

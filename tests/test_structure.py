@@ -125,7 +125,7 @@ def test_no_keyword_retrieval_where_no_keyword_scan_is_built(overrides, monkeypa
     cross-attention no hierarchy is queried: no scene-attribute token is
     built either, and each branch pools its enhanced tokens alone."""
     config, samples, encoder, params = setup(overrides)
-    assert all(s.reference.num_keywords for s in samples)
+    assert all(len(s.reference.keywords) for s in samples)
     grids = keyword_retrievals(monkeypatch)
     built = []
     real = fusion.build_scene_attribute_tokens
