@@ -469,7 +469,8 @@ class PipelineSample:
 
 
 def check_sample(sample: PipelineSample, config: TrainConfig) -> None:
-    """Reject a sample whose grid frames, grid dim or labels do not fit ``config``."""
+    """Reject a sample whose grid frames, grid dim or labels do not fit
+    ``config``, or whose box is not 4 coordinates."""
     grid = sample.grid
     if (grid.num_frames, grid.dim) != (config.frames, config.d):
         raise ConfigError(
@@ -478,6 +479,8 @@ def check_sample(sample: PipelineSample, config: TrainConfig) -> None:
         )
     if sample.labels is None or np.shape(sample.labels) != (config.num_classes,):
         raise ConfigError(f"sample {sample.sample_id!r} labels do not match num_classes {config.num_classes}")
+    if sample.gt_bbox is None or np.shape(sample.gt_bbox) != (4,):
+        raise ConfigError(f"sample {sample.sample_id!r} gt_bbox is not 4 coordinates")
 
 
 @dataclass

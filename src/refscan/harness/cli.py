@@ -116,7 +116,7 @@ def _cmd_eval(args) -> int:
     dataset = FixtureDataset(args.data)
     _check_geometry(vars(ckpt.config), f"checkpoint {args.ckpt}", dataset, f"dataset {dataset.root / META_NAME}")
     encoder = dataset.default_encoder()
-    report = evaluate(ckpt.params, ckpt.config, dataset.iter_samples(encoder), encoder)
+    report = evaluate(ckpt.params, ckpt.config, dataset, encoder)
     write_report(args.report, report)
     print(
         f"mIOU {report['miou']:.4f}  mAP {report['map']:.4f}  AUROC {report['auroc']:.4f}  "

@@ -9,7 +9,9 @@ of ``CHUNK_RECORDS`` records at a time, so a pass over a split holds one
 chunk of records and grids (and the last grid of the chunk before), not
 the split, and its first sample waits on one chunk, not on the whole
 annotation file. The chunk size trades that memory against the share of
-samples that wait on a chunk's parse and reads, one per chunk.
+samples that wait on a chunk's parse and reads, one per chunk. A chunk is
+also the unit that evaluation deals out over processes: every process
+parses every record, and reads the tensors of its own chunks only.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 import os
 import struct
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -39,8 +41,10 @@ FIXTURE_FORMAT_VERSION = 1  # meta.json's format_version
 ANNOTATIONS_NAME = "annotations.jsonl"
 FEATURES_DIR = "features"
 # Records that are parsed, whose tensors are read, and whose references are
-# embedded, together. Memory holds one chunk of records and grids, and the
-# first sample of each chunk waits on the chunk's parse and reads. On a
+# embedded, together; evaluation deals whole chunks to its processes, chunk c
+# to process c mod W, so a split of one chunk runs in one process. Memory
+# holds one chunk of records and grids, and the first sample of each chunk
+# waits on the chunk's parse and reads. On a
 # 1,024-record split (d=32, 8 frames, 4x4 grid) the chunk size alone set
 # `refscan eval`'s peak RSS at 48.4, 46.0, 45.0 and 44.4 MB for 128, 64, 32
 # and 16 records; at 32, 3.1% of the samples wait on reads (0.8% at 128). At
@@ -241,21 +245,27 @@ def save_annotations(path, records: list[SampleRecord]) -> None:
             fh.write("\n")
 
 
+def record_targets(record: SampleRecord, num_classes: int) -> tuple[str, np.ndarray, np.ndarray]:
+    """A record's sample id, box, and labels as a multi-hot (num_classes,)
+    vector, as its ``record_sample`` holds them."""
+    labels = np.zeros(num_classes)
+    labels[record.action_labels] = 1.0
+    return record.video_id, np.asarray(record.gt_bbox, dtype=np.float64), labels
+
+
 def record_sample(
     record: SampleRecord, grid: VisualTokenGrid, encoder: ReferenceEncoder, num_classes: int
 ) -> fusion.PipelineSample:
     """The model input of one record: its grid, its reference embedded by
-    ``encoder``, its detections and box, and its labels as a multi-hot
-    (num_classes,) vector."""
-    labels = np.zeros(num_classes)
-    labels[record.action_labels] = 1.0
+    ``encoder``, its detections, and its ``record_targets``."""
+    sample_id, gt_bbox, labels = record_targets(record, num_classes)
     return fusion.PipelineSample(
         grid=grid,
         reference=fusion.prepare_reference(record.reference, encoder),
         detections=record.detections,
-        gt_bbox=np.asarray(record.gt_bbox, dtype=np.float64),
+        gt_bbox=gt_bbox,
         labels=labels,
-        sample_id=record.video_id,
+        sample_id=sample_id,
     )
 
 
@@ -327,20 +337,41 @@ class FixtureDataset:
                 f"{self.annotations_path}: video {rec.video_id!r}: {exc}", field="reference"
             ) from exc
 
-    def iter_samples(self, encoder: ReferenceEncoder | None = None) -> Iterator[fusion.PipelineSample]:
-        """The records' PipelineSamples in record order, built one chunk of
-        ``CHUNK_RECORDS`` records at a time: the chunk's tensors are read and
-        its references embedded before its first sample is yielded, and the
-        chunk is dropped before the next is read. A consumer that keeps each
-        sample only until it asks for the next holds one chunk of grids plus
-        the last grid of the chunk before, which it still holds while the
-        next chunk is read. A chunk's records are parsed from the annotation
-        file just before its tensors, so a malformed record, like a bad
-        tensor, raises when its chunk is read, after the samples before it."""
+    def record_bound(self) -> int:
+        """At least the number of records, found without parsing one: one
+        more than the ``\\n`` and ``\\r`` bytes of the annotation file, which
+        count each end of line ``iter_annotations`` splits at once or twice."""
+        bound = 1
+        with open(self.annotations_path, "rb") as fh:
+            for block in iter(lambda: fh.read(1 << 20), b""):
+                bound += block.count(b"\n") + block.count(b"\r")
+        return bound
+
+    def iter_chunks(
+        self, encoder: ReferenceEncoder | None = None
+    ) -> Iterator[tuple[list[SampleRecord], Callable[[], list[fusion.PipelineSample]]]]:
+        """Per chunk of ``CHUNK_RECORDS`` records, in record order: its
+        records, parsed from the annotation file just before the chunk is
+        yielded, and a builder of their PipelineSamples, which reads the
+        chunk's tensors and embeds its references when called. So a
+        malformed record raises when its chunk is reached, after the chunks
+        before it, and a pass that never builds a chunk reads none of its
+        tensors."""
         encoder = encoder or self.default_encoder()
         records = iter_annotations(self.annotations_path, self.num_classes)
         while chunk := list(itertools.islice(records, CHUNK_RECORDS)):
-            yield from [self._sample(rec, encoder) for rec in chunk]
+            yield chunk, lambda chunk=chunk: [self._sample(rec, encoder) for rec in chunk]
+
+    def iter_samples(self, encoder: ReferenceEncoder | None = None) -> Iterator[fusion.PipelineSample]:
+        """The records' PipelineSamples in record order, built one chunk of
+        ``iter_chunks`` at a time: the chunk's tensors are read and its
+        references embedded before its first sample is yielded, and the
+        chunk is dropped before the next is read. A consumer that keeps each
+        sample only until it asks for the next holds one chunk of grids plus
+        the last grid of the chunk before, which it still holds while the
+        next chunk is read."""
+        for _, build in self.iter_chunks(encoder):
+            yield from build()
 
     def load_samples(self, encoder: ReferenceEncoder | None = None) -> list[fusion.PipelineSample]:
         """Every sample of ``iter_samples`` in one list, all grids in memory."""

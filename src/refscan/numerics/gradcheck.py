@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import math
-import os
-import signal
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
 from ..errors import ConfigError
+from . import fork
 from .params import ParamStore
 from .tape import Var
 
@@ -69,16 +67,6 @@ def _eval(loss_fn: LossFn, leaves: Mapping[str, Var]) -> tuple[Var, float, objec
 _MISSING, _SAME, _FLIPPED = 0, 1, 2
 
 
-def _worker_count(entries: int) -> int:
-    """One process per usable CPU, at most one per entry. One process where
-    the platform cannot say which CPUs are usable, or where another thread
-    runs: a forked child keeps only the calling thread, and a lock another
-    thread held would stay held in it."""
-    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), entries))
-
-
 def _probe_share(probe, entries, losses: np.ndarray, state: np.ndarray) -> None:
     """Probe ``entries`` in order into ``losses`` and ``state``. Stop after a
     non-finite loss, where the fold will abort, or at an entry that raises,
@@ -96,42 +84,21 @@ def _probe_share(probe, entries, losses: np.ndarray, state: np.ndarray) -> None:
 
 def _probe_all(probe, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Each entry's two losses and state, its probes dealt round-robin to
-    this process (entries 0, W, 2W, ...) and W - 1 forked workers. Dealing
-    is static, never by who finishes first, so each process's evaluations
-    are the same from run to run. Both arrays view one anonymous shared
-    mapping made before the fork, which every worker probes its share into
-    before it exits: an entry's state is written after its losses, so a
-    worker that dies leaves missing only the entries it had not finished.
-    Every worker is reaped before this returns or raises; one still running
-    when this process raises, an interrupt included, is killed first."""
-    import mmap  # here, not at the top: train and eval would load it for nothing
+    this process (entries 0, W, 2W, ...) and W - 1 forked workers
+    (``fork.run_shares``). Dealing is static, never by who finishes first,
+    so each process's evaluations are the same from run to run. Both arrays
+    view the table every process probes its share into: an entry's state is
+    written after its losses, so a worker that dies leaves missing only the
+    entries it had not finished."""
 
-    table = mmap.mmap(-1, max(1, size * 17))  # 16 bytes of losses and 1 of state per entry
-    losses = np.frombuffer(table, np.float64, size * 2).reshape(size, 2)
-    state = np.frombuffer(table, np.uint8, size, offset=size * 16)
-    workers = _worker_count(size)
-    running = []  # pids of the workers not yet reaped
-    try:
-        for k in range(1, workers):
-            try:
-                pid = os.fork()
-            except OSError:  # no process to be had: the fold probes this share
-                break
-            if pid == 0:
-                try:
-                    _probe_share(probe, range(k, size, workers), losses, state)
-                finally:
-                    os._exit(0)  # none of this process's exit handlers
-            running.append(pid)
-        _probe_share(probe, range(0, size, workers), losses, state)
-        while running:
-            os.waitpid(running[0], 0)
-            running.pop(0)
-    finally:
-        for pid in running:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return losses, state
+    def views(table) -> tuple[np.ndarray, np.ndarray]:  # 16 bytes of losses per entry, then 1 of state
+        losses = np.frombuffer(table, np.float64, size * 2).reshape(size, 2)
+        return losses, np.frombuffer(table, np.uint8, size, offset=size * 16)
+
+    def share(table, k: int, workers: int) -> None:
+        _probe_share(probe, range(k, size, workers), *views(table))
+
+    return views(fork.run_shares(share, fork.worker_count(size), size * 17))
 
 
 def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckReport:

@@ -14,11 +14,12 @@ abpairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(abpairs)
 
 
-def metrics(setup_s: float, wall_s: float, report: str = "r0") -> dict:
-    """A stand-in run: its metrics and the outputs of its details line."""
+def metrics(setup_s: float, wall_s: float, report: str = "r0", load: float = 0.5) -> dict:
+    """A stand-in run: its metrics, and the outputs and host state of its details line."""
     return {
         "metrics": {"setup_s": {"value": setup_s, "unit": "s"}, "wall_s": {"value": wall_s, "unit": "s"}},
         "outputs": {"report_sha256": report, "sessions_agree": True},
+        "host": {"loadavg_1m": load, "nproc": 2},
     }
 
 
@@ -99,12 +100,32 @@ def test_same_bits_counts_the_pairs_whose_fingerprints_match():
 def test_run_bench_keeps_the_outputs_of_the_details_line(tmp_path):
     root = tmp_path / "checkout"
     (root / "perfbench").mkdir(parents=True)
-    details = {"workload": "eval-fresh", "outputs": {"report_sha256": "abc", "sessions_agree": True}}
+    details = {
+        "workload": "eval-fresh",
+        "outputs": {"report_sha256": "abc", "sessions_agree": True},
+        "environment": {"nproc": 2, "cpu_count": 4, "loadavg_1m": 1.25, "python": "3.11.7"},
+    }
     result = {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics(0.5, 1.0)["metrics"]}
     lines = ["noise", json.dumps(details), json.dumps(result)]
     (root / "perfbench" / "run.py").write_text(f"print({chr(10).join(lines)!r})\n")
     run = abpairs.run_bench(root, "eval-fresh", 1, 1.0)
-    assert run == {"metrics": result["metrics"], "outputs": details["outputs"]}
+    assert run == {"metrics": result["metrics"], "outputs": details["outputs"], "host": {"loadavg_1m": 1.25, "nproc": 2}}
+
+
+def test_each_run_and_side_shows_the_host_state(capsys):
+    loads = iter([0.25, 1.5, 2.0, 0.75])
+
+    def run(checkout, workload, seed, seconds):
+        return metrics(1.0, 1.0, load=next(loads))
+
+    runs = abpairs.run_pairs(("P", "C"), "eval-fresh", 2, 900, 1.0, run=run)
+    records = capsys.readouterr().err.splitlines()
+    # parent, change, then change first in the second pair
+    assert [json.loads(line.split(": ", 1)[1])["host"]["loadavg_1m"] for line in records] == [0.25, 1.5, 2.0, 0.75]
+    assert abpairs.format_hosts(runs) == (
+        "parent host: loadavg_1m 0.25 to 0.75, nproc 2 to 2\n"
+        "change host: loadavg_1m 1.5 to 2, nproc 2 to 2"
+    )
 
 
 def test_bounds_are_read_from_the_benchmark_file():

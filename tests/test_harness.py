@@ -423,6 +423,25 @@ class TestTraining:
         with pytest.raises(InputError):
             train(cfg, [], enc)
 
+    @pytest.mark.parametrize("box", [None, np.array([0.1, 0.2, 0.5])], ids=["no box", "three coordinates"])
+    @pytest.mark.parametrize("run", ["train", "evaluate"])
+    def test_a_box_not_of_4_coordinates_is_rejected_naming_the_sample(self, monkeypatch, run, box):
+        from refscan.harness import evaluation, training
+
+        cfg, samples, enc = self._setup(steps=1)
+        samples[2] = dataclasses.replace(samples[2], gt_bbox=box)
+        forwards = []
+        for module in (training, evaluation):
+            monkeypatch.setattr(module, "forward", lambda *a, real=module.forward, **k: forwards.append(1) or real(*a, **k))
+        message = f"^sample {re.escape(repr(samples[2].sample_id))} gt_bbox is not 4 coordinates$"
+        with pytest.raises(ConfigError, match=message):
+            if run == "train":
+                train(cfg, samples, enc)
+            else:
+                evaluate(init_model_params(cfg), cfg, samples, enc)
+        # train checks every sample before its first step; evaluate each before its forward
+        assert len(forwards) == (0 if run == "train" else 2)
+
     def test_dim_mismatch_rejected(self):
         cfg, samples, enc = self._setup(steps=1)
         bad = TrainConfig(**{**cfg.to_dict(), "d": cfg.d * 2})

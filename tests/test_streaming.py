@@ -1,11 +1,15 @@
 """Evaluation streams the split: ``FixtureDataset.iter_samples`` parses and
 reads one chunk of records at a time, and ``refscan eval`` keeps no grid past
 the next sample. The chunk size is shrunk here so that a small split spans
-several chunks."""
+several chunks. The counts of what ``refscan eval`` loads, parses and
+forwards are taken in this process, so each is pinned to one usable CPU, and
+has a two-CPU twin that counts this process's share of the chunks: 0, 2 and
+4 of the five."""
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import weakref
 
@@ -19,9 +23,12 @@ from refscan.harness.evaluation import evaluate, write_report
 from refscan.harness.fixtures import GenConfig, generate_fixtures
 from refscan.harness.formats import FixtureDataset, iter_annotations, load_annotations, record_sample
 
+from test_numerics import assert_no_child_left, use_cpus
+
 CHUNK = 2
 GEN = GenConfig(num_samples=9, frames=4, grid_rows=2, grid_cols=2, dim=16, num_classes=5, seed=13)
 TRAIN = ["--steps", "1", "--batch", "2"]
+HERE = [i for i in range(GEN.num_samples) if i // CHUNK % 2 == 0]  # this process's samples on two CPUs
 
 
 @pytest.fixture()
@@ -57,25 +64,43 @@ def count_forwards(monkeypatch) -> list:
     return forwards
 
 
-def test_cli_eval_holds_one_chunk_of_grids_and_one_grid_more(split, tmp_path, monkeypatch):
-    root, ckpt = split
-    alive: list[weakref.ref] = []
-    most = 0
+def track_grids(monkeypatch) -> tuple[list, list]:
+    """The ids of the records whose grids this process loads, and the most
+    of those grids alive at once, as a one-entry list, once a run is over."""
+    loaded, alive, most = [], [], [0]
     real_load = FixtureDataset.load_grid
 
     def tracked_load(self, record):
-        nonlocal most
         grid = real_load(self, record)
+        loaded.append(record.video_id)
         alive.append(weakref.ref(grid))
-        most = max(most, sum(ref() is not None for ref in alive))
+        most[0] = max(most[0], sum(ref() is not None for ref in alive))
         return grid
 
     monkeypatch.setattr(FixtureDataset, "load_grid", tracked_load)
+    return loaded, most
+
+
+def test_cli_eval_holds_one_chunk_of_grids_and_one_grid_more(split, tmp_path, monkeypatch):
+    root, ckpt = split
+    use_cpus(monkeypatch, 1)
+    loaded, most = track_grids(monkeypatch)
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(root), "--report", str(tmp_path / "r.json")]) == 0
-    assert len(alive) == GEN.num_samples
+    assert len(loaded) == GEN.num_samples
     # the chunk being read, and the last sample of the chunk before, which the
     # evaluation loop still holds while it asks for the next sample
-    assert most == CHUNK + 1
+    assert most == [CHUNK + 1]
+
+
+def test_cli_eval_on_two_cpus_loads_only_its_own_chunks_here(split, tmp_path, monkeypatch):
+    root, ckpt = split
+    use_cpus(monkeypatch, 2)
+    loaded, most = track_grids(monkeypatch)
+    assert main(["eval", "--ckpt", str(ckpt), "--data", str(root), "--report", str(tmp_path / "r.json")]) == 0
+    assert_no_child_left()
+    assert loaded == [FixtureDataset(root).records[i].video_id for i in HERE]
+    # a chunk of its own, and the last sample of its chunk before
+    assert most == [CHUNK + 1]
 
 
 def test_load_samples_is_bitwise_the_stream(split):
@@ -98,8 +123,12 @@ def test_cli_eval_report_is_the_in_memory_report(split, tmp_path):
     assert report.read_bytes() == (tmp_path / "mem.json").read_bytes()
 
 
-def test_a_bad_tensor_in_the_third_chunk_fails_mid_run(split, tmp_path, monkeypatch, capsys):
+def fail_on_a_bad_tensor(split, tmp_path, monkeypatch, capsys, cpus: int) -> list:
+    """`refscan eval` on ``cpus`` CPUs with the third chunk's first tensor cut:
+    exit 1, one error line naming the file, no report. Returns this
+    process's forwards."""
     root, ckpt = split
+    use_cpus(monkeypatch, cpus)
     ds = FixtureDataset(root)
     victim = root / ds.records[2 * CHUNK].features_ref
     victim.write_bytes(victim.read_bytes()[:6])
@@ -109,12 +138,27 @@ def test_a_bad_tensor_in_the_third_chunk_fails_mid_run(split, tmp_path, monkeypa
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(root), "--report", str(report)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(victim) in err[0]
-    assert len(forwards) == 2 * CHUNK  # the first two chunks ran before the read failed
     assert not report.exists()
+    return forwards
 
 
-def test_a_bad_record_in_the_third_chunk_fails_mid_run(split, tmp_path, monkeypatch, capsys):
+def test_a_bad_tensor_in_the_third_chunk_fails_mid_run(split, tmp_path, monkeypatch, capsys):
+    forwards = fail_on_a_bad_tensor(split, tmp_path, monkeypatch, capsys, cpus=1)
+    assert len(forwards) == 2 * CHUNK  # the first two chunks ran before the read failed
+
+
+def test_a_bad_tensor_in_the_third_chunk_fails_on_two_cpus_after_its_first_chunk_here(split, tmp_path, monkeypatch, capsys):
+    forwards = fail_on_a_bad_tensor(split, tmp_path, monkeypatch, capsys, cpus=2)
+    assert_no_child_left()
+    assert len(forwards) == CHUNK  # chunk 0 here; the worker ran chunk 1
+
+
+def fail_on_a_bad_record(split, tmp_path, monkeypatch, capsys, cpus: int) -> list:
+    """`refscan eval` on ``cpus`` CPUs with the third chunk's first record
+    out of range: exit 1, one error line naming the file, the line and the
+    field, an older report kept. Returns this process's forwards."""
     root, ckpt = split
+    use_cpus(monkeypatch, cpus)
     path = root / formats.ANNOTATIONS_NAME
     lines = path.read_text().splitlines()
     bad = 2 * CHUNK  # line 2 * CHUNK + 1, the first record of the third chunk
@@ -130,12 +174,26 @@ def test_a_bad_record_in_the_third_chunk_fails_mid_run(split, tmp_path, monkeypa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {path}: gt_bbox ")
     assert err[0].endswith(f": line {bad + 1}: field 'gt_bbox'")
-    assert len(forwards) == 2 * CHUNK  # the first two chunks ran before the record was parsed
     assert report.read_text() == "an older report\n"
+    return forwards
 
 
-def test_records_are_parsed_one_chunk_at_a_time(split, tmp_path, monkeypatch):
+def test_a_bad_record_in_the_third_chunk_fails_mid_run(split, tmp_path, monkeypatch, capsys):
+    forwards = fail_on_a_bad_record(split, tmp_path, monkeypatch, capsys, cpus=1)
+    assert len(forwards) == 2 * CHUNK  # the first two chunks ran before the record was parsed
+
+
+def test_a_bad_record_in_the_third_chunk_fails_on_two_cpus_after_its_first_chunk_here(split, tmp_path, monkeypatch, capsys):
+    forwards = fail_on_a_bad_record(split, tmp_path, monkeypatch, capsys, cpus=2)
+    assert_no_child_left()
+    assert len(forwards) == CHUNK  # chunk 0 here; the worker ran chunk 1
+
+
+def parsed_at_each_forward(split, tmp_path, monkeypatch, cpus: int) -> list[int]:
+    """The records this process has parsed at each of its forwards in a
+    `refscan eval` on ``cpus`` CPUs; opening the dataset parses none."""
     root, ckpt = split
+    use_cpus(monkeypatch, cpus)
     parsed = []
     real_parse = formats._parse_record
     monkeypatch.setattr(formats, "_parse_record", lambda *a: parsed.append(1) or real_parse(*a))
@@ -145,9 +203,20 @@ def test_records_are_parsed_one_chunk_at_a_time(split, tmp_path, monkeypatch):
     real_forward = evaluation.forward
     monkeypatch.setattr(evaluation, "forward", lambda *a, **k: at_forward.append(len(parsed)) or real_forward(*a, **k))
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(root), "--report", str(tmp_path / "r.json")]) == 0
+    return at_forward
+
+
+def test_records_are_parsed_one_chunk_at_a_time(split, tmp_path, monkeypatch):
+    at_forward = parsed_at_each_forward(split, tmp_path, monkeypatch, cpus=1)
     # each chunk is parsed when its first sample is asked for, the last one short
     assert at_forward == [min(GEN.num_samples, (i // CHUNK + 1) * CHUNK) for i in range(GEN.num_samples)]
     assert at_forward[0] == formats.CHUNK_RECORDS
+
+
+def test_records_are_parsed_on_two_cpus_no_further_than_the_chunk_forwarded_here(split, tmp_path, monkeypatch):
+    at_forward = parsed_at_each_forward(split, tmp_path, monkeypatch, cpus=2)
+    assert_no_child_left()
+    assert at_forward == [min(GEN.num_samples, (i // CHUNK + 1) * CHUNK) for i in HERE]
 
 
 def test_opening_a_dataset_without_annotations_fails(split):

@@ -20,9 +20,13 @@ every metric being better lower and its bound a share of PARENT's median:
   the bound, so a change within the bound cannot be told from noise;
 - ``within bound``: otherwise.
 
-Last, for each ``*_sha256`` fingerprint in the details line of PARENT's runs
-(the checkpoint, report or gradcheck rows), it prints in how many pairs
-CHANGE's value equals PARENT's at the same seed. A run that is not correct
+Each run's stderr record carries the host state its details line recorded
+(``HOST``: the 1-minute load average as the run began, and the usable CPUs),
+and under the summary each side's range of it is printed, so that a set that
+leans with the host can be told from one that leans with the change. Last,
+for each ``*_sha256`` fingerprint in the details line of PARENT's runs (the
+checkpoint, report or gradcheck rows), it prints in how many pairs CHANGE's
+value equals PARENT's at the same seed. A run that is not correct
 or fails items is reported and stops the tool.
 """
 
@@ -36,6 +40,7 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+HOST = ("loadavg_1m", "nproc")  # the host state kept from each run's details line
 
 
 def schedule(pairs: int, first_seed: int) -> list[tuple[int, tuple[int, int]]]:
@@ -60,7 +65,8 @@ def bounds(checkout: Path) -> dict[str, float]:
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The ``metrics`` of one untraced run of ``checkout``'s benchmark, and
-    the ``outputs`` of its details line, the second-to-last of stdout."""
+    the ``outputs`` and the ``HOST`` values of the ``environment`` of its
+    details line, the second-to-last of stdout."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -71,7 +77,8 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     details, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     if not result["correct"] or result["failed"]:
         raise RuntimeError(f"{checkout}: seed {seed} run not correct or failed items: {result}")
-    return {"metrics": result["metrics"], "outputs": details["outputs"]}
+    host = {key: details["environment"][key] for key in HOST}
+    return {"metrics": result["metrics"], "outputs": details["outputs"], "host": host}
 
 
 def run_pairs(checkouts, workload: str, pairs: int, first_seed: int, seconds: float, run=run_bench) -> list[list[dict]]:
@@ -117,6 +124,15 @@ def format_summary(summary: dict, pairs: int) -> str:
             f"{name} ({s['unit']}): {pm:.4g} [{pq1:.4g}, {pq3:.4g}] -> {cm:.4g} [{cq1:.4g}, {cq3:.4g}]"
             f", {cm / pm - 1:+.1%}, change lower in {s['change_lower']}/{pairs}"
         )
+    return "\n".join(lines)
+
+
+def format_hosts(runs: list[list[dict]]) -> str:
+    """Per side, the lowest and highest of each ``HOST`` value over its runs."""
+    lines = []
+    for side, side_runs in zip(SIDES, runs):
+        ranges = [[r["host"][key] for r in side_runs] for key in HOST]
+        lines.append(f"{side} host: " + ", ".join(f"{key} {min(v):g} to {max(v):g}" for key, v in zip(HOST, ranges)))
     return "\n".join(lines)
 
 
@@ -173,6 +189,7 @@ def main(argv=None) -> int:
     print(f"{args.workload}, {args.pairs} pairs from seed {args.seed}, parent -> change:")
     summary = summarise(runs)
     print(format_summary(summary, args.pairs))
+    print(format_hosts(runs))
     print(format_verdicts(summary, args.pairs, limits))
     print(format_same_bits(runs))
     return 0
