@@ -75,7 +75,7 @@ def load_checkpoint(path) -> Checkpoint:
         payload = fh.read()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer, or nesting too deep
         raise ParseError(f"{path}: invalid checkpoint header: {exc}") from exc
     if not isinstance(header, dict):
         raise ParseError(f"{path}: checkpoint header is not a JSON object")

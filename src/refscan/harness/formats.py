@@ -5,13 +5,13 @@ u32 per dim, then the float64 payload row-major. Annotations are UTF-8
 JSON-lines, parsed one line at a time: each record is validated as its line
 is read, and the file is rejected at the first violation with its line
 number. A dataset's records are parsed, and their tensors read, one chunk
-of ``CHUNK_RECORDS`` records at a time, so a pass over a split holds one
-chunk of records and grids (and the last grid of the chunk before), not
-the split, and its first sample waits on one chunk, not on the whole
-annotation file. The chunk size trades that memory against the share of
-samples that wait on a chunk's parse and reads, one per chunk. A chunk is
-also the unit that evaluation deals out over processes: every process
-parses every record, and reads the tensors of its own chunks only.
+of ``CHUNK_RECORDS`` records at a time, so evaluation holds one chunk of
+records and grids, not the split, and its first sample waits on one
+chunk, not on the whole annotation file. The chunk size trades that
+memory against the share of samples that wait on a chunk's parse and
+reads, one per chunk. A chunk is also the unit that evaluation deals out
+over processes: every process parses every record, and reads the tensors
+of its own chunks only.
 """
 
 from __future__ import annotations
@@ -43,8 +43,9 @@ FEATURES_DIR = "features"
 # Records that are parsed, whose tensors are read, and whose references are
 # embedded, together; evaluation deals whole chunks to its processes, chunk c
 # to process c mod W, so a split of one chunk runs in one process. Memory
-# holds one chunk of records and grids, and the first sample of each chunk
-# waits on the chunk's parse and reads. On a
+# holds one chunk of records and grids, dropped before the next chunk is
+# read, and the first sample of each chunk waits on the chunk's parse and
+# reads. On a
 # 1,024-record split (d=32, 8 frames, 4x4 grid) the chunk size alone set
 # `refscan eval`'s peak RSS at 48.4, 46.0, 45.0 and 44.4 MB for 128, 64, 32
 # and 16 records; at 32, 3.1% of the samples wait on reads (0.8% at 128). At
@@ -99,7 +100,7 @@ def read_json_object(path) -> dict:
     blob = Path(path).read_bytes()
     try:
         data = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer, or nesting too deep
         raise ParseError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: must hold a JSON object")
@@ -228,8 +229,8 @@ def iter_annotations(path, num_classes: int | None = None) -> Iterator[SampleRec
                 obj = json.loads(line)
             except UnicodeDecodeError as exc:
                 raise ParseError(f"{path}: not UTF-8: {exc.reason}", line=line_no) from exc
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}: invalid JSON: {exc.msg}", line=line_no) from exc
+            except (ValueError, RecursionError) as exc:  # json's own, an over-long integer, or nesting too deep
+                raise ParseError(f"{path}: invalid JSON: {getattr(exc, 'msg', exc)}", line=line_no) from exc
             yield _parse_record(obj, line_no, path, root, num_classes)
 
 

@@ -62,45 +62,6 @@ def _eval(loss_fn: LossFn, leaves: Mapping[str, Var]) -> tuple[Var, float, objec
     return loss, float(loss.value), sig
 
 
-# What a probe found for one entry: not probed (or it raised), both losses
-# taken with the baseline's selection signature, or either signature differed.
-_MISSING, _SAME, _FLIPPED = 0, 1, 2
-
-
-def _probe_share(probe, entries, losses: np.ndarray, state: np.ndarray) -> None:
-    """Probe ``entries`` in order into ``losses`` and ``state``. Stop after a
-    non-finite loss, where the fold will abort, or at an entry that raises,
-    which stays missing so that the fold probes it again and raises there."""
-    for j in entries:
-        try:
-            lp, lm, flipped = probe(j)
-        except Exception:
-            return
-        losses[j] = lp, lm
-        state[j] = _FLIPPED if flipped else _SAME  # after the losses it vouches for
-        if not (math.isfinite(lp) and math.isfinite(lm)):
-            return
-
-
-def _probe_all(probe, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each entry's two losses and state, its probes dealt round-robin to
-    this process (entries 0, W, 2W, ...) and W - 1 forked workers
-    (``fork.run_shares``). Dealing is static, never by who finishes first,
-    so each process's evaluations are the same from run to run. Both arrays
-    view the table every process probes its share into: an entry's state is
-    written after its losses, so a worker that dies leaves missing only the
-    entries it had not finished."""
-
-    def views(table) -> tuple[np.ndarray, np.ndarray]:  # 16 bytes of losses per entry, then 1 of state
-        losses = np.frombuffer(table, np.float64, size * 2).reshape(size, 2)
-        return losses, np.frombuffer(table, np.uint8, size, offset=size * 16)
-
-    def share(table, k: int, workers: int) -> None:
-        _probe_share(probe, range(k, size, workers), *views(table))
-
-    return views(fork.run_shares(share, fork.worker_count(size), size * 17))
-
-
 def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckReport:
     """Compare analytic gradients with (f(x+eps) - f(x-eps)) / (2 eps).
 
@@ -114,14 +75,13 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
 
     Each probe (the +eps and -eps evaluations of one scalar) is independent
     of the others, so after the baseline and its backward the probes are
-    dealt round-robin over one process per usable CPU: the check forks a
-    worker per extra CPU, each of which inherits the baseline and writes
-    its share's two losses and whether a signature flipped into a table
-    it shares with this process. This process probes its own share, reaps
-    the workers, then folds the table in entry order, probing itself any
-    entry no worker finished. So the report, and the first exception in
-    entry order, are those of probing every scalar in one process, which
-    is all a one-CPU host runs.
+    dealt over one process per usable CPU (``fork.deal``): each worker
+    inherits the baseline and writes each of its scalars' two losses, and
+    whether a signature flipped, into a table it shares with this process,
+    which folds the table in entry order. A probe with a non-finite loss
+    stops the deal there, as it aborts the check. So the report, and the
+    first exception in entry order, are those of probing every scalar in
+    one process, which is all a one-CPU host runs.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ConfigError(f"grad_check: eps must be positive and finite, got {eps}")
@@ -138,7 +98,9 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
 
     values, grads = params.flat_values, params.flat_grads
 
-    def probe(j: int) -> tuple[float, float, bool]:
+    def probe(j: int, row: np.ndarray) -> bool:
+        """Entry ``j``'s two losses and whether either signature flipped,
+        into ``row``; whether a loss is non-finite."""
         orig = values[j]
         try:
             values[j] = orig + eps
@@ -147,17 +109,14 @@ def grad_check(loss_fn: LossFn, params: ParamStore, eps: float) -> GradCheckRepo
             _, lm, sig_m = _eval(loss_fn, params.leaves)
         finally:
             values[j] = orig
-        return lp, lm, sig_p != base_sig or sig_m != base_sig
+        row[:] = lp, lm, sig_p != base_sig or sig_m != base_sig
+        return not (math.isfinite(lp) and math.isfinite(lm))
 
-    losses, state = _probe_all(probe, values.size)
+    probes = fork.deal(lambda: range(values.size), probe, values.size, 3)
     for name, span in params.flat_slices():
         row = ParamCheckRow(name=name)
         for j in range(span.start, span.stop):
-            if state[j] == _MISSING:
-                lp, lm, flipped = probe(j)
-            else:
-                (lp, lm), flipped = losses[j].tolist(), state[j] == _FLIPPED
-
+            lp, lm, flipped = probes[j].tolist()
             if not (math.isfinite(lp) and math.isfinite(lm)):
                 report.aborted = True
                 report.flagged_param = name

@@ -598,6 +598,35 @@ def test_config_file_that_is_not_an_object_exits_1_naming_the_file(dataset, tmp_
     assert err.startswith("error: ") and "bad.json" in err and "Traceback" not in err
 
 
+# json.loads raises RecursionError on the first and a plain ValueError on the
+# second (an integer past Python's 4,300-digit limit), neither a JSONDecodeError
+HOSTILE_JSON = {"nested 100,000 deep": "[" * 100_000 + "]" * 100_000, "a 5,000-digit integer": "1" * 5_000}
+
+
+@pytest.mark.parametrize("document", sorted(HOSTILE_JSON))
+@pytest.mark.parametrize("site", ["annotation line", "meta.json", "--config", "checkpoint header"])
+def test_hostile_json_exits_1_with_one_line_naming_the_file(trained, tmp_path, capsys, site, document):
+    data, cfg, ckpt = trained
+    text = HOSTILE_JSON[document]
+    if site == "annotation line":
+        path = data / "annotations.jsonl"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], text, *lines[2:]]) + "\n")
+    else:
+        path = {"meta.json": data / "meta.json", "--config": cfg, "checkpoint header": ckpt}[site]
+        path.write_text(text + "\n")
+    if site == "--config":
+        argv = ["train", "--data", str(data), "--config", str(cfg), "--out-ckpt", str(tmp_path / "new.ckpt")]
+    else:
+        argv = ["eval", "--ckpt", str(ckpt), "--data", str(data), "--report", str(tmp_path / "r.json")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+    if site == "annotation line":
+        assert err[0].endswith(": line 2")
+
+
 def test_reference_without_words_exits_1_naming_the_file(dataset, tmp_path, capsys):
     path = dataset / "annotations.jsonl"
     lines = path.read_text().splitlines()

@@ -1,6 +1,6 @@
 """Evaluation streams the split: ``FixtureDataset.iter_samples`` parses and
 reads one chunk of records at a time, and ``refscan eval`` keeps no grid past
-the next sample. The chunk size is shrunk here so that a small split spans
+its chunk. The chunk size is shrunk here so that a small split spans
 several chunks. The counts of what ``refscan eval`` loads, parses and
 forwards are taken in this process, so each is pinned to one usable CPU, and
 has a two-CPU twin that counts this process's share of the chunks: 0, 2 and
@@ -81,15 +81,14 @@ def track_grids(monkeypatch) -> tuple[list, list]:
     return loaded, most
 
 
-def test_cli_eval_holds_one_chunk_of_grids_and_one_grid_more(split, tmp_path, monkeypatch):
+def test_cli_eval_holds_one_chunk_of_grids(split, tmp_path, monkeypatch):
     root, ckpt = split
     use_cpus(monkeypatch, 1)
     loaded, most = track_grids(monkeypatch)
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(root), "--report", str(tmp_path / "r.json")]) == 0
     assert len(loaded) == GEN.num_samples
-    # the chunk being read, and the last sample of the chunk before, which the
-    # evaluation loop still holds while it asks for the next sample
-    assert most == [CHUNK + 1]
+    # the chunk being forwarded: its samples are dropped before the next chunk is read
+    assert most == [CHUNK]
 
 
 def test_cli_eval_on_two_cpus_loads_only_its_own_chunks_here(split, tmp_path, monkeypatch):
@@ -99,8 +98,8 @@ def test_cli_eval_on_two_cpus_loads_only_its_own_chunks_here(split, tmp_path, mo
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(root), "--report", str(tmp_path / "r.json")]) == 0
     assert_no_child_left()
     assert loaded == [FixtureDataset(root).records[i].video_id for i in HERE]
-    # a chunk of its own, and the last sample of its chunk before
-    assert most == [CHUNK + 1]
+    # a chunk of its own, dropped before its next chunk is read
+    assert most == [CHUNK]
 
 
 def test_load_samples_is_bitwise_the_stream(split):
