@@ -58,8 +58,9 @@ import numpy as np
 
 from .config import TrainConfig
 from .errors import ConfigError, DimensionError, InputError, PipelineError
-from .numerics import ParamStore, uniform_init
 from .numerics import tape
+from .numerics.linalg import uniform_init
+from .numerics.params import ParamStore
 from .numerics.tape import Var, one_row_slices, stacked_matmul, weight_grad
 from .retrieval import VisualTokenGrid, build_trajectory_set
 from .semantics import (

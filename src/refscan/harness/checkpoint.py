@@ -18,7 +18,7 @@ import numpy as np
 from ..config import TrainConfig
 from ..errors import ConfigError, ParseError
 from ..fusion import init_model_params
-from ..numerics import ParamStore
+from ..numerics.params import ParamStore
 
 CHECKPOINT_VERSION = 1
 

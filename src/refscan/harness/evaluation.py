@@ -15,7 +15,8 @@ from ..errors import InputError, MetricError, PipelineError
 from ..fusion import PipelineSample, check_sample, forward
 # mean_iou is not called here: it stays because the benchmark's tracer wraps evaluation.mean_iou
 from ..metrics import EvalRecord, auroc, iou, mean_iou, multilabel_map  # noqa: F401
-from ..numerics import ParamStore, fork
+from ..numerics import fork
+from ..numerics.params import ParamStore
 from ..semantics import ReferenceEncoder
 from . import formats
 from .formats import FixtureDataset, record_targets

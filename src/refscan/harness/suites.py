@@ -22,7 +22,7 @@ from ..metrics import (
     multilabel_map,
     multilabel_map_oracle,
 )
-from ..numerics import GradCheckReport, grad_check
+from ..numerics.gradcheck import GradCheckReport, grad_check
 from ..semantics import SyntheticEncoder
 from ..ssm import SsmLayerParams, ssm_scan, ssm_scan_oracle
 from .fixtures import GenConfig, synth_samples

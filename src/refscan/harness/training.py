@@ -25,7 +25,7 @@ import numpy as np
 from ..config import TrainConfig
 from ..errors import ConfigError, InputError
 from ..fusion import PipelineSample, check_sample, forward, init_model_params
-from ..numerics import ParamStore
+from ..numerics.params import ParamStore
 from ..semantics import ReferenceEncoder
 from .checkpoint import Checkpoint, rng_state_of
 

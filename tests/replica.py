@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from refscan.fusion import pool_spatial, pool_temporal
-from refscan.numerics import softmax
+from refscan.numerics.linalg import softmax
 from refscan.ssm import SsmLayerParams, ssm_scan
 
 

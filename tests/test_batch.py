@@ -20,7 +20,7 @@ from refscan.harness.suites import (
     random_scan_case,
     run_model_gradcheck,
 )
-from refscan.numerics import grad_check
+from refscan.numerics.gradcheck import grad_check
 from refscan.numerics.tape import Var
 from refscan.retrieval import VisualTokenGrid, build_trajectory_set, nearest_token
 from refscan.semantics import Detection, SyntheticEncoder

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import os
 import warnings
 
 import numpy as np
@@ -12,7 +11,7 @@ from refscan.harness.checkpoint import load_checkpoint, save_checkpoint
 from refscan.harness import suites
 from refscan.harness.cli import main
 from refscan.harness.formats import read_tensor, write_tensor
-from refscan.numerics import ParamStore
+from refscan.numerics.params import ParamStore
 
 
 @pytest.fixture()
@@ -301,12 +300,13 @@ def test_gradcheck_subcommand(capsys, tmp_path):
     assert "overall max rel err" in out
 
 
-def test_gradcheck_prints_the_same_on_one_cpu_and_on_two(capsys, monkeypatch):
+def test_gradcheck_prints_the_same_on_one_cpu_and_on_two(capsys, use_cpus, forks):
     runs = []
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+    for cpus in (1, 2):
+        use_cpus(cpus)
         rc = main(["gradcheck", "--seed", "11"])
         runs.append((rc, capsys.readouterr().out))
+    assert len(forks) == 1
     assert runs[1] == runs[0]
     rc, out = runs[0]
     assert rc == 0 and "gradcheck PASS" in out
@@ -625,6 +625,28 @@ def test_hostile_json_exits_1_with_one_line_naming_the_file(trained, tmp_path, c
     assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
     if site == "annotation line":
         assert err[0].endswith(": line 2")
+
+
+# 10**17 float64 is 711 PiB, past what a 57-bit address space maps: the
+# allocation fails on any machine before a page is touched
+HUGE = 10**17
+
+
+@pytest.mark.parametrize("command", ["gen --dim", "train on meta.json num_classes", "gradcheck --config n"])
+def test_a_size_no_machine_holds_exits_1_with_one_line(dataset, tmp_path, capsys, command):
+    if command == "gen --dim":
+        argv = ["gen", "--num", "1", "--frames", "1", "--grid", "1x1", "--dim", str(HUGE), "--out", str(tmp_path / "g")]
+    elif command == "gradcheck --config n":
+        (tmp_path / "g.json").write_text(json.dumps({"n": HUGE}))
+        argv = ["gradcheck", "--config", str(tmp_path / "g.json")]
+    else:
+        meta = dataset / "meta.json"
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "num_classes": HUGE}))
+        argv = ["train", "--data", str(dataset), "--steps", "1", "--out-ckpt", str(tmp_path / "x.ckpt")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory: ") and "PiB" in err[0], err
 
 
 def test_reference_without_words_exits_1_naming_the_file(dataset, tmp_path, capsys):

@@ -1,14 +1,14 @@
 """Evaluation dealt over processes: chunk c of a split goes to process c mod W,
 one per usable CPU, and the records, the report bytes and the first error
-are those of one process. The chunk size is shrunk so that a small split
-spans nine chunks, and the usable CPUs are set whatever this host has."""
+are those of one process. What ``fork.deal`` does with any task is tested in
+tests/test_fork.py; these tests keep what evaluation adds to it. The chunk
+size is shrunk so that a small split spans nine chunks, and the usable CPUs
+are set whatever this host has."""
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -21,8 +21,6 @@ from refscan.harness.evaluation import evaluate, predict_records, write_report
 from refscan.harness.fixtures import GenConfig, generate_fixtures
 from refscan.harness.formats import FixtureDataset
 from refscan.retrieval import VisualTokenGrid
-
-from test_numerics import assert_no_child_left, use_cpus
 
 CHUNK = 2
 GEN = GenConfig(num_samples=17, frames=4, grid_rows=2, grid_cols=2, dim=16, num_classes=5, seed=29)
@@ -62,46 +60,44 @@ def forwarded_here(monkeypatch, act=None) -> list[str]:
     return here
 
 
-def test_reports_are_the_same_bytes_on_one_two_and_eight_cpus(split, tmp_path, monkeypatch):
+def test_reports_are_the_same_bytes_on_one_two_and_eight_cpus(split, tmp_path, monkeypatch, use_cpus):
     root, loaded, ckpt, samples, encoder = split
     cli, listed = [], []
     for cpus in (1, 2, 8):
-        use_cpus(monkeypatch, cpus)
+        use_cpus(cpus)
         here = forwarded_here(monkeypatch)
         cli.append(cli_report(root, ckpt, tmp_path / f"cli{cpus}.json"))
-        assert_no_child_left()
         # chunk c is forwarded by process c mod W, this one being process 0
         workers = min(cpus, 9)
         assert here == [s.sample_id for i, s in enumerate(samples) if i // CHUNK % workers == 0]
         write_report(tmp_path / f"list{cpus}.json", evaluate(loaded.params, loaded.config, samples, encoder))
-        assert_no_child_left()
         listed.append((tmp_path / f"list{cpus}.json").read_bytes())
     assert cli[1] == cli[2] == cli[0] == listed[0] == listed[1] == listed[2]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_a_nonfinite_sample_in_a_workers_chunk_raises_as_in_one_process(split, monkeypatch):
+def test_a_nonfinite_sample_in_a_workers_chunk_raises_as_in_one_process(split, use_cpus, forks):
     _, loaded, _, samples, encoder = split
     victim = CHUNK + 1  # the second sample of chunk 1, the worker's on two CPUs
     scaled = list(samples)
     scaled[victim] = dataclasses.replace(samples[victim], grid=VisualTokenGrid(samples[victim].grid.tokens * 1e200))
     raised = []
     for cpus in (1, 2):
-        use_cpus(monkeypatch, cpus)
+        use_cpus(cpus)
         with pytest.raises(PipelineError) as info:
             predict_records(loaded.params, loaded.config, scaled, encoder)
-        assert_no_child_left()
         raised.append((info.value.stage, str(info.value)))
+    assert len(forks) == 1
     assert raised[1] == raised[0]
     stage, text = raised[0]
     assert f"sample {samples[victim].sample_id!r}: non-finite '" in text and text.startswith(f"stage {stage!r}")
 
 
-def test_a_worker_that_dies_mid_share_leaves_its_unfinished_chunks_here(split, tmp_path, monkeypatch):
+def test_a_worker_that_dies_mid_share_leaves_its_unfinished_chunks_here(split, tmp_path, monkeypatch, use_cpus, forks):
     root, _, ckpt, samples, _ = split
-    use_cpus(monkeypatch, 1)
+    use_cpus(1)
     alone = cli_report(root, ckpt, tmp_path / "alone.json")
-    use_cpus(monkeypatch, 2)
+    use_cpus(2)
     parent, worker_forwards = os.getpid(), []
 
     def die_on_third(sample_id):
@@ -112,57 +108,21 @@ def test_a_worker_that_dies_mid_share_leaves_its_unfinished_chunks_here(split, t
 
     here = forwarded_here(monkeypatch, die_on_third)
     assert cli_report(root, ckpt, tmp_path / "dealt.json") == alone
-    assert_no_child_left()
+    assert len(forks) == 1
     ids = [s.sample_id for s in samples]
     # its own chunks 0, 2, 4, 6 and 8, then chunks 3, 5 and 7 the worker left
     assert here == [ids[i] for i in range(len(ids)) if i // CHUNK % 2 == 0] + ids[3 * CHUNK:4 * CHUNK] + \
         ids[5 * CHUNK:6 * CHUNK] + ids[7 * CHUNK:8 * CHUNK]
 
 
-def test_an_interrupt_here_kills_and_reaps_the_worker(split, monkeypatch):
-    _, loaded, _, samples, encoder = split
-    use_cpus(monkeypatch, 2)
-    parent = os.getpid()
-
-    def interrupt(sample_id):
-        if os.getpid() != parent:
-            time.sleep(60)  # a worker still forwarding
-        raise KeyboardInterrupt
-
-    forwarded_here(monkeypatch, interrupt)
-    start = time.monotonic()
-    with pytest.raises(KeyboardInterrupt):
-        predict_records(loaded.params, loaded.config, samples, encoder)
-    assert time.monotonic() - start < 30
-    assert_no_child_left()
-
-
-def test_another_running_thread_forks_nothing(split, tmp_path, monkeypatch):
+def test_a_single_chunk_forks_nothing(split, tmp_path, monkeypatch, use_cpus, forks):
     root, loaded, ckpt, samples, encoder = split
-    use_cpus(monkeypatch, 1)
+    use_cpus(1)
     alone = cli_report(root, ckpt, tmp_path / "alone.json")
-    use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        assert cli_report(root, ckpt, tmp_path / "threaded.json") == alone
-        assert len(predict_records(loaded.params, loaded.config, samples, encoder)) == GEN.num_samples
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-
-
-def test_a_single_chunk_forks_nothing(split, tmp_path, monkeypatch):
-    root, loaded, ckpt, samples, encoder = split
-    use_cpus(monkeypatch, 1)
-    alone = cli_report(root, ckpt, tmp_path / "alone.json")
-    use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+    use_cpus(2)
     monkeypatch.setattr(formats, "CHUNK_RECORDS", 64)  # above the 18 the annotation file's line ends allow
     assert cli_report(root, ckpt, tmp_path / "one_chunk.json") == alone
     records = predict_records(loaded.params, loaded.config, samples, encoder)
     assert [r.sample_id for r in records] == [s.sample_id for s in samples]
     np.testing.assert_array_equal(records[0].gt_bbox, samples[0].gt_bbox)
+    assert forks == []

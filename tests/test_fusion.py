@@ -21,8 +21,8 @@ from refscan.fusion import (
     _trajectory_input,
 )
 from refscan.harness.fixtures import GenConfig, synth_samples
-from refscan.numerics import Var, softmax
-from refscan.numerics.tape import one_row_slices
+from refscan.numerics.linalg import softmax
+from refscan.numerics.tape import Var, one_row_slices
 from refscan.retrieval import VisualTokenGrid
 from refscan.semantics import SyntheticEncoder
 

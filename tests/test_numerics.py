@@ -1,16 +1,15 @@
 from __future__ import annotations
 
-import os
-import threading
-import time
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refscan.errors import ConfigError, DimensionError
-from refscan.numerics import ParamStore, Var, grad_check, softmax, uniform_init
+from refscan.numerics.gradcheck import grad_check
+from refscan.numerics.linalg import softmax, uniform_init
+from refscan.numerics.params import ParamStore
+from refscan.numerics.tape import Var
 
 import composed
 
@@ -69,6 +68,7 @@ class TestGradCheck:
 
         report = grad_check(loss_fn, params, eps=1e-5)
         assert report.max_rel_err == 0.0
+        assert grad_check(loss_fn, ParamStore({}), eps=1e-5).rows == []
 
     def test_selection_flip_entries_are_skipped(self):
         params = ParamStore({"w": np.array([0.5])})
@@ -125,10 +125,6 @@ class TestGradCheck:
         assert not report.passed(1e-4)
 
 
-def use_cpus(monkeypatch, count: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
 def report_bits(report) -> tuple:
     """Every field of a report, its floats as bytes."""
     def bits(*xs):
@@ -136,11 +132,6 @@ def report_bits(report) -> tuple:
 
     rows = [(r.name, r.checked, r.skipped, bits(r.max_rel_err, r.worst_analytic, r.worst_numeric)) for r in report.rows]
     return bits(report.eps, report.max_rel_err), report.aborted, report.flagged_param, rows
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def moved(params, j: int) -> bool:
@@ -175,18 +166,38 @@ def nonfinite_at(j):
     return make
 
 
-class TestGradCheckOnTwoCpus:
-    """The probes split over two processes, whatever this host has."""
+def raises_at(j):
+    def make(params):
+        def loss_fn(pv):
+            if moved(params, j):
+                raise ValueError(f"entry {j} moved")
+            return composed.sum_all(pv["a"])
 
-    def both(self, monkeypatch, make_loss):
-        reports = []
+        return loss_fn
+
+    return make
+
+
+class TestGradCheckOnTwoCpus:
+    """What grad_check adds to ``fork.deal``, whose dealing tests/test_fork.py
+    tests: on one CPU and on two, whatever this host has, the same report or
+    the same first exception, and the store's values restored."""
+
+    @staticmethod
+    def both(use_cpus, forks, make_loss) -> list:
+        """grad_check on one CPU, then on two with a worker forked: each
+        run's report bits, or the type and text of what it raised."""
+        outcomes = []
         for cpus in (1, 2):
-            use_cpus(monkeypatch, cpus)
+            use_cpus(cpus)
             params = ParamStore(SPLIT)
-            reports.append(grad_check(make_loss(params), params, eps=1e-5))
-            assert_no_child_left()
+            try:
+                outcomes.append(report_bits(grad_check(make_loss(params), params, eps=1e-5)))
+            except ValueError as exc:
+                outcomes.append((type(exc), str(exc)))
             np.testing.assert_array_equal(params.flat_values, SPLIT_VALUES)
-        return reports
+        assert len(forks) == 1
+        return outcomes
 
     @pytest.mark.parametrize("make_loss, rows, flagged", [
         (square, [(3, 0), (2, 0)], None),
@@ -194,154 +205,16 @@ class TestGradCheckOnTwoCpus:
         (nonfinite_at(3), [(3, 0), (0, 0)], "b"),
         (nonfinite_at(2), [(2, 0)], "a"),
     ], ids=["square", "selection flip", "abort in the worker's share", "abort in this share"])
-    def test_rows_are_the_one_cpu_rows(self, monkeypatch, make_loss, rows, flagged):
-        one, two = self.both(monkeypatch, make_loss)
-        assert report_bits(two) == report_bits(one)
-        assert [(r.checked, r.skipped) for r in two.rows] == rows
-        assert (two.aborted, two.flagged_param) == (flagged is not None, flagged)
-
-    def test_this_process_probes_every_other_scalar(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        parent, here = os.getpid(), []
-        params = ParamStore(SPLIT)
-
-        def loss_fn(pv):
-            if os.getpid() == parent:
-                here.append(np.flatnonzero(params.flat_values != SPLIT_VALUES).tolist())
-            return square(params)(pv)
-
-        grad_check(loss_fn, params, eps=1e-5)
-        assert here == [[]] + [[j] for j in (0, 0, 2, 2, 4, 4)]
+    def test_rows_are_the_one_cpu_rows(self, use_cpus, forks, make_loss, rows, flagged):
+        one, two = self.both(use_cpus, forks, make_loss)
+        assert two == one
+        _, aborted, flagged_param, bits_rows = two
+        assert [(checked, skipped) for _, checked, skipped, _ in bits_rows] == rows
+        assert (aborted, flagged_param) == (flagged is not None, flagged)
 
     @pytest.mark.parametrize("j", [3, 2], ids=["worker's share", "this share"])
-    def test_a_loss_that_raises_raises_as_on_one_cpu(self, monkeypatch, j):
-        def make(params):
-            def loss_fn(pv):
-                if moved(params, j):
-                    raise ValueError(f"entry {j} moved")
-                return composed.sum_all(pv["a"])
-
-            return loss_fn
-
-        raised = []
-        for cpus in (1, 2):
-            use_cpus(monkeypatch, cpus)
-            params = ParamStore(SPLIT)
-            with pytest.raises(ValueError) as info:
-                grad_check(make(params), params, eps=1e-5)
-            raised.append((type(info.value), str(info.value)))
-            assert_no_child_left()
-            np.testing.assert_array_equal(params.flat_values, SPLIT_VALUES)
-        assert raised[1] == raised[0] == (ValueError, f"entry {j} moved")
-
-    @pytest.mark.parametrize("lost", ["worker dies", "fork fails"])
-    def test_a_share_no_worker_reports_is_probed_here(self, monkeypatch, lost):
-        parent = os.getpid()
-        if lost == "fork fails":
-            def no_fork():
-                raise BlockingIOError("no process to be had")
-
-            monkeypatch.setattr(os, "fork", no_fork)
-
-        def make(params):
-            def loss_fn(pv):
-                if os.getpid() != parent:
-                    os._exit(3)
-                return composed.sum_all(composed.mul(pv["a"], pv["a"]))
-
-            return loss_fn
-
-        one, two = self.both(monkeypatch, make)
-        assert report_bits(two) == report_bits(one)
-        assert [r.checked for r in two.rows] == [3, 2]
-
-    def test_a_worker_that_dies_keeps_what_it_finished(self, monkeypatch):
-        parent, here = os.getpid(), []
-
-        def make(params):
-            here.clear()
-            worker_evals = 0
-
-            def loss_fn(pv):
-                nonlocal worker_evals
-                if os.getpid() == parent:
-                    here.append(np.flatnonzero(params.flat_values != SPLIT_VALUES).tolist())
-                else:
-                    worker_evals += 1
-                    if worker_evals == 3:  # entry 1's probe is done, entry 3's starts
-                        os._exit(3)
-                return square(params)(pv)
-
-            return loss_fn
-
-        one, two = self.both(monkeypatch, make)
-        assert report_bits(two) == report_bits(one)
-        # this process's share, then only the worker's unfinished entry
-        assert here == [[]] + [[j] for j in (0, 0, 2, 2, 4, 4, 3, 3)]
-
-    def test_more_workers_than_cpus_each_fill_their_share(self, monkeypatch):
-        # eight processes on whatever this host has: an entry a worker's
-        # write did not reach would be probed here again
-        use_cpus(monkeypatch, 8)
-        parent, here = os.getpid(), []
-        params = ParamStore({"w": np.linspace(-1.0, 1.0, 40)})
-        start = params.flat_values.copy()
-
-        def loss_fn(pv):
-            if os.getpid() == parent:
-                here.append(np.flatnonzero(params.flat_values != start).tolist())
-            return composed.sum_all(composed.mul(pv["w"], pv["w"]))
-
-        began = time.monotonic()
-        report = grad_check(loss_fn, params, eps=1e-5)
-        assert time.monotonic() - began < 30
-        assert_no_child_left()
-        assert here == [[]] + [[j] for j in range(0, 40, 8) for _ in range(2)]
-        assert report.rows[0].checked == 40 and report.max_rel_err <= 1e-6
-
-    def test_an_interrupt_here_kills_and_reaps_the_worker(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        parent = os.getpid()
-        params = ParamStore(SPLIT)
-
-        def loss_fn(pv):
-            if os.getpid() != parent:
-                time.sleep(60)  # a worker still probing
-            elif moved(params, 0):
-                raise KeyboardInterrupt
-            return composed.sum_all(pv["a"])
-
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            grad_check(loss_fn, params, eps=1e-5)
-        assert time.monotonic() - start < 30
-        assert_no_child_left()
-        np.testing.assert_array_equal(params.flat_values, SPLIT_VALUES)
-
-    @pytest.mark.parametrize("arrays, loss_fn", [
-        ({}, lambda pv: Var(np.asarray(1.0))),
-        ({"w": np.array([3.0])}, lambda pv: composed.sum_all(pv["w"])),
-    ], ids=["no scalar", "one scalar"])
-    def test_fewer_than_two_scalars_fork_nothing(self, monkeypatch, arrays, loss_fn):
-        use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        report = grad_check(loss_fn, ParamStore(arrays), eps=1e-5)
-        assert [r.checked for r in report.rows] == [1] * len(arrays)
-
-    def test_another_running_thread_forks_nothing(self, monkeypatch):
-        use_cpus(monkeypatch, 2)
-        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            params = ParamStore(SPLIT)
-            report = grad_check(square(params), params, eps=1e-5)
-        finally:
-            release.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        assert [r.checked for r in report.rows] == [3, 2]
+    def test_a_loss_that_raises_raises_as_on_one_cpu(self, use_cpus, forks, j):
+        assert self.both(use_cpus, forks, raises_at(j)) == [(ValueError, f"entry {j} moved")] * 2
 
 
 class TestTapeOps:

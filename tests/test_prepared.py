@@ -23,7 +23,7 @@ from refscan.harness.evaluation import evaluate
 from refscan.harness.fixtures import GenConfig, default_train_config, synth_samples
 from refscan.harness.checkpoint import save_checkpoint
 from refscan.harness.training import Adam, lr_at_step, train
-from refscan.numerics import uniform_init
+from refscan.numerics.linalg import uniform_init
 from refscan.retrieval import build_trajectory_set
 from refscan.semantics import SyntheticEncoder, build_scene_attribute_tokens, confident_detections
 

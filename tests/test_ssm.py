@@ -7,7 +7,7 @@ from refscan.config import TrainConfig
 from refscan.errors import DimensionError
 from refscan.fusion import init_model_params, keyword_tokens_var, scene_tokens_var
 from refscan.harness.suites import random_scan_case
-from refscan.numerics import uniform_init
+from refscan.numerics.linalg import uniform_init
 from refscan.numerics.tape import Var
 from refscan.ssm import SsmLayerParams, _scan_forward, scan_var, ssm_scan, ssm_scan_oracle
 
@@ -126,7 +126,8 @@ class TestScanVar:
         np.testing.assert_array_equal(out, ssm_scan(x, params).outputs)
 
     def test_backward_matches_finite_differences(self):
-        from refscan.numerics import ParamStore, grad_check
+        from refscan.numerics.gradcheck import grad_check
+        from refscan.numerics.params import ParamStore
 
         rng = np.random.default_rng(6)
         x = rng.normal(size=(5, 3))

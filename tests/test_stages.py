@@ -14,7 +14,6 @@ parameter name.
 from __future__ import annotations
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from refscan.errors import ConfigError, InputError, PipelineError
 from refscan.fusion import forward, init_model_params
 from refscan.harness import suites
 from refscan.harness.fixtures import GenConfig, synth_samples
-from refscan.numerics import ParamStore
+from refscan.numerics.params import ParamStore
 from refscan.numerics.tape import Var
 from refscan.semantics import SyntheticEncoder
 
@@ -184,12 +183,12 @@ def count_unit_calls(monkeypatch) -> dict[str, int]:
     return calls
 
 
-def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
+def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch, use_cpus):
     """One attention per perturbed attn.* scalar, the attentions of the
     changed scan's query or context per ssm.* scalar; a plan that reruns
     more than the changed units and their consumers moves these counts.
     One usable CPU, so every evaluation runs in this process."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    use_cpus(1)
     calls = count_unit_calls(monkeypatch)
     report = suites.run_model_gradcheck(seed=3)
     assert sum(r.checked for r in report.rows) == 2658
@@ -206,16 +205,16 @@ def test_gradcheck_reruns_only_the_changed_layer_instances(monkeypatch):
     }
 
 
-def test_gradcheck_on_two_cpus_evaluates_its_half_here(monkeypatch):
+def test_gradcheck_on_two_cpus_evaluates_its_half_here(monkeypatch, use_cpus, forks):
     """With two usable CPUs this process probes every other scalar of the
     2,658 (the forked worker's evaluations are not counted here) and the
     report is the one-CPU report."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    use_cpus(1)
     alone = suites.run_model_gradcheck(seed=3)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    use_cpus(2)
     calls = count_unit_calls(monkeypatch)
     report = suites.run_model_gradcheck(seed=3)
-    assert calls["loss_var"] == 1 + 2 * 1329
+    assert calls["loss_var"] == 1 + 2 * 1329 and len(forks) == 1
     assert [vars(r) for r in report.rows] == [vars(r) for r in alone.rows]
     assert (report.max_rel_err, report.aborted) == (alone.max_rel_err, alone.aborted)
 

@@ -2,9 +2,8 @@
 reads one chunk of records at a time, and ``refscan eval`` keeps no grid past
 its chunk. The chunk size is shrunk here so that a small split spans
 several chunks. The counts of what ``refscan eval`` loads, parses and
-forwards are taken in this process, so each is pinned to one usable CPU, and
-has a two-CPU twin that counts this process's share of the chunks: 0, 2 and
-4 of the five."""
+forwards are taken in this process, on one usable CPU, where it runs every
+chunk, and on two, where it runs chunks 0, 2 and 4 of the five."""
 
 from __future__ import annotations
 
@@ -23,12 +22,16 @@ from refscan.harness.evaluation import evaluate, write_report
 from refscan.harness.fixtures import GenConfig, generate_fixtures
 from refscan.harness.formats import FixtureDataset, iter_annotations, load_annotations, record_sample
 
-from test_numerics import assert_no_child_left, use_cpus
-
 CHUNK = 2
 GEN = GenConfig(num_samples=9, frames=4, grid_rows=2, grid_cols=2, dim=16, num_classes=5, seed=13)
 TRAIN = ["--steps", "1", "--batch", "2"]
-HERE = [i for i in range(GEN.num_samples) if i // CHUNK % 2 == 0]  # this process's samples on two CPUs
+CPUS = pytest.mark.parametrize("cpus", [1, 2])
+
+
+def here(cpus: int) -> list[int]:
+    """The samples this process forwards on ``cpus`` CPUs: those of chunk c
+    where c mod ``cpus`` is 0."""
+    return [i for i in range(GEN.num_samples) if i // CHUNK % cpus == 0]
 
 
 @pytest.fixture()
@@ -81,9 +84,9 @@ def track_grids(monkeypatch) -> tuple[list, list]:
     return loaded, most
 
 
-def test_cli_eval_holds_one_chunk_of_grids(split, tmp_path, monkeypatch):
+def test_cli_eval_holds_one_chunk_of_grids(split, tmp_path, monkeypatch, use_cpus):
     root, ckpt = split
-    use_cpus(monkeypatch, 1)
+    use_cpus(1)
     loaded, most = track_grids(monkeypatch)
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(root), "--report", str(tmp_path / "r.json")]) == 0
     assert len(loaded) == GEN.num_samples
@@ -91,13 +94,13 @@ def test_cli_eval_holds_one_chunk_of_grids(split, tmp_path, monkeypatch):
     assert most == [CHUNK]
 
 
-def test_cli_eval_on_two_cpus_loads_only_its_own_chunks_here(split, tmp_path, monkeypatch):
+def test_cli_eval_on_two_cpus_loads_only_its_own_chunks_here(split, tmp_path, monkeypatch, use_cpus, forks):
     root, ckpt = split
-    use_cpus(monkeypatch, 2)
+    use_cpus(2)
     loaded, most = track_grids(monkeypatch)
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(root), "--report", str(tmp_path / "r.json")]) == 0
-    assert_no_child_left()
-    assert loaded == [FixtureDataset(root).records[i].video_id for i in HERE]
+    assert len(forks) == 1
+    assert loaded == [FixtureDataset(root).records[i].video_id for i in here(2)]
     # a chunk of its own, dropped before its next chunk is read
     assert most == [CHUNK]
 
@@ -122,12 +125,12 @@ def test_cli_eval_report_is_the_in_memory_report(split, tmp_path):
     assert report.read_bytes() == (tmp_path / "mem.json").read_bytes()
 
 
-def fail_on_a_bad_tensor(split, tmp_path, monkeypatch, capsys, cpus: int) -> list:
-    """`refscan eval` on ``cpus`` CPUs with the third chunk's first tensor cut:
-    exit 1, one error line naming the file, no report. Returns this
-    process's forwards."""
+@CPUS
+def test_a_bad_tensor_in_the_third_chunk_fails_mid_run(split, tmp_path, monkeypatch, capsys, use_cpus, forks, cpus):
+    """`refscan eval` with the third chunk's first tensor cut: exit 1, one
+    error line naming the file, no report."""
     root, ckpt = split
-    use_cpus(monkeypatch, cpus)
+    use_cpus(cpus)
     ds = FixtureDataset(root)
     victim = root / ds.records[2 * CHUNK].features_ref
     victim.write_bytes(victim.read_bytes()[:6])
@@ -138,26 +141,18 @@ def fail_on_a_bad_tensor(split, tmp_path, monkeypatch, capsys, cpus: int) -> lis
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and str(victim) in err[0]
     assert not report.exists()
-    return forwards
+    assert len(forks) == cpus - 1
+    # one CPU: the first two chunks ran before the read failed; two: chunk 0 here, the worker ran chunk 1
+    assert len(forwards) == {1: 2 * CHUNK, 2: CHUNK}[cpus]
 
 
-def test_a_bad_tensor_in_the_third_chunk_fails_mid_run(split, tmp_path, monkeypatch, capsys):
-    forwards = fail_on_a_bad_tensor(split, tmp_path, monkeypatch, capsys, cpus=1)
-    assert len(forwards) == 2 * CHUNK  # the first two chunks ran before the read failed
-
-
-def test_a_bad_tensor_in_the_third_chunk_fails_on_two_cpus_after_its_first_chunk_here(split, tmp_path, monkeypatch, capsys):
-    forwards = fail_on_a_bad_tensor(split, tmp_path, monkeypatch, capsys, cpus=2)
-    assert_no_child_left()
-    assert len(forwards) == CHUNK  # chunk 0 here; the worker ran chunk 1
-
-
-def fail_on_a_bad_record(split, tmp_path, monkeypatch, capsys, cpus: int) -> list:
-    """`refscan eval` on ``cpus`` CPUs with the third chunk's first record
-    out of range: exit 1, one error line naming the file, the line and the
-    field, an older report kept. Returns this process's forwards."""
+@CPUS
+def test_a_bad_record_in_the_third_chunk_fails_mid_run(split, tmp_path, monkeypatch, capsys, use_cpus, forks, cpus):
+    """`refscan eval` with the third chunk's first record out of range: exit
+    1, one error line naming the file, the line and the field, an older
+    report kept."""
     root, ckpt = split
-    use_cpus(monkeypatch, cpus)
+    use_cpus(cpus)
     path = root / formats.ANNOTATIONS_NAME
     lines = path.read_text().splitlines()
     bad = 2 * CHUNK  # line 2 * CHUNK + 1, the first record of the third chunk
@@ -174,25 +169,17 @@ def fail_on_a_bad_record(split, tmp_path, monkeypatch, capsys, cpus: int) -> lis
     assert len(err) == 1 and err[0].startswith(f"error: {path}: gt_bbox ")
     assert err[0].endswith(f": line {bad + 1}: field 'gt_bbox'")
     assert report.read_text() == "an older report\n"
-    return forwards
+    assert len(forks) == cpus - 1
+    # one CPU: the first two chunks ran before the record was parsed; two: chunk 0 here, the worker ran chunk 1
+    assert len(forwards) == {1: 2 * CHUNK, 2: CHUNK}[cpus]
 
 
-def test_a_bad_record_in_the_third_chunk_fails_mid_run(split, tmp_path, monkeypatch, capsys):
-    forwards = fail_on_a_bad_record(split, tmp_path, monkeypatch, capsys, cpus=1)
-    assert len(forwards) == 2 * CHUNK  # the first two chunks ran before the record was parsed
-
-
-def test_a_bad_record_in_the_third_chunk_fails_on_two_cpus_after_its_first_chunk_here(split, tmp_path, monkeypatch, capsys):
-    forwards = fail_on_a_bad_record(split, tmp_path, monkeypatch, capsys, cpus=2)
-    assert_no_child_left()
-    assert len(forwards) == CHUNK  # chunk 0 here; the worker ran chunk 1
-
-
-def parsed_at_each_forward(split, tmp_path, monkeypatch, cpus: int) -> list[int]:
-    """The records this process has parsed at each of its forwards in a
-    `refscan eval` on ``cpus`` CPUs; opening the dataset parses none."""
+@CPUS
+def test_records_are_parsed_one_chunk_at_a_time(split, tmp_path, monkeypatch, use_cpus, forks, cpus):
+    """The records this process has parsed at each of its forwards; opening
+    the dataset parses none."""
     root, ckpt = split
-    use_cpus(monkeypatch, cpus)
+    use_cpus(cpus)
     parsed = []
     real_parse = formats._parse_record
     monkeypatch.setattr(formats, "_parse_record", lambda *a: parsed.append(1) or real_parse(*a))
@@ -202,20 +189,10 @@ def parsed_at_each_forward(split, tmp_path, monkeypatch, cpus: int) -> list[int]
     real_forward = evaluation.forward
     monkeypatch.setattr(evaluation, "forward", lambda *a, **k: at_forward.append(len(parsed)) or real_forward(*a, **k))
     assert main(["eval", "--ckpt", str(ckpt), "--data", str(root), "--report", str(tmp_path / "r.json")]) == 0
-    return at_forward
-
-
-def test_records_are_parsed_one_chunk_at_a_time(split, tmp_path, monkeypatch):
-    at_forward = parsed_at_each_forward(split, tmp_path, monkeypatch, cpus=1)
+    assert len(forks) == cpus - 1
     # each chunk is parsed when its first sample is asked for, the last one short
-    assert at_forward == [min(GEN.num_samples, (i // CHUNK + 1) * CHUNK) for i in range(GEN.num_samples)]
+    assert at_forward == [min(GEN.num_samples, (i // CHUNK + 1) * CHUNK) for i in here(cpus)]
     assert at_forward[0] == formats.CHUNK_RECORDS
-
-
-def test_records_are_parsed_on_two_cpus_no_further_than_the_chunk_forwarded_here(split, tmp_path, monkeypatch):
-    at_forward = parsed_at_each_forward(split, tmp_path, monkeypatch, cpus=2)
-    assert_no_child_left()
-    assert at_forward == [min(GEN.num_samples, (i // CHUNK + 1) * CHUNK) for i in HERE]
 
 
 def test_opening_a_dataset_without_annotations_fails(split):
