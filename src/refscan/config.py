@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 
 from .errors import ConfigError
+
+# numpy indexes an array only while its byte count fits an intp
+_MAX_VALUES = sys.maxsize // 8
 
 
 def _kind_error(kind: str, value) -> str | None:
@@ -32,6 +36,21 @@ def check_kinds(cfg) -> None:
         problem = None if optional and value is None else _kind_error(kind, value)
         if problem is not None:
             raise ConfigError(f"{f.name} {problem}, got {value!r}")
+
+
+def indexable_shape(cfg, what: str, sides: tuple) -> tuple[int, ...]:
+    """The shape of ``what``, an array of 8-byte values whose ``sides`` are
+    size fields of ``cfg`` or fixed ints; a ``ConfigError`` naming its
+    largest field if numpy cannot index it."""
+    shape = tuple(getattr(cfg, side) if isinstance(side, str) else side for side in sides)
+    count = math.prod(shape)
+    if count > _MAX_VALUES:
+        size, name = max((size, side) for size, side in zip(shape, sides) if isinstance(side, str))
+        raise ConfigError(
+            f"{name} {size} is too large: {what}, {' x '.join(map(str, sides))}, would hold {count} "
+            "8-byte values, more than numpy can index"
+        )
+    return shape
 
 
 def from_fields(cls, data, what: str):

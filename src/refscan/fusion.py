@@ -56,7 +56,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .config import TrainConfig
+from .config import TrainConfig, indexable_shape
 from .errors import ConfigError, DimensionError, InputError, PipelineError
 from .numerics import tape
 from .numerics.linalg import uniform_init
@@ -385,6 +385,44 @@ def scene_projection(d: int, seed: int) -> np.ndarray:
     return w
 
 
+def param_layout(config: TrainConfig) -> list[tuple[str, tuple[int, ...], str]]:
+    """Each learnable tensor in the order ``init_model_params`` draws it: its
+    name, its shape and its draw, the size field whose value is the fan-in of
+    a uniform draw, "diag" (a state matrix's diagonal in [0.5, 0.95)) or
+    "zeros". A shape numpy cannot index, the scene projection's among them,
+    is a ``ConfigError``."""
+    layout = []  # (name, sides: size fields or fixed sizes, draw)
+    for scan in ("keyword", "scene", "holistic_temporal", "holistic_spatial"):
+        base = f"ssm.{scan}."
+        layout += [
+            (base + "in_proj", ("d", "d_s"), "d"),
+            (base + "A", ("n", "n"), "diag"),
+            (base + "B", ("n", "d_s"), "d_s"),
+            (base + "C", ("d_s", "n"), "n"),
+        ]
+    query_dims = {"rv": "d", "kwv": "d_s", "bv": "d_s"}
+    for tag in HIERARCHIES:
+        for branch in BRANCHES:
+            base = f"attn.{tag}.{branch}."
+            layout += [
+                (base + "w_q", (query_dims[tag], "d_a"), query_dims[tag]),
+                (base + "w_k", ("d_s", "d_a"), "d_s"),
+                (base + "w_v", ("d_s", "d_a"), "d_s"),
+                (base + "prompts", ("n_prompts", "d_a"), "d_a"),
+            ]
+    for branch in BRANCHES:
+        for head, out_dim in (("reg", 4), ("cls", "num_classes")):
+            base = f"head.{branch}.{head}."
+            layout += [
+                (base + "w1", ("d_a", "d_a"), "d_a"),
+                (base + "b1", ("d_a",), "zeros"),
+                (base + "w2", ("d_a", out_dim), "d_a"),
+                (base + "b2", (out_dim,), "zeros"),
+            ]
+    indexable_shape(config, "the scene projection", (config.d + 4, "d"))
+    return [(name, indexable_shape(config, f"parameter {name!r}", sides), draw) for name, sides, draw in layout]
+
+
 def init_model_params(config: TrainConfig, seed: int | None = None) -> ParamStore:
     """Build every learnable tensor; toggles never change what exists.
 
@@ -393,34 +431,17 @@ def init_model_params(config: TrainConfig, seed: int | None = None) -> ParamStor
     """
     config.validate()
     seed = config.seed if seed is None else seed
+    layout = param_layout(config)
     rng = np.random.default_rng(seed)
-    arrays = {}
-
     uniform_init(rng, config.d + 4, (config.d + 4, config.d))  # scene_projection's draw, discarded here
-
-    for name in ("keyword", "scene", "holistic_temporal", "holistic_spatial"):
-        arrays[f"ssm.{name}.in_proj"] = uniform_init(rng, config.d, (config.d, config.d_s))
-        arrays[f"ssm.{name}.A"] = np.diag(rng.uniform(0.5, 0.95, size=config.n))
-        arrays[f"ssm.{name}.B"] = uniform_init(rng, config.d_s, (config.n, config.d_s))
-        arrays[f"ssm.{name}.C"] = uniform_init(rng, config.n, (config.d_s, config.n))
-
-    query_dims = {"rv": config.d, "kwv": config.d_s, "bv": config.d_s}
-    for tag in HIERARCHIES:
-        for branch in BRANCHES:
-            base = f"attn.{tag}.{branch}"
-            arrays[f"{base}.w_q"] = uniform_init(rng, query_dims[tag], (query_dims[tag], config.d_a))
-            arrays[f"{base}.w_k"] = uniform_init(rng, config.d_s, (config.d_s, config.d_a))
-            arrays[f"{base}.w_v"] = uniform_init(rng, config.d_s, (config.d_s, config.d_a))
-            arrays[f"{base}.prompts"] = uniform_init(rng, config.d_a, (config.n_prompts, config.d_a))
-
-    for branch in BRANCHES:
-        for head, out_dim in (("reg", 4), ("cls", config.num_classes)):
-            base = f"head.{branch}.{head}"
-            arrays[f"{base}.w1"] = uniform_init(rng, config.d_a, (config.d_a, config.d_a))
-            arrays[f"{base}.b1"] = np.zeros(config.d_a)
-            arrays[f"{base}.w2"] = uniform_init(rng, config.d_a, (config.d_a, out_dim))
-            arrays[f"{base}.b2"] = np.zeros(out_dim)
-
+    arrays = {}
+    for name, shape, draw in layout:
+        if draw == "zeros":
+            arrays[name] = np.zeros(shape)
+        elif draw == "diag":
+            arrays[name] = np.diag(rng.uniform(0.5, 0.95, size=shape[0]))
+        else:
+            arrays[name] = uniform_init(rng, getattr(config, draw), shape)
     return ParamStore(arrays, seed=seed)
 
 

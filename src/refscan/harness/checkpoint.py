@@ -17,7 +17,7 @@ import numpy as np
 
 from ..config import TrainConfig
 from ..errors import ConfigError, ParseError
-from ..fusion import init_model_params
+from ..fusion import param_layout
 from ..numerics.params import ParamStore
 
 CHECKPOINT_VERSION = 1
@@ -67,8 +67,9 @@ def _count(path, value, field: str, what: str | None = None) -> int:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a malformed header value is a ``ParseError`` naming
     the file and the field. The directory's blocks must tile the payload
-    (each starts where the one before it ends, the last ends with it), and
-    every value must be finite."""
+    (each starts where the one before it ends, the last ends with it), every
+    value must be finite, and the parameters must have the shapes
+    ``param_layout`` gives the config, which builds no model."""
     path = Path(path)
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -86,6 +87,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise ParseError(f"{path}: checkpoint header has no {key!r}", field=key)
     try:
         config = TrainConfig.from_dict(header["config"])
+        expected = {name: shape for name, shape, _ in param_layout(config)}
     except ConfigError as exc:
         raise ParseError(f"{path}: invalid config: {exc}", field="config") from exc
     step = _count(path, header["step"], "step")
@@ -130,7 +132,6 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: payload has {len(payload) - end} bytes past the last parameter block ({name!r})",
             field="params",
         )
-    expected = {name: arr.shape for name, arr in init_model_params(config).items()}
     found = {name: arr.shape for name, arr in arrays.items()}
     if found != expected:
         wrong = sorted(n for n in expected.keys() | found.keys() if expected.get(n) != found.get(n))

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import TrainConfig, check_kinds, from_fields
+from ..config import TrainConfig, check_kinds, from_fields, indexable_shape
 from ..errors import ConfigError
 from ..retrieval import VisualTokenGrid
 from ..semantics import Detection, SyntheticEncoder, synthetic_encode
@@ -88,6 +88,9 @@ class GenConfig:
             raise ConfigError("max_labels cannot exceed num_classes")
         if self.combo_pool is not None and self.combo_pool < 1:
             raise ConfigError(f"combo_pool must be >= 1, got {self.combo_pool}")
+        indexable_shape(self, "a token grid", ("frames", "grid_rows", "grid_cols", "dim"))
+        indexable_shape(self, "a multi-hot label vector", ("num_classes",))
+        indexable_shape(self, "the draw of references", ("num_samples",))
         if self.combo_pool is None and self.num_samples > num_reference_combos():
             raise ConfigError(
                 f"num_samples {self.num_samples} exceeds the reference vocabulary "

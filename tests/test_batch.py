@@ -9,82 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refscan.config import TrainConfig
 from refscan.errors import DimensionError
-from refscan.fusion import ModelOutput, forward, init_model_params, prepare_reference
-from refscan.harness.fixtures import GenConfig, synth_samples
-from refscan.harness.suites import (
-    GRADCHECK_CONFIG,
-    GRADCHECK_GEN,
-    model_loss_fn,
-    random_scan_case,
-    run_model_gradcheck,
-)
+from refscan.fusion import forward
+from refscan.harness.fixtures import synth_samples
+from refscan.harness.suites import GRADCHECK_GEN, model_loss_fn, random_scan_case, run_model_gradcheck
 from refscan.numerics.gradcheck import grad_check
 from refscan.numerics.tape import Var
 from refscan.retrieval import VisualTokenGrid, build_trajectory_set, nearest_token
-from refscan.semantics import Detection, SyntheticEncoder
 from refscan.ssm import scan_var, ssm_scan, ssm_scan_oracle
 
-GEN = GenConfig(num_samples=6, frames=4, grid_rows=2, grid_cols=2, dim=16, num_classes=5, seed=3)
-OUTPUT_FIELDS = [f.name for f in dataclasses.fields(ModelOutput)]
-
-# (reference, number of confident detections kept from the fixture, or None for all)
-VARIANTS = [
-    ("the person", 0),  # one keyword, no scene tokens
-    ("of the in a", 1),  # only stop words: no keywords
-    (None, None),  # fixture reference (four keywords) and detections
-    ("red hat left", 3),
-    ("girl shirt", None),
-    ("the", 0),  # nothing but the holistic query
-]
+from cases import GEN, OUTPUT_FIELDS, case, head_and_pool_values
 
 
-def mixed_batch(encoder):
-    samples = synth_samples(GEN)
-    out = []
-    for s, (text, n_det) in zip(samples, VARIANTS):
-        reference = s.reference if text is None else prepare_reference(text, encoder)
-        detections = s.detections if n_det is None else [
-            Detection((0.1, 0.1, 0.5, 0.6), cat, 0.9) for cat in ("cup", "dog", "car")[:n_det]
-        ]
-        out.append(dataclasses.replace(s, reference=reference, detections=detections))
-    return out
-
-
-CONFIGS = {
-    "desk": {},
-    "no prompts": {"n_prompts": 0},
-    "one prompt, aux loss": {"n_prompts": 1, "aux_branch_loss": True},
-    "no cross-attention": {"use_mhs_ca": False},
-    "no holistic": {"use_holistic": False},
-}
-
-
-def config_for(name):
-    return TrainConfig(**{**GRADCHECK_CONFIG.to_dict(), **CONFIGS[name]}).validate()
-
-
-def head_and_pool_values(res, b: int) -> dict:
-    """Each head's and each branch pooling's output for batch entry ``b``."""
-    units = zip(res.inputs.units, res.runs)
-    return {u.key: run[0].value[b] for u, run in units if u.key.startswith(("head.", "pool."))}
-
-
-def usable(samples, config):
-    """Drop samples with no enabled hierarchy (forward rejects them)."""
-    if config.use_holistic:
-        return samples
-    return [s for s in samples if len(s.reference.keywords) or s.detections]
-
-
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize(
+    "name", ["gradcheck", "no cross-attention", "no holistic", "no prompts", "one prompt, aux loss"]
+)
 def test_mixed_batch_is_bitwise_the_samples_alone(name):
-    config = config_for(name)
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-    samples = usable(mixed_batch(encoder), config)
+    config, samples, encoder, params = case(name, "mixed", params_seed=0)
     assert {len(s.reference.keywords) for s in samples} >= {0, 1, 4} or not config.use_holistic
-    params = init_model_params(config, seed=0)
     batch = forward(samples, params, config, encoder)
     for i, (s, out, sig) in enumerate(zip(samples, batch.outputs, batch.selection_signature)):
         alone = forward(s, params, config, encoder)
@@ -99,20 +41,15 @@ def test_mixed_batch_is_bitwise_the_samples_alone(name):
 
 
 def test_batch_of_one_loss_is_the_sample_loss():
-    config = config_for("desk")
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-    s = mixed_batch(encoder)[2]
-    params = init_model_params(config, seed=0)
+    config, samples, encoder, params = case("gradcheck", "mixed", params_seed=0)
+    s = samples[2]
     assert float(forward([s], params, config, encoder).loss.value) == float(
         forward(s, params, config, encoder).loss.value
     )
 
 
 def test_batch_gradient_is_mean_of_sample_gradients():
-    config = config_for("one prompt, aux loss")
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-    samples = mixed_batch(encoder)
-    params = init_model_params(config, seed=0)
+    config, samples, encoder, params = case("one prompt, aux loss", "mixed", params_seed=0)
 
     def grads(batch):
         params.zero_grads()
@@ -128,12 +65,11 @@ def test_batch_gradient_is_mean_of_sample_gradients():
 
 
 def test_mixed_grid_shapes_rejected():
-    config = config_for("desk")
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
+    config, _, encoder, params = case("gradcheck", "mixed", params_seed=0)
     a = synth_samples(GEN)[0]
     b = synth_samples(dataclasses.replace(GEN, grid_rows=3))[0]
     with pytest.raises(DimensionError):
-        forward([a, b], init_model_params(config, seed=0), config, encoder)
+        forward([a, b], params, config, encoder)
 
 
 # -- scans ----------------------------------------------------------------------
@@ -193,10 +129,7 @@ def test_vectorized_retrieval_matches_nearest_token(seed):
 def test_gradcheck_skips_a_head_relu_kink():
     """Put one hidden unit's pre-activation exactly at zero: the central
     difference straddles the kink and is off, so the entry must be skipped."""
-    config = GRADCHECK_CONFIG
-    samples = synth_samples(GRADCHECK_GEN)
-    encoder = SyntheticEncoder(GRADCHECK_GEN.dim, GRADCHECK_GEN.seed)
-    params = init_model_params(config, seed=0)
+    config, samples, encoder, params = case("gradcheck", seed=GRADCHECK_GEN.seed, params_seed=0)
     name, unit, eps = "head.temporal.cls.b1", 3, 1e-5
     z = forward(samples, params, config, encoder).outputs[0].z_temporal
     params[name][unit] = -(z @ params["head.temporal.cls.w1"])[unit]

@@ -243,6 +243,11 @@ def test_gen_config_file_with_flag_override(tmp_path):
     ({"dim": 2.5}, "dim", "must be an integer"),
     ({"planted_noise": None}, "planted_noise", "must be a number"),
     ({"seed": -1}, "seed", "must be >= 0"),
+    # past what numpy indexes in one array, where numpy would raise ValueError
+    ({"dim": 10**17}, "dim", "100000000000000000 is too large: a token grid"),
+    ({"frames": 1, "grid_rows": 1, "grid_cols": 1, "dim": 10**19}, "dim", "10000000000000000000 is too large"),
+    ({"num_classes": 10**19}, "num_classes", "10000000000000000000 is too large"),
+    ({"num_samples": 10**19, "combo_pool": 2}, "num_samples", "10000000000000000000 is too large"),
 ])
 def test_malformed_gen_config_value_exits_1_naming_the_field(tmp_path, capsys, value, field, message):
     cfg = tmp_path / "gen.json"
@@ -632,12 +637,12 @@ def test_hostile_json_exits_1_with_one_line_naming_the_file(trained, tmp_path, c
 HUGE = 10**17
 
 
-@pytest.mark.parametrize("command", ["gen --dim", "train on meta.json num_classes", "gradcheck --config n"])
+@pytest.mark.parametrize("command", ["gen --dim", "train on meta.json num_classes", "gradcheck --config n_prompts"])
 def test_a_size_no_machine_holds_exits_1_with_one_line(dataset, tmp_path, capsys, command):
     if command == "gen --dim":
         argv = ["gen", "--num", "1", "--frames", "1", "--grid", "1x1", "--dim", str(HUGE), "--out", str(tmp_path / "g")]
-    elif command == "gradcheck --config n":
-        (tmp_path / "g.json").write_text(json.dumps({"n": HUGE}))
+    elif command == "gradcheck --config n_prompts":  # a HUGE / 16 x 16 prompt matrix
+        (tmp_path / "g.json").write_text(json.dumps({"n_prompts": HUGE // 16}))
         argv = ["gradcheck", "--config", str(tmp_path / "g.json")]
     else:
         meta = dataset / "meta.json"
@@ -647,6 +652,15 @@ def test_a_size_no_machine_holds_exits_1_with_one_line(dataset, tmp_path, capsys
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: out of memory: ") and "PiB" in err[0], err
+
+
+@pytest.mark.parametrize("field, value", [("d_s", 10**17), ("n_prompts", 10**19), ("n", HUGE)])
+def test_a_gradcheck_size_numpy_cannot_index_exits_1_naming_the_field(tmp_path, capsys, field, value):
+    (tmp_path / "c.json").write_text(json.dumps({field: value}))
+    assert main(["gradcheck", "--config", str(tmp_path / "c.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field} {value} is too large: parameter "), err
+    assert err[0].endswith("more than numpy can index")
 
 
 def test_reference_without_words_exits_1_naming_the_file(dataset, tmp_path, capsys):

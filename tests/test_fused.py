@@ -14,21 +14,14 @@ import numpy as np
 import pytest
 
 from refscan import fusion
-from refscan.config import TrainConfig
-from refscan.fusion import (
-    PROB_EPS,
-    Rows,
-    forward,
-    init_model_params,
-)
+from refscan.fusion import PROB_EPS, Rows, forward, init_model_params
 from refscan.harness import suites
 from refscan.harness.fixtures import GenConfig, default_train_config, synth_samples
 from refscan.numerics.tape import Var
 from refscan.semantics import SyntheticEncoder
 
 import composed
-from test_batch import GEN, OUTPUT_FIELDS, head_and_pool_values, mixed_batch, usable
-from test_prepared import keyword_retrievals
+from cases import OUTPUT_FIELDS, case, head_and_pool_values, keyword_retrievals
 
 GRAD_RTOL = 1e-12
 FUSED = (
@@ -199,19 +192,6 @@ def test_trajectory_aggregation_vjp(counts):
 
 # -- the whole forward -------------------------------------------------------------
 
-BASE = TrainConfig(d=16, d_s=8, d_a=8, n=4, n_prompts=2, frames=4, num_classes=5, batch=2, steps=0)
-FORWARD_CONFIGS = {
-    "desk": {},
-    "no prompts": {"n_prompts": 0},
-    "one prompt": {"n_prompts": 1},
-    "no holistic": {"use_holistic": False},
-    "no cross-attention": {"use_mhs_ca": False},
-    "single branch": {"use_spatial": False},
-    "no attribute": {"use_attribute": False},
-    "aux loss": {"aux_branch_loss": True, "lambda_box": 4.0},
-}
-
-
 def forward_and_grads(samples, params, config, encoder):
     params.zero_grads()
     res = forward(samples, params, config, encoder)
@@ -219,12 +199,15 @@ def forward_and_grads(samples, params, config, encoder):
     return res, {name: params.grad(name).copy() for name in params.names()}
 
 
-@pytest.mark.parametrize("name", sorted(FORWARD_CONFIGS))
+@pytest.mark.parametrize(
+    "name",
+    [
+        "aux loss", "gradcheck", "no attribute", "no cross-attention", "no holistic", "no prompts", "one prompt",
+        "temporal only",
+    ],
+)
 def test_forward_is_bitwise_the_composed_model(name, monkeypatch):
-    config = TrainConfig(**{**BASE.to_dict(), **FORWARD_CONFIGS[name]}).validate()
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-    samples = usable(mixed_batch(encoder), config)
-    params = init_model_params(config, seed=1)
+    config, samples, encoder, params = case(name, "mixed", params_seed=1)
     for batch in (samples, samples[2]):
         fused, fused_grads = forward_and_grads(batch, params, config, encoder)
         with monkeypatch.context() as m:
@@ -268,10 +251,7 @@ def test_train_step_builds_at_most_90_tape_nodes():
 def test_gradcheck_loss_prepares_each_sample_once(monkeypatch):
     """Across three ``model_loss_fn`` evaluations, each sample runs keyword
     retrieval once, and each evaluation is a fresh forward's, bitwise."""
-    config = suites.GRADCHECK_CONFIG
-    samples = synth_samples(GenConfig(**{**suites.GRADCHECK_GEN.to_dict(), "seed": 5}))
-    encoder = SyntheticEncoder(suites.GRADCHECK_GEN.dim, 5)
-    params = init_model_params(config, seed=5)
+    config, samples, encoder, params = case("gradcheck")
     grids = keyword_retrievals(monkeypatch)
     fn = suites.model_loss_fn(samples, params, config, encoder)
     losses = [fn(params.leaves) for _ in range(3)]

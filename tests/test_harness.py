@@ -368,6 +368,11 @@ class TestCheckpoint:
             (lambda meta: meta["params"][1].update(offset=0), r"parameter '[\w.]+' starts at payload byte 0, not at \d+, where the block before it ends: field 'params'"),
             (lambda meta: meta["params"][1].update(offset=meta["params"][1]["offset"] + 8), r"parameter '[\w.]+' starts at payload byte \d+, not at \d+.*field 'params'"),
             (lambda meta: meta["params"][1].update(name=meta["params"][0]["name"]), r"duplicate parameter name '[\w.]+': field 'params'"),
+            # the shapes the config lays out are compared, no model is built
+            (lambda meta: meta["config"].update(d=10**6), r"parameters do not match the config at 'attn.rv.spatial.w_q': shape \(16, 8\), expected \(1000000, 8\): field 'params'"),
+            (lambda meta: meta["config"].update(d=10**17), r"invalid config: d 100000000000000000 is too large: the scene projection, .* more than numpy can index: field 'config'"),
+            (lambda meta: meta["config"].update(d=10**19), r"invalid config: d 10000000000000000000 is too large: the scene projection, .*: field 'config'"),
+            (lambda meta: meta["config"].update(n=10**17), r"invalid config: n 100000000000000000 is too large: parameter 'ssm.keyword.A', n x n, .*: field 'config'"),
         ],
     )
     def test_malformed_header_is_a_parse_error(self, tmp_path, corrupt, message):

@@ -20,22 +20,13 @@ from refscan.errors import DimensionError, PipelineError
 from refscan.fusion import forward, init_model_params
 from refscan.harness import training
 from refscan.harness.evaluation import evaluate
-from refscan.harness.fixtures import GenConfig, default_train_config, synth_samples
 from refscan.harness.checkpoint import save_checkpoint
 from refscan.harness.training import Adam, lr_at_step, train
 from refscan.numerics.linalg import uniform_init
 from refscan.retrieval import build_trajectory_set
 from refscan.semantics import SyntheticEncoder, build_scene_attribute_tokens, confident_detections
 
-from test_batch import GEN, OUTPUT_FIELDS, config_for, mixed_batch
-
-TRAIN_GEN = GenConfig(num_samples=6, frames=4, grid_rows=2, grid_cols=2, dim=16, num_classes=5, seed=9)
-TRAIN_CFG = dict(d_s=8, d_a=8, n=4, n_prompts=2, batch=4, steps=6, learning_rate=5e-3, aux_branch_loss=True)
-
-
-def train_setup():
-    config = default_train_config(TRAIN_GEN, **TRAIN_CFG)
-    return config, synth_samples(TRAIN_GEN), SyntheticEncoder(TRAIN_GEN.dim, TRAIN_GEN.seed)
+from cases import OUTPUT_FIELDS, TRAIN_GEN, case, keyword_retrievals, train_setup
 
 
 def reference_train(config, samples, encoder):
@@ -101,20 +92,6 @@ def test_the_scene_projection_is_a_constant_of_the_seed(tmp_path):
         assert proj is fusion.scene_projection(TRAIN_GEN.dim, seed)
 
 
-def keyword_retrievals(monkeypatch):
-    """The grid of each keyword ``fusion.build_trajectory_set`` call, recorded from now on."""
-    grids = []
-    real = fusion.build_trajectory_set
-
-    def counting(queries, grid, hierarchy):
-        if hierarchy == "keyword":
-            grids.append(grid)
-        return real(queries, grid, hierarchy)
-
-    monkeypatch.setattr(fusion, "build_trajectory_set", counting)
-    return grids
-
-
 def test_train_prepares_each_sample_once(monkeypatch):
     """Across one ``train``, each sample runs keyword retrieval once."""
     config, samples, encoder = train_setup()
@@ -137,8 +114,7 @@ def test_evaluating_twice_retrieves_each_sample_once(monkeypatch):
 
 
 def test_kept_keyword_picks_are_a_fresh_retrieval():
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-    for s in mixed_batch(encoder):
+    for s in case("gradcheck", "mixed")[1]:
         fresh = build_trajectory_set(s.reference.keyword_embeddings, s.grid, "keyword")
         assert s.kw_indices.dtype == np.intp and s.kw_indices.shape == fresh.indices.shape
         assert np.array_equal(s.kw_indices, fresh.indices)
@@ -146,43 +122,34 @@ def test_kept_keyword_picks_are_a_fresh_retrieval():
 
 
 def test_a_keyword_retrieval_failure_is_tagged_retrieval():
-    config = config_for("desk")
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-    samples = mixed_batch(encoder)
-    wider = fusion.prepare_reference("red hat left", SyntheticEncoder(GEN.dim + 1, GEN.seed))
+    config, samples, encoder, params = case("gradcheck", "mixed", params_seed=0)
+    wider = fusion.prepare_reference("red hat left", SyntheticEncoder(encoder.dim + 1, encoder.seed))
     samples[2] = dataclasses.replace(samples[2], reference=wider)
     with pytest.raises(PipelineError) as info:
-        forward(samples, init_model_params(config, seed=0), config, encoder)
+        forward(samples, params, config, encoder)
     assert info.value.stage == "retrieval" and isinstance(info.value.cause, DimensionError)
 
 
 def test_a_disabled_branch_is_never_pooled(monkeypatch):
-    config = dataclasses.replace(config_for("desk"), use_spatial=False)
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-    samples = mixed_batch(encoder)
+    config, samples, encoder, params = case("temporal only", "mixed", params_seed=0)
     pooled = []
     for name in ("pool_spatial", "pool_temporal"):
         real = getattr(fusion, name)
         monkeypatch.setattr(fusion, name, lambda grid, name=name, real=real: pooled.append(name) or real(grid))
-    forward(samples, init_model_params(config, seed=0), config, encoder)
+    forward(samples, params, config, encoder)
     forward(samples, init_model_params(config, seed=1), config, encoder)
     assert pooled == ["pool_spatial"] * len(samples)
     for s in samples:
         assert np.array_equal(s.pooled("temporal"), s.grid.tokens.mean(axis=1))
 
 
-@pytest.mark.parametrize("name", ["desk", "one prompt, aux loss", "no holistic"])
+@pytest.mark.parametrize("name", ["gradcheck", "one prompt, aux loss", "no holistic"])
 def test_prepared_forward_is_bitwise_the_raw_forward(name):
     """A forward on samples whose kept inputs are filled is bitwise one on
     fresh copies, alone or mixed with fresh samples in one batch."""
-    config = config_for(name)
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-    samples = mixed_batch(encoder)
-    if not config.use_holistic:
-        samples = [s for s in samples if len(s.reference.keywords) or s.detections]
+    config, samples, encoder, params = case(name, "mixed", params_seed=0)
     assert any(len(s.reference.keywords) == 0 for s in samples)
     assert any(not s.detections for s in samples)
-    params = init_model_params(config, seed=0)
     filled = forward(samples, params, config, encoder)
     assert all(s.kw_indices.dtype == np.intp for s in samples)
     fresh = forward([dataclasses.replace(s) for s in samples], params, config, encoder)
@@ -199,10 +166,8 @@ def test_prepared_forward_is_bitwise_the_raw_forward(name):
 def test_prepared_sample_holds_when_scene_proj_moves():
     """A sample keeps nothing that depends on the store: its scene picks
     follow the projection of the seed of the store it meets."""
-    config = config_for("desk")
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-    samples = mixed_batch(encoder)
-    before = forward(samples, init_model_params(config, seed=0), config, encoder).inputs.bs_input
+    config, samples, encoder, params = case("gradcheck", "mixed", params_seed=0)
+    before = forward(samples, params, config, encoder).inputs.bs_input
     params = init_model_params(config, seed=3)
     fresh = forward([dataclasses.replace(s) for s in samples], params, config, encoder)
     res = forward(samples, params, config, encoder)
@@ -217,9 +182,7 @@ def test_prepared_sample_holds_when_scene_proj_moves():
 def test_scan_inputs_are_the_retrieved_trajectory_tokens(monkeypatch):
     """The gathered, padded scan input holds each trajectory's retrieved
     tokens; the scene-attribute ones under the store's seed's projection."""
-    config = config_for("desk")
-    encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-    samples = mixed_batch(encoder)
+    config, samples, encoder, _ = case("gradcheck", "mixed")
     inputs = []
     real_scan = fusion.scan_var
     monkeypatch.setattr(fusion, "scan_var", lambda x, *rest: inputs.append(x.value) or real_scan(x, *rest))

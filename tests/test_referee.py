@@ -15,11 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from refscan.fusion import forward, init_model_params
+from refscan.fusion import forward
 from refscan.retrieval import nearest_token
 from refscan.ssm import SsmLayerParams, ssm_scan_oracle
 
-from test_structure import BATCHES, CONFIGS, batch
+from cases import BATCHES, PINNED, case
 
 SEEDS = (0, 1)
 TOL = 1e-12
@@ -112,10 +112,9 @@ def referee(sample, params, config, encoder) -> tuple[dict, float]:
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("batch_name", BATCHES)
-@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("config_name", PINNED)
 def test_batched_forward_is_the_referee(config_name, batch_name, seed):
-    config, samples, encoder, _ = batch(batch_name, CONFIGS[config_name])
-    params = init_model_params(config, seed=seed)
+    config, samples, encoder, params = case(config_name, batch_name, params_seed=seed)
     result = forward(samples, params, config, encoder)
     losses = []
     for sample, out in zip(samples, result.outputs):

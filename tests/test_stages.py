@@ -21,32 +21,18 @@ import pytest
 from refscan import fusion
 from refscan.config import TrainConfig
 from refscan.errors import ConfigError, InputError, PipelineError
-from refscan.fusion import forward, init_model_params
+from refscan.fusion import forward
 from refscan.harness import suites
-from refscan.harness.fixtures import GenConfig, synth_samples
 from refscan.numerics.params import ParamStore
 from refscan.numerics.tape import Var
 from refscan.semantics import SyntheticEncoder
 
-# at this seed a perturbation of 0.5 moves the loss or the signature for every
-# parameter the configs below read
-SEED = 5
+from cases import SEED, case
+
+# at ``cases.SEED`` a perturbation of 0.5 moves the loss or the signature for
+# every parameter the variants below read
 DELTA = 0.5
-CONFIGS = {
-    "gradcheck": {},
-    "no cross-attention": {"use_mhs_ca": False},
-    "no prompts, aux loss": {"n_prompts": 0, "aux_branch_loss": True},
-    "temporal only": {"use_spatial": False},
-    "no holistic": {"use_holistic": False},
-    "no attribute": {"use_attribute": False},
-}
-
-
-def setup(overrides: dict):
-    config = TrainConfig(**{**suites.GRADCHECK_CONFIG.to_dict(), **overrides}).validate()
-    gen = GenConfig(**{**suites.GRADCHECK_GEN.to_dict(), "seed": SEED})
-    encoder = SyntheticEncoder(gen.dim, SEED)
-    return config, synth_samples(gen), encoder, init_model_params(config, seed=SEED)
+NAMES = ["gradcheck", "no attribute", "no cross-attention", "no holistic", "no prompts, aux loss", "temporal only"]
 
 
 def unread(config: TrainConfig, names: list[str]) -> set[str]:
@@ -79,11 +65,11 @@ def bits(res: fusion.ForwardResult) -> tuple:
     return evaluation(res.loss, res.selection_signature), outputs
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", NAMES)
 def test_cached_evaluation_is_bitwise_the_uncached_one(name):
     """Per parameter, the scalar with the largest gradient, and the first and
     last scalar, where a read mask shifted by one would miss a change."""
-    config, samples, encoder, params = setup(CONFIGS[name])
+    config, samples, encoder, params = case(name)
     fn = suites.model_loss_fn(samples, params, config, encoder)
     loss, signature = fn(params.leaves)
     base = evaluation(loss, signature)
@@ -150,7 +136,7 @@ def count_units(monkeypatch) -> list[str]:
 def reruns(monkeypatch, pname: str, step: float) -> tuple[list[str], bool]:
     """The units one perturbed gradcheck evaluation reruns, and whether its
     signature moved."""
-    config, samples, encoder, params = setup({})
+    config, samples, encoder, params = case("gradcheck")
     every = [u.key for u in forward(samples, params, config, encoder).inputs.units]
     ran = count_units(monkeypatch)
     fn = suites.model_loss_fn(samples, params, config, encoder)
@@ -224,7 +210,7 @@ def test_two_moved_units_rerun_the_union_of_their_plans(monkeypatch):
     together: each unit of either plan runs once, in run order (the
     attention runs between the scene scan's two attentions), and the
     result is bitwise a full forward's."""
-    config, samples, encoder, params = setup({})
+    config, samples, encoder, params = case("gradcheck")
     ran = count_units(monkeypatch)
     first = forward(samples, params, config, encoder)
     every = list(ran)
@@ -241,7 +227,7 @@ def test_two_moved_units_rerun_the_union_of_their_plans(monkeypatch):
 def test_a_rerun_of_a_rerun_is_bitwise_a_full_forward():
     """Each rerun compares with, and reuses, the run it is a method of, so
     a head moved after a scan reuses the attentions the scan's rerun made."""
-    config, samples, encoder, params = setup({})
+    config, samples, encoder, params = case("gradcheck")
     res = forward(samples, params, config, encoder)
     for pname in ("ssm.keyword.C", "head.temporal.reg.b2", "attn.bv.spatial.w_q"):
         params[pname].reshape(-1)[0] += DELTA
@@ -250,7 +236,7 @@ def test_a_rerun_of_a_rerun_is_bitwise_a_full_forward():
 
 
 def test_backward_through_a_reused_output_raises():
-    config, samples, encoder, params = setup({})
+    config, samples, encoder, params = case("gradcheck")
     cold = forward(samples, params, config, encoder)
     params["head.temporal.reg.b2"][0] += 0.1
     warm = cold.rerun()
@@ -270,7 +256,7 @@ def test_backward_through_a_reused_output_raises():
     ],
 )
 def test_parameter_shape_mismatch_is_tagged_with_its_stage(pname, stage):
-    config, samples, encoder, params = setup({})
+    config, samples, encoder, params = case("gradcheck")
     wrong = ParamStore({**dict(params.items()), pname: np.zeros((3, 3))}, seed=params.seed)
     with pytest.raises(PipelineError) as info:
         forward(samples, wrong, config, encoder)
@@ -280,7 +266,7 @@ def test_parameter_shape_mismatch_is_tagged_with_its_stage(pname, stage):
 def test_an_encoder_of_another_dim_is_tagged_semantics():
     """The scene tokens are the one place the encoder meets the fixed
     projection; an encoder of another dim fails there, before any unit."""
-    config, samples, encoder, params = setup({})
+    config, samples, encoder, params = case("gradcheck")
     with pytest.raises(PipelineError) as info:
         forward(samples, params, config, SyntheticEncoder(encoder.dim + 1, SEED))
     assert info.value.stage == "semantics" and isinstance(info.value.cause, ConfigError)
@@ -294,7 +280,7 @@ def test_an_encoder_of_another_dim_is_tagged_semantics():
 def test_a_sample_no_hierarchy_serves_is_rejected(overrides):
     """With the holistic query off, a sample needs keywords or a retrieved
     scene attribute, whichever units the config builds."""
-    config, samples, encoder, params = setup({"use_holistic": False, **overrides})
+    config, samples, encoder, params = case({"use_holistic": False, **overrides})
     no_keywords = fusion.prepare_reference("of the in a", encoder)
     cases = {
         "keywords only": dataclasses.replace(samples[0], detections=[]),
@@ -311,7 +297,7 @@ def test_a_sample_no_hierarchy_serves_is_rejected(overrides):
 
 
 def test_target_shape_mismatch_is_tagged_loss():
-    config, samples, encoder, params = setup({})
+    config, samples, encoder, params = case("gradcheck")
     samples[1] = dataclasses.replace(samples[1], gt_bbox=np.zeros(5))
     with pytest.raises(PipelineError) as info:
         forward(samples, params, config, encoder)
@@ -321,7 +307,7 @@ def test_target_shape_mismatch_is_tagged_loss():
 def test_forward_without_targets_runs_no_loss_and_keeps_the_outputs():
     """Samples without targets build no loss unit; the pooled vectors, the
     heads and the per-sample outputs keep their bits."""
-    config, samples, encoder, params = setup({})
+    config, samples, encoder, params = case("gradcheck")
     bare = [dataclasses.replace(s, gt_bbox=None, labels=None) for s in samples]
     full, unlabeled = (forward(batch, params, config, encoder) for batch in (samples, bare))
     assert full.loss is not None and unlabeled.loss is None

@@ -28,33 +28,9 @@ from refscan.harness.training import train
 from refscan.numerics.tape import Var
 from refscan.semantics import SyntheticEncoder
 
-from test_batch import GEN, OUTPUT_FIELDS, mixed_batch, usable
-from test_prepared import keyword_retrievals, train_setup
-from test_stages import CONFIGS as STAGE_CONFIGS
-from test_stages import setup
+from cases import BATCHES, MODELS, OUTPUT_FIELDS, PINNED, case, keyword_retrievals, train_setup
 
-CONFIGS = {
-    **STAGE_CONFIGS,
-    "no keyword": {"use_keyword": False},
-    "no holistic, no cross-attention": {"use_holistic": False, "use_mhs_ca": False},
-}
-BATCHES = ("plain", "no confident detection", "mixed")
 SCENE_UNITS = ("ssm.scene", "attn.bv.")
-
-
-def batch(name: str, overrides: dict):
-    """(config, samples, encoder, params) for one batch under one config."""
-    config, samples, encoder, params = setup(overrides)
-    if name == "no confident detection":
-        samples = [
-            dataclasses.replace(s, detections=[d for d in s.detections if d.confidence < config.conf_threshold])
-            for s in samples
-        ]
-        assert all(s.detections for s in samples)
-    elif name == "mixed":
-        encoder = SyntheticEncoder(GEN.dim, GEN.seed)
-        samples = usable(mixed_batch(encoder), config)
-    return config, samples, encoder, params
 
 
 def _sha(*blobs: bytes) -> str:
@@ -67,7 +43,7 @@ def _sha(*blobs: bytes) -> str:
 def case_digests(config_name: str, batch_name: str) -> tuple[str, str, str, str]:
     """Digests of one case's loss, per-sample outputs, selection signature
     and gradients in store order (zeros for a leaf backward did not reach)."""
-    config, samples, encoder, params = batch(batch_name, CONFIGS[config_name])
+    config, samples, encoder, params = case(config_name, batch_name)
     params.zero_grads()
     res = forward(samples, params, config, encoder)
     res.loss.backward()
@@ -114,17 +90,17 @@ DIGESTS = {
 
 
 @pytest.mark.parametrize("batch_name", BATCHES)
-@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("config_name", PINNED)
 def test_numbers_are_the_recorded_ones(config_name, batch_name):
     assert case_digests(config_name, batch_name) == DIGESTS[config_name, batch_name]
 
 
-@pytest.mark.parametrize("overrides", [{"use_mhs_ca": False}, {"use_keyword": False}])
+@pytest.mark.parametrize("overrides", [MODELS["no cross-attention"], MODELS["no keyword"]])
 def test_no_keyword_retrieval_where_no_keyword_scan_is_built(overrides, monkeypatch):
     """Every sample has keywords and confident detections. Without
     cross-attention no hierarchy is queried: no scene-attribute token is
     built either, and each branch pools its enhanced tokens alone."""
-    config, samples, encoder, params = setup(overrides)
+    config, samples, encoder, params = case(overrides)
     assert all(len(s.reference.keywords) for s in samples)
     grids = keyword_retrievals(monkeypatch)
     built = []
@@ -143,12 +119,12 @@ def test_no_keyword_retrieval_where_no_keyword_scan_is_built(overrides, monkeypa
 
 
 @pytest.mark.parametrize("batch_name", BATCHES)
-@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("config_name", PINNED)
 def test_a_unit_run_is_its_var_and_its_kink_masks(config_name, batch_name):
     """What ``first_nonfinite`` and the selection signature read: each
     output is a ``Var``; the heads and the loss keep lists of (B, ...) bool
     masks, and every other unit None."""
-    config, samples, encoder, params = batch(batch_name, CONFIGS[config_name])
+    config, samples, encoder, params = case(config_name, batch_name)
     res = forward(samples, params, config, encoder)
     assert len(res.runs) == len(res.inputs.units)
     for unit, (out, masks) in zip(res.inputs.units, res.runs):
@@ -162,23 +138,23 @@ def test_a_unit_run_is_its_var_and_its_kink_masks(config_name, batch_name):
 
 
 def test_a_batch_without_confident_detections_builds_no_scene_unit(monkeypatch):
-    config, samples, encoder, params = batch("no confident detection", {})
+    config, samples, encoder, params = case("gradcheck", "no confident detection")
     built = []
     real = fusion.build_scene_attribute_tokens
     monkeypatch.setattr(fusion, "build_scene_attribute_tokens", lambda *a, **kw: built.append(1) or real(*a, **kw))
     keys = [u.key for u in forward(samples, params, config, encoder).inputs.units]
     assert len(keys) == 14 and not [k for k in keys if k.startswith(SCENE_UNITS)]
     assert built == []
-    plain = [u.key for u in forward(setup({})[1], params, config, encoder).inputs.units]
+    plain = [u.key for u in forward(case("gradcheck")[1], params, config, encoder).inputs.units]
     assert len(plain) == 17 and len([k for k in plain if k.startswith(SCENE_UNITS)]) == 3
     assert built
 
 
-@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("config_name", PINNED)
 def test_a_reference_that_does_not_fit_the_grid_fails_at_retrieval(config_name):
     """Whether or not any unit reads the reference, in every config: wider
     than the grid, with keywords or without, or not 2-D."""
-    config, samples, encoder, params = setup(CONFIGS[config_name])
+    config, samples, encoder, params = case(config_name)
     wider = SyntheticEncoder(encoder.dim + 1, encoder.seed)
     ref = samples[1].reference
     references = [
@@ -198,7 +174,7 @@ def test_the_hierarchy_check_runs_before_any_unit(monkeypatch):
     """A sample no hierarchy serves is rejected before the scene tokens are
     built, here with an encoder whose dim would fail them, and before any
     unit runs."""
-    config, samples, encoder, params = setup({"use_holistic": False})
+    config, samples, encoder, params = case("no holistic")
     served_by_none = dataclasses.replace(
         samples[1], reference=prepare_reference("of the in a", encoder), detections=samples[1].detections[1:2]
     )
