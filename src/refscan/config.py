@@ -13,17 +13,22 @@ from .errors import ConfigError
 _MAX_VALUES = sys.maxsize // 8
 
 
-def _kind_error(kind: str, value) -> str | None:
-    """Why ``value`` is not of the field kind ``kind`` ("int", "float" or
-    "bool"), or None when it is. Ints are integers and not bools, floats
-    finite reals, toggles bools."""
+def kind_error(kind: str, value) -> str | None:
+    """Why ``value`` is not of the kind ``kind`` ("int", "float", "bool" or
+    "str"), or None when it is: ints are integers and not bools, floats
+    reals that are not bools and that a float64 holds finite, toggles bools
+    and strs strings. The types JSON yields are tested before the slower
+    ``numbers`` ABCs."""
+    t = type(value)
+    if kind == "int":
+        return None if t is int or (t is not bool and isinstance(value, Integral)) else "must be an integer"
+    if kind == "float":
+        if not (t is float or t is int or (t is not bool and isinstance(value, Real))):
+            return "must be a number"
+        return None if abs(value) <= sys.float_info.max else "must be finite"  # not NaN, an infinity or an int past it
     if kind == "bool":
-        return None if isinstance(value, bool) else "must be true or false"
-    if isinstance(value, bool) or not isinstance(value, Integral if kind == "int" else Real):
-        return "must be an integer" if kind == "int" else "must be a number"
-    if kind == "float" and not math.isfinite(value):
-        return "must be finite"
-    return None
+        return None if t is bool else "must be true or false"
+    return None if isinstance(value, str) else "must be a string"
 
 
 def check_kinds(cfg) -> None:
@@ -33,7 +38,7 @@ def check_kinds(cfg) -> None:
     for f in fields(cfg):
         kind, _, optional = f.type.partition(" | ")
         value = getattr(cfg, f.name)
-        problem = None if optional and value is None else _kind_error(kind, value)
+        problem = None if optional and value is None else kind_error(kind, value)
         if problem is not None:
             raise ConfigError(f"{f.name} {problem}, got {value!r}")
 

@@ -15,10 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..config import TrainConfig
+from ..config import TrainConfig, kind_error
 from ..errors import ConfigError, ParseError
 from ..fusion import param_layout
 from ..numerics.params import ParamStore
+from .formats import check_version, json_object
 
 CHECKPOINT_VERSION = 1
 
@@ -58,8 +59,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 def _count(path, value, field: str, what: str | None = None) -> int:
     """A header integer that counts something (``what``, by default the
-    field): an int, not a bool, >= 0."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    field): of kind "int", >= 0."""
+    if kind_error("int", value) or value < 0:
         raise ParseError(f"{path}: {what or field} must be an integer >= 0, got {value!r}", field=field)
     return value
 
@@ -72,16 +73,9 @@ def load_checkpoint(path) -> Checkpoint:
     ``param_layout`` gives the config, which builds no model."""
     path = Path(path)
     with open(path, "rb") as fh:
-        header_line = fh.readline()
+        header = json_object(fh.readline(), path, line=1)
         payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer, or nesting too deep
-        raise ParseError(f"{path}: invalid checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}: checkpoint header is not a JSON object")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {header.get('format_version')!r}")
+    check_version(path, header, CHECKPOINT_VERSION, "checkpoint")
     for key in ("config", "step", "seed", "rng_state", "params"):
         if key not in header:
             raise ParseError(f"{path}: checkpoint header has no {key!r}", field=key)
@@ -100,11 +94,11 @@ def load_checkpoint(path) -> Checkpoint:
     name, end = None, 0
     for entry in header["params"]:
         try:
-            name = str(entry["name"])
-            shape = entry["shape"]
-            offset = entry["offset"]
+            name, shape, offset = entry["name"], entry["shape"], entry["offset"]
         except (KeyError, TypeError) as exc:
             raise ParseError(f"{path}: malformed parameter entry {entry!r}", field="params") from exc
+        if kind_error("str", name):
+            raise ParseError(f"{path}: parameter name must be a string, got {name!r}", field="params")
         if not isinstance(shape, list):
             raise ParseError(f"{path}: parameter {name!r} shape must be a list, got {shape!r}", field="params")
         if name in arrays:

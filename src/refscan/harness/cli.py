@@ -5,15 +5,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from ..config import TrainConfig
 from ..errors import ConfigError, RefScanError
+from ..fusion import param_layout
 from .checkpoint import load_checkpoint, save_checkpoint
 from .evaluation import evaluate, write_report
 from .fixtures import GEOMETRY, GenConfig, generate_fixtures
-from .formats import META_NAME, FixtureDataset, read_json_object
+from .formats import META_NAME, FixtureDataset, json_object
 from .suites import GRADCHECK_CONFIG, GRADCHECK_GEN, run_auroc_suite, run_map_suite, run_model_gradcheck, run_scan_suite
 from .training import train, write_loss_curve
 
@@ -29,7 +31,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
 def _fields(path: str | None, **flags) -> dict:
     """The ``--config`` file's fields (none without a file), each flag that
     is set taking the place of its field."""
-    base = read_json_object(path) if path else {}
+    base = json_object(Path(path).read_bytes(), path) if path else {}
     base.update({k: v for k, v in flags.items() if v is not None})
     return base
 
@@ -58,12 +60,15 @@ def _config(path: str | None, source, source_where: str, **flags) -> TrainConfig
     """The ``_fields`` of ``--config`` and the flags, with unset geometry
     taken from ``source`` (a dataset or the gradcheck fixtures); a set value
     that differs from ``source``'s is a ``ConfigError`` naming the file and
-    the field."""
+    the field, and so is a model that ``param_layout`` finds numpy cannot
+    index, before any sample is read."""
     base = _fields(path, **flags)
     for field, key in GEOMETRY:
         base.setdefault(field, getattr(source, key))
     _check_geometry(base, f"--config {path}", source, source_where)
-    return TrainConfig.from_dict(base)
+    config = TrainConfig.from_dict(base)
+    param_layout(config)
+    return config
 
 
 def _check_output(flag: str, path: str, inputs: tuple = ()) -> None:

@@ -31,7 +31,8 @@ import numpy as np
 from .. import fusion
 from ..errors import DimensionError, InputError, ParseError
 from ..retrieval import VisualTokenGrid
-from ..semantics import Detection, ReferenceEncoder, SyntheticEncoder
+from ..config import kind_error
+from ..semantics import Detection, ReferenceEncoder, SyntheticEncoder, box_error
 
 RTEN_MAGIC = b"RTEN"
 RTEN_VERSION = 1
@@ -95,16 +96,27 @@ def read_tensor(path) -> np.ndarray:
     return np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(dims).copy()
 
 
-def read_json_object(path) -> dict:
-    """A JSON object from ``path``; anything else is a ``ParseError`` naming the file."""
-    blob = Path(path).read_bytes()
+def json_object(raw: bytes, path, line: int | None = None) -> dict:
+    """The JSON object that ``raw``, UTF-8 text, holds: a whole file, or its
+    line ``line``. Anything else is a ``ParseError`` naming ``path`` and the
+    line, the one JSON names in a whole file."""
     try:
-        data = json.loads(blob.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer, or nesting too deep
-        raise ParseError(f"{path}: not a UTF-8 JSON document ({exc})") from exc
+        data = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc.reason}", line=line) from exc
+    except (ValueError, RecursionError) as exc:  # json's own, an over-long integer, or nesting too deep
+        line = line or getattr(exc, "lineno", None)
+        raise ParseError(f"{path}: invalid JSON: {getattr(exc, 'msg', exc)}", line=line) from exc
     if not isinstance(data, dict):
-        raise ParseError(f"{path}: must hold a JSON object")
+        raise ParseError(f"{path}: must hold a JSON object, got {type(data).__name__}", line=line)
     return data
+
+
+def check_version(path, data: dict, expected: int, what: str) -> None:
+    """Reject ``data`` unless its ``format_version`` is the integer ``expected``."""
+    version = data.get("format_version")
+    if type(version) is not int or version != expected:
+        raise ParseError(f"{path}: unsupported {what} format version {version!r}", field="format_version")
 
 
 @dataclass(slots=True)
@@ -122,14 +134,8 @@ class SampleRecord:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-_REQUIRED_FIELDS = tuple(f.name for f in fields(SampleRecord))
-
-
-def _int_field(obj: dict, name: str, fail) -> int:
-    value = obj[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        fail(f"{name} must be an integer, got {value!r}", name)
-    return value
+# every field of a record, with the kind of those the kind rule checks
+_FIELD_KINDS = tuple((f.name, f.type if f.type in ("str", "int") else None) for f in fields(SampleRecord))
 
 
 def _parse_record(
@@ -141,32 +147,19 @@ def _parse_record(
     def fail(message: str, field: str | None = None):
         raise ParseError(f"{path}: {message}", line=line_no, field=field)
 
-    if not isinstance(obj, dict):
-        fail("a record must be a JSON object")
-    for name in _REQUIRED_FIELDS:
+    for name, kind in _FIELD_KINDS:
         if name not in obj:
             fail("missing field", name)
-    for name in ("video_id", "reference", "features_ref"):
-        if not isinstance(obj[name], str):
-            fail(f"{name} must be a string, got {obj[name]!r}", name)
+        if kind and (problem := kind_error(kind, obj[name])):
+            fail(f"{name} {problem}, got {obj[name]!r}", name)
     bbox = obj["gt_bbox"]
-    if (
-        not isinstance(bbox, list)
-        or len(bbox) != 4
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in bbox)
-    ):
-        fail("gt_bbox must be four numbers", "gt_bbox")
-    x1, y1, x2, y2 = (float(v) for v in bbox)
-    if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
-        fail(f"gt_bbox {bbox} must satisfy 0<=x1<x2<=1 and 0<=y1<y2<=1", "gt_bbox")
-    num_frames = _int_field(obj, "num_frames", fail)
-    keyframe = _int_field(obj, "keyframe_index", fail)
+    if problem := box_error(bbox):
+        fail(f"gt_bbox {problem}", "gt_bbox")
+    num_frames, keyframe = obj["num_frames"], obj["keyframe_index"]
     if not (0 <= keyframe < num_frames):
         fail(f"keyframe_index {keyframe} outside [0, {num_frames})", "keyframe_index")
     labels = obj["action_labels"]
-    if not isinstance(labels, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in labels
-    ):
+    if not isinstance(labels, list) or any(kind_error("int", v) or v < 0 for v in labels):
         fail("action_labels must be non-negative ints", "action_labels")
     if num_classes is not None and any(v >= num_classes for v in labels):
         fail(f"label out of range for {num_classes} classes", "action_labels")
@@ -176,17 +169,13 @@ def _parse_record(
         fail("detections must be a list", "detections")
     detections = []
     for k, det in enumerate(obj["detections"]):
+        if not isinstance(det, dict):
+            fail(f"detection {k} must be a JSON object, got {det!r}", "detections")
         try:
-            detections.append(
-                Detection(
-                    bbox=tuple(float(v) for v in det["bbox"]),
-                    category=str(det["category"]),
-                    confidence=float(det["confidence"]),
-                ).validate()
-            )
+            detections.append(Detection(det["bbox"], det["category"], det["confidence"]).validate())
         except KeyError as exc:
             fail(f"detection {k}: missing key {exc}", "detections")
-        except Exception as exc:
+        except InputError as exc:
             fail(f"detection {k}: {exc}", "detections")
     features_ref = obj["features_ref"]
     # resolved, so that no absolute path, ".." or symlink leads out of the root
@@ -200,7 +189,7 @@ def _parse_record(
         num_frames=num_frames,
         keyframe_index=keyframe,
         reference=obj["reference"],
-        gt_bbox=(x1, y1, x2, y2),
+        gt_bbox=tuple(map(float, bbox)),
         action_labels=list(labels),
         features_ref=features_ref,
         detections=detections,
@@ -222,16 +211,8 @@ def iter_annotations(path, num_classes: int | None = None) -> Iterator[SampleRec
         # block ends at a b"\n", so no b"\r\n" straddles two
         lines = (raw for block in fh for raw in block.splitlines())
         for line_no, raw in enumerate(lines, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{path}: not UTF-8: {exc.reason}", line=line_no) from exc
-            except (ValueError, RecursionError) as exc:  # json's own, an over-long integer, or nesting too deep
-                raise ParseError(f"{path}: invalid JSON: {getattr(exc, 'msg', exc)}", line=line_no) from exc
-            yield _parse_record(obj, line_no, path, root, num_classes)
+            if raw.strip():
+                yield _parse_record(json_object(raw, path, line_no), line_no, path, root, num_classes)
 
 
 def load_annotations(path, num_classes: int | None = None) -> list[SampleRecord]:
@@ -283,16 +264,13 @@ class FixtureDataset:
         meta_path = self.root / META_NAME
         if not meta_path.exists():
             raise ParseError(f"dataset meta file {meta_path} does not exist")
-        self.meta = read_json_object(meta_path)
-        version = self.meta.get("format_version")
-        if type(version) is not int or version != FIXTURE_FORMAT_VERSION:
-            raise ParseError(f"{meta_path}: unsupported dataset format version {version!r}", field="format_version")
+        self.meta = json_object(meta_path.read_bytes(), meta_path)
+        check_version(meta_path, self.meta, FIXTURE_FORMAT_VERSION, "dataset")
         for name in ("dim", "frames", "grid_rows", "grid_cols", "num_classes", "encoder_seed"):
             value = self.meta.get(name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ParseError(f"{meta_path}: missing or not an integer: {value!r}", field=name)
-            if value < {"encoder_seed": 0, "dim": 2}.get(name, 1):  # the synthetic encoder needs dim >= 2
-                raise ParseError(f"{meta_path}: out of range: {value!r}", field=name)
+            low = {"encoder_seed": 0, "dim": 2}.get(name, 1)  # the synthetic encoder needs dim >= 2
+            if problem := kind_error("int", value) or (f"must be >= {low}" if value < low else None):
+                raise ParseError(f"{meta_path}: {name} {problem}, got {value!r}", field=name)
             setattr(self, name, value)
         self.annotations_path = self.root / ANNOTATIONS_NAME
         if not self.annotations_path.exists():

@@ -18,6 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
+from .config import kind_error
 from .errors import AdapterError, ConfigError, InputError
 
 _WORD_RE = re.compile(r"[a-z0-9']+")
@@ -155,6 +156,18 @@ def embed_reference(
     return ReferenceBundle(text, words, keywords, holistic, keyword_embeddings)
 
 
+def box_error(box) -> str | None:
+    """Why ``box`` is not a normalized corner box, four numbers ``x1, y1,
+    x2, y2`` with 0 <= x1 < x2 <= 1 and 0 <= y1 < y2 <= 1, or None when it
+    is."""
+    if not isinstance(box, (list, tuple)) or len(box) != 4 or any(kind_error("float", v) for v in box):
+        return f"must be four numbers, got {box!r}"
+    x1, y1, x2, y2 = box
+    if not (0 <= x1 < x2 <= 1 and 0 <= y1 < y2 <= 1):
+        return f"{list(box)} must satisfy 0<=x1<x2<=1 and 0<=y1<y2<=1"
+    return None
+
+
 @dataclass(slots=True)
 class Detection:
     """One keyframe detection: normalized corner box, category, confidence."""
@@ -164,12 +177,16 @@ class Detection:
     confidence: float
 
     def validate(self) -> "Detection":
-        x1, y1, x2, y2 = self.bbox
-        if not (0.0 <= x1 < x2 <= 1.0 and 0.0 <= y1 < y2 <= 1.0):
-            raise InputError(f"detection bbox {self.bbox} is not a normalized x1<x2,y1<y2 box")
-        if not (0.0 <= self.confidence <= 1.0):
-            raise InputError(f"detection confidence {self.confidence} outside [0,1]")
-        return self
+        """This detection with its box and confidence as floats, once
+        ``box_error`` passes its box, its category is a string and its
+        confidence a number in [0, 1]; an ``InputError`` otherwise."""
+        if problem := box_error(self.bbox):
+            raise InputError(f"bbox {problem}")
+        if kind_error("str", self.category):
+            raise InputError(f"category must be a string, got {self.category!r}")
+        if kind_error("float", self.confidence) or not 0 <= self.confidence <= 1:
+            raise InputError(f"confidence must be a number in [0, 1], got {self.confidence!r}")
+        return Detection(tuple(map(float, self.bbox)), self.category, float(self.confidence))
 
 
 def confident_detections(detections: list[Detection], conf_threshold: float, max_count: int) -> list[Detection]:

@@ -10,7 +10,7 @@ from refscan.errors import ParseError
 from refscan.harness.checkpoint import load_checkpoint, save_checkpoint
 from refscan.harness import suites
 from refscan.harness.cli import main
-from refscan.harness.formats import read_tensor, write_tensor
+from refscan.harness.formats import FixtureDataset, read_tensor, write_tensor
 from refscan.numerics.params import ParamStore
 
 
@@ -583,6 +583,7 @@ def test_non_utf8_annotations_exit_1_naming_the_file_and_line(dataset, tmp_path,
     ({"d_s": "x"}, "d_s", "must be an integer"),
     ({"seed": -1}, "seed", "must be >= 0"),
     ({"lambda_box": "x"}, "lambda_box", "must be a number"),
+    ({"lambda_box": 10**400}, "lambda_box", "must be finite"),  # an int no float64 holds
 ])
 def test_malformed_config_value_exits_1_naming_the_field(dataset, tmp_path, capsys, value, field, message):
     bad = tmp_path / "bad.json"
@@ -644,9 +645,9 @@ def test_a_size_no_machine_holds_exits_1_with_one_line(dataset, tmp_path, capsys
     elif command == "gradcheck --config n_prompts":  # a HUGE / 16 x 16 prompt matrix
         (tmp_path / "g.json").write_text(json.dumps({"n_prompts": HUGE // 16}))
         argv = ["gradcheck", "--config", str(tmp_path / "g.json")]
-    else:
+    else:  # a HUGE / 16-class label vector, and a d_a x num_classes head numpy can index
         meta = dataset / "meta.json"
-        meta.write_text(json.dumps({**json.loads(meta.read_text()), "num_classes": HUGE}))
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "num_classes": HUGE // 16}))
         argv = ["train", "--data", str(dataset), "--steps", "1", "--out-ckpt", str(tmp_path / "x.ckpt")]
     capsys.readouterr()
     assert main(argv) == 1
@@ -661,6 +662,18 @@ def test_a_gradcheck_size_numpy_cannot_index_exits_1_naming_the_field(tmp_path, 
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {field} {value} is too large: parameter "), err
     assert err[0].endswith("more than numpy can index")
+
+
+def test_a_train_size_numpy_cannot_index_exits_1_before_a_sample_is_read(dataset, tmp_path, capsys, monkeypatch):
+    chunks = []
+    read = FixtureDataset.iter_chunks
+    monkeypatch.setattr(FixtureDataset, "iter_chunks", lambda self, *a: chunks.append(a) or read(self, *a))
+    (tmp_path / "c.json").write_text(json.dumps({"d_s": 10**17}))
+    assert main(["train", "--data", str(dataset), "--config", str(tmp_path / "c.json"),
+                 "--out-ckpt", str(tmp_path / "x.ckpt")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: d_s 100000000000000000 is too large: parameter "), err
+    assert chunks == []
 
 
 def test_reference_without_words_exits_1_naming_the_file(dataset, tmp_path, capsys):

@@ -146,6 +146,23 @@ class TestAnnotations:
         with pytest.raises(ParseError, match=pattern):
             load_annotations(path)
 
+    # each loaded at the parent, coerced by float() or str() into a detection
+    @pytest.mark.parametrize(
+        "key, value",
+        [("bbox", ["0.1", 0.2, 0.5, 0.6]), ("bbox", [0.1, 0.2, 0.5, True]), ("confidence", "0.95"), ("category", {"x": [1]})],
+    )
+    def test_detection_value_of_the_wrong_kind_names_field_and_line(self, tmp_path, key, value):
+        generate_fixtures(SMALL_GEN, tmp_path)
+        path = tmp_path / "annotations.jsonl"
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj["detections"][1][key] = value
+        lines[1] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        pattern = rf"annotations\.jsonl: detection 1: {key} must be .*, got {re.escape(repr(value))}: line 2: field 'detections'"
+        with pytest.raises(ParseError, match=pattern):
+            load_annotations(path)
+
     def test_keyframe_is_center_frame(self, tmp_path):
         generate_fixtures(SMALL_GEN, tmp_path)
         for rec in FixtureDataset(tmp_path).records:
@@ -263,13 +280,13 @@ class TestGridShape:
     @pytest.mark.parametrize(
         "meta_overrides, field, problem",
         [
-            ({"grid_rows": 0}, "grid_rows", "out of range: 0"),
-            ({"grid_cols": -1}, "grid_cols", "out of range: -1"),
-            ({"grid_rows": "2"}, "grid_rows", "missing or not an integer: '2'"),
-            ({"grid_cols": 2.0}, "grid_cols", "missing or not an integer: 2.0"),
-            ({"grid_rows": True}, "grid_rows", "missing or not an integer: True"),
-            ({"grid_cols": None}, "grid_cols", "missing or not an integer: None"),
-            ({"dim": 1}, "dim", "out of range: 1"),
+            ({"grid_rows": 0}, "grid_rows", "grid_rows must be >= 1, got 0"),
+            ({"grid_cols": -1}, "grid_cols", "grid_cols must be >= 1, got -1"),
+            ({"grid_rows": "2"}, "grid_rows", "grid_rows must be an integer, got '2'"),
+            ({"grid_cols": 2.0}, "grid_cols", "grid_cols must be an integer, got 2.0"),
+            ({"grid_rows": True}, "grid_rows", "grid_rows must be an integer, got True"),
+            ({"grid_cols": None}, "grid_cols", "grid_cols must be an integer, got None"),
+            ({"dim": 1}, "dim", "dim must be >= 2, got 1"),
         ],
     )
     def test_grid_size_must_be_a_positive_integer(self, tmp_path, meta_overrides, field, problem):
@@ -356,6 +373,8 @@ class TestCheckpoint:
             (lambda meta: meta["params"][0].pop("offset"), r"malformed parameter entry.*field 'params'"),
             (lambda meta: meta.pop("step"), r"checkpoint header has no 'step'.*field 'step'"),
             (lambda meta: meta.pop("seed"), r"checkpoint header has no 'seed'.*field 'seed'"),
+            (lambda meta: meta.update(format_version=True), r"unsupported checkpoint format version True: field 'format_version'"),
+            (lambda meta: meta.update(format_version=1.0), r"unsupported checkpoint format version 1\.0: field 'format_version'"),
             (lambda meta: meta["params"][0].update(shape=[HUGE]), r"parameter '[\w.]+' dim must be an integer >= 0, got inf: field 'params'"),
             (lambda meta: meta["params"][0].update(offset=HUGE), r"parameter '[\w.]+' offset must be an integer >= 0, got inf: field 'params'"),
             (lambda meta: meta.update(step=HUGE), r"step must be an integer >= 0.*field 'step'"),
